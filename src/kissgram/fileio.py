@@ -51,6 +51,13 @@ def _data_lines(text: str) -> list[str]:
     return out
 
 
+def _require_finite(matrix: np.ndarray, path):
+    """Raise ParseError naming the first row that holds a nan or inf entry."""
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise ParseError(f"{path}: row {bad[0] + 1} has a non-finite entry")
+
+
 def _header_int(fields: dict[str, str], key: str, path) -> int:
     if key not in fields:
         raise ParseError(f"{path}: header is missing {key}=")
@@ -111,15 +118,16 @@ def read_vector_file(path) -> VectorDoc:
         parts = row.split()
         if len(parts) != dim:
             raise ParseError(f"{path}: row {i + 1} has {len(parts)} entries, expected {dim}")
-        if mode == "rational":
-            exact = [parse_rational(p) for p in parts]
-            exact_rows.append(exact)
-            vectors[i] = [float(x) for x in exact]
-        else:
-            try:
+        try:
+            if mode == "rational":
+                exact = [parse_rational(p) for p in parts]
+                exact_rows.append(exact)
+                vectors[i] = [float(x) for x in exact]
+            else:
                 vectors[i] = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ParseError(f"{path}: row {i + 1}: {exc}") from exc
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}: row {i + 1}: {exc}") from exc
+    _require_finite(vectors, path)
     return VectorDoc(dim=dim, mode=mode, vectors=vectors, exact_rows=exact_rows)
 
 
@@ -163,15 +171,16 @@ def read_gram_file(path) -> GramState:
             raise ParseError(f"{path}: row {i + 1} has {len(parts)} entries, expected {count - i}")
         for k, part in enumerate(parts):
             j = i + k
-            if mode == "rational":
-                value = parse_rational(part)
-                exact[i][j] = exact[j][i] = value
-                entries[i, j] = entries[j, i] = float(value)
-            else:
-                try:
+            try:
+                if mode == "rational":
+                    value = parse_rational(part)
+                    exact[i][j] = exact[j][i] = value
+                    entries[i, j] = entries[j, i] = float(value)
+                else:
                     entries[i, j] = entries[j, i] = float(part)
-                except ValueError as exc:
-                    raise ParseError(f"{path}: row {i + 1}: {exc}") from exc
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(f"{path}: row {i + 1}: {exc}") from exc
+    _require_finite(entries, path)
     return GramState(dim=dim, entries=entries,
                      exact=tuple(tuple(r) for r in exact) if exact is not None else None)
 

@@ -15,13 +15,13 @@ from typing import Iterable, Sequence
 
 from .errors import MixedModeEntries, ParseError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 
 RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` (optional sign) or a bare integer such as ``0`` or ``-1``."""
+    """Parse ``p/q`` (optional sign, q > 0) or a bare integer such as ``0`` or ``-1``."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ParseError(f"not a rational literal: {text!r}")

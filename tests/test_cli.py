@@ -7,6 +7,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from kissgram.cli import main
 from kissgram.fileio import read_certificate, read_cosine_report, read_vector_file
@@ -246,3 +247,54 @@ def test_search_rational_mode_writes_exact_artifacts(tmp_path):
     assert cert["max-cosine"] == "1/2"
     gram_head = (tmp_path / "out" / "best.gram").read_text().splitlines()[0]
     assert "mode=rational" in gram_head
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["vectors", "gram"])
+def test_verify_non_finite_entry_exits_2(tmp_path, capsys, kind, token):
+    from kissgram.fileio import write_gram_file
+    from kissgram.refconfigs import generate
+
+    path = tmp_path / f"hex.{kind}"
+    if kind == "vectors":
+        assert run_cli("generate", "--name", "Hexagon", "--out", str(path)) == 0
+    else:
+        write_gram_file(path, generate("Hexagon").gram, mode="float")
+    lines = path.read_text().splitlines()
+    parts = lines[2].split()
+    parts[-1] = token
+    lines[2] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli("verify", "--in", str(path)) == 2
+    assert "row 2 has a non-finite entry" in capsys.readouterr().err
+
+
+def test_python_m_kissgram_verifies_e8(tmp_path):
+    out = tmp_path / "e8.vec"
+    assert run_cli("generate", "--name", "E8Roots", "--out", str(out)) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    proc = subprocess.run([sys.executable, "-m", "kissgram", "verify", "--in", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: Pass" in proc.stdout
+    assert "sphere-count: 240" in proc.stdout
+
+
+def test_importing_main_module_runs_nothing():
+    # Tools that import every submodule (pkgutil walks) must not start the CLI.
+    import importlib
+
+    assert importlib.import_module("kissgram.__main__").main is main
+
+
+@pytest.mark.parametrize("token", ["1/0", "1" + "0" * 400])
+@pytest.mark.parametrize("text", [
+    "kiss-vectors v1 dim=2 count=2 mode=rational\n1 0\n{} 1\n",
+    "kiss-gram v1 dim=2 count=2 mode=rational\n1 {}\n1\n",
+])
+def test_verify_unrepresentable_rational_entry_exits_2(tmp_path, capsys, text, token):
+    path = tmp_path / "bad.txt"
+    path.write_text(text.format(token))
+    assert run_cli("verify", "--in", str(path)) == 2
+    assert "error:" in capsys.readouterr().err

@@ -27,7 +27,7 @@ def test_parse_rational_accepts_signed_fractions_and_integers():
     assert parse_rational("-1") == -1
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "a/b", "1/", "/2", "1 / 2", "0x3"])
+@pytest.mark.parametrize("bad", ["", "1.5", "a/b", "1/", "/2", "1 / 2", "0x3", "1/0", "-3/00"])
 def test_parse_rational_rejects_non_literals(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)

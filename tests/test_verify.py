@@ -1,14 +1,20 @@
 """Certification: verdicts, spectra, contact degrees, antipodality."""
 
+import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kissgram import verify
+from kissgram.cosines import snap_value
 from kissgram.errors import MixedModeEntries, NonUnitVector
+from kissgram.fileio import certificate_text
 from kissgram.gram import GramState
 from kissgram.refconfigs import generate
-from kissgram.verify import spectrum_report, verify_gram, verify_vectors
+from kissgram.verify import SpectrumEntry, spectrum_report, verify_gram, verify_vectors
 
 
 def brute_force_contact_degrees(vectors: np.ndarray) -> list[int]:
@@ -146,3 +152,165 @@ def test_unit_diagonal_violation_detected():
     cert = verify_gram(GramState(dim=3, entries=g))
     assert cert.verdict == "Fail"
     assert cert.fail_reason == "UnitDiagonalViolation"
+
+
+def test_verify_vectors_rejects_non_finite_rows():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonUnitVector):
+            verify_vectors(np.array([[1.0, 0.0], [bad, 0.0]]))
+
+
+# --- The blockwise float path against a dense reference ----------------------
+
+def loop_spectrum(g: np.ndarray) -> tuple[SpectrumEntry, ...]:
+    """Sort every upper-triangle value, split at gaps above 1e-7, snap each mean."""
+    m = len(g)
+    if m < 2:
+        return ()
+    values = np.sort(g[np.triu_indices(m, k=1)])
+    entries = []
+    start = 0
+    for k in range(1, len(values) + 1):
+        if k == len(values) or values[k] - values[k - 1] > 1e-7:
+            cluster = values[start:k]
+            entries.append(SpectrumEntry(snap_value(float(cluster.mean())), len(cluster)))
+            start = k
+    return tuple(entries)
+
+
+def dense_float_certificate(vectors: np.ndarray, dim: int | None = None):
+    """Float certificate from the dense m x m Gram: eigenvalue rank, Cholesky
+    PSD check and the per-value clustering loop."""
+    v = np.asarray(vectors, dtype=float)
+    norms = np.linalg.norm(v, axis=1)
+    max_err = float(np.abs(norms - 1.0).max()) if len(v) else 0.0
+    unit = v / norms[:, None]
+    g = unit @ unit.T
+    g = (g + g.T) / 2.0
+    np.fill_diagonal(g, 1.0)
+    state = GramState(dim=dim if dim is not None else v.shape[1], entries=g)
+    cert = verify_gram(state, mode="float", unit_norm_max_error=max_err)
+    return dataclasses.replace(cert, cosine_spectrum=loop_spectrum(g))
+
+
+def _rotated(vectors: np.ndarray, seed: int, ambient: int | None = None) -> np.ndarray:
+    """The rows in a random orthonormal frame of R^ambient (float noise on every cosine)."""
+    n = vectors.shape[1]
+    ambient = ambient or n
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((ambient, ambient)))
+    return vectors @ q[:n]
+
+
+def _separated(count: int, dim: int, seed: int) -> np.ndarray:
+    """Random unit vectors, each kept only if its cosines to the earlier ones are <= 1/2."""
+    rng = np.random.default_rng(seed)
+    rows: list[np.ndarray] = []
+    while len(rows) < count:
+        x = rng.standard_normal(dim)
+        x /= np.linalg.norm(x)
+        if all(x @ r <= 0.5 for r in rows):
+            rows.append(x)
+    return np.array(rows)
+
+
+def _blocks_with_late_maximum() -> np.ndarray:
+    """Twelve rows in R^12 whose largest cosine, 0.4, lies in the second and
+    third 4-row blocks; the first block peaks at 0.2."""
+    v = np.eye(12)
+    for i, j, c in ((2, 3, 0.2), (5, 9, 0.4), (10, 11, 0.4)):
+        v[j] = c * v[i] + math.sqrt(1 - c * c) * np.eye(12)[j]
+    return v
+
+
+def _noisy_e8(scale: float, seed: int) -> np.ndarray:
+    """E8 roots jittered so that each exact cosine becomes a cloud of values
+    whose sparse tails split off as clusters of their own."""
+    v = generate("E8Roots").vectors
+    v = v + scale * np.random.default_rng(seed).standard_normal(v.shape)
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def _equivalence_cases():
+    e8 = generate("E8Roots").vectors
+    block = verify.BLOCK_ROWS
+    rng = np.random.default_rng(5)
+    twenty = rng.standard_normal((20, 3))
+    return {
+        "icosahedron": (generate("Icosahedron").vectors, 3),
+        "e8": (e8, 8),
+        "d4": (generate("D4Roots").vectors, 4),
+        "rotated-e8": (_rotated(e8, 1), 8),
+        "random-pass": (_separated(20, 6, 2), 6),
+        "random-cap-violation": (twenty / np.linalg.norm(twenty, axis=1)[:, None], 3),
+        "random-rank-exceeds-dimension": (_separated(20, 6, 3), 5),
+        "rank-deficient": (_rotated(generate("Icosahedron").vectors, 4, ambient=6), 6),
+        "antipodal-pair": (np.array([[1.0, 0.0], [-1.0, 0.0]]), 2),
+        "rotated-antipodal-pair": (_rotated(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), 6), 3),
+        "empty": (np.zeros((0, 3)), 3),
+        "single": (np.array([[0.6, 0.8]]), 2),
+        "block-minus-one": (_rotated(e8[:block - 1], 7), 8),
+        "block": (_rotated(e8[:block], 8), 8),
+        "block-plus-one": (_rotated(e8[:block + 1], 9), 8),
+        "late-maximum": (_blocks_with_late_maximum(), 12),
+        "noisy-e8": (_noisy_e8(1e-6, 10), 8),
+    }
+
+
+EQUIVALENCE_CASES = _equivalence_cases()
+
+
+@pytest.mark.parametrize("block_rows", [None, 4])
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
+def test_blockwise_certificate_equals_dense(name, block_rows, monkeypatch):
+    vectors, dim = EQUIVALENCE_CASES[name]
+    if block_rows is not None:
+        monkeypatch.setattr(verify, "BLOCK_ROWS", block_rows)
+    expected = certificate_text(dense_float_certificate(vectors, dim))
+    assert certificate_text(verify_vectors(vectors, dim)) == expected
+
+
+def test_equivalence_cases_cover_every_verdict():
+    reasons = {dense_float_certificate(v, d).fail_reason for v, d in EQUIVALENCE_CASES.values()}
+    assert reasons == {None, "CosineCapViolation", "RankExceedsDimension"}
+    assert dense_float_certificate(*EQUIVALENCE_CASES["rank-deficient"]).rank == 3
+    assert not dense_float_certificate(*EQUIVALENCE_CASES["rotated-antipodal-pair"]).non_antipodal
+    spectrum = dense_float_certificate(*EQUIVALENCE_CASES["icosahedron"]).cosine_spectrum
+    assert [e.cosine.display() for e in spectrum] == ["-1", "-0.447213595", "0.447213595"]
+    # Jitter splits some clouds into several clusters, so the merge across
+    # blocks has chains to follow.
+    assert len(dense_float_certificate(*EQUIVALENCE_CASES["noisy-e8"]).cosine_spectrum) > 8
+
+
+def test_spectrum_report_agrees_with_per_value_loop():
+    # Cluster means are summed in another order, so they may differ in the
+    # last bits; their rendering and the multiplicities may not.
+    eps = 8 * np.finfo(float).eps
+    for vectors, _ in EQUIVALENCE_CASES.values():
+        v = vectors / np.linalg.norm(vectors, axis=1)[:, None] if len(vectors) else vectors
+        g = v @ v.T
+        np.fill_diagonal(g, 1.0)
+        got = spectrum_report(GramState(dim=v.shape[1], entries=g))
+        expected = loop_spectrum(g)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert (a.cosine.display(), a.multiplicity) == (b.cosine.display(), b.multiplicity)
+            assert math.isclose(a.cosine.value, b.cosine.value, rel_tol=eps, abs_tol=eps)
+
+
+def test_blockwise_verification_allocates_no_dense_gram():
+    # Random distinct directions of {-1, 0, 1}^8: the certificate lists every
+    # distinct cosine, and this set has few, so the peak is working memory.
+    directions = np.array([d for d in itertools.product((-1.0, 0.0, 1.0), repeat=8) if any(d)])
+    rng = np.random.default_rng(11)
+    v = directions[rng.choice(len(directions), size=4000, replace=False)]
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    dense_bytes = 8 * len(v) ** 2
+    tracemalloc.start()
+    try:
+        cert = verify_vectors(v, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.sphere_count == 4000 and cert.rank == 8
+    assert sum(e.multiplicity for e in cert.cosine_spectrum) == 4000 * 3999 // 2
+    assert peak < dense_bytes / 4
