@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrector import CorrectorPolicy
-from .errors import CheckpointError
-from .fileio import GRAM_MAGIC
+from .errors import CheckpointError, ParseError
+from .fileio import gram_text, parse_gram_text
 from .filler import SearchTree
 from .game import EpisodeResult
-from .gram import GramState
 
 MAGIC = b"KISSCKPT"
 VERSION = 1
@@ -45,23 +44,11 @@ class Checkpoint:
 def _best_payload(best: EpisodeResult | None) -> bytes:
     if best is None:
         return b""
-    from .fileio import format_float
-    from .rational import format_rational
-
     state = best.final_state
-    lines = [f"{GRAM_MAGIC} dim={state.dim} count={state.m} mode={state.mode}"]
-
-    for i in range(state.m):
-        if state.exact is not None:
-            lines.append(" ".join(format_rational(state.exact[i][j])
-                                  for j in range(i, state.m)))
-        else:
-            lines.append(" ".join(format_float(float(state.entries[i, j]))
-                                  for j in range(i, state.m)))
     doc = {
         "team_reward": best.team_reward,
         "per_round_sizes": list(best.per_round_sizes),
-        "gram": "\n".join(lines) + "\n",
+        "gram": gram_text(state, state.mode),
     }
     return json.dumps(doc, sort_keys=True).encode("utf-8")
 
@@ -70,30 +57,8 @@ def _best_from_payload(payload: bytes) -> EpisodeResult | None:
     if not payload:
         return None
     doc = json.loads(payload.decode("utf-8"))
-    from fractions import Fraction
-
-    from .fileio import _data_lines, _parse_header
-    from .rational import parse_rational
-
-    lines = _data_lines(doc["gram"])
-    fields = _parse_header(lines[0], GRAM_MAGIC, "<checkpoint>")
-    count = int(fields["count"])
-    mode = fields.get("mode", "float")
-    entries = np.zeros((count, count))
-    exact = [[Fraction(0)] * count for _ in range(count)] if mode == "rational" else None
-    for i, row in enumerate(lines[1:]):
-        for k, part in enumerate(row.split()):
-            j = i + k
-            if mode == "rational":
-                val = parse_rational(part)
-                exact[i][j] = exact[j][i] = val
-                entries[i, j] = entries[j, i] = float(val)
-            else:
-                entries[i, j] = entries[j, i] = float(part)
-    state = GramState(dim=int(fields["dim"]), entries=entries,
-                      exact=tuple(tuple(r) for r in exact) if exact is not None else None)
     return EpisodeResult(
-        final_state=state,
+        final_state=parse_gram_text(doc["gram"], "BEST gram"),
         team_reward=int(doc["team_reward"]),
         per_round_sizes=tuple(doc["per_round_sizes"]),
         trajectory=(),
@@ -176,14 +141,17 @@ def load_checkpoint(path) -> Checkpoint:
             max_delete_fraction=float(poli["max_delete_fraction"]),
             protected_prefix=int(poli["protected_prefix"]),
         )
+        rng_state = json.loads(payloads["RNGS"].decode("utf-8"))
+        np.random.PCG64().state = rng_state  # rejects a state a resume could not restore
         return Checkpoint(
             config_echo=payloads["CFGE"].decode("utf-8"),
-            rng_state=json.loads(payloads["RNGS"].decode("utf-8")),
+            rng_state=rng_state,
             tree=SearchTree.from_summary(json.loads(payloads["TREE"].decode("utf-8"))),
             policy=policy,
             baseline=float(poli["baseline"]),
             rewards=[int(r) for r in json.loads(payloads["PROG"].decode("utf-8"))["rewards"]],
             best=_best_from_payload(payloads["BEST"]),
         )
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, ParseError) as exc:
+        # A payload of the wrong shape is as corrupt as one that fails to parse.
         raise CheckpointError(f"{path}: malformed section payload: {exc}") from exc

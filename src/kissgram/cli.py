@@ -184,9 +184,7 @@ def _cmd_generate(args) -> int:
     except ParseError as exc:
         raise ConfigError(str(exc)) from exc
     built = generate(gid)
-    exact_rows = None
-    mode = "float"
-    write_vector_file(args.out, built.vectors, mode=mode, exact_rows=exact_rows)
+    write_vector_file(args.out, built.vectors)
     if args.gram_out:
         write_gram_file(args.gram_out, built.gram)
     print(f"{built.label}: {built.vectors.shape[0]} vectors in dimension "

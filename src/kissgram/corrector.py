@@ -111,6 +111,23 @@ class CorrectionDraw:
     features: np.ndarray           # feature matrix at sampling time
 
 
+def _softmax_steps(scores: np.ndarray, eligible: Sequence[int], temperature: float,
+                   steps: int):
+    """Softmax sampling without replacement over ``eligible`` rows.
+
+    Yields ``steps`` times the list of rows still available and their
+    probabilities; the caller removes the row it picks from that list before
+    asking for the next step.
+    """
+    remaining = list(eligible)
+    for _ in range(steps):
+        logits = np.array([scores[i] for i in remaining]) / temperature
+        logits -= logits.max()
+        probs = np.exp(logits)
+        probs /= probs.sum()
+        yield remaining, probs
+
+
 def sample_index_set(policy: CorrectorPolicy, state: GramState, features: np.ndarray,
                      rng: np.random.Generator,
                      protected: Sequence[int] | int | None = None) -> CorrectionDraw:
@@ -132,16 +149,10 @@ def sample_index_set(policy: CorrectorPolicy, state: GramState, features: np.nda
     k = 0
     if eligible and cap > 0:
         k = min(int(rng.binomial(len(eligible), policy.max_delete_fraction)), cap, len(eligible))
-    scores = features @ policy.weights
-    remaining = list(eligible)
     sequence: list[int] = []
-    for _ in range(k):
-        logits = np.array([scores[i] for i in remaining]) / policy.temperature
-        logits -= logits.max()
-        probs = np.exp(logits)
-        probs /= probs.sum()
-        pick = int(rng.choice(len(remaining), p=probs))
-        sequence.append(remaining.pop(pick))
+    for remaining, probs in _softmax_steps(features @ policy.weights, eligible,
+                                           policy.temperature, k):
+        sequence.append(remaining.pop(int(rng.choice(len(remaining), p=probs))))
     return CorrectionDraw(
         indices=tuple(sorted(sequence)),
         sequence=tuple(sequence),
@@ -175,14 +186,10 @@ def apply_correction(state: GramState, delete_set: Sequence[int],
 def log_prob(policy: CorrectorPolicy, draw: CorrectionDraw) -> float:
     """Log-likelihood of the drawn sequence, up to the weight-independent
     size term."""
-    scores = draw.features @ policy.weights
-    remaining = list(draw.eligible)
+    steps = _softmax_steps(draw.features @ policy.weights, draw.eligible,
+                           policy.temperature, len(draw.sequence))
     total = 0.0
-    for pick in draw.sequence:
-        logits = np.array([scores[i] for i in remaining]) / policy.temperature
-        logits -= logits.max()
-        probs = np.exp(logits)
-        probs /= probs.sum()
+    for pick, (remaining, probs) in zip(draw.sequence, steps):
         total += float(np.log(probs[remaining.index(pick)]))
         remaining.remove(pick)
     return total
@@ -190,16 +197,11 @@ def log_prob(policy: CorrectorPolicy, draw: CorrectionDraw) -> float:
 
 def grad_log_prob(policy: CorrectorPolicy, draw: CorrectionDraw) -> np.ndarray:
     """Exact gradient of log_prob with respect to the policy weights."""
-    scores = draw.features @ policy.weights
-    remaining = list(draw.eligible)
+    steps = _softmax_steps(draw.features @ policy.weights, draw.eligible,
+                           policy.temperature, len(draw.sequence))
     grad = np.zeros_like(policy.weights)
-    for pick in draw.sequence:
-        feats = draw.features[remaining]
-        logits = np.array([scores[i] for i in remaining]) / policy.temperature
-        logits -= logits.max()
-        probs = np.exp(logits)
-        probs /= probs.sum()
-        grad += (draw.features[pick] - probs @ feats) / policy.temperature
+    for pick, (remaining, probs) in zip(draw.sequence, steps):
+        grad += (draw.features[pick] - probs @ draw.features[remaining]) / policy.temperature
         remaining.remove(pick)
     return grad
 

@@ -131,10 +131,8 @@ def read_vector_file(path) -> VectorDoc:
     return VectorDoc(dim=dim, mode=mode, vectors=vectors, exact_rows=exact_rows)
 
 
-def write_gram_file(path, state: GramState, mode: str | None = None):
+def gram_text(state: GramState, mode: str) -> str:
     """Header line, then the upper triangle (diagonal included) row-major."""
-    if mode is None:
-        mode = state.mode
     m = state.m
     lines = [f"{GRAM_MAGIC} dim={state.dim} count={m} mode={mode}"]
     for i in range(m):
@@ -145,14 +143,15 @@ def write_gram_file(path, state: GramState, mode: str | None = None):
         else:
             lines.append(" ".join(format_float(float(state.entries[i, j]))
                                   for j in range(i, m)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
-def read_gram_file(path) -> GramState:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+def write_gram_file(path, state: GramState, mode: str | None = None):
+    Path(path).write_text(gram_text(state, state.mode if mode is None else mode), encoding="utf-8")
+
+
+def parse_gram_text(text: str, path) -> GramState:
+    """Parse ``gram_text`` output; ``path`` names the source in errors."""
     lines = _data_lines(text)
     if not lines:
         raise ParseError(f"{path}: empty file")
@@ -183,6 +182,14 @@ def read_gram_file(path) -> GramState:
     _require_finite(entries, path)
     return GramState(dim=dim, entries=entries,
                      exact=tuple(tuple(r) for r in exact) if exact is not None else None)
+
+
+def read_gram_file(path) -> GramState:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return parse_gram_text(text, path)
 
 
 def _cosine_value_fields(entry: CosineValue) -> str:

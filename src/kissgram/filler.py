@@ -13,7 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,16 +76,13 @@ class MembershipList:
         object.__setattr__(self, "vectors", v)
 
 
-ColumnPredicate = Callable[[np.ndarray], bool]
-
-
 @dataclass(frozen=True)
 class ActionSpec:
     """Constraint sets defining the candidate action space."""
 
     c1: DiscreteSet
     c2: DiscreteSet | CapOnly | None = None
-    c_star: MembershipList | ColumnPredicate | None = None
+    c_star: MembershipList | None = None
 
     def __post_init__(self):
         for v in self.c1.values:
@@ -240,12 +237,6 @@ def _expand_columns(lower: np.ndarray, values: np.ndarray, s_limit: float,
     return cols, idx, s
 
 
-def _exact_schur_gap(inv: Sequence[Sequence[Fraction]],
-                     exact_col: Sequence[Fraction]) -> Fraction:
-    """Exact 1 - g^T G^-1 g given the exact inverse of the state."""
-    return Fraction(1) - exact_quadratic_form(inv, list(exact_col))
-
-
 def enumerate_small(state: GramState, spec: ActionSpec, *,
                     tols: Tolerances = DEFAULT_TOLS,
                     max_width: int = MAX_ENUMERATION_WIDTH) -> list[CandidateColumn]:
@@ -277,19 +268,14 @@ def enumerate_small(state: GramState, spec: ActionSpec, *,
         exact_col = None
         if exact_mode:
             exact_col = tuple(spec.c1.exact[i] for i in idx[row])
-            if _exact_schur_gap(exact_inv, exact_col) <= 0:
-                continue
+            if exact_quadratic_form(exact_inv, list(exact_col)) >= 1:
+                continue  # Schur gap 1 - g^T G^-1 g is not positive
         out.append(CandidateColumn(head=cols[row], tail=np.zeros(0), exact=exact_col))
     return out
 
 
-def _unit_norm_mask(s: np.ndarray, tol: float) -> np.ndarray:
-    return np.abs(np.sqrt(s) - 1.0) <= tol
-
-
 def enumerate_lifted(state: GramState, cache: FactorCache, spec: ActionSpec, *,
                      tols: Tolerances = DEFAULT_TOLS,
-                     norm_convention: str = "inverse",
                      max_width: int = MAX_ENUMERATION_WIDTH,
                      blame: np.ndarray | None = None) -> list[CandidateColumn]:
     """Lifted action set for m >= dim: unit-norm heads with conforming tails.
@@ -309,18 +295,11 @@ def enumerate_lifted(state: GramState, cache: FactorCache, spec: ActionSpec, *,
     if exact_mode:
         if not spec.is_rational:
             raise MixedModeEntries("rational state requires rational cosine sets")
-        if norm_convention != "inverse":
-            raise MixedModeEntries("exact mode supports only the inverse norm convention")
         unit_tol = 1e-6  # float prescreen; survivors are confirmed exactly below
-    if norm_convention == "inverse":
-        limit = (1.0 + unit_tol) ** 2
-        heads, idx, s = _expand_columns(cache.chol_factor, values, limit, False, max_width)
-        keep = _unit_norm_mask(s, unit_tol)
-        heads, idx = heads[keep], idx[keep]
-    elif norm_convention == "transpose_inverse":
-        heads, idx = _enumerate_transpose_inverse(cache, values, unit_tol, max_width)
-    else:
-        raise ValueError(f"unknown norm convention: {norm_convention!r}")
+    limit = (1.0 + unit_tol) ** 2
+    heads, idx, s = _expand_columns(cache.chol_factor, values, limit, False, max_width)
+    keep = np.abs(np.sqrt(s) - 1.0) <= unit_tol
+    heads, idx = heads[keep], idx[keep]
     if heads.shape[0] == 0:
         return []
     tails = heads @ cache.lift_matrix.T
@@ -335,26 +314,8 @@ def enumerate_lifted(state: GramState, cache: FactorCache, spec: ActionSpec, *,
             exact_col = _confirm_exact_lifted(cache, spec, idx[row])
             if exact_col is None:
                 continue
-        cand = CandidateColumn(head=heads[row], tail=tails[row], exact=exact_col)
-        if callable(spec.c_star) and not isinstance(spec.c_star, MembershipList):
-            if not spec.c_star(cand.full):
-                continue
-        out.append(cand)
+        out.append(CandidateColumn(head=heads[row], tail=tails[row], exact=exact_col))
     return out
-
-
-def _enumerate_transpose_inverse(cache: FactorCache, values: np.ndarray, unit_tol: float,
-                                 max_width: int) -> tuple[np.ndarray, np.ndarray]:
-    # The transposed factor is upper triangular, so the prefix walk runs over
-    # reversed coordinates; rows are re-sorted to restore lexicographic order.
-    flipped = cache.chol_factor.T[::-1, ::-1]
-    heads, idx, s = _expand_columns(flipped, values, (1.0 + unit_tol) ** 2, False, max_width)
-    keep = _unit_norm_mask(s, unit_tol)
-    heads, idx = heads[keep][:, ::-1], idx[keep][:, ::-1]
-    if heads.shape[0] == 0:
-        return heads, idx
-    order = np.lexsort(idx.T[::-1])
-    return np.ascontiguousarray(heads[order]), np.ascontiguousarray(idx[order])
 
 
 def _tail_filter(tails: np.ndarray, c2: DiscreteSet | CapOnly,

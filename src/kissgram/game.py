@@ -100,7 +100,6 @@ class GameConfig:
     exploration: float = math.sqrt(2.0)
     corrector: CorrectorConfig = field(default_factory=CorrectorConfig)
     tolerances: Tolerances = field(default_factory=Tolerances)
-    norm_convention: str = "inverse"
     reassemble: bool = False
     debug_revalidate: bool = False
     episodes: int = 100
@@ -257,8 +256,7 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
                     state = permute_state(state, order)
                     meta.permute(order)
                     cache = factorize(state, tols=tols)
-            candidates = enumerate_lifted(state, cache, config.action, tols=tols,
-                                          norm_convention=config.norm_convention, blame=blame)
+            candidates = enumerate_lifted(state, cache, config.action, tols=tols, blame=blame)
         meta.conflicts = meta.conflicts + blame
         if not candidates:
             break

@@ -85,15 +85,6 @@ class GramState:
             return self
         return GramState(dim=self.dim, entries=self.entries)
 
-    @staticmethod
-    def from_matrix(dim: int, matrix, *, exact=None, validate: bool = True,
-                    tols: Tolerances = DEFAULT_TOLS) -> "GramState":
-        entries = np.asarray(matrix, dtype=float)
-        state = GramState(dim=dim, entries=entries, exact=exact)
-        if validate:
-            check_invariants(state, tols)
-        return state
-
 
 def gram_from_vectors(vectors: np.ndarray, dim: int | None = None) -> GramState:
     """Build the (unvalidated) Gram state of explicit unit row vectors."""
@@ -335,43 +326,17 @@ def exact_lift_tail(cache: FactorCache, head: Sequence[Fraction]) -> tuple[Fract
     return tuple(exact_matvec(cache.exact_cross, coeff)) if cache.exact_cross else ()
 
 
-def forward_substitute(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L y = b for lower-triangular L."""
-    n = lower.shape[0]
-    y = np.zeros(n)
-    for k in range(n):
-        y[k] = (b[k] - lower[k, :k] @ y[:k]) / lower[k, k]
-    return y
-
-
-def back_substitute(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve U y = b for upper-triangular U."""
-    n = upper.shape[0]
-    y = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        y[k] = (b[k] - upper[k, k + 1:] @ y[k + 1:]) / upper[k, k]
-    return y
-
-
-def unit_norm_test(cache: FactorCache, head: np.ndarray, tol: float,
-                   convention: str = "inverse") -> bool:
+def unit_norm_test(cache: FactorCache, head: np.ndarray, tol: float) -> bool:
     """Unit-length condition on the candidate head in the basis frame.
 
-    The default convention measures ||M^+ head|| with M the Cholesky factor
-    of the basis block, which equals the Euclidean length of the new center
-    when it lies in the basis span.  The alternative ``transpose_inverse``
-    convention measures ||(M^T)^-1 head|| instead; both are exposed because
-    the two readings differ on ill-conditioned bases.
+    With basis block B = L L^T, a new center whose cosines with the basis
+    rows are ``head`` has squared length head^T B^-1 head = ||L^-1 head||^2
+    when it lies in the basis span; the test is that this length is 1.
     """
     head = np.asarray(head, dtype=float)
     if head.shape != (cache.n,):
         raise DimensionMismatch(f"head has length {head.shape[0]}, basis has n={cache.n}")
-    if convention == "inverse":
-        y = forward_substitute(cache.chol_factor, head)
-    elif convention == "transpose_inverse":
-        y = back_substitute(cache.chol_factor.T, head)
-    else:
-        raise ValueError(f"unknown norm convention: {convention!r}")
+    y = np.linalg.solve(cache.chol_factor, head)
     return abs(float(np.linalg.norm(y)) - 1.0) <= tol
 
 
@@ -394,8 +359,8 @@ def reconstruct_vectors(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) ->
 class CholeskyAppender:
     """Incremental Cholesky of a growing positive-definite matrix.
 
-    Used for the rank-increasing game phase (m < dim) and for greedy basis
-    selection, where extension by one row must be O(m^2), not a refactor.
+    Used by ``full_rank_prefix`` for greedy basis selection, where testing
+    one more row must not refactor the rows already chosen.
     """
 
     def __init__(self):
@@ -404,11 +369,6 @@ class CholeskyAppender:
     @property
     def size(self) -> int:
         return len(self._rows)
-
-    def copy(self) -> "CholeskyAppender":
-        dup = CholeskyAppender()
-        dup._rows = list(self._rows)
-        return dup
 
     def factor(self) -> np.ndarray:
         k = self.size
@@ -437,10 +397,7 @@ class CholeskyAppender:
         k = self.size
         if b.shape != (k,):
             raise DimensionMismatch(f"cross vector has length {b.shape[0]}, factor has k={k}")
-        y = np.zeros(k)
-        for i, row in enumerate(self._rows):
-            y[i] = (b[i] - row[:i] @ y[:i]) / row[i]
-        return y
+        return np.linalg.solve(self.factor(), b)
 
 
 def full_rank_prefix(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> list[int]:

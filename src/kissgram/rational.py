@@ -8,6 +8,7 @@ error, never a silent coercion.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,6 +123,36 @@ def rational_gram_check(matrix: Iterable[Sequence]) -> RationalCheck:
                 max_off = m[i][j]
     psd, rank = exact_ldlt(m)
     return RationalCheck(max_off_diagonal=max_off, psd=psd, rank=rank)
+
+
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    if x < 0:
+        return None
+    num = math.isqrt(x.numerator)
+    den = math.isqrt(x.denominator)
+    if num * num == x.numerator and den * den == x.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def exact_cosines(rows: Sequence[Sequence[Fraction]]) -> RationalMatrix | None:
+    """Exact pairwise cosines of non-zero rational row vectors.
+
+    Returns None when some pairwise norm product is not a perfect square,
+    i.e. when a cosine is irrational (equal-norm lattice families never are).
+    """
+    m = len(rows)
+    sq = [sum(x * x for x in row) for row in rows]
+    out = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        out[i][i] = Fraction(1)
+        for j in range(i + 1, m):
+            root = _rational_sqrt(sq[i] * sq[j])
+            if root is None:
+                return None
+            dot = sum(a * b for a, b in zip(rows[i], rows[j]))
+            out[i][j] = out[j][i] = dot / root
+    return tuple(tuple(row) for row in out)
 
 
 def exact_inverse(matrix: Iterable[Sequence]) -> RationalMatrix:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import CosineCapViolation, NonUnitVector, ParseError
 from .gram import DEFAULT_TOLS, GramState, Tolerances, gram_from_vectors
+from .rational import exact_cosines
 
 _GENERATOR_RE = re.compile(r"^([A-Za-z0-9]+)(?:\(([^)]*)\))?$")
 
@@ -153,16 +154,6 @@ def e8_roots() -> GeneratedConfig:
     return GeneratedConfig("E8Roots", vectors, _exact_state(8, exact))
 
 
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    num = math.isqrt(x.numerator)
-    den = math.isqrt(x.denominator)
-    if num * num == x.numerator and den * den == x.denominator:
-        return Fraction(num, den)
-    return None
-
-
 def config_from_vectors(raw: np.ndarray, dim: int, label: str = "FromVectorFile",
                         exact_rows: list[list[Fraction]] | None = None,
                         tols: Tolerances = DEFAULT_TOLS) -> GeneratedConfig:
@@ -177,33 +168,14 @@ def config_from_vectors(raw: np.ndarray, dim: int, label: str = "FromVectorFile"
     if np.any(norms < 1e-12):
         raise NonUnitVector("zero vector cannot be normalized")
     vectors = raw / norms[:, None]
-    if np.any(np.abs(norms - 1.0) > 1e-6) and exact_rows is None:
-        # Tolerated: raw lattice vectors are scaled on ingestion.
-        pass
     gram = vectors @ vectors.T
     np.fill_diagonal(gram, 1.0)
     off_max = float(gram[~np.eye(len(gram), dtype=bool)].max()) if len(gram) > 1 else -1.0
     if off_max > 0.5 + tols.cosine:
         raise CosineCapViolation(f"max pairwise cosine {off_max} exceeds 1/2")
-    exact = None
-    if exact_rows is not None:
-        m = len(exact_rows)
-        sq = [sum(x * x for x in row) for row in exact_rows]
-        entries: list[list[Fraction]] | None = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(m):
-            if entries is None:
-                break
-            entries[i][i] = Fraction(1)
-            for j in range(i + 1, m):
-                dot = sum(a * b for a, b in zip(exact_rows[i], exact_rows[j]))
-                root = _rational_sqrt(sq[i] * sq[j])
-                if root is None:
-                    entries = None
-                    break
-                entries[i][j] = entries[j][i] = dot / root
-        if entries is not None:
-            exact = tuple(tuple(row) for row in entries)
-            gram = np.array([[float(x) for x in row] for row in exact])
+    exact = exact_cosines(exact_rows) if exact_rows is not None else None
+    if exact is not None:
+        gram = np.array([[float(x) for x in row] for row in exact])
     state = GramState(dim=dim, entries=(gram + gram.T) / 2.0, exact=exact)
     return GeneratedConfig(label, vectors, state)
 

@@ -25,7 +25,7 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "rounds": "5", "fill-budget": "unbounded", "rollouts-per-move": "4096",
         "stagnation-window": "10", "exploration": repr(math.sqrt(2.0)),
         "checkpoint-every": "10", "reassemble": "off", "debug-revalidate": "off",
-        "norm-convention": "inverse", "out-dir": "runs/out",
+        "out-dir": "runs/out",
     },
     "seed": {"source": "scratch", "rows": "all"},
     "action": {"c1": "-1, -1/2, 0, 1/2", "c2": "same", "cstar": "none"},
@@ -183,7 +183,6 @@ def _build(sections, base_dir: Path) -> RunConfig:
         cosine=_as_float(_get(sections, "tolerances", "cosine"), "cosine tolerance"),
         snap=_as_float(_get(sections, "tolerances", "snap"), "snap tolerance"),
     )
-    norm_convention = _get(sections, "run", "norm-convention").replace("-", "_")
     game = GameConfig(
         dim=_as_int(_get(sections, "run", "dim"), "dim"),
         action=action,
@@ -199,7 +198,6 @@ def _build(sections, base_dir: Path) -> RunConfig:
         exploration=_as_float(_get(sections, "run", "exploration"), "exploration"),
         corrector=corrector,
         tolerances=tols,
-        norm_convention=norm_convention,
         reassemble=_as_flag(_get(sections, "run", "reassemble"), "reassemble"),
         debug_revalidate=_as_flag(_get(sections, "run", "debug-revalidate"),
                                   "debug-revalidate"),
@@ -259,7 +257,6 @@ def echo_text(config: RunConfig) -> str:
         f"checkpoint-every = {game.checkpoint_every}",
         f"reassemble = {'on' if game.reassemble else 'off'}",
         f"debug-revalidate = {'on' if game.debug_revalidate else 'off'}",
-        f"norm-convention = {game.norm_convention.replace('_', '-')}",
         f"out-dir = {config.out_dir}",
         "[seed]",
         f"source = {seed_text}",

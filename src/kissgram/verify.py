@@ -23,7 +23,7 @@ import numpy as np
 from .cosines import CosineValue, snap_value
 from .errors import MixedModeEntries, NonUnitVector
 from .gram import COSINE_CAP, DEFAULT_TOLS, GramState, Tolerances, is_psd, rank_of
-from .rational import format_rational
+from .rational import exact_cosines, format_rational
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -271,19 +271,9 @@ def verify_vectors(vectors: np.ndarray, dim: int | None = None, mode: str = "flo
         return _verify_unit_rows(v / norms[:, None], dim, tols, max_err)
     if exact_rows is None:
         raise MixedModeEntries("rational verification needs exact coordinates")
-    from .refconfigs import _rational_sqrt
-
-    mm = len(exact_rows)
-    sq = [sum(x * x for x in row) for row in exact_rows]
-    rows = [[Fraction(0)] * mm for _ in range(mm)]
-    for i in range(mm):
-        rows[i][i] = Fraction(1)
-        for j in range(i + 1, mm):
-            root = _rational_sqrt(sq[i] * sq[j])
-            if root is None:
-                raise MixedModeEntries("pairwise cosines are not exactly rational")
-            dot = sum(a * b for a, b in zip(exact_rows[i], exact_rows[j]))
-            rows[i][j] = rows[j][i] = dot / root
-    g = np.array([[float(x) for x in row] for row in rows])
-    state = GramState(dim=dim, entries=g, exact=tuple(tuple(r) for r in rows))
+    exact = exact_cosines(exact_rows)
+    if exact is None:
+        raise MixedModeEntries("pairwise cosines are not exactly rational")
+    g = np.array([[float(x) for x in row] for row in exact])
+    state = GramState(dim=dim, entries=g, exact=exact)
     return verify_gram(state, mode=mode, tols=tols, unit_norm_max_error=max_err)

@@ -1,7 +1,10 @@
 """Command-line surface: subcommands, exit codes, reproducibility."""
 
+import hashlib
+import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -9,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from kissgram.checkpoint import MAGIC
 from kissgram.cli import main
 from kissgram.fileio import read_certificate, read_cosine_report, read_vector_file
 
@@ -89,8 +93,9 @@ def test_search_writes_artifacts_and_certificate(tmp_path):
 
 def test_search_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[run]\ndim = 2\nfrobnicate = yes\n")
-    assert run_cli("search", "--config", str(cfg)) == 3
+    for line in ("frobnicate = yes", "norm-convention = inverse"):
+        cfg.write_text(f"[run]\ndim = 2\n{line}\n")
+        assert run_cli("search", "--config", str(cfg)) == 3
 
 
 def test_search_corrupted_checkpoint_exits_4(tmp_path):
@@ -298,3 +303,64 @@ def test_verify_unrepresentable_rational_entry_exits_2(tmp_path, capsys, text, t
     path.write_text(text.format(token))
     assert run_cli("verify", "--in", str(path)) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _rewrite_checkpoint_section(path, tag, edit):
+    """Replace one section payload by ``edit(payload)``, with a valid checksum."""
+    raw = path.read_bytes()[:-32]
+    offset = len(MAGIC) + 4
+    out = [raw[:offset]]
+    while offset < len(raw):
+        name = raw[offset:offset + 4]
+        (length,) = struct.unpack_from("<Q", raw, offset + 4)
+        payload = raw[offset + 12:offset + 12 + length]
+        offset += 12 + length
+        if name.decode("ascii") == tag:
+            payload = edit(payload)
+        out += [name, struct.pack("<Q", len(payload)), payload]
+    body = b"".join(out)
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def _edit_json(change):
+    def edit(payload):
+        doc = json.loads(payload)
+        return json.dumps(change(doc)).encode("utf-8")
+    return edit
+
+
+def _extra_gram_row(doc):
+    doc["gram"] += "1\n"
+    return doc
+
+
+def _nodes_as_list(doc):
+    doc["nodes"] = list(doc["nodes"])
+    return doc
+
+
+def _rational_entry_x(doc):
+    lines = doc["gram"].splitlines()
+    lines[1] = lines[1].replace("1", "x/2", 1)
+    doc["gram"] = "\n".join(lines) + "\n"
+    return doc
+
+
+@pytest.mark.parametrize("mode, tag, edit", [
+    ("float", "BEST", _edit_json(_extra_gram_row)),
+    ("float", "BEST", lambda payload: b"[1, 2]"),
+    ("float", "TREE", _edit_json(_nodes_as_list)),
+    ("rational", "BEST", _edit_json(_rational_entry_x)),
+    ("float", "RNGS", lambda payload: b"[1]"),
+], ids=["gram-rows-over-count", "best-json-list", "tree-nodes-list", "rational-entry-x",
+        "rng-state-list"])
+def test_search_malformed_checkpoint_payload_exits_4(tmp_path, capsys, mode, tag, edit):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[run]\ndim = 2\nmode = {mode}\nepisodes = 2\nrounds = 2\nout-dir = out\n")
+    assert run_cli("search", "--config", str(cfg)) == 0
+    ckpt = tmp_path / "out" / "checkpoint.bin"
+    _rewrite_checkpoint_section(ckpt, tag, edit)
+    capsys.readouterr()
+    assert run_cli("search", "--config", str(cfg), "--resume", str(ckpt)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and "Traceback" not in err

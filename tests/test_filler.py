@@ -174,15 +174,6 @@ def _random_discrete_state(rng, n, m, values):
     return state
 
 
-def test_transpose_inverse_convention_runs():
-    spec = ActionSpec(c1=DiscreteSet(C1))
-    built = generate("CrossPolytope(2)").gram.as_float()
-    cands = enumerate_lifted(built, factorize(built), spec,
-                             norm_convention="transpose_inverse")
-    for c in cands:
-        assert c.full.max() <= 0.5 + 1e-9
-
-
 def test_selection_cold_tree_takes_first_candidate():
     tree = SearchTree()
     state = GramState.single(2)

@@ -129,3 +129,12 @@ def test_config_from_vectors_exact_gram_for_equal_norm_lattice_rows():
     built = config_from_vectors(raw, 4, exact_rows=rows)
     assert built.gram.exact is not None
     assert built.gram.exact[0][1] == F(1, 2)
+
+
+def test_config_from_vectors_irrational_cosine_falls_back_to_float():
+    # Norm product 1 * 3 is not a square: the cosine -1/sqrt(3) is irrational.
+    rows = [[F(1), F(0), F(0)], [F(-1), F(1), F(1)]]
+    raw = np.array([[float(x) for x in row] for row in rows])
+    built = config_from_vectors(raw, 3, exact_rows=rows)
+    assert built.gram.exact is None
+    assert built.gram.entries[0, 1] == pytest.approx(-1 / np.sqrt(3))

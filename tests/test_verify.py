@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,6 +131,16 @@ def test_rational_mode_requires_exact_entries():
     state = generate("Icosahedron").gram
     with pytest.raises(MixedModeEntries):
         verify_gram(state, mode="rational")
+
+
+def test_rational_vectors_with_irrational_cosine_are_mixed_mode():
+    # Norm product 1 * 3 is not a square: the cosine -1/sqrt(3) is irrational.
+    rows = [[Fraction(1), Fraction(0), Fraction(0)], [Fraction(-1), Fraction(1), Fraction(1)]]
+    raw = np.array([[float(x) for x in row] for row in rows])
+    unit = raw / np.linalg.norm(raw, axis=1)[:, None]
+    assert verify_vectors(unit, 3).passed
+    with pytest.raises(MixedModeEntries):
+        verify_vectors(unit, 3, mode="rational", exact_rows=rows)
 
 
 def test_antipodality_flag():
