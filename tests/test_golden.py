@@ -53,6 +53,32 @@ GOLDEN = {
             "TREE": "29c854d73cd107e57b90ec01e9cef282e636aa7ba51626dc8dde413d4d41611a",
         },
     ),
+    "d4-rational": (
+        "[run]\ndim = 4\nmode = rational\nepisodes = 6\nrounds = 3\nrng-seed = 7\n"
+        "out-dir = out\n",
+        {
+            "best.gram": "d0e7297dfd80ce37219423810027d5426ccb017959c8ff08e3f61f0d005ab873",
+            "best.cert": "f35b8f495359b85e49df2a0efa3518fbe584e6311627092b6b465d692e14f00f",
+            "BEST": "0b93a16320aa9b7e8208af7787af7fa3908f4e0750cef9b65fe382d20d3f02dc",
+            "PROG": "355bf2665823dc70f1dc70f04aa608eb78aa9a30434a0a443584315923cd27ee",
+            "RNGS": "af6a2afc4f6e853a0cb3047ea36e4f812571853e9b8ba8944a8efddaffab3839",
+            "TREE": "29c854d73cd107e57b90ec01e9cef282e636aa7ba51626dc8dde413d4d41611a",
+        },
+    ),
+    # The last 8 of E8's 240 rows come from lifted enumeration with exact
+    # confirmation against a 232-row rational seed.
+    "e8-seeded-rational": (
+        "[run]\ndim = 8\nmode = rational\nepisodes = 1\nrounds = 1\nrng-seed = 3\n"
+        "out-dir = out\n[seed]\nsource = generator:E8Roots\nrows = 232\n",
+        {
+            "best.gram": "bfd7b5b5abb1df82a291e0db7b255942a8467eca2bb42318090a873561e8fe82",
+            "best.cert": "e0b47d51a0abd7c34fd70db12bd65674d634c85b699a5c8f38463b2c43c0c6a8",
+            "BEST": "ce0bc8e78d9089ba113a685350a295861fa4aff42f3512b5bfa15856ba5ea0c3",
+            "PROG": "b0ae990a32f207ff3086dc93c4d41e1366b3ba6f6c14144e65ba60d57a31d5ba",
+            "RNGS": "372b1e70436699a7068016e03913efc95c66f7a1a743a9534a63761c3933d1b5",
+            "TREE": "59aff71508e0b029349ca45d23cb02e00c0b41233577df10b0957fe127ff6736",
+        },
+    ),
 }
 
 
