@@ -81,7 +81,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .game import train_loop
+    from .game import default_policy, train_loop
     from .runconfig import echo_text, load_run_config
 
     run = load_run_config(args.config)
@@ -100,6 +100,11 @@ def _cmd_search(args) -> int:
         if ckpt.config_echo != echo:
             raise ConfigError(f"{args.resume}: checkpoint was produced by a different "
                               f"configuration")
+        expected = default_policy(run.game).weights.shape
+        if ckpt.policy.weights.shape != expected:
+            raise CheckpointError(f"{args.resume}: corrector weights have shape "
+                                  f"{ckpt.policy.weights.shape}, the configuration needs "
+                                  f"{expected}")
         tree, policy, best = ckpt.tree, ckpt.policy, ckpt.best
         baseline, rewards = ckpt.baseline, ckpt.rewards
         rng.bit_generator.state = ckpt.rng_state

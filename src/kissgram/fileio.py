@@ -67,6 +67,13 @@ def _header_int(fields: dict[str, str], key: str, path) -> int:
         raise ParseError(f"{path}: bad {key}= value {fields[key]!r}") from exc
 
 
+def _header_mode(fields: dict[str, str], path) -> str:
+    mode = fields.get("mode", "float")
+    if mode not in ("float", "rational"):
+        raise ParseError(f"{path}: unknown mode {mode!r}")
+    return mode
+
+
 @dataclass(frozen=True)
 class VectorDoc:
     dim: int
@@ -106,9 +113,7 @@ def read_vector_file(path) -> VectorDoc:
     fields = _parse_header(lines[0], VECTOR_MAGIC, path)
     dim = _header_int(fields, "dim", path)
     count = _header_int(fields, "count", path)
-    mode = fields.get("mode", "float")
-    if mode not in ("float", "rational"):
-        raise ParseError(f"{path}: unknown mode {mode!r}")
+    mode = _header_mode(fields, path)
     rows = lines[1:]
     if len(rows) != count:
         raise ParseError(f"{path}: header claims {count} rows, found {len(rows)}")
@@ -158,7 +163,7 @@ def parse_gram_text(text: str, path) -> GramState:
     fields = _parse_header(lines[0], GRAM_MAGIC, path)
     dim = _header_int(fields, "dim", path)
     count = _header_int(fields, "count", path)
-    mode = fields.get("mode", "float")
+    mode = _header_mode(fields, path)
     rows = lines[1:]
     if len(rows) != count:
         raise ParseError(f"{path}: header claims {count} rows, found {len(rows)}")

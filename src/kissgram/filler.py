@@ -31,7 +31,7 @@ from .gram import (
     GramState,
     Tolerances,
 )
-from .rational import exact_quadratic_form
+from .rational import common_denominator, integer_dtype, pd_adjugate, scaled_integers
 
 MAX_ENUMERATION_WIDTH = 4_000_000
 
@@ -255,23 +255,40 @@ def enumerate_small(state: GramState, spec: ActionSpec, *,
     except np.linalg.LinAlgError:
         return []  # numerically rank-deficient: no rank-(m+1) extension exists
     cols, idx, _ = _expand_columns(lower, values, 1.0 - tols.rank, True, max_width)
-    exact_mode = state.exact is not None
-    exact_inv = None
-    if exact_mode:
+    exact = None
+    if state.exact is not None:
         if not spec.c1.is_rational:
             raise MixedModeEntries("rational state requires a rational head set")
-        from .rational import exact_inverse
+        exact = spec.c1.exact
+        keep = _exact_schur_positive(state.exact, exact, idx)
+        cols, idx = cols[keep], idx[keep]
+    return [CandidateColumn(head=cols[row], tail=np.zeros(0),
+                            exact=None if exact is None else tuple(exact[i] for i in idx[row]))
+            for row in range(cols.shape[0])]
 
-        exact_inv = exact_inverse(state.exact)
-    out = []
-    for row in range(cols.shape[0]):
-        exact_col = None
-        if exact_mode:
-            exact_col = tuple(spec.c1.exact[i] for i in idx[row])
-            if exact_quadratic_form(exact_inv, list(exact_col)) >= 1:
-                continue  # Schur gap 1 - g^T G^-1 g is not positive
-        out.append(CandidateColumn(head=cols[row], tail=np.zeros(0), exact=exact_col))
-    return out
+
+def _exact_schur_positive(gram: Sequence[Sequence[Fraction]], c1: Sequence[Fraction],
+                          idx: np.ndarray) -> np.ndarray:
+    """Rows of ``idx`` (columns g over c1) whose Schur gap 1 - g^T G^-1 g is positive.
+
+    At scale D (common denominator of G and c1), G^-1 = D adj(D G) / det(D G),
+    so the gap is positive iff (D g)^T adj (D g) < D det.  An exactly singular
+    G has no rank-increasing extension.
+    """
+    scale = common_denominator([x for row in gram for x in row] + list(c1))
+    factored = pd_adjugate([scaled_integers(row, scale) for row in gram])
+    if factored is None:
+        return np.zeros(idx.shape[0], dtype=bool)
+    det, adj = factored
+    heads = scaled_integers(c1, scale)
+    h = max(map(abs, heads))
+    a = max(abs(x) for x in adj.flat)
+    m = len(gram)
+    # |Y| <= m h a for Y = G_int adj, so the quadratic forms are at most m^2 h^2 a.
+    dtype = integer_dtype(max(m * m * h * h * a, scale * det))
+    g_int = np.array(heads, dtype=object).astype(dtype)[idx]
+    quad = ((g_int @ adj.astype(dtype)) * g_int).sum(axis=1)
+    return quad < scale * det
 
 
 def enumerate_lifted(state: GramState, cache: FactorCache, spec: ActionSpec, *,
@@ -307,15 +324,13 @@ def enumerate_lifted(state: GramState, cache: FactorCache, spec: ActionSpec, *,
     if blame is not None and single_row.size:
         np.add.at(blame, n + single_row, 1)
     heads, idx, tails = heads[keep], idx[keep], snapped[keep]
-    out = []
-    for row in range(heads.shape[0]):
-        exact_col = None
-        if exact_mode:
-            exact_col = _confirm_exact_lifted(cache, spec, idx[row])
-            if exact_col is None:
-                continue
-        out.append(CandidateColumn(head=heads[row], tail=tails[row], exact=exact_col))
-    return out
+    exact_cols = [None] * heads.shape[0]
+    if exact_mode and heads.shape[0]:
+        exact_cols = _confirm_exact_lifted(cache, spec, idx)
+        if exact_cols is None:
+            return []
+    return [CandidateColumn(head=heads[row], tail=tails[row], exact=exact_cols[row])
+            for row in range(heads.shape[0]) if not exact_mode or exact_cols[row] is not None]
 
 
 def _tail_filter(tails: np.ndarray, c2: DiscreteSet | CapOnly,
@@ -340,21 +355,45 @@ def _tail_filter(tails: np.ndarray, c2: DiscreteSet | CapOnly,
 
 
 def _confirm_exact_lifted(cache: FactorCache, spec: ActionSpec,
-                          idx_row: np.ndarray) -> tuple[Fraction, ...] | None:
-    from .gram import exact_lift_tail
+                          idx: np.ndarray) -> list[tuple[Fraction, ...] | None] | None:
+    """Exact unit-norm and tail test of a batch of heads, rows of c1 indices ``idx``.
 
-    head = tuple(spec.c1.exact[i] for i in idx_row)
-    if exact_quadratic_form(cache.exact_inv, list(head)) != 1:
+    With H = D c1[idx] and Y = H adj(D B), a head is unit iff
+    rowsum(Y * H) == D det, and its tails N = Y (D C)^T are det times its
+    true tails over D, so each must lie in det * (D c2).  Returns the exact
+    column (head + tail, built from the c1/c2 Fractions) of each row, None
+    for a rejected row, or None when no row is confirmed.
+    """
+    if cache.exact_adj is None:
+        raise MixedModeEntries("cache has no exact factors")
+    scale, det, adj, cross = cache.exact_scale, cache.exact_det, cache.exact_adj, cache.exact_cross
+    heads = scaled_integers(spec.c1.exact, scale)
+    ranked = sorted(zip((det * v for v in scaled_integers(spec.c2.exact, scale)),
+                        spec.c2.exact))
+    targets = [t for t, _ in ranked]
+    h = max(map(abs, heads))
+    a = max(abs(x) for x in adj.flat)
+    c = max((abs(x) for x in cross.flat), default=0)
+    n = cache.n
+    # |Y| <= n h a, so |rowsum(Y * H)| <= n^2 h^2 a and |N| <= n^2 h a c.
+    dtype = integer_dtype(max(n * n * h * a * max(h, c), scale * det, *map(abs, targets)))
+    hmat = np.array(heads, dtype=object).astype(dtype)[idx]
+    y = hmat @ adj.astype(dtype)
+    rows = np.nonzero((y * hmat).sum(axis=1) == scale * det)[0]
+    tails = y[rows] @ cross.astype(dtype).T
+    allowed = np.array(targets, dtype=object).astype(dtype)
+    pos = np.minimum(np.searchsorted(allowed, tails), len(targets) - 1)
+    member = (allowed[pos] == tails).all(axis=1)
+    if not member.any():
         return None
-    tail = exact_lift_tail(cache, head)
-    if isinstance(spec.c2, DiscreteSet):
-        allowed = set(spec.c2.exact)
-        if any(t not in allowed for t in tail):
-            return None
-    else:
-        if any(t > Fraction(1, 2) for t in tail):
-            return None
-    return head + tail
+    c1_exact = spec.c1.exact
+    c2_exact = [x for _, x in ranked]
+    out: list[tuple[Fraction, ...] | None] = [None] * idx.shape[0]
+    for row, head_idx, tail_idx in zip(rows[member].tolist(), idx[rows[member]].tolist(),
+                                       pos[member].tolist()):
+        out[row] = tuple(map(c1_exact.__getitem__, head_idx)) + tuple(
+            map(c2_exact.__getitem__, tail_idx))
+    return out
 
 
 def enumerate_membership(state: GramState, anchors: np.ndarray, spec: ActionSpec, *,

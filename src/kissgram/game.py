@@ -230,6 +230,7 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
     membership = isinstance(config.action.c_star, MembershipList)
     meta.conflicts = np.zeros(state.m)
     cache: FactorCache | None = None
+    values = config.action.c1.exact + config.action.c2.exact if state.exact is not None else ()
     added = 0
     while config.fill_budget is None or added < config.fill_budget:
         blame = np.zeros(state.m)
@@ -247,7 +248,7 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
         else:
             if cache is None:
                 try:
-                    cache = factorize(state, tols=tols)
+                    cache = factorize(state, tols=tols, values=values)
                 except RankDeficientBasis:
                     try:
                         order = full_rank_prefix(state, tols=tols)
@@ -255,7 +256,7 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
                         break  # rank-deficient at m >= dim: no lifted action exists
                     state = permute_state(state, order)
                     meta.permute(order)
-                    cache = factorize(state, tols=tols)
+                    cache = factorize(state, tols=tols, values=values)
             candidates = enumerate_lifted(state, cache, config.action, tols=tols, blame=blame)
         meta.conflicts = meta.conflicts + blame
         if not candidates:

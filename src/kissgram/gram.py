@@ -23,9 +23,11 @@ from .errors import (
 )
 from .rational import (
     RationalMatrix,
-    exact_inverse,
+    common_denominator,
     exact_ldlt,
-    exact_matvec,
+    exact_matvec,  # noqa: F401  (bench/tests trace the reference kernel through this name)
+    pd_adjugate,
+    scaled_integers,
 )
 
 COSINE_CAP = 0.5
@@ -240,7 +242,12 @@ class FactorCache:
 
     ``lift_matrix`` is the precomputed product cross_block @ pseudo_inv so a
     tail costs one matrix-vector product.  The exact fields are populated in
-    rational mode only.
+    rational mode only, as integers over one common denominator D: with B
+    the basis block and C the cross block, ``exact_det`` = det(D B) > 0,
+    ``exact_adj`` = adj(D B) and ``exact_cross`` = D C (object arrays of
+    Python ints).  Then B^-1 = D adj(D B) / det(D B), so a head h has
+    h^T B^-1 h = (D h)^T adj (D h) / (D det) and tail
+    C B^-1 h = (D C) adj (D h) / (D det).
     """
 
     basis_block: np.ndarray
@@ -248,8 +255,10 @@ class FactorCache:
     pseudo_inv: np.ndarray
     cross_block: np.ndarray
     lift_matrix: np.ndarray
-    exact_inv: RationalMatrix | None = None
-    exact_cross: RationalMatrix | None = None
+    exact_scale: int | None = None
+    exact_det: int | None = None
+    exact_adj: np.ndarray | None = None
+    exact_cross: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -260,11 +269,15 @@ class FactorCache:
         return self.n + self.cross_block.shape[0]
 
 
-def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCache:
+def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS,
+              values: Sequence[Fraction] = ()) -> FactorCache:
     """Factor the leading dim x dim block of a state with m >= dim.
 
     Raises RankDeficientBasis when the leading block is singular, which
     signals the caller to reorder rows (see full_rank_prefix) before retrying.
+    In rational mode the common denominator D also covers ``values``, the
+    exact cosines later columns may hold, so that every head appended by
+    extend_cache and every candidate entry is an integer at scale D.
     """
     n = state.dim
     if state.m < n:
@@ -276,17 +289,25 @@ def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCac
     chol = np.linalg.cholesky(basis)
     pinv = np.linalg.inv(basis)
     cross = state.entries[n:, :n]
-    exact_inv = exact_cross = None
+    scale = det = adj = exact_cross = None
     if state.exact is not None:
-        exact_inv = exact_inverse([row[:n] for row in state.exact[:n]])
-        exact_cross = tuple(row[:n] for row in state.exact[n:])
+        rows = [row[:n] for row in state.exact]
+        scale = common_denominator([x for row in rows for x in row] + list(values))
+        ints = [scaled_integers(row, scale) for row in rows]
+        factored = pd_adjugate(ints[:n])
+        if factored is None:
+            raise RankDeficientBasis(f"leading {n}x{n} block is not positive definite (exact)")
+        det, adj = factored
+        exact_cross = np.array(ints[n:], dtype=object).reshape(state.m - n, n)
     return FactorCache(
         basis_block=_frozen(basis),
         chol_factor=_frozen(chol),
         pseudo_inv=_frozen(pinv),
         cross_block=_frozen(cross),
         lift_matrix=_frozen(cross @ pinv),
-        exact_inv=exact_inv,
+        exact_scale=scale,
+        exact_det=det,
+        exact_adj=adj,
         exact_cross=exact_cross,
     )
 
@@ -299,14 +320,17 @@ def extend_cache(cache: FactorCache, head: np.ndarray,
     if exact_cross is not None:
         if exact_head is None:
             raise MixedModeEntries("exact cache extended with a float-only head")
-        exact_cross = exact_cross + (tuple(exact_head),)
+        row = np.array(scaled_integers(exact_head, cache.exact_scale), dtype=object)
+        exact_cross = np.vstack([exact_cross, row[None, :]])
     return FactorCache(
         basis_block=cache.basis_block,
         chol_factor=cache.chol_factor,
         pseudo_inv=cache.pseudo_inv,
         cross_block=_frozen(np.vstack([cache.cross_block, head[None, :]])),
         lift_matrix=_frozen(np.vstack([cache.lift_matrix, (cache.pseudo_inv @ head)[None, :]])),
-        exact_inv=cache.exact_inv,
+        exact_scale=cache.exact_scale,
+        exact_det=cache.exact_det,
+        exact_adj=cache.exact_adj,
         exact_cross=exact_cross,
     )
 
@@ -317,13 +341,6 @@ def lift_tail(cache: FactorCache, head: np.ndarray) -> np.ndarray:
     if head.shape != (cache.n,):
         raise DimensionMismatch(f"head has length {head.shape[0]}, basis has n={cache.n}")
     return cache.lift_matrix @ head
-
-
-def exact_lift_tail(cache: FactorCache, head: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if cache.exact_inv is None or cache.exact_cross is None:
-        raise MixedModeEntries("cache has no exact factors")
-    coeff = exact_matvec(cache.exact_inv, list(head))
-    return tuple(exact_matvec(cache.exact_cross, coeff)) if cache.exact_cross else ()
 
 
 def unit_norm_test(cache: FactorCache, head: np.ndarray, tol: float) -> bool:

@@ -4,6 +4,13 @@ Rational entries are plain ``fractions.Fraction`` values, which are always
 stored in lowest terms with a positive denominator.  Mixing float and
 rational entries in a matrix handed to the exact routines is a checked
 error, never a silent coercion.
+
+The exact kernels do not compute with Fractions.  They scale a matrix by the
+common denominator of its entries and run fraction-free (Bareiss)
+elimination on the integer numerators, so every intermediate value is an
+integer minor and every division is exact.  Arrays hold int64 where a bound
+stated at the computation proves no overflow, and Python ints (object
+arrays) otherwise.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import MixedModeEntries, ParseError
 
@@ -64,6 +73,32 @@ def as_rational_matrix(rows: Iterable[Sequence]) -> RationalMatrix:
     return matrix
 
 
+def common_denominator(values: Iterable) -> int:
+    """Least common multiple of the denominators of exact values (1 when empty)."""
+    return math.lcm(*(x.denominator for x in values))
+
+
+def scaled_integers(values: Iterable, scale: int) -> list[int]:
+    """``scale * x`` for each exact value x; each product must be an integer."""
+    out = []
+    for x in values:
+        q, r = divmod(x.numerator * scale, x.denominator)
+        if r:
+            raise ValueError(f"{x} is not a multiple of 1/{scale}")
+        out.append(q)
+    return out
+
+
+def integer_dtype(bound: int):
+    """int64 when ``bound`` < 2^63, else object (Python ints).
+
+    ``bound`` must bound the magnitude of every value, partial sums included,
+    that the caller computes in the array; that is the whole overflow
+    argument for int64.
+    """
+    return np.int64 if bound < 2**63 else object
+
+
 def exact_ldlt(matrix: Iterable[Sequence]) -> tuple[bool, int]:
     """Exact LDL^T with symmetric pivoting on the largest remaining diagonal.
 
@@ -71,36 +106,62 @@ def exact_ldlt(matrix: Iterable[Sequence]) -> tuple[bool, int]:
     pivots.  A zero maximal diagonal with any nonzero entry left in the
     active block certifies indefiniteness.  On a negative verdict the rank
     reported is the pivot count reached so far.
+
+    Runs fraction-free on ``a = D * matrix`` with D the common denominator:
+    after pivots P the active entry (i, j) is the integer minor
+    det a[P+i, P+j], which is det a[P, P] > 0 times the Schur complement
+    entry.  Every active entry shares that positive factor, so pivot
+    choices, signs and zero tests are those of the rational elimination.
     """
-    a = [list(row) for row in as_rational_matrix(matrix)]
-    active = list(range(len(a)))
+    exact = as_rational_matrix(matrix)
+    scale = common_denominator(x for row in exact for x in row)
+    a = np.array([scaled_integers(row, scale) for row in exact], dtype=object).reshape(
+        len(exact), len(exact))
+    prev = 1  # det a[P, P], the previous pivot
     rank = 0
-    while active:
-        p = max(active, key=lambda i: a[i][i])
-        d = a[p][p]
+    while a.shape[0]:
+        # d*a_ij - a_ip*a_pj is at most 2*max|a|^2 and the division by prev
+        # is exact, so int64 holds the step when 2*max|a|^2 < 2^63.
+        top = max(int(np.abs(a).max()), prev)
+        a = a.astype(integer_dtype(2 * top * top))
+        diag = a.diagonal()
+        p = int(np.argmax(diag))  # first largest, as in ascending active order
+        d = int(diag[p])
         if d < 0:
             return False, rank
         if d == 0:
             # All remaining diagonals are <= 0 here; PSD iff the block is zero.
-            for i in active:
-                for j in active:
-                    if a[i][j] != 0:
-                        return False, rank
-            return True, rank
-        active.remove(p)
+            return not a.any(), rank
         rank += 1
-        for i in active:
-            aip = a[i][p]
-            if aip == 0:
-                continue
-            f = aip / d
-            row_i = a[i]
-            row_p = a[p]
-            for j in active:
-                apj = row_p[j]
-                if apj != 0:
-                    row_i[j] -= f * apj
+        col = np.delete(a[p], p)
+        rest = np.delete(np.delete(a, p, axis=0), p, axis=1)
+        a = (d * rest - np.outer(col, col)) // prev
+        prev = d
     return True, rank
+
+
+def pd_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, np.ndarray] | None:
+    """``(det M, adj M)`` of a symmetric integer matrix M, or None unless M is positive definite.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [M | I] without
+    pivoting: the k-th pivot is the leading principal minor of order k, so
+    all pivots are positive exactly when M is positive definite (Sylvester's
+    criterion), and the elimination ends at [det M * I | adj M].  The
+    entries are Python ints: M has at most dim rows, so no bound is needed.
+    """
+    n = len(matrix)
+    work = np.zeros((n, 2 * n), dtype=object)
+    work[:, :n] = np.array(matrix, dtype=object).reshape(n, n)
+    work[:, n:] = np.identity(n, dtype=int).astype(object)
+    prev = 1
+    for k in range(n):
+        d = work[k, k]
+        if d <= 0:
+            return None
+        others = np.arange(n) != k
+        work[others] = (d * work[others] - np.outer(work[others, k], work[k])) // prev
+        prev = d
+    return prev, work[:, n:]
 
 
 @dataclass(frozen=True)
@@ -155,6 +216,9 @@ def exact_cosines(rows: Sequence[Sequence[Fraction]]) -> RationalMatrix | None:
     return tuple(tuple(row) for row in out)
 
 
+# exact_inverse and exact_matvec are the Fraction reference kernels: the
+# tests compare the integer kernels against them, and bench/spans.py traces
+# them by name, so a run that calls them shows up in the benchmark.
 def exact_inverse(matrix: Iterable[Sequence]) -> RationalMatrix:
     """Exact inverse of a full-rank rational matrix via Gauss-Jordan elimination."""
     a = [list(row) for row in as_rational_matrix(matrix)]
@@ -181,7 +245,3 @@ def exact_inverse(matrix: Iterable[Sequence]) -> RationalMatrix:
 
 def exact_matvec(matrix: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(sum((row[j] * vec[j] for j in range(len(vec))), Fraction(0)) for row in matrix)
-
-
-def exact_quadratic_form(matrix: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Fraction:
-    return sum((vec[i] * x for i, x in enumerate(exact_matvec(matrix, vec))), Fraction(0))

@@ -293,6 +293,15 @@ def test_importing_main_module_runs_nothing():
     assert importlib.import_module("kissgram.__main__").main is main
 
 
+@pytest.mark.parametrize("kind", ["gram", "vectors"])
+def test_verify_unknown_header_mode_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "exact.txt"
+    path.write_text(f"kiss-{kind} v1 dim=2 count=2 mode=exact\n1 0\n" +
+                    ("1\n" if kind == "gram" else "0 1\n"))
+    assert run_cli("verify", "--in", str(path)) == 2
+    assert "unknown mode 'exact'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("token", ["1/0", "1" + "0" * 400])
 @pytest.mark.parametrize("text", [
     "kiss-vectors v1 dim=2 count=2 mode=rational\n1 0\n{} 1\n",
@@ -364,3 +373,17 @@ def test_search_malformed_checkpoint_payload_exits_4(tmp_path, capsys, mode, tag
     assert run_cli("search", "--config", str(cfg), "--resume", str(ckpt)) == 4
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error:") and "Traceback" not in err
+
+
+
+@pytest.mark.parametrize("weights", [[0.0], [[0.0] * 7]])
+def test_search_resume_with_wrong_policy_shape_exits_4(tmp_path, capsys, weights):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ndim = 2\nepisodes = 2\nrounds = 2\nout-dir = out\n")
+    assert run_cli("search", "--config", str(cfg)) == 0
+    ckpt = tmp_path / "out" / "checkpoint.bin"
+    _rewrite_checkpoint_section(ckpt, "POLI", _edit_json(lambda doc: {**doc, "weights": weights}))
+    capsys.readouterr()
+    assert run_cli("search", "--config", str(cfg), "--resume", str(ckpt)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and "corrector weights" in err

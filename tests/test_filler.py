@@ -2,17 +2,23 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import kissgram.filler as filler
 from kissgram.errors import EmptyCandidates
 from kissgram.filler import (
+    MAX_ENUMERATION_WIDTH,
     ActionSpec,
     CapOnly,
     DiscreteSet,
     MembershipList,
     SearchTree,
+    _confirm_exact_lifted,
+    _exact_schur_positive,
+    _expand_columns,
     backpropagate,
     enumerate_lifted,
     enumerate_membership,
@@ -26,11 +32,13 @@ from kissgram.gram import (
     GramState,
     Tolerances,
     extend,
+    extend_cache,
     factorize,
     full_rank_prefix,
     gram_from_vectors,
     permute_state,
 )
+from kissgram.rational import exact_inverse, exact_matvec
 from kissgram.refconfigs import generate
 
 TOLS = Tolerances()
@@ -309,3 +317,128 @@ def test_enumerate_small_rejects_lifted_regime():
 def test_action_spec_rejects_capped_out_tail_values():
     with pytest.raises(ValueError):
         ActionSpec(c1=DiscreteSet((0.0,)), c2=DiscreteSet((0.9,)))
+
+
+# Exact confirmation on integer numerators against the Fraction reference path.
+
+RATIONAL_C1 = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2))
+
+
+def _rational_spec(exact=RATIONAL_C1) -> ActionSpec:
+    return ActionSpec(c1=DiscreteSet(tuple(float(x) for x in exact), exact))
+
+
+def _truncated(name: str, rows: int) -> GramState:
+    gram = generate(name).gram  # the first dim rows of both generators are independent
+    return GramState(dim=gram.dim, entries=gram.entries[:rows, :rows],
+                     exact=tuple(r[:rows] for r in gram.exact[:rows]))
+
+
+def fraction_confirm(state: GramState, spec: ActionSpec, idx: np.ndarray) -> list:
+    """Per-candidate confirmation on Fractions: B^-1 by Gauss-Jordan, lifts by matvec."""
+    n = state.dim
+    inv = exact_inverse([row[:n] for row in state.exact[:n]])
+    cross = [row[:n] for row in state.exact[n:]]
+    allowed = set(spec.c2.exact)
+    out = []
+    for row in idx:
+        head = tuple(spec.c1.exact[i] for i in row)
+        coeff = exact_matvec(inv, head)
+        tail = exact_matvec(cross, coeff)
+        unit = sum(h * c for h, c in zip(head, coeff)) == 1
+        out.append(head + tail if unit and all(t in allowed for t in tail) else None)
+    return out
+
+
+def _prescreened_and_random(state: GramState, spec: ActionSpec, cache, rng) -> np.ndarray:
+    """Heads passing the float unit-norm prescreen (before the tail filter), plus random rows."""
+    values = np.asarray(spec.c1.values)
+    _, idx, s = _expand_columns(cache.chol_factor, values, (1 + 1e-6) ** 2, False,
+                                MAX_ENUMERATION_WIDTH)
+    idx = idx[np.abs(np.sqrt(s) - 1.0) <= 1e-6]
+    return np.vstack([idx, rng.integers(0, values.size, size=(50, state.dim))])
+
+
+def _dtype_recorder(monkeypatch) -> list:
+    chosen = []
+    real = filler.integer_dtype
+
+    def recording(bound):
+        chosen.append(real(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(filler, "integer_dtype", recording)
+    return chosen
+
+
+@pytest.mark.parametrize("name, rows, exact", [
+    ("D4Roots", 16, RATIONAL_C1),
+    ("E8Roots", 232, RATIONAL_C1),
+    # A value with denominator 2^40 puts D at 2^40: the bound fails int64.
+    ("D4Roots", 16, RATIONAL_C1 + (Fraction(1, 2**40),)),
+])
+def test_batched_confirmation_matches_fraction_path(monkeypatch, name, rows, exact):
+    chosen = _dtype_recorder(monkeypatch)
+    spec = _rational_spec(exact)
+    state = _truncated(name, rows)
+    values = spec.c1.exact + spec.c2.exact
+    cache = factorize(state, values=values)
+    idx = _prescreened_and_random(state, spec, cache, np.random.default_rng(rows))
+    expected = fraction_confirm(state, spec, idx)
+    assert any(c is not None for c in expected) and any(c is None for c in expected)
+    assert _confirm_exact_lifted(cache, spec, idx) == expected
+    assert chosen == [object if len(exact) > 4 else np.int64]
+    # The same batch on Python ints gives the same answer.
+    monkeypatch.setattr(filler, "integer_dtype", lambda bound: object)
+    assert _confirm_exact_lifted(cache, spec, idx) == expected
+    # Appending a confirmed row to the cache keeps its integer rows in step.
+    row = next(c for c in expected if c is not None)
+    grown = extend(state, CandidateColumn(head=np.array([float(x) for x in row[:state.dim]]),
+                                          tail=np.array([float(x) for x in row[state.dim:]]),
+                                          exact=row))
+    extended = extend_cache(cache, np.array([float(x) for x in row[:state.dim]]),
+                            exact_head=row[:state.dim])
+    assert np.array_equal(extended.exact_cross, factorize(grown, values=values).exact_cross)
+
+
+def test_batched_confirmation_rejects_everything_as_none():
+    spec = _rational_spec()
+    state = _truncated("D4Roots", 24)  # K(4) = 24: nothing can be added
+    cache = factorize(state, values=spec.c1.exact)
+    idx = _prescreened_and_random(state, spec, cache, np.random.default_rng(0))
+    assert fraction_confirm(state, spec, idx) == [None] * len(idx)
+    assert _confirm_exact_lifted(cache, spec, idx) is None
+    assert enumerate_lifted(state, cache, spec) == []
+
+
+def fraction_small(state: GramState, spec: ActionSpec) -> list:
+    """Rank-increasing exact columns by the Fraction Schur gap 1 - g^T G^-1 g > 0."""
+    inv = exact_inverse(state.exact)
+    out = []
+    for row in itertools.product(spec.c1.exact, repeat=state.m):
+        coeff = exact_matvec(inv, row)
+        if sum(g * c for g, c in zip(row, coeff)) < 1:
+            out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("name, rows, exact", [
+    ("D4Roots", 1, RATIONAL_C1),
+    ("D4Roots", 3, RATIONAL_C1),
+    ("E8Roots", 4, RATIONAL_C1),
+    ("E8Roots", 5, RATIONAL_C1 + (Fraction(1, 2**40),)),
+])
+def test_enumerate_small_exact_gap_matches_fraction_path(monkeypatch, name, rows, exact):
+    chosen = _dtype_recorder(monkeypatch)
+    spec = _rational_spec(exact)
+    state = _truncated(name, rows)
+    expected = fraction_small(state, spec)
+    # Every column over c1, zero gaps (a repeated row) included.
+    idx = np.array(list(itertools.product(range(len(exact)), repeat=rows)))
+    keep = _exact_schur_positive(state.exact, spec.c1.exact, idx)
+    assert [tuple(spec.c1.exact[i] for i in row) for row in idx[keep]] == expected
+    # The float walk prunes, the exact gap confirms.
+    got = [c.exact for c in enumerate_small(state, spec)]
+    float_only = as_set(enumerate_small(state.as_float(), spec))
+    assert got == [e for e in expected if tuple(float(x) for x in e) in float_only]
+    assert set(chosen) == {object if len(exact) > 4 else np.int64}

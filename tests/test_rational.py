@@ -1,21 +1,54 @@
-"""Exact rational arithmetic and exact PSD/rank certification."""
+"""Exact rational arithmetic and exact PSD/rank certification.
+
+The integer (fraction-free) kernels are checked against Fraction reference
+implementations: ``fraction_ldlt`` below, and ``exact_inverse`` /
+``exact_matvec`` from the package.
+"""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import kissgram.rational as rational
 from kissgram.errors import MixedModeEntries, ParseError
 from kissgram.rational import (
+    as_rational_matrix,
     exact_inverse,
     exact_ldlt,
-    exact_quadratic_form,
+    exact_matvec,
     format_rational,
     parse_rational,
+    pd_adjugate,
     rational_gram_check,
 )
 
 F = Fraction
+
+
+def exact_quadratic_form(matrix, vec) -> Fraction:
+    return sum((vec[i] * x for i, x in enumerate(exact_matvec(matrix, vec))), Fraction(0))
+
+
+def fraction_ldlt(matrix) -> tuple[bool, int]:
+    """Reference LDL^T on Fractions, pivoting on the first largest remaining diagonal."""
+    a = [list(row) for row in as_rational_matrix(matrix)]
+    active = list(range(len(a)))
+    rank = 0
+    while active:
+        p = max(active, key=lambda i: a[i][i])
+        d = a[p][p]
+        if d < 0:
+            return False, rank
+        if d == 0:
+            return all(a[i][j] == 0 for i in active for j in active), rank
+        active.remove(p)
+        rank += 1
+        for i in active:
+            f = a[i][p] / d
+            for j in active:
+                a[i][j] -= f * a[p][j]
+    return True, rank
 
 
 def test_parse_rational_accepts_signed_fractions_and_integers():
@@ -198,3 +231,77 @@ def test_exact_inverse_round_trip():
 def test_exact_quadratic_form():
     m = [[F(2), F(1)], [F(1), F(2)]]
     assert exact_quadratic_form(m, [F(1), F(-1)]) == F(2)
+
+
+def _random_symmetric(rng, n, num=3, den=4) -> list[list[Fraction]]:
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = F(int(rng.integers(-num, num + 1)), int(rng.integers(1, den)))
+    return m
+
+
+def _ldlt_cases(rng):
+    """Seeded PSD, rank-deficient PSD and indefinite rational matrices."""
+    for _ in range(80):
+        n = int(rng.integers(1, 8))
+        yield _random_rational_gram(rng, n, n + 1)                       # PSD, full rank
+        yield _random_rational_gram(rng, n, int(rng.integers(1, n + 1)))  # PSD, rank <= n
+        yield _random_symmetric(rng, n)                                  # mostly indefinite
+        g = _random_rational_gram(rng, n, max(1, n - 2))
+        g[-1][-1] -= F(1, 7)                                             # barely indefinite
+        yield g
+
+
+def test_integer_ldlt_matches_fraction_reference():
+    rng = np.random.default_rng(2024)
+    verdicts = set()
+    for matrix in _ldlt_cases(rng):
+        got = exact_ldlt(matrix)
+        assert got == fraction_ldlt(matrix)
+        verdicts.add((got[0], got[1] < len(matrix)))
+    assert verdicts == {(True, True), (True, False), (False, True)}
+
+
+def test_integer_ldlt_python_int_fallback(monkeypatch):
+    """Entries whose step bound 2 max|a|^2 exceeds int64 run on Python ints."""
+    chosen = []
+    real = rational.integer_dtype
+
+    def recording(bound):
+        chosen.append(real(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(rational, "integer_dtype", recording)
+    rng = np.random.default_rng(99)
+    big = F(2**40 + 1, 3)
+    for matrix in _ldlt_cases(rng):
+        scaled = [[x * big for x in row] for row in matrix]
+        assert exact_ldlt(scaled) == fraction_ldlt(scaled)
+        # A 2^62 diagonal shift alone fails the int64 bound of the first step.
+        tilted = [[x + F(2**62) * int(i == j) for i, x in enumerate(row)]
+                  for j, row in enumerate(matrix)]
+        assert exact_ldlt(tilted) == fraction_ldlt(tilted)
+    assert object in chosen and np.int64 in chosen
+
+
+def test_pd_adjugate_matches_fraction_inverse():
+    rng = np.random.default_rng(31)
+    seen_none = 0
+    for _ in range(150):
+        n = int(rng.integers(1, 7))
+        v = rng.integers(-3, 4, size=(n, int(rng.integers(1, n + 3))))
+        matrix = (v @ v.T).tolist()
+        if rng.integers(4) == 0:
+            matrix[0][0] = -matrix[0][0] - 1  # not positive definite
+        factored = pd_adjugate(matrix)
+        eig = np.linalg.eigvalsh(np.array(matrix, dtype=float))
+        if factored is None:
+            seen_none += 1
+            assert eig[0] < 1e-6
+            continue
+        det, adj = factored
+        assert det > 0 and eig[0] > 0
+        inv = exact_inverse([[F(x) for x in row] for row in matrix])
+        assert all(F(adj[i, j], det) == inv[i][j] for i in range(n) for j in range(n))
+    assert seen_none > 10
