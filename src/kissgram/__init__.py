@@ -23,7 +23,7 @@ from .gram import (
     reconstruct_vectors,
     unit_norm_test,
 )
-from .rational import exact_ldlt, rational_gram_check
+from .rational import exact_ldlt
 from .refconfigs import GeneratorId, generate
 from .verify import Certificate, spectrum_report, verify_gram, verify_vectors
 
@@ -35,7 +35,7 @@ __all__ = [
     "GeneratorId", "GramState", "MembershipList", "SearchTree", "SeedSpec",
     "Tolerances", "apply_correction", "decompose_reassemble", "exact_ldlt",
     "extend", "factorize", "generate", "is_psd", "lift_tail", "play_episode",
-    "rank_of", "rational_gram_check", "reconstruct_vectors", "sample_index_set",
+    "rank_of", "reconstruct_vectors", "sample_index_set",
     "simulate_cosine_set", "solve_tangent", "spectrum_report", "team_reward",
     "train_loop", "unit_norm_test", "verify_gram", "verify_vectors",
 ]

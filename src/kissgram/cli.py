@@ -156,20 +156,19 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    head = ""
     try:
-        with open(args.path, "r", encoding="utf-8") as fh:
+        with open(args.path, "rb") as fh:
             head = fh.readline()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    if head.startswith("kiss-gram"):
+    if head.startswith(b"kiss-gram"):
         state = read_gram_file(args.path)
         mode = args.mode or state.mode
         if mode == "rational" and state.exact is None:
             raise ConfigError(f"{args.path}: float gram file cannot be verified rationally")
         cert = verify_gram(state, mode=mode)
-    elif head.startswith("kiss-vectors"):
+    elif head.startswith(b"kiss-vectors"):
         doc = read_vector_file(args.path)
         mode = args.mode or doc.mode
         cert = verify_vectors(doc.vectors, doc.dim, mode=mode, exact_rows=doc.exact_rows)

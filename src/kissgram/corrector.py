@@ -176,11 +176,7 @@ def apply_correction(state: GramState, delete_set: Sequence[int],
     if bad:
         raise ProtectedRow(f"rows {bad} are protected")
     keep = [i for i in range(m) if i not in set(dels)]
-    entries = state.entries[np.ix_(keep, keep)]
-    exact = None
-    if state.exact is not None:
-        exact = tuple(tuple(state.exact[i][j] for j in keep) for i in keep)
-    return GramState(dim=state.dim, entries=entries, exact=exact)
+    return state.principal(keep)
 
 
 def log_prob(policy: CorrectorPolicy, draw: CorrectionDraw) -> float:

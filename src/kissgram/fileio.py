@@ -8,6 +8,7 @@ p/q literals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -67,6 +68,16 @@ def _header_int(fields: dict[str, str], key: str, path) -> int:
         raise ParseError(f"{path}: bad {key}= value {fields[key]!r}") from exc
 
 
+def _header_shape(fields: dict[str, str], path) -> tuple[int, int]:
+    """``dim=`` (at least 1) and ``count=`` (at least 0) of a vector or Gram header."""
+    dim = _header_int(fields, "dim", path)
+    count = _header_int(fields, "count", path)
+    if dim < 1 or count < 0:
+        raise ParseError(f"{path}: header needs dim >= 1 and count >= 0, got dim={dim} "
+                         f"count={count}")
+    return dim, count
+
+
 def _header_mode(fields: dict[str, str], path) -> str:
     mode = fields.get("mode", "float")
     if mode not in ("float", "rational"):
@@ -105,14 +116,13 @@ def write_vector_file(path, vectors: np.ndarray, mode: str = "float",
 def read_vector_file(path) -> VectorDoc:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     lines = _data_lines(text)
     if not lines:
         raise ParseError(f"{path}: empty file")
     fields = _parse_header(lines[0], VECTOR_MAGIC, path)
-    dim = _header_int(fields, "dim", path)
-    count = _header_int(fields, "count", path)
+    dim, count = _header_shape(fields, path)
     mode = _header_mode(fields, path)
     rows = lines[1:]
     if len(rows) != count:
@@ -140,14 +150,13 @@ def gram_text(state: GramState, mode: str) -> str:
     """Header line, then the upper triangle (diagonal included) row-major."""
     m = state.m
     lines = [f"{GRAM_MAGIC} dim={state.dim} count={m} mode={mode}"]
-    for i in range(m):
-        if mode == "rational":
-            if state.exact is None:
-                raise ParseError("state has no exact entries for a rational gram file")
-            lines.append(" ".join(format_rational(state.exact[i][j]) for j in range(i, m)))
-        else:
-            lines.append(" ".join(format_float(float(state.entries[i, j]))
-                                  for j in range(i, m)))
+    if mode == "rational":
+        if state.exact is None:
+            raise ParseError("state has no exact entries for a rational gram file")
+        label = {n: format_rational(Fraction(n, state.exact_scale)) for n in set(state.exact.flat)}
+        lines += [" ".join(map(label.__getitem__, state.exact[i, i:])) for i in range(m)]
+    else:
+        lines += [" ".join(format_float(float(x)) for x in state.entries[i, i:]) for i in range(m)]
     return "\n".join(lines) + "\n"
 
 
@@ -161,14 +170,13 @@ def parse_gram_text(text: str, path) -> GramState:
     if not lines:
         raise ParseError(f"{path}: empty file")
     fields = _parse_header(lines[0], GRAM_MAGIC, path)
-    dim = _header_int(fields, "dim", path)
-    count = _header_int(fields, "count", path)
+    dim, count = _header_shape(fields, path)
     mode = _header_mode(fields, path)
     rows = lines[1:]
     if len(rows) != count:
         raise ParseError(f"{path}: header claims {count} rows, found {len(rows)}")
     entries = np.zeros((count, count))
-    exact = [[Fraction(0)] * count for _ in range(count)] if mode == "rational" else None
+    cells: list[tuple[int, int]] = []  # rational mode: (p, q) of the upper triangle, row-major
     for i, row in enumerate(rows):
         parts = row.split()
         if len(parts) != count - i:
@@ -178,21 +186,26 @@ def parse_gram_text(text: str, path) -> GramState:
             try:
                 if mode == "rational":
                     value = parse_rational(part)
-                    exact[i][j] = exact[j][i] = value
+                    cells.append((value.numerator, value.denominator))
                     entries[i, j] = entries[j, i] = float(value)
                 else:
                     entries[i, j] = entries[j, i] = float(part)
             except (ValueError, OverflowError) as exc:
                 raise ParseError(f"{path}: row {i + 1}: {exc}") from exc
     _require_finite(entries, path)
-    return GramState(dim=dim, entries=entries,
-                     exact=tuple(tuple(r) for r in exact) if exact is not None else None)
+    if mode == "float":
+        return GramState(dim=dim, entries=entries)
+    scale = math.lcm(*(q for _, q in cells))
+    upper = np.triu_indices(count)
+    exact = np.zeros((count, count), dtype=object)
+    exact[upper] = exact[upper[::-1]] = [p * (scale // q) for p, q in cells]
+    return GramState(dim=dim, entries=entries, exact=exact, exact_scale=scale)
 
 
 def read_gram_file(path) -> GramState:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return parse_gram_text(text, path)
 
@@ -228,7 +241,7 @@ class CosineReport:
 def read_cosine_report(path) -> CosineReport:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     lines = _data_lines(text)
     if not lines:
@@ -315,7 +328,7 @@ def read_certificate(path) -> dict:
     """Parse a certificate back into a plain dict (fields as written)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     lines = text.splitlines()
     if not lines or lines[0] != CERT_MAGIC:

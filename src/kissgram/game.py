@@ -199,9 +199,7 @@ def load_seed(config: GameConfig) -> tuple[GramState, np.ndarray | None]:
         k = config.seed.rows
         if not 1 <= k <= state.m:
             raise InvalidSeed(f"seed truncation to {k} rows is out of range")
-        state = GramState(dim=state.dim, entries=state.entries[:k, :k],
-                          exact=tuple(r[:k] for r in state.exact[:k])
-                          if state.exact is not None else None)
+        state = state.principal(range(k))
         anchors = anchors[:k]
     if state.dim != config.dim:
         raise InvalidSeed(f"seed dimension {state.dim} disagrees with config dim {config.dim}")

@@ -22,7 +22,6 @@ from .errors import (
     RankDeficientBasis,
 )
 from .rational import (
-    RationalMatrix,
     common_denominator,
     exact_ldlt,
     exact_matvec,  # noqa: F401  (bench/tests trace the reference kernel through this name)
@@ -56,13 +55,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class GramState:
     """Symmetric unit-diagonal cosine matrix of a partial configuration.
 
-    ``exact`` carries the same entries as Fractions when the state lives in
-    rational mode; the float view is kept in sync for numeric work.
+    A rational-mode state also holds its entries exactly, in one form:
+    ``exact`` is an m x m object array of Python-int numerators over the
+    positive common denominator ``exact_scale`` (D), so a valid state has
+    exact[i, i] == D.  D need not be the least denominator.  ``entries`` is
+    then the correctly rounded float of each N / D, the view numeric work
+    reads.
     """
 
     dim: int
     entries: np.ndarray
-    exact: RationalMatrix | None = None
+    exact: np.ndarray | None = None
+    exact_scale: int | None = None
 
     @property
     def m(self) -> int:
@@ -74,18 +78,37 @@ class GramState:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen(self.entries))
+        if self.exact is not None:
+            exact = np.asarray(self.exact, dtype=object)
+            exact.setflags(write=False)
+            object.__setattr__(self, "exact", exact)
+
+    @staticmethod
+    def from_exact(dim: int, numerators, scale: int) -> "GramState":
+        """A rational state from integer numerators over ``scale``."""
+        exact = np.asarray(numerators, dtype=object)
+        return GramState(dim=dim, entries=(exact / scale).astype(float), exact=exact,
+                         exact_scale=scale)
 
     @staticmethod
     def single(dim: int, rational: bool = False) -> "GramState":
         """The from-scratch seed: one sphere, Gram matrix [[1]]."""
-        exact = ((Fraction(1),),) if rational else None
-        return GramState(dim=dim, entries=np.ones((1, 1)), exact=exact)
+        if rational:
+            return GramState.from_exact(dim, [[1]], 1)
+        return GramState(dim=dim, entries=np.ones((1, 1)))
 
     def as_float(self) -> "GramState":
         """The same state with exact entries dropped (float mode)."""
         if self.exact is None:
             return self
         return GramState(dim=self.dim, entries=self.entries)
+
+    def principal(self, rows: Sequence[int]) -> "GramState":
+        """The principal submatrix on ``rows``, in that order."""
+        ix = np.ix_(rows, rows)
+        return GramState(dim=self.dim, entries=self.entries[ix],
+                         exact=None if self.exact is None else self.exact[ix],
+                         exact_scale=self.exact_scale)
 
 
 def gram_from_vectors(vectors: np.ndarray, dim: int | None = None) -> GramState:
@@ -113,17 +136,15 @@ def check_invariants(state: GramState, tols: Tolerances = DEFAULT_TOLS) -> None:
     if off.size and off.max() > COSINE_CAP + tols.cosine:
         raise InvalidState(f"off-diagonal cosine {off.max()} exceeds cap {COSINE_CAP}")
     if state.exact is not None:
-        ex = state.exact
-        if len(ex) != m or any(len(row) != m for row in ex):
+        ex, scale = state.exact, state.exact_scale
+        if ex.shape != (m, m):
             raise InvalidState("exact entries disagree with float shape")
-        for i in range(m):
-            if ex[i][i] != 1:
-                raise InvalidState("exact diagonal entries must equal 1")
-            for j in range(i + 1, m):
-                if ex[i][j] != ex[j][i]:
-                    raise InvalidState("exact entries are not symmetric")
-                if ex[i][j] > Fraction(1, 2):
-                    raise InvalidState("exact off-diagonal cosine exceeds 1/2")
+        if not np.all(ex.diagonal() == scale):
+            raise InvalidState("exact diagonal entries must equal 1")
+        if not np.array_equal(ex, ex.T):
+            raise InvalidState("exact entries are not symmetric")
+        if m > 1 and 2 * ex[~np.eye(m, dtype=bool)].max() > scale:
+            raise InvalidState("exact off-diagonal cosine exceeds 1/2")
         psd, rank = exact_ldlt(ex)
         if not psd:
             raise InvalidState("matrix is not positive semidefinite (exact)")
@@ -171,10 +192,22 @@ def extend(state: GramState, column: CandidateColumn | np.ndarray, *,
     else:
         col = np.asarray(column, dtype=float)
         exact_col = None
-    if state.exact is not None and exact_col is not None:
-        # Keep the float view the exact image of the rational entries.
-        col = np.array([float(x) for x in exact_col])
     m = state.m
+    exact = scale = None
+    if state.exact is not None:
+        if exact_col is None:
+            raise MixedModeEntries("rational state extended with a float-only column")
+        if len(exact_col) != m:
+            raise DimensionMismatch("exact column length disagrees with state")
+        scale = math.lcm(state.exact_scale, common_denominator(exact_col))
+        nums = scaled_integers(exact_col, scale)
+        exact = np.empty((m + 1, m + 1), dtype=object)
+        exact[:m, :m] = state.exact if scale == state.exact_scale else (
+            state.exact * (scale // state.exact_scale))
+        exact[:m, m] = exact[m, :m] = nums
+        exact[m, m] = scale
+        # Keep the float view the correctly rounded image of the exact entries.
+        col = np.array([x / scale for x in nums])
     if col.shape != (m,):
         raise DimensionMismatch(f"column has length {col.shape[0]}, state has m={m}")
     g = np.empty((m + 1, m + 1))
@@ -182,16 +215,7 @@ def extend(state: GramState, column: CandidateColumn | np.ndarray, *,
     g[:m, m] = col
     g[m, :m] = col
     g[m, m] = 1.0
-    exact = None
-    if state.exact is not None:
-        if exact_col is None:
-            raise MixedModeEntries("rational state extended with a float-only column")
-        if len(exact_col) != m:
-            raise DimensionMismatch("exact column length disagrees with state")
-        rows = [row + (exact_col[i],) for i, row in enumerate(state.exact)]
-        rows.append(tuple(exact_col) + (Fraction(1),))
-        exact = tuple(rows)
-    out = GramState(dim=state.dim, entries=g, exact=exact)
+    out = GramState(dim=state.dim, entries=g, exact=exact, exact_scale=scale)
     if revalidate:
         try:
             check_invariants(out, tols)
@@ -291,14 +315,13 @@ def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS,
     cross = state.entries[n:, :n]
     scale = det = adj = exact_cross = None
     if state.exact is not None:
-        rows = [row[:n] for row in state.exact]
-        scale = common_denominator([x for row in rows for x in row] + list(values))
-        ints = [scaled_integers(row, scale) for row in rows]
+        scale = math.lcm(state.exact_scale, common_denominator(values))
+        ints = state.exact[:, :n] * (scale // state.exact_scale)
         factored = pd_adjugate(ints[:n])
         if factored is None:
             raise RankDeficientBasis(f"leading {n}x{n} block is not positive definite (exact)")
         det, adj = factored
-        exact_cross = np.array(ints[n:], dtype=object).reshape(state.m - n, n)
+        exact_cross = ints[n:]
     return FactorCache(
         basis_block=_frozen(basis),
         chol_factor=_frozen(chol),
@@ -446,8 +469,4 @@ def permute_state(state: GramState, order: Sequence[int]) -> GramState:
     idx = list(order)
     if sorted(idx) != list(range(state.m)):
         raise DimensionMismatch("order is not a permutation of the rows")
-    entries = state.entries[np.ix_(idx, idx)]
-    exact = None
-    if state.exact is not None:
-        exact = tuple(tuple(state.exact[i][j] for j in idx) for i in idx)
-    return GramState(dim=state.dim, entries=entries, exact=exact)
+    return state.principal(idx)

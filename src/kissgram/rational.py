@@ -1,23 +1,22 @@
 """Exact rational arithmetic: scalar parsing and exact PSD/rank certification.
 
-Rational entries are plain ``fractions.Fraction`` values, which are always
-stored in lowest terms with a positive denominator.  Mixing float and
-rational entries in a matrix handed to the exact routines is a checked
-error, never a silent coercion.
+An exact matrix has one form: an object array of Python-int numerators N
+over one positive common denominator D, so entry (i, j) is N[i, j] / D.  D
+need not be the least denominator.  ``fractions.Fraction`` appears only where
+a single scalar or a short column is parsed or printed (``parse_rational``,
+``format_rational``, the cosine lists of an action set), and in the
+Fraction reference kernels the tests compare against.
 
-The exact kernels do not compute with Fractions.  They scale a matrix by the
-common denominator of its entries and run fraction-free (Bareiss)
-elimination on the integer numerators, so every intermediate value is an
-integer minor and every division is exact.  Arrays hold int64 where a bound
-stated at the computation proves no overflow, and Python ints (object
-arrays) otherwise.
+The exact kernels compute on the numerators with fraction-free (Bareiss)
+elimination, so every intermediate value is an integer minor and every
+division is exact.  Arrays hold int64 where a bound stated at the
+computation proves no overflow, and Python ints (object arrays) otherwise.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -26,8 +25,6 @@ import numpy as np
 from .errors import MixedModeEntries, ParseError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
-
-RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 def parse_rational(text: str) -> Fraction:
@@ -43,34 +40,6 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def as_rational_matrix(rows: Iterable[Sequence]) -> RationalMatrix:
-    """Validate that every entry is exact (Fraction or int) and freeze a copy.
-
-    Raises MixedModeEntries on float contamination.
-    """
-    out = []
-    for row in rows:
-        checked = []
-        for x in row:
-            if isinstance(x, Fraction):
-                checked.append(x)
-            elif isinstance(x, int):
-                checked.append(Fraction(x))
-            else:
-                raise MixedModeEntries(f"non-rational entry of type {type(x).__name__}: {x!r}")
-        out.append(tuple(checked))
-    matrix = tuple(out)
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ParseError("matrix is not square")
-    for i in range(n):
-        for j in range(i):
-            if matrix[i][j] != matrix[j][i]:
-                raise ParseError(f"matrix is not symmetric at ({i}, {j})")
-    return matrix
 
 
 def common_denominator(values: Iterable) -> int:
@@ -99,24 +68,24 @@ def integer_dtype(bound: int):
     return np.int64 if bound < 2**63 else object
 
 
-def exact_ldlt(matrix: Iterable[Sequence]) -> tuple[bool, int]:
-    """Exact LDL^T with symmetric pivoting on the largest remaining diagonal.
+def exact_ldlt(matrix) -> tuple[bool, int]:
+    """Exact LDL^T of a symmetric integer matrix, pivoting on the largest remaining diagonal.
 
     Returns ``(certified_psd, rank)`` where rank counts the strictly positive
     pivots.  A zero maximal diagonal with any nonzero entry left in the
     active block certifies indefiniteness.  On a negative verdict the rank
-    reported is the pivot count reached so far.
+    reported is the pivot count reached so far.  An exact Gram is passed as
+    its numerators N = D G: a positive common scale changes no sign and no
+    zero test, so verdict and rank are those of G.
 
-    Runs fraction-free on ``a = D * matrix`` with D the common denominator:
-    after pivots P the active entry (i, j) is the integer minor
-    det a[P+i, P+j], which is det a[P, P] > 0 times the Schur complement
-    entry.  Every active entry shares that positive factor, so pivot
-    choices, signs and zero tests are those of the rational elimination.
+    Runs fraction-free: after pivots P the active entry (i, j) is the integer
+    minor det a[P+i, P+j], which is det a[P, P] > 0 times the Schur
+    complement entry.  Every active entry shares that positive factor, so
+    pivot choices, signs and zero tests are those of the rational elimination.
     """
-    exact = as_rational_matrix(matrix)
-    scale = common_denominator(x for row in exact for x in row)
-    a = np.array([scaled_integers(row, scale) for row in exact], dtype=object).reshape(
-        len(exact), len(exact))
+    a = np.asarray(matrix)
+    if a.dtype.kind not in "iO":
+        raise MixedModeEntries(f"exact LDL^T needs integer entries, got dtype {a.dtype}")
     prev = 1  # det a[P, P], the previous pivot
     rank = 0
     while a.shape[0]:
@@ -164,64 +133,44 @@ def pd_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, np.ndarray] | Non
     return prev, work[:, n:]
 
 
-@dataclass(frozen=True)
-class RationalCheck:
-    """Exact verdicts for a rational Gram matrix (a certificate fragment)."""
+def exact_cosines(rows: Sequence[Sequence[Fraction]]) -> tuple[int, np.ndarray] | None:
+    """Exact pairwise cosines of non-zero rational rows as ``(D, N)``: cosine (i, j) = N[i, j] / D.
 
-    max_off_diagonal: Fraction
-    psd: bool
-    rank: int
-
-
-def rational_gram_check(matrix: Iterable[Sequence]) -> RationalCheck:
-    """Exact max off-diagonal entry, PSD verdict and rank, all comparisons exact."""
-    m = as_rational_matrix(matrix)
-    n = len(m)
-    max_off = Fraction(-1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] > max_off:
-                max_off = m[i][j]
-    psd, rank = exact_ldlt(m)
-    return RationalCheck(max_off_diagonal=max_off, psd=psd, rank=rank)
-
-
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    num = math.isqrt(x.numerator)
-    den = math.isqrt(x.denominator)
-    if num * num == x.numerator and den * den == x.denominator:
-        return Fraction(num, den)
-    return None
-
-
-def exact_cosines(rows: Sequence[Sequence[Fraction]]) -> RationalMatrix | None:
-    """Exact pairwise cosines of non-zero rational row vectors.
-
-    Returns None when some pairwise norm product is not a perfect square,
-    i.e. when a cosine is irrational (equal-norm lattice families never are).
+    With Z the rows scaled to integers and P = Z Z^T, cosine (i, j) is
+    P_ij / sqrt(P_ii P_jj).  Every cosine is rational iff every P_ii P_00 is
+    a square r_i^2, since then P_ii P_jj = (r_i r_j / P_00)^2: an O(m) test.
+    Cosine (i, j) is then P_ij P_00 / (r_i r_j), whose numerator over
+    D = R^2, R = lcm(r), is P_ij P_00 (R / r_i)(R / r_j); the common factor
+    of all numerators (D among them) is divided out.  Returns None when some
+    cosine is irrational (equal-norm lattice families never are).
     """
     m = len(rows)
-    sq = [sum(x * x for x in row) for row in rows]
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        out[i][i] = Fraction(1)
-        for j in range(i + 1, m):
-            root = _rational_sqrt(sq[i] * sq[j])
-            if root is None:
-                return None
-            dot = sum(a * b for a, b in zip(rows[i], rows[j]))
-            out[i][j] = out[j][i] = dot / root
-    return tuple(tuple(row) for row in out)
+    if m == 0:
+        return 1, np.zeros((0, 0), dtype=object)
+    n = len(rows[0])
+    scale = common_denominator(x for row in rows for x in row)
+    ints = [scaled_integers(row, scale) for row in rows]
+    top = max((abs(x) for row in ints for x in row), default=0)
+    # |P_ij| <= n top^2, partial sums included.
+    z = np.array(ints, dtype=object).reshape(m, n).astype(integer_dtype(n * top * top))
+    p = (z @ z.T).astype(object)
+    norms = p.diagonal().tolist()
+    roots = [math.isqrt(v * norms[0]) for v in norms]
+    if any(r * r != v * norms[0] for r, v in zip(roots, norms)):
+        return None
+    lcm = math.lcm(*roots)
+    w = np.array([lcm // r for r in roots], dtype=object)
+    num = p * np.outer(w * norms[0], w)
+    g = math.gcd(*num.flat)
+    return lcm * lcm // g, num // g
 
 
 # exact_inverse and exact_matvec are the Fraction reference kernels: the
 # tests compare the integer kernels against them, and bench/spans.py traces
 # them by name, so a run that calls them shows up in the benchmark.
-def exact_inverse(matrix: Iterable[Sequence]) -> RationalMatrix:
+def exact_inverse(matrix: Iterable[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
     """Exact inverse of a full-rank rational matrix via Gauss-Jordan elimination."""
-    a = [list(row) for row in as_rational_matrix(matrix)]
+    a = [[Fraction(x) for x in row] for row in matrix]
     n = len(a)
     inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):

@@ -59,30 +59,17 @@ class GeneratedConfig:
     gram: GramState
 
 
-def _exact_state(dim: int, exact_rows: list[list[Fraction]]) -> GramState:
-    entries = np.array([[float(x) for x in row] for row in exact_rows])
-    return GramState(dim=dim, entries=entries, exact=tuple(tuple(row) for row in exact_rows))
-
-
 def cross_polytope(n: int) -> GeneratedConfig:
     """The 2n vectors +-e_i; pairwise cosines in {0, -1}."""
     eye = np.eye(n)
     vectors = np.vstack([eye, -eye])
-    exact = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(2 * n):
-        exact[i][i] = Fraction(1)
-        j = i + n if i < n else i - n
-        exact[i][j] = Fraction(-1)
-    return GeneratedConfig(f"CrossPolytope({n})", vectors, _exact_state(n, exact))
+    dots = (vectors @ vectors.T).astype(np.int64)  # = cosine, all in {1, 0, -1}
+    return GeneratedConfig(f"CrossPolytope({n})", vectors, GramState.from_exact(n, dots, 1))
 
 
 def simplex(n: int) -> GeneratedConfig:
     """n+1 unit vectors with all pairwise cosines equal to -1/n."""
-    c = Fraction(-1, n)
-    exact = [[c] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        exact[i][i] = Fraction(1)
-    gram = _exact_state(n, exact)
+    gram = GramState.from_exact(n, (n + 1) * np.eye(n + 1, dtype=np.int64) - 1, n)
     # Coordinates from the Cholesky factor of the leading n x n block; the
     # last vertex solves the remaining cosine constraints exactly.
     block = gram.entries[:n, :n]
@@ -96,10 +83,9 @@ def hexagon() -> GeneratedConfig:
     """Six planar unit vectors at 60-degree steps."""
     angles = [k * math.pi / 3 for k in range(6)]
     vectors = np.array([[math.cos(a), math.sin(a)] for a in angles])
-    table = [Fraction(1), Fraction(1, 2), Fraction(-1, 2), Fraction(-1),
-             Fraction(-1, 2), Fraction(1, 2)]
-    exact = [[table[(i - j) % 6] for j in range(6)] for i in range(6)]
-    return GeneratedConfig("Hexagon", vectors, _exact_state(2, exact))
+    table = [2, 1, -1, -2, -1, 1]  # 2 * cosine at each step
+    dots = [[table[(i - j) % 6] for j in range(6)] for i in range(6)]
+    return GeneratedConfig("Hexagon", vectors, GramState.from_exact(2, dots, 2))
 
 
 def icosahedron() -> GeneratedConfig:
@@ -132,8 +118,7 @@ def d4_roots() -> GeneratedConfig:
     arr = np.array(scaled, dtype=float)
     vectors = arr / math.sqrt(2)
     dots = np.array(scaled) @ np.array(scaled).T  # = 2 * cosine
-    exact = [[Fraction(int(dots[i, j]), 2) for j in range(24)] for i in range(24)]
-    return GeneratedConfig("D4Roots", vectors, _exact_state(4, exact))
+    return GeneratedConfig("D4Roots", vectors, GramState.from_exact(4, dots, 2))
 
 
 def e8_roots() -> GeneratedConfig:
@@ -150,8 +135,7 @@ def e8_roots() -> GeneratedConfig:
     arr = np.array(scaled, dtype=np.int64)
     vectors = arr / (2 * math.sqrt(2))
     dots = arr @ arr.T  # = 8 * cosine
-    exact = [[Fraction(int(dots[i, j]), 8) for j in range(240)] for i in range(240)]
-    return GeneratedConfig("E8Roots", vectors, _exact_state(8, exact))
+    return GeneratedConfig("E8Roots", vectors, GramState.from_exact(8, dots, 8))
 
 
 def config_from_vectors(raw: np.ndarray, dim: int, label: str = "FromVectorFile",
@@ -174,9 +158,10 @@ def config_from_vectors(raw: np.ndarray, dim: int, label: str = "FromVectorFile"
     if off_max > 0.5 + tols.cosine:
         raise CosineCapViolation(f"max pairwise cosine {off_max} exceeds 1/2")
     exact = exact_cosines(exact_rows) if exact_rows is not None else None
-    if exact is not None:
-        gram = np.array([[float(x) for x in row] for row in exact])
-    state = GramState(dim=dim, entries=(gram + gram.T) / 2.0, exact=exact)
+    if exact is None:
+        state = GramState(dim=dim, entries=(gram + gram.T) / 2.0)
+    else:
+        state = GramState.from_exact(dim, exact[1], exact[0])
     return GeneratedConfig(label, vectors, state)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .cosines import CosineValue, snap_value
 from .errors import MixedModeEntries, NonUnitVector
 from .gram import COSINE_CAP, DEFAULT_TOLS, GramState, Tolerances, is_psd, rank_of
-from .rational import exact_cosines, format_rational
+from .rational import exact_cosines, exact_ldlt, format_rational
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -103,22 +103,12 @@ def spectrum_report(state: GramState, tols: Tolerances = DEFAULT_TOLS) -> tuple[
     if m < 2:
         return ()
     if state.exact is not None:
-        counts: dict[Fraction, int] = {}
-        for i in range(m):
-            for j in range(i + 1, m):
-                counts[state.exact[i][j]] = counts.get(state.exact[i][j], 0) + 1
-        return tuple(
-            SpectrumEntry(CosineValue(value=float(v), exact=v, label=format_rational(v)), c)
-            for v, c in sorted(counts.items()))
+        u, c = np.unique(state.exact[np.triu_indices(m, k=1)], return_counts=True)
+        values = (Fraction(v, state.exact_scale) for v in u)
+        return tuple(SpectrumEntry(CosineValue(value=float(v), exact=v, label=format_rational(v)),
+                                   int(n)) for v, n in zip(values, c))
     u, c = np.unique(state.entries[np.triu_indices(m, k=1)], return_counts=True)
     return _spectrum(_merge_clusters(u, u, c, u * c))
-
-
-def _contact_degrees(g: np.ndarray, gmax: float) -> tuple[int, ...]:
-    m = g.shape[0]
-    off = ~np.eye(m, dtype=bool)
-    hits = (np.abs(g - gmax) <= CONTACT_TOL) & off
-    return tuple(int(c) for c in hits.sum(axis=1))
 
 
 def _verdict(reasons: list[str], *, cap_violated: bool, psd: bool, rank: int, dim: int,
@@ -149,31 +139,33 @@ def verify_gram(state: GramState, mode: str | None = None,
         raise ValueError(f"unknown verification mode: {mode!r}")
     if mode == "rational" and state.exact is None:
         raise MixedModeEntries("rational verification needs exact entries")
-    g = state.entries
     m = state.m
+    exact = mode == "rational"
+    # Rational mode reads the integer numerators over D, so every comparison is exact.
+    g, one = (state.exact, state.exact_scale) if exact else (state.entries, 1.0)
     reasons: list[str] = []
-    if not np.all(np.diag(g) == 1.0):
+    if not np.all(g.diagonal() == one):
         reasons.append("UnitDiagonalViolation")
     if not np.array_equal(g, g.T):
         reasons.append("NotSymmetric")
-    if mode == "rational":
-        from .rational import rational_gram_check
-
-        check = rational_gram_check(state.exact)
-        max_exact = check.max_off_diagonal if m > 1 else Fraction(-1)
+    off = g[~np.eye(m, dtype=bool)]
+    top = off.max() if m > 1 else -one
+    if exact:
+        max_exact = Fraction(top, one)
         max_cos = float(max_exact)
-        psd, rank = check.psd, check.rank
-        cap_violated = m > 1 and max_exact > Fraction(1, 2)
-        non_antipodal = all(state.exact[i][j] != -1
-                            for i in range(m) for j in range(i + 1, m))
+        psd, rank = exact_ldlt(g)
+        cap_violated = 2 * top > one
+        contacts = g == top
+        antipodal = np.any(off == -one)
     else:
         max_exact = None
-        off = g[~np.eye(m, dtype=bool)]
-        max_cos = float(off.max()) if m > 1 else -1.0
+        max_cos = float(top)
         psd = is_psd(state, tols.psd)
         rank = rank_of(state, tols.rank)
-        cap_violated = m > 1 and max_cos > COSINE_CAP + tols.cosine
-        non_antipodal = not (m > 1 and np.any(np.abs(off + 1.0) <= CONTACT_TOL))
+        cap_violated = max_cos > COSINE_CAP + tols.cosine
+        contacts = np.abs(g - top) <= CONTACT_TOL
+        antipodal = np.any(np.abs(off + 1.0) <= CONTACT_TOL)
+    np.fill_diagonal(contacts, False)
     verdict, fail_reason = _verdict(reasons, cap_violated=cap_violated, psd=psd, rank=rank,
                                     dim=state.dim, unit_norm_max_error=unit_norm_max_error)
     return Certificate(
@@ -186,8 +178,8 @@ def verify_gram(state: GramState, mode: str | None = None,
         rank=rank,
         unit_norm_max_error=unit_norm_max_error,
         cosine_spectrum=spectrum_report(state, tols),
-        contact_degrees=_contact_degrees(g, max_cos) if m > 1 else (0,) * m,
-        non_antipodal=non_antipodal,
+        contact_degrees=tuple(int(c) for c in contacts.sum(axis=1)),
+        non_antipodal=not antipodal,
         verdict=verdict,
         fail_reason=fail_reason,
     )
@@ -274,6 +266,6 @@ def verify_vectors(vectors: np.ndarray, dim: int | None = None, mode: str = "flo
     exact = exact_cosines(exact_rows)
     if exact is None:
         raise MixedModeEntries("pairwise cosines are not exactly rational")
-    g = np.array([[float(x) for x in row] for row in exact])
-    state = GramState(dim=dim, entries=g, exact=exact)
+    scale, numerators = exact
+    state = GramState.from_exact(dim, numerators, scale)
     return verify_gram(state, mode=mode, tols=tols, unit_norm_max_error=max_err)

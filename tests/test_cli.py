@@ -302,6 +302,20 @@ def test_verify_unknown_header_mode_exits_2(tmp_path, capsys, kind):
     assert "unknown mode 'exact'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "kiss-vectors v1 dim=-2 count=0\n",
+    "kiss-vectors v1 dim=0 count=0\n",
+    "kiss-gram v1 dim=-1 count=1\n1\n",
+    "kiss-gram v1 dim=2 count=-1\n",
+])
+def test_verify_bad_header_dim_or_count_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert run_cli("verify", "--in", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "needs dim >= 1 and count >= 0" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("token", ["1/0", "1" + "0" * 400])
 @pytest.mark.parametrize("text", [
     "kiss-vectors v1 dim=2 count=2 mode=rational\n1 0\n{} 1\n",

@@ -89,7 +89,8 @@ def test_gram_file_round_trip_float_and_rational(tmp_path):
     exact_state = generate("D4Roots").gram
     write_gram_file(path, exact_state)
     back = read_gram_file(path)
-    assert back.exact == exact_state.exact
+    assert np.array_equal(back.exact, exact_state.exact)
+    assert back.exact_scale == exact_state.exact_scale
 
 
 def test_gram_file_stores_upper_triangle(tmp_path):

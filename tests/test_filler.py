@@ -329,16 +329,21 @@ def _rational_spec(exact=RATIONAL_C1) -> ActionSpec:
 
 
 def _truncated(name: str, rows: int) -> GramState:
-    gram = generate(name).gram  # the first dim rows of both generators are independent
-    return GramState(dim=gram.dim, entries=gram.entries[:rows, :rows],
-                     exact=tuple(r[:rows] for r in gram.exact[:rows]))
+    # The first dim rows of both generators are independent.
+    return generate(name).gram.principal(range(rows))
+
+
+def fractions(state: GramState) -> list[list[Fraction]]:
+    """The exact entries of a state as Fractions, for the reference kernels."""
+    return [[Fraction(x, state.exact_scale) for x in row] for row in state.exact.tolist()]
 
 
 def fraction_confirm(state: GramState, spec: ActionSpec, idx: np.ndarray) -> list:
     """Per-candidate confirmation on Fractions: B^-1 by Gauss-Jordan, lifts by matvec."""
     n = state.dim
-    inv = exact_inverse([row[:n] for row in state.exact[:n]])
-    cross = [row[:n] for row in state.exact[n:]]
+    gram = fractions(state)
+    inv = exact_inverse([row[:n] for row in gram[:n]])
+    cross = [row[:n] for row in gram[n:]]
     allowed = set(spec.c2.exact)
     out = []
     for row in idx:
@@ -413,7 +418,7 @@ def test_batched_confirmation_rejects_everything_as_none():
 
 def fraction_small(state: GramState, spec: ActionSpec) -> list:
     """Rank-increasing exact columns by the Fraction Schur gap 1 - g^T G^-1 g > 0."""
-    inv = exact_inverse(state.exact)
+    inv = exact_inverse(fractions(state))
     out = []
     for row in itertools.product(spec.c1.exact, repeat=state.m):
         coeff = exact_matvec(inv, row)
@@ -435,7 +440,7 @@ def test_enumerate_small_exact_gap_matches_fraction_path(monkeypatch, name, rows
     expected = fraction_small(state, spec)
     # Every column over c1, zero gaps (a repeated row) included.
     idx = np.array(list(itertools.product(range(len(exact)), repeat=rows)))
-    keep = _exact_schur_positive(state.exact, spec.c1.exact, idx)
+    keep = _exact_schur_positive(state.exact, state.exact_scale, spec.c1.exact, idx)
     assert [tuple(spec.c1.exact[i] for i in row) for row in idx[keep]] == expected
     # The float walk prunes, the exact gap confirms.
     got = [c.exact for c in enumerate_small(state, spec)]

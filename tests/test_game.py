@@ -186,7 +186,8 @@ def test_rational_mode_game_runs_exactly():
     assert result.best.team_reward == 6
     state = result.best.final_state
     assert state.exact is not None
-    values = {state.exact[i][j] for i in range(6) for j in range(i + 1, 6)}
+    values = {Fraction(state.exact[i, j], state.exact_scale)
+              for i in range(6) for j in range(i + 1, 6)}
     assert values == {Fraction(-1), Fraction(-1, 2), Fraction(1, 2)}
 
 

@@ -283,6 +283,16 @@ def test_check_invariants_rejects_bad_diagonal_and_cap():
         check_invariants(GramState(dim=2, entries=np.array([[1.0, 0.8], [0.8, 1.0]])))
 
 
+def test_check_invariants_rejects_asymmetric_exact_entries():
+    # Off-diagonals 10^20 / D and (10^20 + 1) / D round to the same float, so
+    # only the exact numerators show the asymmetry.
+    d = 3 * 10**20
+    state = GramState.from_exact(2, [[d, 10**20], [10**20 + 1, d]], d)
+    assert np.array_equal(state.entries, state.entries.T)
+    with pytest.raises(InvalidState, match="exact entries are not symmetric"):
+        check_invariants(state)
+
+
 def test_candidate_column_full_concatenates():
     col = CandidateColumn(head=np.array([0.5, 0.0]), tail=np.array([-0.5]))
     assert col.full.tolist() == [0.5, 0.0, -0.5]

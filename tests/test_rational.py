@@ -1,10 +1,12 @@
 """Exact rational arithmetic and exact PSD/rank certification.
 
 The integer (fraction-free) kernels are checked against Fraction reference
-implementations: ``fraction_ldlt`` below, and ``exact_inverse`` /
-``exact_matvec`` from the package.
+implementations: ``fraction_ldlt`` and ``fraction_cosines`` below, and
+``exact_inverse`` / ``exact_matvec`` from the package.  Rational matrices are
+handed to the integer kernels as numerators over a common denominator.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,17 +15,22 @@ import pytest
 import kissgram.rational as rational
 from kissgram.errors import MixedModeEntries, ParseError
 from kissgram.rational import (
-    as_rational_matrix,
+    exact_cosines,
     exact_inverse,
     exact_ldlt,
     exact_matvec,
     format_rational,
     parse_rational,
     pd_adjugate,
-    rational_gram_check,
 )
 
 F = Fraction
+
+
+def ints(matrix) -> np.ndarray:
+    """Numerators of a rational matrix over the common denominator of its entries."""
+    scale = math.lcm(*(F(x).denominator for row in matrix for x in row))
+    return np.array([[int(F(x) * scale) for x in row] for row in matrix], dtype=object)
 
 
 def exact_quadratic_form(matrix, vec) -> Fraction:
@@ -32,7 +39,7 @@ def exact_quadratic_form(matrix, vec) -> Fraction:
 
 def fraction_ldlt(matrix) -> tuple[bool, int]:
     """Reference LDL^T on Fractions, pivoting on the first largest remaining diagonal."""
-    a = [list(row) for row in as_rational_matrix(matrix)]
+    a = [[F(x) for x in row] for row in matrix]
     active = list(range(len(a)))
     rank = 0
     while active:
@@ -75,12 +82,12 @@ def test_format_round_trip():
 
 def test_exact_ldlt_two_by_two_positive_definite():
     # Pivots 1 and 3/4.
-    assert exact_ldlt([[F(1), F(1, 2)], [F(1, 2), F(1)]]) == (True, 2)
+    assert exact_ldlt(ints([[F(1), F(1, 2)], [F(1, 2), F(1)]])) == (True, 2)
 
 
 def test_exact_ldlt_antipodal_pair_is_singular_psd():
     # Pivots 1 and 0.
-    assert exact_ldlt([[F(1), F(-1)], [F(-1), F(1)]]) == (True, 1)
+    assert exact_ldlt(ints([[F(1), F(-1)], [F(-1), F(1)]])) == (True, 1)
 
 
 def test_exact_ldlt_three_mutual_negative_three_quarters_not_psd():
@@ -90,22 +97,17 @@ def test_exact_ldlt_three_mutual_negative_three_quarters_not_psd():
     w = np.linalg.eigvalsh(np.array([[1, -0.75, -0.75], [-0.75, 1, -0.75],
                                      [-0.75, -0.75, 1]]))
     assert w[0] < -1e-9
-    psd, _ = exact_ldlt(matrix)
+    psd, _ = exact_ldlt(ints(matrix))
     assert psd is False
 
 
 def test_exact_ldlt_zero_diagonal_with_off_diagonal_is_indefinite():
-    assert exact_ldlt([[F(0), F(1)], [F(1), F(0)]])[0] is False
+    assert exact_ldlt(ints([[F(0), F(1)], [F(1), F(0)]]))[0] is False
 
 
 def test_exact_ldlt_rejects_floats():
     with pytest.raises(MixedModeEntries):
         exact_ldlt([[1.0, 0.5], [0.5, 1.0]])
-
-
-def test_exact_ldlt_rejects_asymmetric():
-    with pytest.raises(ParseError):
-        exact_ldlt([[F(1), F(1, 2)], [F(1, 3), F(1)]])
 
 
 def _random_rational_gram(rng, rows, cols) -> list[list[Fraction]]:
@@ -133,7 +135,7 @@ def test_exact_float_agreement_on_random_matrices():
         if abs(w[0]) <= 1e-6:
             continue  # ties near zero are resolved by the exact path
         checked += 1
-        psd, _ = exact_ldlt(matrix)
+        psd, _ = exact_ldlt(ints(matrix))
         assert psd == (w[0] > 0)
     assert checked > 60
 
@@ -143,7 +145,7 @@ def test_exact_rank_matches_float_rank_on_gram_matrices():
     for _ in range(60):
         n = int(rng.integers(2, 6))
         matrix = _random_rational_gram(rng, n, int(rng.integers(1, n + 2)))
-        _, rank = exact_ldlt(matrix)
+        _, rank = exact_ldlt(ints(matrix))
         floats = np.array([[float(x) for x in row] for row in matrix])
         assert rank == np.linalg.matrix_rank(floats, tol=1e-9)
 
@@ -158,56 +160,6 @@ def test_rational_arithmetic_laws():
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a.denominator > 0
-
-
-def test_rational_gram_check_hexagon():
-    table = [F(1), F(1, 2), F(-1, 2), F(-1), F(-1, 2), F(1, 2)]
-    hexagon = [[table[(i - j) % 6] for j in range(6)] for i in range(6)]
-    check = rational_gram_check(hexagon)
-    assert check.max_off_diagonal == F(1, 2)
-    assert check.psd is True
-    assert check.rank == 2
-
-
-def test_rational_gram_check_cross_polytope_x4():
-    m = [[F(0)] * 8 for _ in range(8)]
-    for i in range(8):
-        m[i][i] = F(1)
-        m[i][(i + 4) % 8] = F(-1)
-    check = rational_gram_check(m)
-    assert check.max_off_diagonal == F(0)
-    assert check.psd is True
-    assert check.rank == 4
-
-
-def test_rational_gram_check_quarter_cosine_configuration():
-    # Ten norm-2 integer vectors whose cosines land in {-1, -3/4, 0, +-1/4, +-1/2}:
-    # both arithmetic paths must agree on the same submatrix.
-    raw = [
-        (2, 0, 0, 0, 0, 0, 0, 0),
-        (0, 2, 0, 0, 0, 0, 0, 0),
-        (0, 0, 2, 0, 0, 0, 0, 0),
-        (1, 1, 1, 1, 0, 0, 0, 0),
-        (1, 1, -1, -1, 0, 0, 0, 0),
-        (1, -1, 1, -1, 0, 0, 0, 0),
-        (1, -1, -1, 1, 0, 0, 0, 0),
-        (0, 0, 0, 0, 2, 0, 0, 0),
-        (1, 1, 0, 0, 1, 1, 0, 0),
-        (0, -1, 1, 1, 1, 0, 0, 0),
-    ]
-    m = len(raw)
-    gram = [[F(sum(a * b for a, b in zip(raw[i], raw[j])), 4) for j in range(m)]
-            for i in range(m)]
-    values = {gram[i][j] for i in range(m) for j in range(i + 1, m)}
-    assert values <= {F(-1), F(-3, 4), F(0), F(1, 4), F(-1, 4), F(1, 2), F(-1, 2)}
-    assert F(1, 4) in values and F(-1, 2) in values
-    check = rational_gram_check(gram)
-    floats = np.array([[float(x) for x in row] for row in gram])
-    w = np.linalg.eigvalsh(floats)
-    assert check.psd == (w[0] >= -1e-9)
-    assert check.rank == np.linalg.matrix_rank(floats, tol=1e-9)
-    assert float(check.max_off_diagonal) == pytest.approx(
-        floats[~np.eye(m, dtype=bool)].max())
 
 
 def test_exact_inverse_round_trip():
@@ -257,8 +209,9 @@ def test_integer_ldlt_matches_fraction_reference():
     rng = np.random.default_rng(2024)
     verdicts = set()
     for matrix in _ldlt_cases(rng):
-        got = exact_ldlt(matrix)
+        got = exact_ldlt(ints(matrix))
         assert got == fraction_ldlt(matrix)
+        assert exact_ldlt(6 * ints(matrix)) == got  # a positive common scale changes nothing
         verdicts.add((got[0], got[1] < len(matrix)))
     assert verdicts == {(True, True), (True, False), (False, True)}
 
@@ -277,11 +230,11 @@ def test_integer_ldlt_python_int_fallback(monkeypatch):
     big = F(2**40 + 1, 3)
     for matrix in _ldlt_cases(rng):
         scaled = [[x * big for x in row] for row in matrix]
-        assert exact_ldlt(scaled) == fraction_ldlt(scaled)
+        assert exact_ldlt(ints(scaled)) == fraction_ldlt(scaled)
         # A 2^62 diagonal shift alone fails the int64 bound of the first step.
         tilted = [[x + F(2**62) * int(i == j) for i, x in enumerate(row)]
                   for j, row in enumerate(matrix)]
-        assert exact_ldlt(tilted) == fraction_ldlt(tilted)
+        assert exact_ldlt(ints(tilted)) == fraction_ldlt(tilted)
     assert object in chosen and np.int64 in chosen
 
 
@@ -305,3 +258,72 @@ def test_pd_adjugate_matches_fraction_inverse():
         inv = exact_inverse([[F(x) for x in row] for row in matrix])
         assert all(F(adj[i, j], det) == inv[i][j] for i in range(n) for j in range(n))
     assert seen_none > 10
+
+
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    if x < 0:
+        return None
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if num * num == x.numerator and den * den == x.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def fraction_cosines(rows) -> list[list[Fraction]] | None:
+    """Reference: pairwise Fraction cosines, None when a norm product is not a square."""
+    m = len(rows)
+    sq = [sum(x * x for x in row) for row in rows]
+    out = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        out[i][i] = Fraction(1)
+        for j in range(i + 1, m):
+            root = _rational_sqrt(sq[i] * sq[j])
+            if root is None:
+                return None
+            dot = sum(a * b for a, b in zip(rows[i], rows[j]))
+            out[i][j] = out[j][i] = dot / root
+    return out
+
+
+# Integer vectors of square norm (1, 9, 49, 81, 25).
+_SQUARE_NORM = [(1, 0, 0), (1, 2, 2), (2, 3, 6), (4, 4, 7), (0, 3, 4)]
+
+
+def _cosine_cases(rng):
+    """Seeded rational rows of mixed norms: norms sharing one square-free part
+    (rational cosines) and arbitrary rows (mostly irrational)."""
+    for _ in range(80):
+        m = int(rng.integers(1, 8))
+        kind = int(rng.integers(3))
+        if kind == 0:    # signed permutations of square-norm vectors
+            rows = [list(rng.permutation(_SQUARE_NORM[int(rng.integers(5))])
+                         * rng.choice((-1, 1), 3)) for _ in range(m)]
+        elif kind == 1:  # norm 2 (two +-1 entries) in dimension 4
+            rows = []
+            for _ in range(m):
+                v = [0] * 4
+                for k in rng.choice(4, 2, replace=False):
+                    v[k] = int(rng.choice((-1, 1)))
+                rows.append(v)
+        else:            # arbitrary non-zero rows
+            rows = [list(rng.integers(-3, 4, 3)) for _ in range(m)]
+            rows = [r if any(r) else [1, 0, 0] for r in rows]
+        # Mixed norms: each row times its own rational multiplier.
+        mults = [F(int(rng.integers(1, 6)), int(rng.integers(1, 6))) for _ in rows]
+        yield [[int(x) * k for x in row] for row, k in zip(rows, mults)]
+
+
+def test_exact_cosines_match_fraction_reference():
+    rng = np.random.default_rng(13)
+    outcomes = set()
+    for rows in _cosine_cases(rng):
+        expected = fraction_cosines(rows)
+        got = exact_cosines(rows)
+        outcomes.add(got is None)
+        assert (got is None) == (expected is None)
+        if got is None:
+            continue
+        scale, num = got
+        assert scale > 0 and math.gcd(scale, *num.flat) == 1
+        assert [[F(x, scale) for x in row] for row in num.tolist()] == expected
+    assert outcomes == {True, False}

@@ -50,7 +50,7 @@ def test_simplex_pairwise_cosines():
         gram = built.vectors @ built.vectors.T
         off = gram[~np.eye(n + 1, dtype=bool)]
         assert np.abs(off + 1.0 / n).max() < 1e-12
-        assert all(built.gram.exact[i][j] == F(-1, n)
+        assert all(F(built.gram.exact[i, j], built.gram.exact_scale) == F(-1, n)
                    for i in range(n + 1) for j in range(i + 1, n + 1))
 
 
@@ -74,7 +74,8 @@ def test_d4_roots_exact():
     built = generate("D4Roots")
     assert built.vectors.shape == (24, 4)
     assert rank_of(built.gram, 1e-7) == 4
-    values = {built.gram.exact[i][j] for i in range(24) for j in range(i + 1, 24)}
+    values = {F(built.gram.exact[i, j], built.gram.exact_scale)
+              for i in range(24) for j in range(i + 1, 24)}
     assert values == {F(-1), F(-1, 2), F(0), F(1, 2)}
 
 
@@ -87,7 +88,8 @@ def test_e8_roots_type_counts_and_spectrum():
     assert integer_rows == 112
     assert half_rows == 128
     assert rank_of(built.gram, 1e-7) == 8
-    values = {built.gram.exact[i][j] for i in range(240) for j in range(i + 1, 240)}
+    values = {F(built.gram.exact[i, j], built.gram.exact_scale)
+              for i in range(240) for j in range(i + 1, 240)}
     assert values == {F(-1), F(-1, 2), F(0), F(1, 2)}
     norms = np.linalg.norm(built.vectors, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-12
@@ -110,7 +112,8 @@ def test_every_generator_passes_the_verifier(name):
 def test_generation_is_deterministic():
     a, b = generate("E8Roots"), generate("E8Roots")
     assert np.array_equal(a.vectors, b.vectors)
-    assert a.gram.exact == b.gram.exact
+    assert np.array_equal(a.gram.exact, b.gram.exact)
+    assert a.gram.exact_scale == b.gram.exact_scale
 
 
 def test_config_from_vectors_normalizes_and_validates():
@@ -128,7 +131,7 @@ def test_config_from_vectors_exact_gram_for_equal_norm_lattice_rows():
     raw = np.array([[float(x) for x in row] for row in rows])
     built = config_from_vectors(raw, 4, exact_rows=rows)
     assert built.gram.exact is not None
-    assert built.gram.exact[0][1] == F(1, 2)
+    assert F(built.gram.exact[0, 1], built.gram.exact_scale) == F(1, 2)
 
 
 def test_config_from_vectors_irrational_cosine_falls_back_to_float():

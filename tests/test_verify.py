@@ -17,6 +17,8 @@ from kissgram.gram import GramState
 from kissgram.refconfigs import generate
 from kissgram.verify import SpectrumEntry, spectrum_report, verify_gram, verify_vectors
 
+F = Fraction
+
 
 def brute_force_contact_degrees(vectors: np.ndarray) -> list[int]:
     """Neighbor counts at the maximal cosine, straight from coordinates."""
@@ -125,6 +127,80 @@ def test_rational_and_float_verdicts_agree_on_rational_instances():
         assert exact_cert.verdict == float_cert.verdict == "Pass"
         assert exact_cert.rank == float_cert.rank
         assert float(exact_cert.max_cosine) == pytest.approx(float_cert.max_cosine)
+
+
+def exact_state(matrix: list[list[Fraction]], dim: int) -> GramState:
+    """A rational state from a Fraction matrix, over its common denominator."""
+    scale = math.lcm(*(x.denominator for row in matrix for x in row))
+    return GramState.from_exact(dim, [[int(x * scale) for x in row] for row in matrix], scale)
+
+
+def test_verify_gram_rational_hexagon():
+    table = [F(1), F(1, 2), F(-1, 2), F(-1), F(-1, 2), F(1, 2)]
+    hexagon = [[table[(i - j) % 6] for j in range(6)] for i in range(6)]
+    cert = verify_gram(exact_state(hexagon, 2))
+    assert cert.max_cosine_exact == F(1, 2)
+    assert cert.psd is True
+    assert cert.rank == 2
+
+
+def test_verify_gram_rational_cross_polytope_x4():
+    m = [[F(0)] * 8 for _ in range(8)]
+    for i in range(8):
+        m[i][i] = F(1)
+        m[i][(i + 4) % 8] = F(-1)
+    cert = verify_gram(exact_state(m, 4))
+    assert cert.max_cosine_exact == F(0)
+    assert cert.psd is True
+    assert cert.rank == 4
+
+
+def test_verify_gram_rational_quarter_cosine_configuration():
+    # Ten norm-2 integer vectors whose cosines land in {-1, -3/4, 0, +-1/4, +-1/2}:
+    # both arithmetic paths must agree on the same submatrix.
+    raw = [
+        (2, 0, 0, 0, 0, 0, 0, 0),
+        (0, 2, 0, 0, 0, 0, 0, 0),
+        (0, 0, 2, 0, 0, 0, 0, 0),
+        (1, 1, 1, 1, 0, 0, 0, 0),
+        (1, 1, -1, -1, 0, 0, 0, 0),
+        (1, -1, 1, -1, 0, 0, 0, 0),
+        (1, -1, -1, 1, 0, 0, 0, 0),
+        (0, 0, 0, 0, 2, 0, 0, 0),
+        (1, 1, 0, 0, 1, 1, 0, 0),
+        (0, -1, 1, 1, 1, 0, 0, 0),
+    ]
+    m = len(raw)
+    gram = [[F(sum(a * b for a, b in zip(raw[i], raw[j])), 4) for j in range(m)]
+            for i in range(m)]
+    values = {gram[i][j] for i in range(m) for j in range(i + 1, m)}
+    assert values <= {F(-1), F(-3, 4), F(0), F(1, 4), F(-1, 4), F(1, 2), F(-1, 2)}
+    assert F(1, 4) in values and F(-1, 2) in values
+    cert = verify_gram(exact_state(gram, 8))
+    floats = np.array([[float(x) for x in row] for row in gram])
+    w = np.linalg.eigvalsh(floats)
+    assert cert.psd == (w[0] >= -1e-9)
+    assert cert.rank == np.linalg.matrix_rank(floats, tol=1e-9)
+    assert float(cert.max_cosine_exact) == pytest.approx(
+        floats[~np.eye(m, dtype=bool)].max())
+
+
+def test_rational_contact_degrees_need_exact_equality():
+    # 1/2 - 10^-12 is within the float contact tolerance of 1/2, but it is not 1/2.
+    near = F(1, 2) - F(1, 10**12)
+    gram = [[F(1), F(1, 2), near], [F(1, 2), F(1), F(0)], [near, F(0), F(1)]]
+    cert = verify_gram(exact_state(gram, 3))
+    assert cert.verdict == "Pass"
+    assert [(e.cosine.display(), e.multiplicity) for e in cert.cosine_spectrum][-1] == ("1/2", 1)
+    assert cert.contact_degrees == (1, 1, 0)
+    assert certificate_text(cert).endswith("contact-degrees: 1x2 0\n")
+
+
+def test_rational_asymmetry_is_found_on_numerators():
+    # Both off-diagonals round to the float 1/3; only the numerators differ.
+    d = 3 * 10**20
+    cert = verify_gram(GramState.from_exact(2, [[d, 10**20], [10**20 + 1, d]], d))
+    assert cert.fail_reason == "NotSymmetric"
 
 
 def test_rational_mode_requires_exact_entries():
