@@ -260,31 +260,31 @@ def enumerate_small(state: GramState, spec: ActionSpec, *,
         if not spec.c1.is_rational:
             raise MixedModeEntries("rational state requires a rational head set")
         exact = spec.c1.exact
-        keep = _exact_schur_positive(state.exact, state.exact_scale, exact, idx)
+        keep = _exact_schur_positive(state, exact, idx)
         cols, idx = cols[keep], idx[keep]
     return [CandidateColumn(head=cols[row], tail=np.zeros(0),
                             exact=None if exact is None else tuple(exact[i] for i in idx[row]))
             for row in range(cols.shape[0])]
 
 
-def _exact_schur_positive(gram: np.ndarray, gram_scale: int, c1: Sequence[Fraction],
+def _exact_schur_positive(state: GramState, c1: Sequence[Fraction],
                           idx: np.ndarray) -> np.ndarray:
     """Rows of ``idx`` (columns g over c1) whose Schur gap 1 - g^T G^-1 g is positive.
 
-    ``gram`` holds the numerators of G over ``gram_scale``.  At scale D (a
-    common denominator of G and c1), G^-1 = D adj(D G) / det(D G), so the gap
-    is positive iff (D g)^T adj (D g) < D det.  An exactly singular G has no
-    rank-increasing extension.
+    At scale D (a common denominator of the rational state G and c1),
+    G^-1 = D adj(D G) / det(D G), so the gap is positive iff
+    (D g)^T adj (D g) < D det.  An exactly singular G has no rank-increasing
+    extension.
     """
-    scale = math.lcm(gram_scale, common_denominator(c1))
-    factored = pd_adjugate(gram * (scale // gram_scale))
+    scale = math.lcm(state.exact_scale, common_denominator(c1))
+    factored = pd_adjugate(state.exact * (scale // state.exact_scale))
     if factored is None:
         return np.zeros(idx.shape[0], dtype=bool)
     det, adj = factored
     heads = scaled_integers(c1, scale)
     h = max(map(abs, heads))
     a = max(abs(x) for x in adj.flat)
-    m = len(gram)
+    m = state.m
     # |Y| <= m h a for Y = G_int adj, so the quadratic forms are at most m^2 h^2 a.
     dtype = integer_dtype(max(m * m * h * h * a, scale * det))
     g_int = np.array(heads, dtype=object).astype(dtype)[idx]

@@ -440,7 +440,7 @@ def test_enumerate_small_exact_gap_matches_fraction_path(monkeypatch, name, rows
     expected = fraction_small(state, spec)
     # Every column over c1, zero gaps (a repeated row) included.
     idx = np.array(list(itertools.product(range(len(exact)), repeat=rows)))
-    keep = _exact_schur_positive(state.exact, state.exact_scale, spec.c1.exact, idx)
+    keep = _exact_schur_positive(state, spec.c1.exact, idx)
     assert [tuple(spec.c1.exact[i] for i in row) for row in idx[keep]] == expected
     # The float walk prunes, the exact gap confirms.
     got = [c.exact for c in enumerate_small(state, spec)]

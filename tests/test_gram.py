@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,6 +282,28 @@ def test_check_invariants_rejects_bad_diagonal_and_cap():
         check_invariants(GramState(dim=2, entries=np.array([[1.0, 0.0], [0.0, 0.9]])))
     with pytest.raises(InvalidState):
         check_invariants(GramState(dim=2, entries=np.array([[1.0, 0.8], [0.8, 1.0]])))
+
+
+def test_exact_float_view_is_correctly_rounded():
+    # Numerators and denominator beyond 2^53: float64 division of rounded
+    # operands would differ from float(Fraction) in the last bit.
+    rng = np.random.default_rng(3)
+    d = 3**40 + 2**60
+    nums = [[int(x) * (2**40 + 1) for x in row] for row in rng.integers(-2**60, 2**60, (4, 4))]
+    state = GramState.from_exact(4, nums, d)
+    assert all(state.entries[i, j] == float(Fraction(nums[i][j], d))
+               for i in range(4) for j in range(4))
+
+
+def test_extend_rescales_to_a_common_denominator():
+    state = GramState.from_exact(3, [[2, -1], [-1, 2]], 2)  # cosine -1/2 over D = 2
+    third = Fraction(1, 3)
+    grown = extend(state, CandidateColumn(head=np.array([1 / 3, 0.0]),
+                                          exact=(third, Fraction(0))))
+    assert grown.exact_scale == 6
+    assert grown.exact.tolist() == [[6, -3, 2], [-3, 6, 0], [2, 0, 6]]
+    assert grown.entries[0, 2] == float(third) and grown.entries[2, 2] == 1.0
+    check_invariants(grown)
 
 
 def test_check_invariants_rejects_asymmetric_exact_entries():
