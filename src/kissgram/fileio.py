@@ -252,14 +252,17 @@ def read_cosine_report(path) -> CosineReport:
         parts = line.split()
         if len(parts) != 4:
             raise ParseError(f"{path}: malformed cosine line {line!r}")
-        value = float(parts[0])
+        try:  # snap_value's Fraction(value) rejects nan and inf
+            value = float(parts[0])
+            snapped = snap_value(value)
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}: bad cosine value {parts[0]!r}") from exc
         exact_label = parts[1].removeprefix("exact=")
         if exact_label == "-":
             entries.append(CosineValue(value=value))
+        elif snapped.display() != exact_label:
+            raise ParseError(f"{path}: exact form {exact_label!r} does not match value")
         else:
-            snapped = snap_value(value)
-            if snapped.display() != exact_label:
-                raise ParseError(f"{path}: exact form {exact_label!r} does not match value")
             entries.append(snapped)
     return CosineReport(
         dim=_header_int(fields, "dim", path),
@@ -335,21 +338,24 @@ def read_certificate(path) -> dict:
         raise ParseError(f"{path}: not a certificate file")
     out: dict = {"spectrum": {}}
     in_spectrum = False
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        if line == "spectrum:":
-            in_spectrum = True
-            continue
-        if in_spectrum and line.startswith("  "):
-            label, mult = line.strip().rsplit(":", 1)
-            out["spectrum"][label.strip()] = int(mult)
-            continue
-        in_spectrum = False
-        if ":" not in line:
-            raise ParseError(f"{path}: malformed certificate line {line!r}")
-        key, value = line.split(":", 1)
-        out[key.strip()] = value.strip()
-    if "contact-degrees" in out:
-        out["contact-degrees"] = _un_rle(out["contact-degrees"])
+    try:
+        for line in lines[1:]:
+            if not line.strip():
+                continue
+            if line == "spectrum:":
+                in_spectrum = True
+                continue
+            if ":" not in line:
+                raise ParseError(f"{path}: malformed certificate line {line!r}")
+            if in_spectrum and line.startswith("  "):
+                label, mult = line.strip().rsplit(":", 1)
+                out["spectrum"][label.strip()] = int(mult)
+                continue
+            in_spectrum = False
+            key, value = line.split(":", 1)
+            out[key.strip()] = value.strip()
+        if "contact-degrees" in out:
+            out["contact-degrees"] = _un_rle(out["contact-degrees"])
+    except ValueError as exc:  # a malformed multiplicity or run-length token
+        raise ParseError(f"{path}: {exc}") from exc
     return out

@@ -11,6 +11,8 @@ The exact kernels compute on the numerators with fraction-free (Bareiss)
 elimination, so every intermediate value is an integer minor and every
 division is exact.  Arrays hold int64 where a bound stated at the
 computation proves no overflow, and Python ints (object arrays) otherwise.
+Rational coordinates need no m x m matrix: ``cosine_factors`` gives their
+cosines as integer products that verification reads in row blocks.
 """
 
 from __future__ import annotations
@@ -133,36 +135,47 @@ def pd_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, np.ndarray] | Non
     return prev, work[:, n:]
 
 
-def exact_cosines(rows: Sequence[Sequence[Fraction]]) -> tuple[int, np.ndarray] | None:
-    """Exact pairwise cosines of non-zero rational rows as ``(D, N)``: cosine (i, j) = N[i, j] / D.
+def cosine_factors(rows: Sequence[Sequence[Fraction]]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
+    """Exact pairwise cosines of non-zero rational rows as ``(Z, left, right, D)``:
+    cosine (i, j) = P_ij left_i right_j / D, with Z the rows scaled to integers
+    and P = Z Z^T.  None when some cosine is irrational (equal-norm lattice
+    families never are).
 
-    With Z the rows scaled to integers and P = Z Z^T, cosine (i, j) is
-    P_ij / sqrt(P_ii P_jj).  Every cosine is rational iff every P_ii P_00 is
-    a square r_i^2, since then P_ii P_jj = (r_i r_j / P_00)^2: an O(m) test.
-    Cosine (i, j) is then P_ij P_00 / (r_i r_j), whose numerator over
-    D = R^2, R = lcm(r), is P_ij P_00 (R / r_i)(R / r_j); the common factor
-    of all numerators (D among them) is divided out.  Returns None when some
-    cosine is irrational (equal-norm lattice families never are).
+    Cosine (i, j) is P_ij / sqrt(P_ii P_jj).  All are rational iff every
+    P_ii P_00 is a square r_i^2, since then P_ii P_jj = (r_i r_j / P_00)^2: an
+    O(m) test.  With R = lcm(r) and w = R / r, cosine (i, j) is then
+    P_ij (P_00 w_i) w_j / R^2.  The arrays are int64 when
+    n max|Z|^2 max(left) max(right) < 2^63, which bounds every partial sum of
+    a numerator and D itself (the value at i = j), and Python ints otherwise.
     """
     m = len(rows)
-    if m == 0:
-        return 1, np.zeros((0, 0), dtype=object)
-    n = len(rows[0])
+    n = len(rows[0]) if m else 0
     scale = common_denominator(x for row in rows for x in row)
-    ints = [scaled_integers(row, scale) for row in rows]
-    top = max((abs(x) for row in ints for x in row), default=0)
-    # |P_ij| <= n top^2, partial sums included.
-    z = np.array(ints, dtype=object).reshape(m, n).astype(integer_dtype(n * top * top))
-    p = (z @ z.T).astype(object)
-    norms = p.diagonal().tolist()
-    roots = [math.isqrt(v * norms[0]) for v in norms]
-    if any(r * r != v * norms[0] for r, v in zip(roots, norms)):
+    z = np.array([scaled_integers(row, scale) for row in rows], dtype=object).reshape(m, n)
+    norms = (z * z).sum(axis=1).tolist()
+    first = norms[0] if m else 1
+    roots = [math.isqrt(v * first) for v in norms]
+    if any(r * r != v * first for r, v in zip(roots, norms)):
         return None
     lcm = math.lcm(*roots)
-    w = np.array([lcm // r for r in roots], dtype=object)
-    num = p * np.outer(w * norms[0], w)
-    g = math.gcd(*num.flat)
-    return lcm * lcm // g, num // g
+    right = np.array([lcm // r for r in roots], dtype=object)
+    left = first * right
+    top = int(np.abs(z).max()) if z.size else 0
+    dtype = integer_dtype(n * top * top * max(left, default=0) * max(right, default=0))
+    return z.astype(dtype), left.astype(dtype), right.astype(dtype), lcm * lcm
+
+
+def exact_cosines(rows: Sequence[Sequence[Fraction]]) -> tuple[int, np.ndarray] | None:
+    """``cosine_factors`` as a dense ``(D, N)``, cosine (i, j) = N[i, j] / D, with
+    the common factor of all numerators (D among them) divided out."""
+    factors = cosine_factors(rows)
+    if factors is None:
+        return None
+    z, left, right, scale = factors
+    num = ((z @ z.T) * np.outer(left, right)).astype(object)
+    g = math.gcd(scale, *num.flat)
+    return scale // g, num // g
 
 
 # exact_inverse and exact_matvec are the Fraction reference kernels: the

@@ -6,15 +6,17 @@ spectrum, per-row contact degrees and the antipodality flag.  Rational mode
 certifies with exact arithmetic end to end; floating mode reports worst-case
 residuals.  Certificates are pure functions of their input.
 
-Gram states (and so Gram files) are checked dense.  Float coordinate sets
-never build their m x m Gram: ``verify_vectors`` walks its upper triangle in
-blocks of ``BLOCK_ROWS`` rows, so memory is O(BLOCK_ROWS * m).  The rank is
-read from the singular values of the m x n coordinates, whose squares are the
-Gram's non-zero eigenvalues, and the Gram is PSD by construction (G = U U^T).
+One routine reads every input as a source of Gram row blocks, BLOCK_ROWS
+rows at a time, so it holds O(BLOCK_ROWS * m) values: a Gram state (dense
+already, as Gram files are) gives slices of its matrix, float coordinates U
+give U[a:b] U[a:]^T, and rational coordinates give integer cosine
+numerators (``rational.cosine_factors``).  A coordinate Gram is PSD by
+construction (G = U U^T) and has the rank of the m x n coordinates.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +25,7 @@ import numpy as np
 from .cosines import CosineValue, snap_value
 from .errors import MixedModeEntries, NonUnitVector
 from .gram import COSINE_CAP, DEFAULT_TOLS, GramState, Tolerances, is_psd, rank_of
-from .rational import exact_cosines, exact_ldlt, format_rational
+from .rational import cosine_factors, exact_ldlt, format_rational, integer_dtype
 
 PASS = "Pass"
 FAIL = "Fail"
@@ -78,8 +80,6 @@ def _merge_clusters(lo: np.ndarray, hi: np.ndarray, count: np.ndarray,
     above SPECTRUM_GAP.  No cluster has such a gap inside it, so merging the
     clusters of disjoint parts of a multiset gives the clusters of the whole.
     """
-    if lo.size == 0:
-        return lo, hi, count, total
     order = np.argsort(lo, kind="stable")
     lo, hi, count, total = lo[order], hi[order], count[order], total[order]
     reach = np.maximum.accumulate(hi)
@@ -89,32 +89,61 @@ def _merge_clusters(lo: np.ndarray, hi: np.ndarray, count: np.ndarray,
             np.add.reduceat(total, starts))
 
 
-def _spectrum(clusters: tuple[np.ndarray, ...]) -> tuple[SpectrumEntry, ...]:
-    """Spectrum entries from clusters: each cluster's mean, snapped."""
-    _, _, count, total = clusters
-    return tuple(SpectrumEntry(snap_value(float(t / c)), int(c)) for c, t in zip(count, total))
+def _upper_blocks(rows, m: int):
+    """Yield ``rows(a, b)``, the Gram rows a..b-1 against columns a.., BLOCK_ROWS
+    rows at a time, with the mask of each block's strictly-upper entries."""
+    for a in range(0, m, BLOCK_ROWS):
+        b = min(a + BLOCK_ROWS, m)
+        yield a, b, rows(a, b), np.arange(a, m) > np.arange(a, b)[:, None]
 
 
-def spectrum_report(state: GramState, tols: Tolerances = DEFAULT_TOLS) -> tuple[SpectrumEntry, ...]:
-    """Sorted distinct off-diagonal values with multiplicities (pairs counted
-    once).  Rational mode is exact; floating mode clusters values within 1e-7
-    and snaps cluster means to recognized exact forms."""
-    m = state.m
-    if m < 2:
-        return ()
-    if state.exact is not None:
-        u, c = np.unique(state.exact[np.triu_indices(m, k=1)], return_counts=True)
-        values = (Fraction(v, state.exact_scale) for v in u)
-        return tuple(SpectrumEntry(CosineValue(value=float(v), exact=v, label=format_rational(v)),
-                                   int(n)) for v, n in zip(values, c))
-    u, c = np.unique(state.entries[np.triu_indices(m, k=1)], return_counts=True)
-    return _spectrum(_merge_clusters(u, u, c, u * c))
+def _values(rows, m: int, one, exact: bool):
+    """First pass over the strict upper triangle: the largest value (``-one``
+    without pairs), the antipodality flag and the spectrum."""
+    tops, antipodal, parts = [], False, []
+    for _, _, block, upper in _upper_blocks(rows, m):
+        u, c = np.unique(block[upper], return_counts=True)
+        if u.size:
+            tops.append(u[-1])
+            antipodal = antipodal or bool(np.any(u == -one) if exact
+                                          else np.any(np.abs(u + 1.0) <= CONTACT_TOL))
+            parts.append((u, c) if exact else _merge_clusters(u, u, c, u * c))
+    if not exact:  # each cluster's mean, snapped
+        clusters = _merge_clusters(*map(np.concatenate, zip(*parts))) if parts else [()] * 4
+        spectrum = tuple(SpectrumEntry(snap_value(float(t / c)), int(c))
+                         for c, t in zip(*clusters[2:]))
+        return max(tops, default=-one), antipodal, spectrum
+    tally: Counter = Counter()
+    for u, c in parts:
+        tally.update(dict(zip(u.tolist(), c.tolist())))
+    values = ((Fraction(v, one), n) for v, n in sorted(tally.items()))
+    spectrum = tuple(SpectrumEntry(CosineValue(float(v), v, format_rational(v)), n)
+                     for v, n in values)
+    return int(max(tops, default=-one)), antipodal, spectrum
 
 
-def _verdict(reasons: list[str], *, cap_violated: bool, psd: bool, rank: int, dim: int,
-             unit_norm_max_error: float | None) -> tuple[str, str | None]:
-    """Verdict and first fail reason, after the structural ``reasons``."""
-    if cap_violated:
+def _certificate(mode: str, rows, m: int, dim: int, one, psd: bool, rank: int,
+                 tols: Tolerances, reasons: list[str],
+                 unit_norm_max_error: float | None) -> Certificate:
+    """Certificate of the Gram whose fresh row blocks ``rows(a, b)`` returns,
+    given the caller's structural ``reasons``, PSD check and rank.  Rational
+    values are numerators over ``one`` = D, compared exactly; float values
+    (``one`` = 1.0) are contacts within CONTACT_TOL of the maximum."""
+    exact = mode == "rational"
+    top, antipodal, spectrum = _values(rows, m, one, exact)
+    degrees = np.zeros(m, dtype=np.int64)
+    for a, b, block, upper in _upper_blocks(rows, m):
+        if exact:
+            hits = block == top
+        else:
+            block -= top
+            hits = np.abs(block, out=block) <= CONTACT_TOL
+        hits &= upper
+        degrees[a:b] += hits.sum(axis=1)
+        degrees[a:] += hits.sum(axis=0)
+    max_exact = Fraction(top, one) if exact else None
+    max_cos = float(max_exact) if exact else float(top)
+    if (max_exact > COSINE_CAP) if exact else (max_cos > COSINE_CAP + tols.cosine):
         reasons.append("CosineCapViolation")
     if not psd:
         reasons.append("NotPositiveSemidefinite")
@@ -122,7 +151,35 @@ def _verdict(reasons: list[str], *, cap_violated: bool, psd: bool, rank: int, di
         reasons.append("RankExceedsDimension")
     if unit_norm_max_error is not None and unit_norm_max_error > 1e-6:
         reasons.append("NonUnitVector")
-    return (PASS, None) if not reasons else (FAIL, reasons[0])
+    return Certificate(
+        mode=mode,
+        sphere_count=m,
+        dim=dim,
+        max_cosine=max_cos,
+        max_cosine_exact=max_exact,
+        psd=psd,
+        rank=rank,
+        unit_norm_max_error=unit_norm_max_error,
+        cosine_spectrum=spectrum,
+        contact_degrees=tuple(degrees.tolist()),
+        non_antipodal=not antipodal,
+        verdict=FAIL if reasons else PASS,
+        fail_reason=reasons[0] if reasons else None,
+    )
+
+
+def _state_rows(state: GramState, mode: str):
+    """The state's values in ``mode``, their diagonal value and fresh row blocks."""
+    g, one = (state.exact, state.exact_scale) if mode == "rational" else (state.entries, 1.0)
+    return g, one, lambda a, b: g[a:b, a:].copy()
+
+
+def spectrum_report(state: GramState) -> tuple[SpectrumEntry, ...]:
+    """Sorted distinct off-diagonal values with multiplicities (pairs counted
+    once).  Rational mode is exact; floating mode clusters values within 1e-7
+    and snaps cluster means to recognized exact forms."""
+    _, one, rows = _state_rows(state, state.mode)
+    return _values(rows, state.m, one, state.mode == "rational")[2]
 
 
 def verify_gram(state: GramState, mode: str | None = None,
@@ -139,103 +196,18 @@ def verify_gram(state: GramState, mode: str | None = None,
         raise ValueError(f"unknown verification mode: {mode!r}")
     if mode == "rational" and state.exact is None:
         raise MixedModeEntries("rational verification needs exact entries")
-    m = state.m
-    exact = mode == "rational"
-    # Rational mode reads the integer numerators over D, so every comparison is exact.
-    g, one = (state.exact, state.exact_scale) if exact else (state.entries, 1.0)
+    g, one, rows = _state_rows(state, mode)
     reasons: list[str] = []
     if not np.all(g.diagonal() == one):
         reasons.append("UnitDiagonalViolation")
     if not np.array_equal(g, g.T):
         reasons.append("NotSymmetric")
-    off = g[~np.eye(m, dtype=bool)]
-    top = off.max() if m > 1 else -one
-    if exact:
-        max_exact = Fraction(top, one)
-        max_cos = float(max_exact)
+    if mode == "rational":
         psd, rank = exact_ldlt(g)
-        cap_violated = 2 * top > one
-        contacts = g == top
-        antipodal = np.any(off == -one)
     else:
-        max_exact = None
-        max_cos = float(top)
-        psd = is_psd(state, tols.psd)
-        rank = rank_of(state, tols.rank)
-        cap_violated = max_cos > COSINE_CAP + tols.cosine
-        contacts = np.abs(g - top) <= CONTACT_TOL
-        antipodal = np.any(np.abs(off + 1.0) <= CONTACT_TOL)
-    np.fill_diagonal(contacts, False)
-    verdict, fail_reason = _verdict(reasons, cap_violated=cap_violated, psd=psd, rank=rank,
-                                    dim=state.dim, unit_norm_max_error=unit_norm_max_error)
-    return Certificate(
-        mode=mode,
-        sphere_count=m,
-        dim=state.dim,
-        max_cosine=max_cos,
-        max_cosine_exact=max_exact,
-        psd=psd,
-        rank=rank,
-        unit_norm_max_error=unit_norm_max_error,
-        cosine_spectrum=spectrum_report(state, tols),
-        contact_degrees=tuple(int(c) for c in contacts.sum(axis=1)),
-        non_antipodal=not antipodal,
-        verdict=verdict,
-        fail_reason=fail_reason,
-    )
-
-
-def _upper_blocks(unit: np.ndarray):
-    """Rows a..b-1 of the Gram of ``unit`` against rows a.., BLOCK_ROWS rows at
-    a time, each with the mask of its strictly-upper entries."""
-    m = len(unit)
-    for a in range(0, m, BLOCK_ROWS):
-        b = min(a + BLOCK_ROWS, m)
-        yield a, b, unit[a:b] @ unit[a:].T, np.arange(a, m) > np.arange(a, b)[:, None]
-
-
-def _verify_unit_rows(unit: np.ndarray, dim: int, tols: Tolerances,
-                      unit_norm_max_error: float) -> Certificate:
-    """Float certificate of unit rows in two passes over the Gram's upper
-    triangle: one for the cap, antipodality and spectrum, one for the contact
-    degrees at the maximal cosine."""
-    m = len(unit)
-    gmax, antipodal, parts = -np.inf, False, []
-    for _, _, block, upper in _upper_blocks(unit):
-        u, c = np.unique(block[upper], return_counts=True)
-        if u.size:
-            gmax = max(gmax, u[-1])
-            antipodal = antipodal or bool(np.any(np.abs(u + 1.0) <= CONTACT_TOL))
-            parts.append(_merge_clusters(u, u, c, u * c))
-    degrees = np.zeros(m, dtype=np.int64)
-    if m > 1:
-        for a, b, block, upper in _upper_blocks(unit):
-            block -= gmax
-            hits = (np.abs(block, out=block) <= CONTACT_TOL) & upper
-            degrees[a:b] += hits.sum(axis=1)
-            degrees[a:] += hits.sum(axis=0)
-    spectrum = _spectrum(_merge_clusters(*map(np.concatenate, zip(*parts)))) if parts else ()
-    sigma = np.linalg.svd(unit, compute_uv=False)
-    rank = int(np.count_nonzero(sigma * sigma > tols.rank))
-    max_cos = float(gmax) if m > 1 else -1.0
-    verdict, fail_reason = _verdict([], cap_violated=max_cos > COSINE_CAP + tols.cosine,
-                                    psd=True, rank=rank, dim=dim,
-                                    unit_norm_max_error=unit_norm_max_error)
-    return Certificate(
-        mode="float",
-        sphere_count=m,
-        dim=dim,
-        max_cosine=max_cos,
-        max_cosine_exact=None,
-        psd=True,
-        rank=rank,
-        unit_norm_max_error=unit_norm_max_error,
-        cosine_spectrum=spectrum,
-        contact_degrees=tuple(degrees.tolist()),
-        non_antipodal=not antipodal,
-        verdict=verdict,
-        fail_reason=fail_reason,
-    )
+        psd, rank = is_psd(state, tols.psd), rank_of(state, tols.rank)
+    return _certificate(mode, rows, state.m, state.dim, one, psd, rank, tols, reasons,
+                        unit_norm_max_error)
 
 
 def verify_vectors(vectors: np.ndarray, dim: int | None = None, mode: str = "float",
@@ -244,9 +216,9 @@ def verify_vectors(vectors: np.ndarray, dim: int | None = None, mode: str = "flo
     """Certify explicit coordinates: unit-norm residuals plus the Gram checks.
 
     Raises NonUnitVector when any coordinate vector misses unit norm by more
-    than 1e-6 (or is not finite); smaller residuals are reported on the
-    certificate.  Float mode works block by block from the coordinates and
-    never builds the m x m Gram.
+    than 1e-6 (or is not finite), and in rational mode when a cosine is
+    irrational, which rules out exactly unit rows; smaller residuals are
+    reported on the certificate.  No m x m Gram is built in either mode.
     """
     if mode not in ("float", "rational"):
         raise ValueError(f"unknown verification mode: {mode!r}")
@@ -260,12 +232,20 @@ def verify_vectors(vectors: np.ndarray, dim: int | None = None, mode: str = "flo
     if dim is None:
         dim = v.shape[1]
     if mode == "float":
-        return _verify_unit_rows(v / norms[:, None], dim, tols, max_err)
+        unit = v / norms[:, None]
+        sigma = np.linalg.svd(unit, compute_uv=False)
+        rank = int(np.count_nonzero(sigma * sigma > tols.rank))
+        return _certificate(mode, lambda a, b: unit[a:b] @ unit[a:].T, len(v), dim, 1.0, True,
+                            rank, tols, [], max_err)
     if exact_rows is None:
         raise MixedModeEntries("rational verification needs exact coordinates")
-    exact = exact_cosines(exact_rows)
-    if exact is None:
-        raise MixedModeEntries("pairwise cosines are not exactly rational")
-    scale, numerators = exact
-    state = GramState.from_exact(dim, numerators, scale)
-    return verify_gram(state, mode=mode, tols=tols, unit_norm_max_error=max_err)
+    factors = cosine_factors(exact_rows)
+    if factors is None:
+        raise NonUnitVector("pairwise cosines are irrational, so some row is not exactly unit")
+    z, left, right, scale = factors
+    # rank G = rank Z = rank Z^T Z (n x n), whose partial sums are at most m max|Z|^2.
+    top = int(np.abs(z).max()) if z.size else 0
+    zz = z.astype(integer_dtype(len(z) * top * top))
+    psd, rank = exact_ldlt(zz.T @ zz)
+    return _certificate(mode, lambda a, b: (z[a:b] @ z[a:].T) * left[a:b, None] * right[a:],
+                        len(z), dim, scale, psd, rank, tols, [], max_err)

@@ -328,6 +328,18 @@ def test_verify_unrepresentable_rational_entry_exits_2(tmp_path, capsys, text, t
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_rational_vectors_with_irrational_cosine_exits_1(tmp_path, capsys):
+    # The second row's squared norm is within 1e-6 of 1 but is not a rational
+    # square, so its cosine with the first, 1/2 over that norm, is irrational.
+    # Exactly unit rational rows have rational cosines: the claim fails.
+    path = tmp_path / "irrational.vec"
+    path.write_text("kiss-vectors v1 dim=2 count=2 mode=rational\n1 0\n"
+                    "1/2 866025403784439/1000000000000000\n")
+    assert run_cli("verify", "--in", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure:") and "irrational" in err
+
+
 def _rewrite_checkpoint_section(path, tag, edit):
     """Replace one section payload by ``edit(payload)``, with a valid checksum."""
     raw = path.read_bytes()[:-32]

@@ -3,8 +3,9 @@ documented exit code, never in a traceback.
 
 ``verify`` on a corrupted rational Gram or vector file may pass (0), fail (1)
 or reject the file (2); a corrupted checkpoint makes ``search --resume``
-exit 4.  Every mutant differs from the original: a flip XORs a non-zero byte
-in, and a truncation drops at least the last byte.
+exit 4; reading a corrupted cosine report or certificate returns a value or
+raises ParseError.  Every mutant differs from the original: a flip XORs a
+non-zero byte in, and a truncation drops at least the last byte.
 """
 
 import itertools
@@ -14,8 +15,18 @@ import numpy as np
 import pytest
 
 from kissgram.cli import main
-from kissgram.fileio import write_gram_file, write_vector_file
+from kissgram.cosines import simulate_cosine_set
+from kissgram.errors import ParseError
+from kissgram.fileio import (
+    read_certificate,
+    read_cosine_report,
+    write_certificate,
+    write_cosine_report,
+    write_gram_file,
+    write_vector_file,
+)
 from kissgram.refconfigs import generate
+from kissgram.verify import verify_gram
 
 
 def mutants(data: bytes, seed: int, flips: int, cuts: int):
@@ -63,6 +74,35 @@ def test_corrupted_rational_file_verifies_or_exits_2(tmp_path, capsys, write):
         codes.add(main(["verify", "--in", str(path)]))
         assert "Traceback" not in capsys.readouterr().err
     assert codes <= {0, 1, 2} and 2 in codes
+
+
+def _cosine_report(path):
+    result = simulate_cosine_set(2, np.array([[1.0, 0.0]]), budget=40,
+                                 rng=np.random.default_rng(0))
+    write_cosine_report(path, result, dim=2, budget=40)
+
+
+def _certificate(path):
+    write_certificate(path, verify_gram(generate("Hexagon").gram))
+
+
+@pytest.mark.parametrize("write, read", [(_cosine_report, read_cosine_report),
+                                         (_certificate, read_certificate)],
+                         ids=["cosine-report", "certificate"])
+def test_corrupted_report_or_certificate_reads_or_raises_parse_error(tmp_path, write, read):
+    original = tmp_path / "original.txt"
+    write(original)
+    read(original)
+    path = tmp_path / "mutant.txt"
+    outcomes = set()
+    for blob in mutants(original.read_bytes(), 7, flips=300, cuts=40):
+        path.write_bytes(blob)
+        try:
+            read(path)
+            outcomes.add("value")
+        except ParseError:
+            outcomes.add("ParseError")
+    assert outcomes == {"value", "ParseError"}
 
 
 def test_corrupted_checkpoint_resume_exits_4(tmp_path, capsys):

@@ -15,6 +15,7 @@ import pytest
 import kissgram.rational as rational
 from kissgram.errors import MixedModeEntries, ParseError
 from kissgram.rational import (
+    cosine_factors,
     exact_cosines,
     exact_inverse,
     exact_ldlt,
@@ -327,3 +328,16 @@ def test_exact_cosines_match_fraction_reference():
         assert scale > 0 and math.gcd(scale, *num.flat) == 1
         assert [[F(x, scale) for x in row] for row in num.tolist()] == expected
     assert outcomes == {True, False}
+
+
+def test_exact_cosines_past_int64_match_fraction_reference():
+    # Rotations by cos t = 3/5, sin t = 4/5 have denominators up to 5^14, so
+    # n max|Z|^2 passes 2^63 and the factors are Python ints.  Row k is
+    # scaled by k + 1, so the left and right factors differ between rows.
+    rows, (c, s) = [], (F(1), F(0))
+    for k in range(15):
+        rows.append([(k + 1) * c, (k + 1) * s])
+        c, s = c * F(3, 5) - s * F(4, 5), c * F(4, 5) + s * F(3, 5)
+    assert cosine_factors(rows)[0].dtype == object
+    scale, num = exact_cosines(rows)
+    assert [[F(x, scale) for x in row] for row in num.tolist()] == fraction_cosines(rows)

@@ -1,6 +1,5 @@
 """Certification: verdicts, spectra, contact degrees, antipodality."""
 
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -13,9 +12,16 @@ from kissgram import verify
 from kissgram.cosines import snap_value
 from kissgram.errors import MixedModeEntries, NonUnitVector
 from kissgram.fileio import certificate_text
-from kissgram.gram import GramState
+from kissgram.gram import DEFAULT_TOLS, GramState, is_psd
+from kissgram.rational import cosine_factors, exact_cosines
 from kissgram.refconfigs import generate
-from kissgram.verify import SpectrumEntry, spectrum_report, verify_gram, verify_vectors
+from kissgram.verify import (
+    Certificate,
+    SpectrumEntry,
+    spectrum_report,
+    verify_gram,
+    verify_vectors,
+)
 
 F = Fraction
 
@@ -209,13 +215,14 @@ def test_rational_mode_requires_exact_entries():
         verify_gram(state, mode="rational")
 
 
-def test_rational_vectors_with_irrational_cosine_are_mixed_mode():
-    # Norm product 1 * 3 is not a square: the cosine -1/sqrt(3) is irrational.
+def test_rational_vectors_with_irrational_cosine_are_non_unit():
+    # Norm product 1 * 3 is not a square: the cosine -1/sqrt(3) is irrational,
+    # so the exact rows cannot all be unit.
     rows = [[Fraction(1), Fraction(0), Fraction(0)], [Fraction(-1), Fraction(1), Fraction(1)]]
     raw = np.array([[float(x) for x in row] for row in rows])
     unit = raw / np.linalg.norm(raw, axis=1)[:, None]
     assert verify_vectors(unit, 3).passed
-    with pytest.raises(MixedModeEntries):
+    with pytest.raises(NonUnitVector):
         verify_vectors(unit, 3, mode="rational", exact_rows=rows)
 
 
@@ -265,9 +272,11 @@ def loop_spectrum(g: np.ndarray) -> tuple[SpectrumEntry, ...]:
     return tuple(entries)
 
 
-def dense_float_certificate(vectors: np.ndarray, dim: int | None = None):
-    """Float certificate from the dense m x m Gram: eigenvalue rank, Cholesky
-    PSD check and the per-value clustering loop."""
+def dense_float_certificate(vectors: np.ndarray, dim: int | None = None) -> Certificate:
+    """Float certificate from the dense m x m Gram, computed here without the
+    verifier: the largest off-diagonal cosine, contact degrees and
+    antipodality over the whole matrix, the Cholesky PSD check, the
+    eigenvalue rank and the per-value clustering loop."""
     v = np.asarray(vectors, dtype=float)
     norms = np.linalg.norm(v, axis=1)
     max_err = float(np.abs(norms - 1.0).max()) if len(v) else 0.0
@@ -275,9 +284,23 @@ def dense_float_certificate(vectors: np.ndarray, dim: int | None = None):
     g = unit @ unit.T
     g = (g + g.T) / 2.0
     np.fill_diagonal(g, 1.0)
-    state = GramState(dim=dim if dim is not None else v.shape[1], entries=g)
-    cert = verify_gram(state, mode="float", unit_norm_max_error=max_err)
-    return dataclasses.replace(cert, cosine_spectrum=loop_spectrum(g))
+    m = len(g)
+    dim = dim if dim is not None else v.shape[1]
+    off = g[~np.eye(m, dtype=bool)]
+    top = float(off.max()) if m > 1 else -1.0
+    contacts = np.abs(g - top) <= 1e-9
+    np.fill_diagonal(contacts, False)
+    psd = is_psd(g, DEFAULT_TOLS.psd)
+    rank = int(np.count_nonzero(np.linalg.eigvalsh(g) > DEFAULT_TOLS.rank)) if m else 0
+    reasons = [reason for reason, failed in (("CosineCapViolation", top > 0.5 + 1e-9),
+                                             ("NotPositiveSemidefinite", not psd),
+                                             ("RankExceedsDimension", rank > dim)) if failed]
+    return Certificate(
+        mode="float", sphere_count=m, dim=dim, max_cosine=top, max_cosine_exact=None,
+        psd=psd, rank=rank, unit_norm_max_error=max_err, cosine_spectrum=loop_spectrum(g),
+        contact_degrees=tuple(int(c) for c in contacts.sum(axis=1)),
+        non_antipodal=not np.any(np.abs(off + 1.0) <= 1e-9),
+        verdict="Fail" if reasons else "Pass", fail_reason=reasons[0] if reasons else None)
 
 
 def _rotated(vectors: np.ndarray, seed: int, ambient: int | None = None) -> np.ndarray:
@@ -399,5 +422,130 @@ def test_blockwise_verification_allocates_no_dense_gram():
     finally:
         tracemalloc.stop()
     assert cert.sphere_count == 4000 and cert.rank == 8
+    assert sum(e.multiplicity for e in cert.cosine_spectrum) == 4000 * 3999 // 2
+    assert peak < dense_bytes / 4
+
+
+# --- The streaming rational path against the dense exact Gram ----------------
+
+def _dyadic_unit_rows(rows, half: int) -> list[list[Fraction]]:
+    """Integer rows of norm^2 2 half^2 to exact unit rows: each coordinate pair
+    (a, b) becomes (a - b, a + b) / (2 half), a scaled 45-degree rotation."""
+    return [[F(x, 2 * half) for a, b in zip(row[0::2], row[1::2]) for x in (a - b, a + b)]
+            for row in rows]
+
+
+def _lambda16_rows() -> list[list[int]]:
+    """The 4320 minimal vectors of Barnes-Wall Lambda16, norm^2 8: (+-2)^2 0^14,
+    and (+-1)^8 with an even number of minus signs on each support
+    {x in F_2^4 : a.x + b = 1}, a != 0, of a weight-8 Reed-Muller word."""
+    rows = []
+    for i, j in itertools.combinations(range(16), 2):
+        for si, sj in itertools.product((2, -2), repeat=2):
+            v = [0] * 16
+            v[i], v[j] = si, sj
+            rows.append(v)
+    points = list(itertools.product((0, 1), repeat=4))
+    for a in points[1:]:
+        for b in (0, 1):
+            support = [i for i, x in enumerate(points) if (np.dot(a, x) + b) % 2]
+            for signs in itertools.product((1, -1), repeat=8):
+                if signs.count(-1) % 2 == 0:
+                    v = [0] * 16
+                    for i, sign in zip(support, signs):
+                        v[i] = sign
+                    rows.append(v)
+    return rows
+
+
+def _rotations(count: int) -> list[list[Fraction]]:
+    """(cos kt, sin kt) for k < count, with cos t = 3/5 and sin t = 4/5: the
+    last row has denominator 5^(count - 1)."""
+    rows, (c, s) = [], (F(1), F(0))
+    for _ in range(count):
+        rows.append([c, s])
+        c, s = c * F(3, 5) - s * F(4, 5), c * F(4, 5) + s * F(3, 5)
+    return rows
+
+
+def _rational_cases():
+    block = verify.BLOCK_ROWS
+    rng = np.random.default_rng(21)
+    # The generators' unit roots, back on the integer lattices: norm^2 8 and 2.
+    e8 = np.rint(math.sqrt(8) * generate("E8Roots").vectors).astype(int).tolist()
+    d4 = np.rint(math.sqrt(2) * generate("D4Roots").vectors).astype(int).tolist()
+    l16 = _lambda16_rows()
+
+    def l16_subset(count):
+        return _dyadic_unit_rows([l16[i] for i in np.sort(rng.choice(len(l16), count,
+                                                                      replace=False))], 2)
+
+    return {
+        "e8-shuffled": (_dyadic_unit_rows([e8[i] for i in rng.permutation(240)], 2), 8),
+        "d4": (_dyadic_unit_rows(d4, 1), 4),
+        "lambda16-subset": (l16_subset(300), 16),
+        "cap-violation": ([[F(1), F(0), F(0)], [F(3, 5), F(4, 5), F(0)], [F(0), F(0), F(1)]], 3),
+        "empty": ([], 3),
+        "single": ([[F(3, 5), F(4, 5)]], 2),
+        "antipodal-pair": ([[F(1), F(0)], [F(-1), F(0)]], 2),
+        "block-minus-one": (l16_subset(block - 1), 16),
+        "block": (l16_subset(block), 16),
+        "block-plus-one": (l16_subset(block + 1), 16),
+        "python-ints": (_rotations(15), 2),
+        # Unit rows times 1 + (k mod 4) 10^-7: unit within 1e-6, norms not equal.
+        "unequal-norms": ([[F(10**7 + k % 4, 10**7) * x for x in row]
+                           for k, row in enumerate(_dyadic_unit_rows(d4, 1))], 4),
+    }
+
+
+RATIONAL_CASES = _rational_cases()
+
+
+def _floats(rows, dim: int) -> np.ndarray:
+    return np.array([[float(x) for x in row] for row in rows]).reshape(len(rows), dim)
+
+
+def dense_exact_certificate(rows, dim: int) -> Certificate:
+    """``verify_gram`` of the dense exact Gram that ``exact_cosines`` builds."""
+    norms = np.linalg.norm(_floats(rows, dim), axis=1)
+    max_err = float(np.abs(norms - 1.0).max()) if len(rows) else 0.0
+    scale, numerators = exact_cosines(rows)
+    return verify_gram(GramState.from_exact(dim, numerators, scale), unit_norm_max_error=max_err)
+
+
+@pytest.mark.parametrize("block_rows", [None, 4])
+@pytest.mark.parametrize("name", sorted(RATIONAL_CASES))
+def test_streaming_rational_certificate_equals_dense(name, block_rows, monkeypatch):
+    rows, dim = RATIONAL_CASES[name]
+    expected = certificate_text(dense_exact_certificate(rows, dim))
+    if block_rows is not None:
+        monkeypatch.setattr(verify, "BLOCK_ROWS", block_rows)
+    got = verify_vectors(_floats(rows, dim), dim, mode="rational", exact_rows=rows)
+    assert certificate_text(got) == expected
+
+
+def test_rational_cases_cover_verdicts_and_both_integer_paths():
+    certs = {name: dense_exact_certificate(*case) for name, case in RATIONAL_CASES.items()}
+    assert {c.fail_reason for c in certs.values()} == {None, "CosineCapViolation"}
+    assert not certs["antipodal-pair"].non_antipodal
+    assert certs["lambda16-subset"].rank == 16
+    # Denominators 5^14 put n max|Z|^2 past 2^63: the blocks are Python ints.
+    assert cosine_factors(RATIONAL_CASES["python-ints"][0])[0].dtype == object
+    assert cosine_factors(RATIONAL_CASES["lambda16-subset"][0])[0].dtype == np.int64
+
+
+def test_streaming_rational_verification_allocates_no_dense_gram():
+    rng = np.random.default_rng(12)
+    l16 = _lambda16_rows()
+    rows = _dyadic_unit_rows([l16[i] for i in rng.choice(len(l16), 4000, replace=False)], 2)
+    floats = _floats(rows, 16)
+    dense_bytes = 8 * len(rows) ** 2  # the pointer array alone of an m x m object Gram
+    tracemalloc.start()
+    try:
+        cert = verify_vectors(floats, 16, mode="rational", exact_rows=rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.passed and cert.sphere_count == 4000 and cert.rank == 16
     assert sum(e.multiplicity for e in cert.cosine_spectrum) == 4000 * 3999 // 2
     assert peak < dense_bytes / 4
