@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import RankDeficient
+from .errors import NonUnitVector, RankDeficient
 from .filler import DiscreteSet, SearchTree, backpropagate, fingerprint_state
 from .gram import COSINE_CAP, gram_from_vectors
 
@@ -298,7 +298,10 @@ def simulate_cosine_set(dim: int, seed_config: np.ndarray, budget: int,
     vs0 = np.asarray(seed_config, dtype=float)
     if vs0.ndim != 2 or vs0.shape[1] != dim:
         raise RankDeficient(f"seed centers must be vectors of dimension {dim}")
-    vs0 = vs0 / np.linalg.norm(vs0, axis=1)[:, None]
+    norms = np.linalg.norm(vs0, axis=1)
+    if np.any(norms < 1e-12):
+        raise NonUnitVector("zero vector cannot be normalized")
+    vs0 = vs0 / norms[:, None]
     if vs0.shape[0] < dim - 1:
         vs0 = _grow_seed(vs0, dim)
     tree = SearchTree(exploration=ucb_c)

@@ -31,7 +31,7 @@ from .gram import (
     GramState,
     Tolerances,
 )
-from .rational import common_denominator, integer_dtype, pd_adjugate, scaled_integers
+from .rational import integer_dtype, pd_adjugate, scaled_integers
 
 MAX_ENUMERATION_WIDTH = 4_000_000
 
@@ -255,33 +255,30 @@ def enumerate_small(state: GramState, spec: ActionSpec, *,
     except np.linalg.LinAlgError:
         return []  # numerically rank-deficient: no rank-(m+1) extension exists
     cols, idx, _ = _expand_columns(lower, values, 1.0 - tols.rank, True, max_width)
-    exact = None
-    if state.exact is not None:
-        if not spec.c1.is_rational:
-            raise MixedModeEntries("rational state requires a rational head set")
-        exact = spec.c1.exact
-        keep = _exact_schur_positive(state, exact, idx)
-        cols, idx = cols[keep], idx[keep]
-    return [CandidateColumn(head=cols[row], tail=np.zeros(0),
-                            exact=None if exact is None else tuple(exact[i] for i in idx[row]))
-            for row in range(cols.shape[0])]
+    if state.exact is None:
+        return [CandidateColumn(head=col, tail=np.zeros(0)) for col in cols]
+    if not spec.c1.is_rational:
+        raise MixedModeEntries("rational state requires a rational head set")
+    heads = scaled_integers(spec.c1.exact, state.exact_scale)
+    keep = _exact_schur_positive(state, heads, idx)
+    return [CandidateColumn(head=col, tail=np.zeros(0), exact=tuple(map(heads.__getitem__, row)))
+            for col, row in zip(cols[keep], idx[keep].tolist())]
 
 
-def _exact_schur_positive(state: GramState, c1: Sequence[Fraction],
+def _exact_schur_positive(state: GramState, heads: Sequence[int],
                           idx: np.ndarray) -> np.ndarray:
     """Rows of ``idx`` (columns g over c1) whose Schur gap 1 - g^T G^-1 g is positive.
 
-    At scale D (a common denominator of the rational state G and c1),
-    G^-1 = D adj(D G) / det(D G), so the gap is positive iff
+    ``heads`` are the c1 numerators over the state's denominator D.  With
+    G^-1 = D adj(D G) / det(D G), the gap is positive iff
     (D g)^T adj (D g) < D det.  An exactly singular G has no rank-increasing
     extension.
     """
-    scale = math.lcm(state.exact_scale, common_denominator(c1))
-    factored = pd_adjugate(state.exact * (scale // state.exact_scale))
+    scale = state.exact_scale
+    factored = pd_adjugate(state.exact)
     if factored is None:
         return np.zeros(idx.shape[0], dtype=bool)
     det, adj = factored
-    heads = scaled_integers(c1, scale)
     h = max(map(abs, heads))
     a = max(abs(x) for x in adj.flat)
     m = state.m
@@ -325,13 +322,11 @@ def enumerate_lifted(state: GramState, cache: FactorCache, spec: ActionSpec, *,
     if blame is not None and single_row.size:
         np.add.at(blame, n + single_row, 1)
     heads, idx, tails = heads[keep], idx[keep], snapped[keep]
-    exact_cols = [None] * heads.shape[0]
-    if exact_mode and heads.shape[0]:
-        exact_cols = _confirm_exact_lifted(cache, spec, idx)
-        if exact_cols is None:
-            return []
-    return [CandidateColumn(head=heads[row], tail=tails[row], exact=exact_cols[row])
-            for row in range(heads.shape[0]) if not exact_mode or exact_cols[row] is not None]
+    if not exact_mode:
+        return [CandidateColumn(head=head, tail=tail) for head, tail in zip(heads, tails)]
+    exact_cols = _confirm_exact_lifted(cache, spec, idx) if heads.shape[0] else None
+    return [CandidateColumn(head=heads[row], tail=tails[row], exact=col)
+            for row, col in enumerate(exact_cols or ()) if col is not None]
 
 
 def _tail_filter(tails: np.ndarray, c2: DiscreteSet | CapOnly,
@@ -356,22 +351,20 @@ def _tail_filter(tails: np.ndarray, c2: DiscreteSet | CapOnly,
 
 
 def _confirm_exact_lifted(cache: FactorCache, spec: ActionSpec,
-                          idx: np.ndarray) -> list[tuple[Fraction, ...] | None] | None:
+                          idx: np.ndarray) -> list[tuple[int, ...] | None] | None:
     """Exact unit-norm and tail test of a batch of heads, rows of c1 indices ``idx``.
 
     With H = D c1[idx] and Y = H adj(D B), a head is unit iff
     rowsum(Y * H) == D det, and its tails N = Y (D C)^T are det times its
     true tails over D, so each must lie in det * (D c2).  Returns the exact
-    column (head + tail, built from the c1/c2 Fractions) of each row, None
-    for a rejected row, or None when no row is confirmed.
+    column of each row as numerators over D (H then N / det), None for a
+    rejected row, or None when no row is confirmed.
     """
     if cache.exact_adj is None:
         raise MixedModeEntries("cache has no exact factors")
     scale, det, adj, cross = cache.exact_scale, cache.exact_det, cache.exact_adj, cache.exact_cross
     heads = scaled_integers(spec.c1.exact, scale)
-    ranked = sorted(zip((det * v for v in scaled_integers(spec.c2.exact, scale)),
-                        spec.c2.exact))
-    targets = [t for t, _ in ranked]
+    targets = sorted(det * v for v in scaled_integers(spec.c2.exact, scale))
     h = max(map(abs, heads))
     a = max(abs(x) for x in adj.flat)
     c = max((abs(x) for x in cross.flat), default=0)
@@ -387,14 +380,9 @@ def _confirm_exact_lifted(cache: FactorCache, spec: ActionSpec,
     member = (allowed[pos] == tails).all(axis=1)
     if not member.any():
         return None
-    c1_exact = spec.c1.exact
-    c2_exact = [x for _, x in ranked]
-    out: list[tuple[Fraction, ...] | None] = [None] * idx.shape[0]
-    for row, head_idx, tail_idx in zip(rows[member].tolist(), idx[rows[member]].tolist(),
-                                       pos[member].tolist()):
-        out[row] = tuple(map(c1_exact.__getitem__, head_idx)) + tuple(
-            map(c2_exact.__getitem__, tail_idx))
-    return out
+    columns = np.concatenate([hmat[rows[member]], tails[member] // det], axis=1)
+    found = dict(zip(rows[member].tolist(), map(tuple, columns.tolist())))
+    return [found.get(row) for row in range(idx.shape[0])]
 
 
 def enumerate_membership(state: GramState, anchors: np.ndarray, spec: ActionSpec, *,

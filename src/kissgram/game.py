@@ -110,6 +110,12 @@ class GameConfig:
             raise ConfigError("dim must be at least 1")
         if self.rounds < 1:
             raise ConfigError("rounds must be at least 1")
+        if self.checkpoint_every < 1:
+            raise ConfigError("checkpoint-every must be at least 1")
+        if not self.corrector.temperature > 0.0:
+            raise ConfigError("corrector temperature must be positive")
+        if not 0.0 <= self.corrector.max_delete_fraction < 1.0:
+            raise ConfigError("corrector max-delete-fraction must lie in [0, 1)")
         if self.mode not in ("float", "rational"):
             raise ConfigError(f"unknown mode: {self.mode!r}")
         if self.mode == "rational" and not self.action.is_rational:
@@ -189,12 +195,14 @@ def load_seed(config: GameConfig) -> tuple[GramState, np.ndarray | None]:
 
     rational = config.mode == "rational"
     if config.seed.kind == "scratch":
-        return GramState.single(config.dim, rational=rational), None
+        return _run_scale(GramState.single(config.dim, rational=rational), config.action), None
     if config.seed.kind == "generator":
         built = generate(config.seed.name)
     else:
         built = generate(f"FromVectorFile({config.seed.path})")
     state, anchors = built.gram, built.vectors
+    if state.m == 0:
+        raise InvalidSeed("seed holds no rows")
     if config.seed.rows is not None:
         k = config.seed.rows
         if not 1 <= k <= state.m:
@@ -212,7 +220,18 @@ def load_seed(config: GameConfig) -> tuple[GramState, np.ndarray | None]:
         check_invariants(state, config.tolerances)
     except InvalidState as exc:
         raise InvalidSeed(str(exc)) from exc
-    return state, anchors
+    return _run_scale(state, config.action), anchors
+
+
+def _run_scale(state: GramState, spec: ActionSpec) -> GramState:
+    """A rational seed lifted to D = lcm(its D, the denominators of c1 and c2), which
+    the episode keeps: every cosine it can add is then an integer over D."""
+    if state.exact is None:
+        return state
+    scale = math.lcm(state.exact_scale, *(x.denominator for x in spec.c1.exact + spec.c2.exact))
+    if scale == state.exact_scale:
+        return state
+    return GramState.from_exact(state.dim, state.exact * (scale // state.exact_scale), scale)
 
 
 class _FillOutcome(NamedTuple):
@@ -228,7 +247,6 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
     membership = isinstance(config.action.c_star, MembershipList)
     meta.conflicts = np.zeros(state.m)
     cache: FactorCache | None = None
-    values = config.action.c1.exact + config.action.c2.exact if state.exact is not None else ()
     added = 0
     while config.fill_budget is None or added < config.fill_budget:
         blame = np.zeros(state.m)
@@ -246,7 +264,7 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
         else:
             if cache is None:
                 try:
-                    cache = factorize(state, tols=tols, values=values)
+                    cache = factorize(state, tols=tols)
                 except RankDeficientBasis:
                     try:
                         order = full_rank_prefix(state, tols=tols)
@@ -254,7 +272,7 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
                         break  # rank-deficient at m >= dim: no lifted action exists
                     state = permute_state(state, order)
                     meta.permute(order)
-                    cache = factorize(state, tols=tols, values=values)
+                    cache = factorize(state, tols=tols)
             candidates = enumerate_lifted(state, cache, config.action, tols=tols, blame=blame)
         meta.conflicts = meta.conflicts + blame
         if not candidates:

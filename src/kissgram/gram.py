@@ -8,8 +8,8 @@ values, so states are safely shareable across workers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -22,11 +22,9 @@ from .errors import (
     RankDeficientBasis,
 )
 from .rational import (
-    common_denominator,
     exact_ldlt,
     exact_matvec,  # noqa: F401  (bench/tests trace the reference kernel through this name)
     pd_adjugate,
-    scaled_integers,
 )
 
 COSINE_CAP = 0.5
@@ -163,15 +161,19 @@ class CandidateColumn:
 
     For states with m >= dim the tail is fully determined by the head, so
     storing both is a cache; equality is re-checked under revalidation.
+    ``exact`` holds the whole column as Python-int numerators over the
+    rational state's ``exact_scale``.
     """
 
     head: np.ndarray
     tail: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    exact: tuple[Fraction, ...] | None = None
+    exact: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "head", _frozen(np.atleast_1d(self.head)))
         object.__setattr__(self, "tail", _frozen(np.atleast_1d(self.tail)))
+        if self.exact is not None:  # integers only: no Fraction reaches an exact Gram
+            object.__setattr__(self, "exact", tuple(map(operator.index, self.exact)))
 
     @property
     def full(self) -> np.ndarray:
@@ -182,16 +184,14 @@ def extend(state: GramState, column: CandidateColumn | np.ndarray, *,
            revalidate: bool = False, tols: Tolerances = DEFAULT_TOLS) -> GramState:
     """Border the matrix with ``column`` and a trailing diagonal 1.
 
-    The input state is never mutated.  With ``revalidate`` the extended state
-    is checked against every invariant and InfeasibleColumn is raised on
-    failure (debug mode; the filler pipeline already guarantees feasibility).
+    The input state is never mutated; a rational state keeps its D and
+    appends the column's numerators as they are.  With ``revalidate`` the
+    extended state is checked against every invariant and InfeasibleColumn
+    is raised on failure (debug mode; the filler pipeline already guarantees
+    feasibility).
     """
-    if isinstance(column, CandidateColumn):
-        col = column.full
-        exact_col = column.exact
-    else:
-        col = np.asarray(column, dtype=float)
-        exact_col = None
+    col = column.full if isinstance(column, CandidateColumn) else np.asarray(column, dtype=float)
+    exact_col = column.exact if isinstance(column, CandidateColumn) else None
     m = state.m
     exact = scale = None
     if state.exact is not None:
@@ -199,21 +199,18 @@ def extend(state: GramState, column: CandidateColumn | np.ndarray, *,
             raise MixedModeEntries("rational state extended with a float-only column")
         if len(exact_col) != m:
             raise DimensionMismatch("exact column length disagrees with state")
-        scale = math.lcm(state.exact_scale, common_denominator(exact_col))
-        nums = scaled_integers(exact_col, scale)
+        scale = state.exact_scale
         exact = np.empty((m + 1, m + 1), dtype=object)
-        exact[:m, :m] = state.exact if scale == state.exact_scale else (
-            state.exact * (scale // state.exact_scale))
-        exact[:m, m] = exact[m, :m] = nums
+        exact[:m, :m] = state.exact
+        exact[:m, m] = exact[m, :m] = exact_col
         exact[m, m] = scale
         # Keep the float view the correctly rounded image of the exact entries.
-        col = np.array([x / scale for x in nums])
+        col = np.array([x / scale for x in exact_col])
     if col.shape != (m,):
         raise DimensionMismatch(f"column has length {col.shape[0]}, state has m={m}")
     g = np.empty((m + 1, m + 1))
     g[:m, :m] = state.entries
-    g[:m, m] = col
-    g[m, :m] = col
+    g[:m, m] = g[m, :m] = col
     g[m, m] = 1.0
     out = GramState(dim=state.dim, entries=g, exact=exact, exact_scale=scale)
     if revalidate:
@@ -266,7 +263,7 @@ class FactorCache:
 
     ``lift_matrix`` is the precomputed product cross_block @ pseudo_inv so a
     tail costs one matrix-vector product.  The exact fields are populated in
-    rational mode only, as integers over one common denominator D: with B
+    rational mode only, as integers over the state's denominator D: with B
     the basis block and C the cross block, ``exact_det`` = det(D B) > 0,
     ``exact_adj`` = adj(D B) and ``exact_cross`` = D C (object arrays of
     Python ints).  Then B^-1 = D adj(D B) / det(D B), so a head h has
@@ -293,15 +290,13 @@ class FactorCache:
         return self.n + self.cross_block.shape[0]
 
 
-def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS,
-              values: Sequence[Fraction] = ()) -> FactorCache:
+def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCache:
     """Factor the leading dim x dim block of a state with m >= dim.
 
     Raises RankDeficientBasis when the leading block is singular, which
     signals the caller to reorder rows (see full_rank_prefix) before retrying.
-    In rational mode the common denominator D also covers ``values``, the
-    exact cosines later columns may hold, so that every head appended by
-    extend_cache and every candidate entry is an integer at scale D.
+    The exact factors are taken at the state's D, which a rational run fixes
+    when its seed loads.
     """
     n = state.dim
     if state.m < n:
@@ -313,22 +308,20 @@ def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS,
     chol = np.linalg.cholesky(basis)
     pinv = np.linalg.inv(basis)
     cross = state.entries[n:, :n]
-    scale = det = adj = exact_cross = None
+    det = adj = exact_cross = None
     if state.exact is not None:
-        scale = math.lcm(state.exact_scale, common_denominator(values))
-        ints = state.exact[:, :n] * (scale // state.exact_scale)
-        factored = pd_adjugate(ints[:n])
+        factored = pd_adjugate(state.exact[:n, :n])
         if factored is None:
             raise RankDeficientBasis(f"leading {n}x{n} block is not positive definite (exact)")
         det, adj = factored
-        exact_cross = ints[n:]
+        exact_cross = state.exact[n:, :n].copy()  # a view would pin the whole m x m Gram
     return FactorCache(
         basis_block=_frozen(basis),
         chol_factor=_frozen(chol),
         pseudo_inv=_frozen(pinv),
         cross_block=_frozen(cross),
         lift_matrix=_frozen(cross @ pinv),
-        exact_scale=scale,
+        exact_scale=state.exact_scale,
         exact_det=det,
         exact_adj=adj,
         exact_cross=exact_cross,
@@ -336,15 +329,14 @@ def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS,
 
 
 def extend_cache(cache: FactorCache, head: np.ndarray,
-                 exact_head: tuple[Fraction, ...] | None = None) -> FactorCache:
+                 exact_head: Sequence[int] | None = None) -> FactorCache:
     """Append one configuration row to the cross block without refactorizing."""
     head = np.asarray(head, dtype=float)
     exact_cross = cache.exact_cross
     if exact_cross is not None:
         if exact_head is None:
             raise MixedModeEntries("exact cache extended with a float-only head")
-        row = np.array(scaled_integers(exact_head, cache.exact_scale), dtype=object)
-        exact_cross = np.vstack([exact_cross, row[None, :]])
+        exact_cross = np.vstack([exact_cross, np.array(exact_head, dtype=object)[None, :]])
     return FactorCache(
         basis_block=cache.basis_block,
         chol_factor=cache.chol_factor,

@@ -2,10 +2,10 @@
 
 An exact matrix has one form: an object array of Python-int numerators N
 over one positive common denominator D, so entry (i, j) is N[i, j] / D.  D
-need not be the least denominator.  ``fractions.Fraction`` appears only where
-a single scalar or a short column is parsed or printed (``parse_rational``,
-``format_rational``, the cosine lists of an action set), and in the
-Fraction reference kernels the tests compare against.
+need not be the least denominator; a search fixes D when its seed loads, and
+its columns are integer numerators over D.  ``fractions.Fraction`` remains
+only to parse and print scalars (``parse_rational``, ``format_rational``), in
+the cosine lists of an action set, and in the tests' reference kernels.
 
 The exact kernels compute on the numerators with fraction-free (Bareiss)
 elimination, so every intermediate value is an integer minor and every
@@ -42,11 +42,6 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def common_denominator(values: Iterable) -> int:
-    """Least common multiple of the denominators of exact values (1 when empty)."""
-    return math.lcm(*(x.denominator for x in values))
 
 
 def scaled_integers(values: Iterable, scale: int) -> list[int]:
@@ -151,7 +146,7 @@ def cosine_factors(rows: Sequence[Sequence[Fraction]]
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    scale = common_denominator(x for row in rows for x in row)
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
     z = np.array([scaled_integers(row, scale) for row in rows], dtype=object).reshape(m, n)
     norms = (z * z).sum(axis=1).tolist()
     first = norms[0] if m else 1

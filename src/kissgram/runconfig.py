@@ -165,7 +165,10 @@ def _build(sections, base_dir: Path) -> RunConfig:
         doc = read_vector_file(cstar_path)
         norms = doc.vectors / (doc.vectors ** 2).sum(axis=1, keepdims=True) ** 0.5
         cstar = MembershipList(vectors=norms, label=cstar_path)
-    action = ActionSpec(c1=c1, c2=c2, c_star=cstar)
+    try:
+        action = ActionSpec(c1=c1, c2=c2, c_star=cstar)
+    except ValueError as exc:
+        raise ConfigError(f"action: {exc}") from exc
 
     fill_text = _get(sections, "run", "fill-budget")
     fill_budget = None if fill_text == "unbounded" else _as_int(fill_text, "fill-budget")

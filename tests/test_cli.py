@@ -413,3 +413,38 @@ def test_search_resume_with_wrong_policy_shape_exits_4(tmp_path, capsys, weights
     assert run_cli("search", "--config", str(cfg), "--resume", str(ckpt)) == 4
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error:") and "corrector weights" in err
+
+
+@pytest.mark.parametrize("text", [
+    "[run]\ndim = 2\n[action]\nc1 = -1, 0.7\n",
+    "[run]\ndim = 2\n[action]\nc2 = cap:0.9\n",
+    "[run]\ndim = 2\n[corrector]\ntemperature = 0\n",
+    "[run]\ndim = 2\n[corrector]\nmax-delete-fraction = 1.5\n",
+    "[run]\ndim = 2\ncheckpoint-every = 0\n",
+])
+def test_search_rejects_out_of_range_config_values(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert run_cli("search", "--config", str(cfg)) == 3
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "runs").exists()  # rejected before any episode runs
+
+
+def test_search_empty_seed_file_exits_3(tmp_path, capsys):
+    (tmp_path / "x.vec").write_text("kiss-vectors v1 dim=2 count=0\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ndim = 2\nepisodes = 1\nrounds = 1\n[seed]\nsource = file:x.vec\n")
+    assert run_cli("search", "--config", str(cfg)) == 3
+    assert "seed holds no rows" in capsys.readouterr().err
+
+
+def test_simulate_cosines_zero_seed_row_exits_1(tmp_path, capsys):
+    # The same outcome as search from that seed file.
+    (tmp_path / "z.vec").write_text("kiss-vectors v1 dim=2 count=2\n1 0\n0 0\n")
+    assert run_cli("simulate-cosines", "--dim", "2", "--budget", "5",
+                   "--seed-file", str(tmp_path / "z.vec"), "--out", str(tmp_path / "r")) == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ndim = 2\nepisodes = 1\nrounds = 1\n[seed]\nsource = file:z.vec\n")
+    assert run_cli("search", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["verification failure: zero vector cannot be normalized"] * 2

@@ -38,7 +38,8 @@ from kissgram.gram import (
     gram_from_vectors,
     permute_state,
 )
-from kissgram.rational import exact_inverse, exact_matvec
+from kissgram.game import GameConfig, SeedSpec, load_seed
+from kissgram.rational import exact_inverse, exact_matvec, scaled_integers
 from kissgram.refconfigs import generate
 
 TOLS = Tolerances()
@@ -328,9 +329,17 @@ def _rational_spec(exact=RATIONAL_C1) -> ActionSpec:
     return ActionSpec(c1=DiscreteSet(tuple(float(x) for x in exact), exact))
 
 
-def _truncated(name: str, rows: int) -> GramState:
+def _truncated(name: str, rows: int, spec: ActionSpec) -> GramState:
+    """The first rows of a generator, lifted to the spec's denominator by load_seed."""
     # The first dim rows of both generators are independent.
-    return generate(name).gram.principal(range(rows))
+    config = GameConfig(dim=generate(name).gram.dim, action=spec, mode="rational",
+                        seed=SeedSpec(kind="generator", name=name, rows=rows))
+    return load_seed(config)[0]
+
+
+def as_fractions(column, state: GramState) -> tuple[Fraction, ...] | None:
+    """An exact column of integer numerators as Fractions over the state's D."""
+    return None if column is None else tuple(Fraction(x, state.exact_scale) for x in column)
 
 
 def fractions(state: GramState) -> list[list[Fraction]]:
@@ -385,31 +394,30 @@ def _dtype_recorder(monkeypatch) -> list:
 def test_batched_confirmation_matches_fraction_path(monkeypatch, name, rows, exact):
     chosen = _dtype_recorder(monkeypatch)
     spec = _rational_spec(exact)
-    state = _truncated(name, rows)
-    values = spec.c1.exact + spec.c2.exact
-    cache = factorize(state, values=values)
+    state = _truncated(name, rows, spec)
+    cache = factorize(state)
     idx = _prescreened_and_random(state, spec, cache, np.random.default_rng(rows))
     expected = fraction_confirm(state, spec, idx)
     assert any(c is not None for c in expected) and any(c is None for c in expected)
-    assert _confirm_exact_lifted(cache, spec, idx) == expected
+    got = _confirm_exact_lifted(cache, spec, idx)
+    assert [as_fractions(c, state) for c in got] == expected
     assert chosen == [object if len(exact) > 4 else np.int64]
     # The same batch on Python ints gives the same answer.
     monkeypatch.setattr(filler, "integer_dtype", lambda bound: object)
-    assert _confirm_exact_lifted(cache, spec, idx) == expected
+    assert _confirm_exact_lifted(cache, spec, idx) == got
     # Appending a confirmed row to the cache keeps its integer rows in step.
-    row = next(c for c in expected if c is not None)
-    grown = extend(state, CandidateColumn(head=np.array([float(x) for x in row[:state.dim]]),
-                                          tail=np.array([float(x) for x in row[state.dim:]]),
+    row = next(c for c in got if c is not None)
+    floats = np.array([x / state.exact_scale for x in row])
+    grown = extend(state, CandidateColumn(head=floats[:state.dim], tail=floats[state.dim:],
                                           exact=row))
-    extended = extend_cache(cache, np.array([float(x) for x in row[:state.dim]]),
-                            exact_head=row[:state.dim])
-    assert np.array_equal(extended.exact_cross, factorize(grown, values=values).exact_cross)
+    extended = extend_cache(cache, floats[:state.dim], exact_head=row[:state.dim])
+    assert np.array_equal(extended.exact_cross, factorize(grown).exact_cross)
 
 
 def test_batched_confirmation_rejects_everything_as_none():
     spec = _rational_spec()
-    state = _truncated("D4Roots", 24)  # K(4) = 24: nothing can be added
-    cache = factorize(state, values=spec.c1.exact)
+    state = _truncated("D4Roots", 24, spec)  # K(4) = 24: nothing can be added
+    cache = factorize(state)
     idx = _prescreened_and_random(state, spec, cache, np.random.default_rng(0))
     assert fraction_confirm(state, spec, idx) == [None] * len(idx)
     assert _confirm_exact_lifted(cache, spec, idx) is None
@@ -436,14 +444,14 @@ def fraction_small(state: GramState, spec: ActionSpec) -> list:
 def test_enumerate_small_exact_gap_matches_fraction_path(monkeypatch, name, rows, exact):
     chosen = _dtype_recorder(monkeypatch)
     spec = _rational_spec(exact)
-    state = _truncated(name, rows)
+    state = _truncated(name, rows, spec)
     expected = fraction_small(state, spec)
     # Every column over c1, zero gaps (a repeated row) included.
     idx = np.array(list(itertools.product(range(len(exact)), repeat=rows)))
-    keep = _exact_schur_positive(state, spec.c1.exact, idx)
+    keep = _exact_schur_positive(state, scaled_integers(spec.c1.exact, state.exact_scale), idx)
     assert [tuple(spec.c1.exact[i] for i in row) for row in idx[keep]] == expected
     # The float walk prunes, the exact gap confirms.
-    got = [c.exact for c in enumerate_small(state, spec)]
+    got = [as_fractions(c.exact, state) for c in enumerate_small(state, spec)]
     float_only = as_set(enumerate_small(state.as_float(), spec))
     assert got == [e for e in expected if tuple(float(x) for x in e) in float_only]
     assert set(chosen) == {object if len(exact) > 4 else np.int64}

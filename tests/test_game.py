@@ -1,11 +1,15 @@
 """Game orchestration: rewards, episodes, training, round boundaries."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+import kissgram.game as game
 from kissgram.errors import ConfigError, InvalidSeed, SoundnessError
 from kissgram.filler import ActionSpec, DiscreteSet
 from kissgram.game import (
+    CorrectorConfig,
     GameConfig,
     KNOWN_OPTIMAL,
     SeedSpec,
@@ -125,6 +129,65 @@ def test_load_seed_truncation():
     assert anchors.shape == (120, 8)
 
 
+def _rational_spec(*exact: Fraction) -> ActionSpec:
+    return ActionSpec(c1=DiscreteSet(tuple(map(float, exact)), exact))
+
+
+def test_load_seed_lifts_a_rational_seed_to_the_action_denominator():
+    seed = generate("E8Roots").gram  # D = 8
+    spec = _rational_spec(Fraction(-1), Fraction(-1, 2), Fraction(-1, 3), Fraction(0),
+                          Fraction(1, 2))
+    cfg = GameConfig(dim=8, action=spec, mode="rational",
+                     seed=SeedSpec(kind="generator", name="E8Roots"))
+    state, _ = load_seed(cfg)
+    assert seed.exact_scale == 8 and state.exact_scale == 24
+    assert ([[Fraction(x, 24) for x in row] for row in state.exact.tolist()]
+            == [[Fraction(x, 8) for x in row] for row in seed.exact.tolist()])
+    assert state.entries.tobytes() == seed.entries.tobytes()
+    # A denominator that already covers the cosine set is kept.
+    cfg = GameConfig(dim=8, action=_rational_spec(Fraction(-1), Fraction(1, 2)),
+                     mode="rational", seed=SeedSpec(kind="generator", name="E8Roots"))
+    assert load_seed(cfg)[0].exact_scale == 8
+    # From scratch, [[1]] over D = 1 becomes [[6]] over D = 6.
+    cfg = GameConfig(dim=3, action=spec, mode="rational")
+    state, _ = load_seed(cfg)
+    assert state.exact_scale == 6 and state.exact.tolist() == [[6]]
+
+
+def test_rational_fill_phase_builds_no_fractions(monkeypatch):
+    # The run's D is fixed when the seed loads: the fill phase constructs no
+    # Fraction, and every exact entry it appends is a Python int.
+    real_new, real_fill, real_extend = Fraction.__new__, game._fill_phase, game.extend
+    built, entry_types, filling = [], set(), []
+
+    def counting_new(cls, *args, **kwargs):
+        if filling:
+            built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    def watched_fill(*args, **kwargs):
+        filling.append(True)
+        try:
+            return real_fill(*args, **kwargs)
+        finally:
+            filling.pop()
+
+    def watched_extend(state, column, **kwargs):
+        out = real_extend(state, column, **kwargs)
+        entry_types.update(map(type, column.exact))
+        entry_types.update(map(type, out.exact.flat))
+        return out
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(game, "_fill_phase", watched_fill)
+    monkeypatch.setattr(game, "extend", watched_extend)
+    spec = _rational_spec(Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2))
+    result = train_loop(GameConfig(dim=3, action=spec, mode="rational", rounds=2), 2)
+    assert result.best.team_reward == 12  # both enumeration regimes ran
+    assert built == []
+    assert entry_types == {int}
+
+
 def test_game_config_validation():
     with pytest.raises(ConfigError):
         GameConfig(dim=0, action=SPEC)
@@ -132,6 +195,12 @@ def test_game_config_validation():
         GameConfig(dim=2, action=SPEC, rounds=0)
     with pytest.raises(ConfigError):
         GameConfig(dim=2, action=SPEC, mode="rational")  # float-only value set
+    with pytest.raises(ConfigError):
+        GameConfig(dim=2, action=SPEC, checkpoint_every=0)
+    with pytest.raises(ConfigError):
+        GameConfig(dim=2, action=SPEC, corrector=CorrectorConfig(temperature=0.0))
+    with pytest.raises(ConfigError):
+        GameConfig(dim=2, action=SPEC, corrector=CorrectorConfig(max_delete_fraction=1.0))
 
 
 def test_decompose_reassemble_detects_planted_cross_polytope():

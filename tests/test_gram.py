@@ -295,14 +295,23 @@ def test_exact_float_view_is_correctly_rounded():
                for i in range(4) for j in range(4))
 
 
-def test_extend_rescales_to_a_common_denominator():
-    state = GramState.from_exact(3, [[2, -1], [-1, 2]], 2)  # cosine -1/2 over D = 2
-    third = Fraction(1, 3)
-    grown = extend(state, CandidateColumn(head=np.array([1 / 3, 0.0]),
-                                          exact=(third, Fraction(0))))
+def test_candidate_column_rejects_non_integer_exact_entries():
+    # Exact columns are integer numerators over the state's D; a Fraction
+    # must not reach an exact Gram through one.
+    with pytest.raises(TypeError):
+        CandidateColumn(head=np.array([1 / 3]), exact=(Fraction(1, 3),))
+    with pytest.raises(TypeError):
+        CandidateColumn(head=np.array([0.5]), exact=(0.5,))
+    col = CandidateColumn(head=np.array([0.5, 0.0]), exact=(np.int64(3), 0))
+    assert col.exact == (3, 0) and all(type(x) is int for x in col.exact)
+
+
+def test_extend_keeps_the_state_denominator():
+    state = GramState.from_exact(3, [[6, -3], [-3, 6]], 6)  # cosine -1/2 over D = 6
+    grown = extend(state, CandidateColumn(head=np.array([1 / 3, 0.0]), exact=(2, 0)))
     assert grown.exact_scale == 6
     assert grown.exact.tolist() == [[6, -3, 2], [-3, 6, 0], [2, 0, 6]]
-    assert grown.entries[0, 2] == float(third) and grown.entries[2, 2] == 1.0
+    assert grown.entries[0, 2] == float(Fraction(1, 3)) and grown.entries[2, 2] == 1.0
     check_invariants(grown)
 
 
