@@ -77,7 +77,6 @@ def save_checkpoint(path, *, config_echo: str, rng: np.random.Generator,
             "weights": [float(w) for w in policy.weights],
             "temperature": policy.temperature,
             "max_delete_fraction": policy.max_delete_fraction,
-            "protected_prefix": policy.protected_prefix,
             "baseline": baseline,
         }, sort_keys=True).encode("utf-8"),
         "PROG": json.dumps({"rewards": rewards}, sort_keys=True).encode("utf-8"),
@@ -139,7 +138,6 @@ def load_checkpoint(path) -> Checkpoint:
             weights=np.array(poli["weights"], dtype=float),
             temperature=float(poli["temperature"]),
             max_delete_fraction=float(poli["max_delete_fraction"]),
-            protected_prefix=int(poli["protected_prefix"]),
         )
         rng_state = json.loads(payloads["RNGS"].decode("utf-8"))
         np.random.PCG64().state = rng_state  # rejects a state a resume could not restore

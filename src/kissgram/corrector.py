@@ -19,62 +19,32 @@ from .gram import GramState
 FEATURE_BASE = 4  # max-cosine degree, mean cosine, age, conflict score
 
 
-@dataclass(frozen=True)
-class RowFeatures:
-    """Raw per-row observations; the value histogram sums to m - 1."""
-
-    max_degree: int
-    mean_cosine: float
-    value_counts: tuple[int, ...]
-    age: int
-    conflict_score: int
-
-
 def row_features(state: GramState, c1_values: Sequence[float], ages: Sequence[int],
-                 conflicts: Sequence[int]) -> list[RowFeatures]:
-    """Observe every row of the state against the search's cosine set.
+                 conflicts: Sequence[int], rounds: int) -> np.ndarray:
+    """Normalized m x (FEATURE_BASE + len(c1_values)) feature matrix for policy scoring.
 
-    Off-diagonal entries are binned to the nearest set value so every row's
-    histogram accounts for all m - 1 partners.
+    Per row: the share of its m - 1 partners at the state's largest
+    off-diagonal cosine, its mean cosine, its age over ``rounds``, its share
+    of the total conflict score, and the share of partners whose cosine lies
+    nearest each c1 value (so the value shares account for all m - 1).
     """
-    g = state.entries
     m = state.m
     vals = np.asarray(c1_values, dtype=float)
-    off_mask = ~np.eye(m, dtype=bool)
-    gmax = g[off_mask].max() if m > 1 else -1.0
-    out = []
-    for i in range(m):
-        row = g[i][np.arange(m) != i]
-        counts = np.zeros(len(vals), dtype=int)
-        if row.size and len(vals):
-            nearest = np.argmin(np.abs(row[:, None] - vals[None, :]), axis=1)
-            for k in nearest:
-                counts[k] += 1
-        out.append(RowFeatures(
-            max_degree=int(np.count_nonzero(np.abs(row - gmax) <= 1e-9)) if row.size else 0,
-            mean_cosine=float(row.mean()) if row.size else 0.0,
-            value_counts=tuple(int(c) for c in counts),
-            age=int(ages[i]),
-            conflict_score=int(conflicts[i]),
-        ))
-    return out
-
-
-def feature_matrix(features: Sequence[RowFeatures], rounds: int = 1) -> np.ndarray:
-    """Normalized feature rows used for policy scoring."""
-    m = len(features)
-    if m == 0:
-        return np.zeros((0, FEATURE_BASE))
-    k = len(features[0].value_counts)
-    out = np.zeros((m, FEATURE_BASE + k))
+    k = vals.size
+    conflicts = np.asarray(conflicts, dtype=np.int64)
     denom = max(m - 1, 1)
-    conflict_total = max(sum(f.conflict_score for f in features), 1)
-    for i, f in enumerate(features):
-        out[i, 0] = f.max_degree / denom
-        out[i, 1] = f.mean_cosine
-        out[i, 2] = f.age / max(rounds, 1)
-        out[i, 3] = f.conflict_score / conflict_total
-        out[i, 4:] = np.asarray(f.value_counts, dtype=float) / denom
+    out = np.zeros((m, FEATURE_BASE + k))
+    out[:, 2] = np.asarray(ages, dtype=np.int64) / max(rounds, 1)
+    out[:, 3] = conflicts / max(int(conflicts.sum()), 1)
+    if m > 1:
+        off = state.entries[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+        out[:, 0] = np.count_nonzero(np.abs(off - off.max()) <= 1e-9, axis=1) / denom
+        out[:, 1] = off.mean(axis=1)
+        if k:
+            # Bin (row, nearest value) pairs as row * k + value: one count per cell.
+            cell = np.abs(off[:, :, None] - vals).argmin(axis=2) + k * np.arange(m)[:, None]
+            counts = np.bincount(cell.ravel(), minlength=m * k).reshape(m, k)
+            out[:, FEATURE_BASE:] = counts / denom
     return out
 
 
@@ -85,7 +55,6 @@ class CorrectorPolicy:
     weights: np.ndarray
     temperature: float = 1.0
     max_delete_fraction: float = 0.2
-    protected_prefix: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.max_delete_fraction < 1.0:
@@ -129,8 +98,7 @@ def _softmax_steps(scores: np.ndarray, eligible: Sequence[int], temperature: flo
 
 
 def sample_index_set(policy: CorrectorPolicy, state: GramState, features: np.ndarray,
-                     rng: np.random.Generator,
-                     protected: Sequence[int] | int | None = None) -> CorrectionDraw:
+                     rng: np.random.Generator, protected: Sequence[int] = ()) -> CorrectionDraw:
     """Sample rows for deletion (softmax without replacement, capped size).
 
     The set size is a Binomial(len(eligible), max_delete_fraction) draw
@@ -138,13 +106,8 @@ def sample_index_set(policy: CorrectorPolicy, state: GramState, features: np.nda
     pass.  Protected rows are never eligible.
     """
     m = state.m
-    if protected is None:
-        protected = policy.protected_prefix
-    if isinstance(protected, int):
-        eligible = list(range(protected, m))
-    else:
-        blocked = set(int(i) for i in protected)
-        eligible = [i for i in range(m) if i not in blocked]
+    blocked = set(int(i) for i in protected)
+    eligible = [i for i in range(m) if i not in blocked]
     cap = int(policy.max_delete_fraction * m)
     k = 0
     if eligible and cap > 0:
@@ -162,17 +125,14 @@ def sample_index_set(policy: CorrectorPolicy, state: GramState, features: np.nda
 
 
 def apply_correction(state: GramState, delete_set: Sequence[int],
-                     protected: Sequence[int] | int = 0) -> GramState:
+                     protected: Sequence[int] = ()) -> GramState:
     """Principal submatrix on the kept rows; invariants survive deletion."""
     m = state.m
     dels = sorted(set(int(i) for i in delete_set))
     if any(i < 0 or i >= m for i in dels):
         raise IndexError(f"deletion index out of range for m={m}")
-    if isinstance(protected, int):
-        bad = [i for i in dels if i < protected]
-    else:
-        shielded = set(int(i) for i in protected)
-        bad = [i for i in dels if i in shielded]
+    shielded = set(int(i) for i in protected)
+    bad = [i for i in dels if i in shielded]
     if bad:
         raise ProtectedRow(f"rows {bad} are protected")
     keep = [i for i in range(m) if i not in set(dels)]

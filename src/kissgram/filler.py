@@ -34,6 +34,7 @@ from .gram import (
 from .rational import integer_dtype, pd_adjugate, scaled_integers
 
 MAX_ENUMERATION_WIDTH = 4_000_000
+FINGERPRINT_QUANTUM = 1e-9  # entries closer than this share a fingerprint
 
 
 @dataclass(frozen=True)
@@ -106,13 +107,13 @@ class ActionSpec:
         return False  # a continuous cap cannot be confirmed exactly
 
 
-def fingerprint_state(state: GramState, quantum: float = 1e-9) -> bytes:
+def fingerprint_state(state: GramState) -> bytes:
     """Order-independent digest of the multiset of Gram rows.
 
     Rows are quantized, each row's entries sorted, and the rows themselves
     sorted, so permuted discoveries of the same sphere set share statistics.
     """
-    q = np.rint(state.entries / quantum).astype(np.int64)
+    q = np.rint(state.entries / FINGERPRINT_QUANTUM).astype(np.int64)
     q = np.sort(q, axis=1)
     order = np.lexsort(q.T[::-1])
     canon = np.ascontiguousarray(q[order])
@@ -123,8 +124,8 @@ def fingerprint_state(state: GramState, quantum: float = 1e-9) -> bytes:
     return h.digest()
 
 
-def fingerprint_column(column: CandidateColumn, quantum: float = 1e-9) -> bytes:
-    q = np.rint(column.full / quantum).astype(np.int64)
+def fingerprint_column(column: CandidateColumn) -> bytes:
+    q = np.rint(column.full / FINGERPRINT_QUANTUM).astype(np.int64)
     return hashlib.blake2b(q.tobytes(), digest_size=16).digest()
 
 
@@ -203,7 +204,7 @@ def backpropagate(tree: SearchTree, trajectory: Sequence[tuple[bytes, bytes]],
 
 
 def _expand_columns(lower: np.ndarray, values: np.ndarray, s_limit: float,
-                    strict: bool, max_width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    strict: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All columns g over ``values`` whose running ||L^-1 g||^2 stays in bound.
 
     Returns (columns, value indices, squared norms), in lexicographic order
@@ -226,7 +227,7 @@ def _expand_columns(lower: np.ndarray, values: np.ndarray, s_limit: float,
         ki, vi = np.nonzero(keep)
         if ki.size == 0:
             return (np.zeros((0, k)), np.zeros((0, k), dtype=np.int64), np.zeros(0))
-        if ki.size > max_width:
+        if ki.size > MAX_ENUMERATION_WIDTH:
             raise EnumerationOverflow(
                 f"{ki.size} partial columns at level {level}; shrink the value set "
                 f"or add a structural constraint")
@@ -238,8 +239,7 @@ def _expand_columns(lower: np.ndarray, values: np.ndarray, s_limit: float,
 
 
 def enumerate_small(state: GramState, spec: ActionSpec, *,
-                    tols: Tolerances = DEFAULT_TOLS,
-                    max_width: int = MAX_ENUMERATION_WIDTH) -> list[CandidateColumn]:
+                    tols: Tolerances = DEFAULT_TOLS) -> list[CandidateColumn]:
     """Rank-increasing action set for m < dim.
 
     Every column over the head set whose bordered matrix is PSD with rank
@@ -254,7 +254,7 @@ def enumerate_small(state: GramState, spec: ActionSpec, *,
         lower = np.linalg.cholesky(state.entries)
     except np.linalg.LinAlgError:
         return []  # numerically rank-deficient: no rank-(m+1) extension exists
-    cols, idx, _ = _expand_columns(lower, values, 1.0 - tols.rank, True, max_width)
+    cols, idx, _ = _expand_columns(lower, values, 1.0 - tols.rank, True)
     if state.exact is None:
         return [CandidateColumn(head=col, tail=np.zeros(0)) for col in cols]
     if not spec.c1.is_rational:
@@ -291,7 +291,6 @@ def _exact_schur_positive(state: GramState, heads: Sequence[int],
 
 def enumerate_lifted(state: GramState, cache: FactorCache, spec: ActionSpec, *,
                      tols: Tolerances = DEFAULT_TOLS,
-                     max_width: int = MAX_ENUMERATION_WIDTH,
                      blame: np.ndarray | None = None) -> list[CandidateColumn]:
     """Lifted action set for m >= dim: unit-norm heads with conforming tails.
 
@@ -312,7 +311,7 @@ def enumerate_lifted(state: GramState, cache: FactorCache, spec: ActionSpec, *,
             raise MixedModeEntries("rational state requires rational cosine sets")
         unit_tol = 1e-6  # float prescreen; survivors are confirmed exactly below
     limit = (1.0 + unit_tol) ** 2
-    heads, idx, s = _expand_columns(cache.chol_factor, values, limit, False, max_width)
+    heads, idx, s = _expand_columns(cache.chol_factor, values, limit, False)
     keep = np.abs(np.sqrt(s) - 1.0) <= unit_tol
     heads, idx = heads[keep], idx[keep]
     if heads.shape[0] == 0:

@@ -20,7 +20,6 @@ from .corrector import (
     CorrectorPolicy,
     EpisodeSample,
     apply_correction,
-    feature_matrix,
     policy_gradient_update,
     row_features,
     sample_index_set,
@@ -76,6 +75,9 @@ class SeedSpec:
             raise ConfigError("generator seed needs a name")
         if self.kind == "file" and not self.path:
             raise ConfigError("file seed needs a path")
+        if self.kind == "scratch" and self.rows is not None:
+            raise ConfigError("seed rows apply to generator and file seeds; "
+                              "the scratch seed is a single row")
 
 
 @dataclass(frozen=True)
@@ -153,40 +155,35 @@ def _check_bound(state: GramState):
 
 
 class _RowMeta:
-    """Per-row bookkeeping that must follow every permutation and deletion."""
+    """Per-row arrays that must follow every permutation and deletion.
+
+    ``member`` is each row's index in the membership list (-1 for none) and
+    ``anchors`` its coordinates; both matter in member-list runs only.
+    """
 
     def __init__(self, m: int, protected: bool, anchors: np.ndarray | None,
-                 member_idx: list[int | None] | None):
-        self.ages = [0] * m
-        self.conflicts = np.zeros(m)
-        self.protected = [protected] * m
+                 member: np.ndarray):
+        self.ages = np.zeros(m, dtype=np.int64)
+        self.conflicts = np.zeros(m, dtype=np.int64)
+        self.protected = np.full(m, protected)
+        self.member = member
         self.anchors = anchors
-        self.member_idx = member_idx if member_idx is not None else [None] * m
 
-    def append(self, age: int, anchor: np.ndarray | None = None,
-               member: int | None = None):
-        self.ages.append(age)
-        self.conflicts = np.append(self.conflicts, 0.0)
-        self.protected.append(False)
-        self.member_idx.append(member)
+    def append(self, age: int, member: int, anchor: np.ndarray | None):
+        self.ages = np.append(self.ages, age)
+        self.conflicts = np.append(self.conflicts, 0)
+        self.protected = np.append(self.protected, False)
+        self.member = np.append(self.member, member)
         if self.anchors is not None:
-            if anchor is None:
-                raise InvalidState("anchored run extended without coordinates")
             self.anchors = np.vstack([self.anchors, anchor[None, :]])
 
-    def keep(self, kept: Sequence[int]):
-        self.ages = [self.ages[i] for i in kept]
-        self.conflicts = self.conflicts[list(kept)]
-        self.protected = [self.protected[i] for i in kept]
-        self.member_idx = [self.member_idx[i] for i in kept]
+    def take(self, rows: Sequence[int]):
+        """Keep ``rows``, in that order: a deletion or a permutation."""
+        rows = np.asarray(rows, dtype=np.intp)
+        self.ages, self.conflicts = self.ages[rows], self.conflicts[rows]
+        self.protected, self.member = self.protected[rows], self.member[rows]
         if self.anchors is not None:
-            self.anchors = self.anchors[list(kept)]
-
-    def permute(self, order: Sequence[int]):
-        self.keep(order)
-
-    def protected_rows(self) -> list[int]:
-        return [i for i, p in enumerate(self.protected) if p]
+            self.anchors = self.anchors[rows]
 
 
 def load_seed(config: GameConfig) -> tuple[GramState, np.ndarray | None]:
@@ -240,25 +237,22 @@ class _FillOutcome(NamedTuple):
 
 
 def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: SearchTree,
-                rng: np.random.Generator, trajectory: list, round_no: int,
-                used_members: np.ndarray | None) -> _FillOutcome:
+                rng: np.random.Generator, trajectory: list, round_no: int) -> _FillOutcome:
     """Extend until the budget is spent or no feasible column remains."""
     tols = config.tolerances
-    membership = isinstance(config.action.c_star, MembershipList)
-    meta.conflicts = np.zeros(state.m)
+    member_list = config.action.c_star
+    meta.conflicts = np.zeros(state.m, dtype=np.int64)
     cache: FactorCache | None = None
     added = 0
     while config.fill_budget is None or added < config.fill_budget:
-        blame = np.zeros(state.m)
-        member_of: dict[bytes, int] = {}
-        if membership:
-            if meta.anchors is None:
-                raise InvalidState("membership constraint needs a coordinate-anchored seed")
+        blame = np.zeros(state.m, dtype=np.int64)
+        members: list[int] | None = None
+        if isinstance(member_list, MembershipList):
+            used = np.isin(np.arange(member_list.vectors.shape[0]), meta.member)
             pairs = enumerate_membership(state, meta.anchors, config.action,
-                                         used=used_members, tols=tols, blame=blame)
+                                         used=used, tols=tols, blame=blame)
+            members = [midx for midx, _ in pairs]
             candidates = [col for _, col in pairs]
-            for midx, col in pairs:
-                member_of[fingerprint_column(col)] = midx
         elif state.m < state.dim:
             candidates = enumerate_small(state, config.action, tols=tols)
         else:
@@ -271,27 +265,26 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
                     except RankDeficientBasis:
                         break  # rank-deficient at m >= dim: no lifted action exists
                     state = permute_state(state, order)
-                    meta.permute(order)
+                    meta.take(order)
                     cache = factorize(state, tols=tols)
             candidates = enumerate_lifted(state, cache, config.action, tols=tols, blame=blame)
-        meta.conflicts = meta.conflicts + blame
+        meta.conflicts += blame
         if not candidates:
             break
         if len(candidates) > config.rollouts_per_move:
-            pick = rng.choice(len(candidates), size=config.rollouts_per_move, replace=False)
-            candidates = [candidates[i] for i in sorted(pick)]
+            pick = sorted(rng.choice(len(candidates), size=config.rollouts_per_move, replace=False))
+            candidates = [candidates[i] for i in pick]
+            if members is not None:
+                members = [members[i] for i in pick]
         chosen = select_action(tree, state, candidates)
         trajectory.append((fingerprint_state(state), fingerprint_column(chosen)))
         was_small = state.m < state.dim
         state = extend(state, chosen, revalidate=config.debug_revalidate, tols=tols)
-        member = member_of.get(fingerprint_column(chosen))
-        anchor = None
-        if meta.anchors is not None:
-            if member is None:
-                raise InvalidState("anchored run accepted a column outside the member list")
-            anchor = config.action.c_star.vectors[member]
-            used_members[member] = True
-        meta.append(age=round_no, anchor=anchor, member=member)
+        member, anchor = -1, None
+        if members is not None:
+            member = members[next(i for i, col in enumerate(candidates) if col is chosen)]
+            anchor = member_list.vectors[member]
+        meta.append(round_no, member, anchor)
         added += 1
         _check_bound(state)
         if cache is not None and not was_small:
@@ -362,28 +355,21 @@ def play_episode(config: GameConfig, tree: SearchTree, policy: CorrectorPolicy,
     membership = isinstance(config.action.c_star, MembershipList)
     if not membership:
         anchors = None  # coordinates are only tracked for member-list runs
-    used_members = None
-    member_idx: list[int | None] | None = None
+    member = np.full(state.m, -1)
     if membership:
         if anchors is None:
             raise InvalidSeed("membership constraint needs a coordinate-anchored seed")
-        allowed = config.action.c_star.vectors
-        used_members = np.zeros(allowed.shape[0], dtype=bool)
         lookup = {np.rint(v * 1e9).astype(np.int64).tobytes(): i
-                  for i, v in enumerate(allowed)}
-        member_idx = []
-        for v in anchors:
-            i = lookup.get(np.rint(v * 1e9).astype(np.int64).tobytes())
-            member_idx.append(i)
-            if i is not None:
-                used_members[i] = True
+                  for i, v in enumerate(config.action.c_star.vectors)}
+        member = np.array([lookup.get(np.rint(v * 1e9).astype(np.int64).tobytes(), -1)
+                           for v in anchors])
     meta = _RowMeta(state.m, protected=config.corrector.protect_seed, anchors=anchors,
-                    member_idx=member_idx)
+                    member=member)
     _check_bound(state)
     trajectory: list[tuple[bytes, bytes]] = []
     draws: list[CorrectionDraw] = []
     sizes: list[int] = []
-    state, added = _fill_phase(state, meta, config, tree, rng, trajectory, 1, used_members)
+    state, added = _fill_phase(state, meta, config, tree, rng, trajectory, 1)
     sizes.append(state.m)
     best = state
     stagnant = 0
@@ -392,25 +378,17 @@ def play_episode(config: GameConfig, tree: SearchTree, policy: CorrectorPolicy,
             result = decompose_reassemble(state)
             if result.protected:
                 state = result.state
-                meta.permute(result.order)
-                for i in range(result.protected):
-                    meta.protected[i] = True
-        feats = feature_matrix(
-            row_features(state, config.action.c1.values, meta.ages, meta.conflicts.astype(int)),
-            rounds=config.rounds)
-        draw = sample_index_set(policy, state, feats, rng, protected=meta.protected_rows())
+                meta.take(result.order)
+                meta.protected[:result.protected] = True
+        feats = row_features(state, config.action.c1.values, meta.ages, meta.conflicts,
+                             config.rounds)
+        protected = np.flatnonzero(meta.protected)
+        draw = sample_index_set(policy, state, feats, rng, protected=protected)
         draws.append(draw)
         if draw.indices:
-            kept = [i for i in range(state.m) if i not in set(draw.indices)]
-            if used_members is not None:
-                for i in draw.indices:
-                    mi = meta.member_idx[i]
-                    if mi is not None:
-                        used_members[mi] = False
-            state = apply_correction(state, draw.indices, protected=meta.protected_rows())
-            meta.keep(kept)
-        state, added = _fill_phase(state, meta, config, tree, rng, trajectory, round_no,
-                                   used_members)
+            state = apply_correction(state, draw.indices, protected=protected)
+            meta.take(np.delete(np.arange(meta.ages.size), draw.indices))
+        state, added = _fill_phase(state, meta, config, tree, rng, trajectory, round_no)
         sizes.append(state.m)
         if state.m > best.m:
             best = state

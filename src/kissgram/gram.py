@@ -388,72 +388,31 @@ def reconstruct_vectors(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) ->
     return out
 
 
-class CholeskyAppender:
-    """Incremental Cholesky of a growing positive-definite matrix.
-
-    Used by ``full_rank_prefix`` for greedy basis selection, where testing
-    one more row must not refactor the rows already chosen.
-    """
-
-    def __init__(self):
-        self._rows: list[np.ndarray] = []
-
-    @property
-    def size(self) -> int:
-        return len(self._rows)
-
-    def factor(self) -> np.ndarray:
-        k = self.size
-        out = np.zeros((k, k))
-        for i, row in enumerate(self._rows):
-            out[i, : i + 1] = row
-        return out
-
-    def pivot_sq(self, cross: np.ndarray, diagonal: float = 1.0) -> float:
-        """Squared pivot of the bordered matrix; negative means not PD."""
-        y = self._solve(cross)
-        return float(diagonal - y @ y)
-
-    def append(self, cross: np.ndarray, diagonal: float = 1.0) -> float:
-        """Grow the factor by one row; returns the (positive) pivot used."""
-        y = self._solve(cross)
-        piv_sq = float(diagonal - y @ y)
-        if piv_sq <= 0:
-            raise InvalidState(f"appended row has non-positive pivot {piv_sq:.3e}")
-        piv = math.sqrt(piv_sq)
-        self._rows.append(np.concatenate([y, [piv]]))
-        return piv
-
-    def _solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        k = self.size
-        if b.shape != (k,):
-            raise DimensionMismatch(f"cross vector has length {b.shape[0]}, factor has k={k}")
-        return np.linalg.solve(self.factor(), b)
-
-
 def full_rank_prefix(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> list[int]:
     """Row order putting a greedily chosen full-rank dim-sized basis first.
 
     Scans rows in their current order, so earlier (e.g. protected) rows are
-    preferred for the basis.  Raises RankDeficientBasis when the whole state
-    has rank below dim.
+    preferred for the basis: a row joins when its pivot against the Cholesky
+    factor of the rows already chosen exceeds the rank tolerance.  Raises
+    RankDeficientBasis when the whole state has rank below dim.
     """
     n = state.dim
     g = state.entries
-    chol = CholeskyAppender()
+    lower = np.zeros((0, 0))
     selected: list[int] = []
     for r in range(state.m):
         if len(selected) == n:
             break
-        cross = g[r, selected] if selected else np.zeros(0)
-        if chol.pivot_sq(cross, g[r, r]) > tols.rank:
-            chol.append(cross, g[r, r])
+        y = np.linalg.solve(lower, g[r, selected])
+        piv_sq = float(g[r, r] - y @ y)
+        if piv_sq > tols.rank:
+            lower = np.pad(lower, ((0, 1), (0, 1)))
+            lower[-1] = np.append(y, math.sqrt(piv_sq))
             selected.append(r)
     if len(selected) < n:
         raise RankDeficientBasis(f"state rank {len(selected)} is below dim {n}")
-    rest = [r for r in range(state.m) if r not in set(selected)]
-    return selected + rest
+    chosen = set(selected)
+    return selected + [r for r in range(state.m) if r not in chosen]
 
 
 def permute_state(state: GramState, order: Sequence[int]) -> GramState:

@@ -402,6 +402,29 @@ def test_search_malformed_checkpoint_payload_exits_4(tmp_path, capsys, mode, tag
 
 
 
+def test_resume_accepts_a_policy_section_with_protected_prefix(tmp_path):
+    # Earlier checkpoints wrote the policy's protected_prefix (always 0) into POLI.
+    from kissgram.checkpoint import save_checkpoint
+    from kissgram.game import train_loop
+    from kissgram.runconfig import echo_text, load_run_config
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ndim = 3\nepisodes = 4\nrounds = 3\nrng-seed = 2\nout-dir = out\n")
+    assert run_cli("search", "--config", str(cfg)) == 0
+    straight = _search_artifacts(tmp_path / "out")
+    run = load_run_config(cfg)
+    rng = np.random.default_rng(run.game.rng_seed)
+    half = train_loop(run.game, 2, rng=rng)
+    ckpt = tmp_path / "half.bin"
+    save_checkpoint(ckpt, config_echo=echo_text(run), rng=rng, tree=half.tree,
+                    policy=half.policy, baseline=half.baseline, rewards=half.rewards,
+                    best=half.best)
+    _rewrite_checkpoint_section(ckpt, "POLI",
+                                _edit_json(lambda doc: {**doc, "protected_prefix": 0}))
+    assert run_cli("search", "--config", str(cfg), "--resume", str(ckpt)) == 0
+    assert _search_artifacts(tmp_path / "out") == straight
+
+
 @pytest.mark.parametrize("weights", [[0.0], [[0.0] * 7]])
 def test_search_resume_with_wrong_policy_shape_exits_4(tmp_path, capsys, weights):
     cfg = tmp_path / "run.cfg"
@@ -421,6 +444,7 @@ def test_search_resume_with_wrong_policy_shape_exits_4(tmp_path, capsys, weights
     "[run]\ndim = 2\n[corrector]\ntemperature = 0\n",
     "[run]\ndim = 2\n[corrector]\nmax-delete-fraction = 1.5\n",
     "[run]\ndim = 2\ncheckpoint-every = 0\n",
+    "[run]\ndim = 2\n[seed]\nrows = 7\n",
 ])
 def test_search_rejects_out_of_range_config_values(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"

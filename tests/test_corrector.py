@@ -7,8 +7,8 @@ from kissgram.corrector import (
     CorrectionDraw,
     CorrectorPolicy,
     EpisodeSample,
+    FEATURE_BASE,
     apply_correction,
-    feature_matrix,
     grad_log_prob,
     log_prob,
     policy_gradient_update,
@@ -24,14 +24,66 @@ def _uniform_policy(n_features, **kw):
     return CorrectorPolicy.zeros(n_features, **kw)
 
 
+def _reference_features(state, c1_values, ages, conflicts, rounds):
+    """Row-by-row loop that ``row_features`` vectorizes, kept as its oracle."""
+    g = state.entries
+    m = state.m
+    vals = np.asarray(c1_values, dtype=float)
+    gmax = g[~np.eye(m, dtype=bool)].max() if m > 1 else -1.0
+    rows = []
+    for i in range(m):
+        row = g[i][np.arange(m) != i]
+        counts = np.zeros(len(vals), dtype=int)
+        if row.size and len(vals):
+            for k in np.argmin(np.abs(row[:, None] - vals[None, :]), axis=1):
+                counts[k] += 1
+        rows.append((int(np.count_nonzero(np.abs(row - gmax) <= 1e-9)) if row.size else 0,
+                     float(row.mean()) if row.size else 0.0,
+                     counts, int(ages[i]), int(conflicts[i])))
+    out = np.zeros((m, FEATURE_BASE + len(vals)))
+    denom = max(m - 1, 1)
+    conflict_total = max(sum(r[4] for r in rows), 1)
+    for i, (degree, mean, counts, age, conflict) in enumerate(rows):
+        out[i, 0] = degree / denom
+        out[i, 1] = mean
+        out[i, 2] = age / max(rounds, 1)
+        out[i, 3] = conflict / conflict_total
+        out[i, 4:] = np.asarray(counts, dtype=float) / denom
+    return out
+
+
+def _feature_cases():
+    c1 = (-1.0, -0.5, 0.0, 0.5)
+    for name in ("Hexagon", "D4Roots", "E8Roots"):
+        yield name, generate(name).gram.as_float(), c1
+    yield "single", GramState.single(3), c1
+    rng = np.random.default_rng(17)
+    for case in range(8):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(2, 30))
+        vs = rng.standard_normal((m, n))
+        vs /= np.linalg.norm(vs, axis=1)[:, None]
+        yield f"random-{case}", gram_from_vectors(vs, n), (-1.0, -1 / 3, 0.0, 0.25, 0.5)
+
+
+@pytest.mark.parametrize("name, state, c1",
+                         [pytest.param(*case, id=case[0]) for case in _feature_cases()])
+def test_row_features_match_the_row_loop(name, state, c1):
+    rng = np.random.default_rng(state.m)
+    ages = rng.integers(0, 6, size=state.m)
+    conflicts = rng.integers(0, 4, size=state.m)
+    for a, c in ((ages, conflicts), (np.zeros(state.m, dtype=int), np.zeros(state.m, dtype=int))):
+        got = row_features(state, c1, a, c, 5)
+        assert np.array_equal(got, _reference_features(state, c1, a, c, 5))
+
+
 def test_row_features_histogram_sums_to_m_minus_one():
     state = generate("Hexagon").gram.as_float()
-    feats = row_features(state, (-1.0, -0.5, 0.0, 0.5), ages=[0] * 6, conflicts=[0] * 6)
-    for f in feats:
-        assert sum(f.value_counts) == 5
-        assert np.isfinite(f.mean_cosine)
+    feats = row_features(state, (-1.0, -0.5, 0.0, 0.5), [0] * 6, [0] * 6, 1)
+    assert np.array_equal(feats[:, FEATURE_BASE:].sum(axis=1) * 5, np.full(6, 5.0))
+    assert np.isfinite(feats[:, 1]).all()
     # Every hexagon row touches two neighbors at the maximal cosine 1/2.
-    assert all(f.max_degree == 2 for f in feats)
+    assert np.array_equal(feats[:, 0] * 5, np.full(6, 2.0))
 
 
 def test_sample_cap_zero_returns_empty_set():
@@ -45,11 +97,10 @@ def test_sample_cap_zero_returns_empty_set():
 def test_sampling_respects_protected_rows():
     state = generate("Hexagon").gram.as_float()
     feats = np.zeros((6, 2))
-    policy = CorrectorPolicy(weights=np.zeros(2), max_delete_fraction=0.5,
-                             protected_prefix=4)
+    policy = CorrectorPolicy(weights=np.zeros(2), max_delete_fraction=0.5)
     rng = np.random.default_rng(1)
     for _ in range(200):
-        draw = sample_index_set(policy, state, feats, rng)
+        draw = sample_index_set(policy, state, feats, rng, protected=range(4))
         assert all(i >= 4 for i in draw.indices)
 
 
@@ -104,7 +155,7 @@ def test_apply_correction_identity_and_principal_submatrix():
 def test_apply_correction_protected_row_raises():
     state = generate("Hexagon").gram.as_float()
     with pytest.raises(ProtectedRow):
-        apply_correction(state, [0, 5], protected=2)
+        apply_correction(state, [0, 5], protected=range(2))
     with pytest.raises(ProtectedRow):
         apply_correction(state, [3], protected=[3])
 
@@ -198,9 +249,8 @@ def test_synthetic_bandit_weight_increases():
 
 def test_feature_matrix_shape_and_normalization():
     state = generate("Hexagon").gram.as_float()
-    feats = row_features(state, (-1.0, -0.5, 0.0, 0.5), ages=[0, 1, 2, 3, 4, 5],
-                         conflicts=[0, 0, 10, 0, 0, 0])
-    matrix = feature_matrix(feats, rounds=5)
+    matrix = row_features(state, (-1.0, -0.5, 0.0, 0.5), ages=[0, 1, 2, 3, 4, 5],
+                          conflicts=[0, 0, 10, 0, 0, 0], rounds=5)
     assert matrix.shape == (6, 4 + 4)
     assert matrix[2, 3] == pytest.approx(1.0)  # all conflict mass on row 2
     assert np.isfinite(matrix).all()

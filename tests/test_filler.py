@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import kissgram.filler as filler
-from kissgram.errors import EmptyCandidates
+from kissgram.cli import main
+from kissgram.errors import EmptyCandidates, EnumerationOverflow
 from kissgram.filler import (
-    MAX_ENUMERATION_WIDTH,
     ActionSpec,
     CapOnly,
     DiscreteSet,
@@ -315,6 +315,19 @@ def test_enumerate_small_rejects_lifted_regime():
         enumerate_lifted(GramState.single(3), factorize(state), spec)
 
 
+def test_enumeration_overflow_raises_and_search_exits_3(monkeypatch, tmp_path, capsys):
+    # From one sphere in dimension 3, the first level keeps -1/2, 0 and 1/2.
+    monkeypatch.setattr(filler, "MAX_ENUMERATION_WIDTH", 2)
+    spec = ActionSpec(c1=DiscreteSet((-1.0, -0.5, 0.0, 0.5)))
+    with pytest.raises(EnumerationOverflow, match="3 partial columns at level 0"):
+        enumerate_small(GramState.single(3), spec)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ndim = 3\nepisodes = 1\nout-dir = out\n")
+    capsys.readouterr()
+    assert main(["search", "--config", str(cfg)]) == 3
+    assert "3 partial columns at level 0" in capsys.readouterr().err
+
+
 def test_action_spec_rejects_capped_out_tail_values():
     with pytest.raises(ValueError):
         ActionSpec(c1=DiscreteSet((0.0,)), c2=DiscreteSet((0.9,)))
@@ -367,8 +380,7 @@ def fraction_confirm(state: GramState, spec: ActionSpec, idx: np.ndarray) -> lis
 def _prescreened_and_random(state: GramState, spec: ActionSpec, cache, rng) -> np.ndarray:
     """Heads passing the float unit-norm prescreen (before the tail filter), plus random rows."""
     values = np.asarray(spec.c1.values)
-    _, idx, s = _expand_columns(cache.chol_factor, values, (1 + 1e-6) ** 2, False,
-                                MAX_ENUMERATION_WIDTH)
+    _, idx, s = _expand_columns(cache.chol_factor, values, (1 + 1e-6) ** 2, False)
     idx = idx[np.abs(np.sqrt(s) - 1.0) <= 1e-6]
     return np.vstack([idx, rng.integers(0, values.size, size=(50, state.dim))])
 

@@ -14,7 +14,6 @@ from kissgram.errors import (
     RankDeficientBasis,
 )
 from kissgram.gram import (
-    CholeskyAppender,
     CandidateColumn,
     GramState,
     Tolerances,
@@ -238,24 +237,24 @@ def test_rank_monotonicity_property():
         assert rank_of(extended, 1e-7) >= rank_of(state, 1e-7)
 
 
-def test_cholesky_appender_matches_numpy():
-    rng = np.random.default_rng(4)
-    for _ in range(30):
-        n = int(rng.integers(2, 7))
-        v = rng.standard_normal((n, n + 1))
-        g = v @ v.T + 0.1 * np.eye(n)
-        chol = CholeskyAppender()
-        for k in range(n):
-            chol.append(g[k, :k], g[k, k])
-        assert np.allclose(chol.factor(), np.linalg.cholesky(g), atol=1e-9)
-
-
-def test_cholesky_appender_pivot_detects_infeasible():
-    chol = CholeskyAppender()
-    chol.append(np.zeros(0), 1.0)
-    assert chol.pivot_sq(np.array([-1.0]), 1.0) == pytest.approx(0.0)
-    with pytest.raises(InvalidState):
-        chol.append(np.array([-1.0]), 1.0)
+@pytest.mark.parametrize("name, stride, basis", [
+    ("D4Roots", 5, [0, 1, 6, 7]),
+    ("E8Roots", 7, [0, 1, 6, 7, 8, 11, 18, 20]),
+])
+def test_full_rank_prefix_skips_dependent_early_rows(name, stride, basis):
+    # The hexagon spanned by the first two roots comes first (rank 2 in six
+    # rows), then the other roots in stride order, which brings more
+    # dependent rows before the basis is complete.
+    built = generate(name)
+    v = built.vectors
+    plane = np.linalg.qr(v[[0, 1]].T)[0]
+    hexagon = np.flatnonzero(np.linalg.norm(v - v @ plane @ plane.T, axis=1) < 1e-9).tolist()
+    m = len(v)
+    rest = [i * stride % m for i in range(m)]
+    state = permute_state(built.gram.as_float(), hexagon + [i for i in rest if i not in hexagon])
+    order = full_rank_prefix(state)
+    assert order[:state.dim] == basis
+    assert order[state.dim:] == [r for r in range(m) if r not in basis]
 
 
 def test_full_rank_prefix_e8():

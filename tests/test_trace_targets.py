@@ -32,3 +32,23 @@ def test_tracer_installs_on_every_target_and_uninstalls():
         tracer.uninstall()
     for (mod, fn), original in originals.items():
         assert getattr(sys.modules[mod], fn) is original
+
+
+def test_traced_search_feeds_every_hooked_counter(tmp_path):
+    # The hooks read arguments by position; a signature change that moves one
+    # fails here rather than in a traced benchmark run.
+    from kissgram.cli import main
+
+    spans = _load_spans()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ndim = 3\nepisodes = 4\nrounds = 4\nrng-seed = 5\nout-dir = out\n")
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert main(["search", "--config", str(cfg)]) == 0
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    for key in ("corrector.rows_deleted", "filler.offered", "filler.candidates",
+                "corrector.row_features.calls"):
+        assert summary.get(key, 0) > 0, key
