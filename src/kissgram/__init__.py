@@ -21,7 +21,6 @@ from .gram import (
     lift_tail,
     rank_of,
     reconstruct_vectors,
-    unit_norm_test,
 )
 from .rational import exact_ldlt
 from .refconfigs import GeneratorId, generate
@@ -37,5 +36,5 @@ __all__ = [
     "extend", "factorize", "generate", "is_psd", "lift_tail", "play_episode",
     "rank_of", "reconstruct_vectors", "sample_index_set",
     "simulate_cosine_set", "solve_tangent", "spectrum_report", "team_reward",
-    "train_loop", "unit_norm_test", "verify_gram", "verify_vectors",
+    "train_loop", "verify_gram", "verify_vectors",
 ]

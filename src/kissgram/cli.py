@@ -171,7 +171,7 @@ def _cmd_verify(args) -> int:
     elif head.startswith(b"kiss-vectors"):
         doc = read_vector_file(args.path)
         mode = args.mode or doc.mode
-        cert = verify_vectors(doc.vectors, doc.dim, mode=mode, exact_rows=doc.exact_rows)
+        cert = verify_vectors(doc.vectors, doc.dim, mode=mode, exact=doc.exact)
     else:
         raise ParseError(f"{args.path}: not a kiss-vectors or kiss-gram file")
     sys.stdout.write(certificate_text(cert))

@@ -90,7 +90,7 @@ def _softmax_steps(scores: np.ndarray, eligible: Sequence[int], temperature: flo
     """
     remaining = list(eligible)
     for _ in range(steps):
-        logits = np.array([scores[i] for i in remaining]) / temperature
+        logits = scores[remaining] / temperature
         logits -= logits.max()
         probs = np.exp(logits)
         probs /= probs.sum()

@@ -8,7 +8,6 @@ p/q literals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 from .cosines import CosineSet, CosineSimResult, CosineValue, snap_value
 from .errors import ParseError
 from .gram import GramState
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_numerators
 from .verify import Certificate
 
 VECTOR_MAGIC = "kiss-vectors v1"
@@ -68,29 +67,74 @@ def _header_int(fields: dict[str, str], key: str, path) -> int:
         raise ParseError(f"{path}: bad {key}= value {fields[key]!r}") from exc
 
 
-def _header_shape(fields: dict[str, str], path) -> tuple[int, int]:
-    """``dim=`` (at least 1) and ``count=`` (at least 0) of a vector or Gram header."""
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _table_rows(text: str, magic: str, path) -> tuple[int, int, str, list[str]]:
+    """``dim`` (at least 1), ``count`` (at least 0), mode and the ``count`` data
+    rows of a vector or Gram file."""
+    lines = _data_lines(text)
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    fields = _parse_header(lines[0], magic, path)
     dim = _header_int(fields, "dim", path)
     count = _header_int(fields, "count", path)
     if dim < 1 or count < 0:
         raise ParseError(f"{path}: header needs dim >= 1 and count >= 0, got dim={dim} "
                          f"count={count}")
-    return dim, count
-
-
-def _header_mode(fields: dict[str, str], path) -> str:
     mode = fields.get("mode", "float")
     if mode not in ("float", "rational"):
         raise ParseError(f"{path}: unknown mode {mode!r}")
-    return mode
+    if len(lines) - 1 != count:
+        raise ParseError(f"{path}: header claims {count} rows, found {len(lines) - 1}")
+    return dim, count, mode, lines[1:]
+
+
+def _table_entries(rows: list[str], widths, mode: str, path
+                   ) -> tuple[np.ndarray, np.ndarray | None, int | None]:
+    """The entries of ``rows``, row i holding ``widths[i]``, row-major: floats
+    and, in rational mode, Python-int numerators N over the least common
+    denominator D, whose floats are N / D, each correctly rounded."""
+    floats = np.zeros(sum(widths))
+    tokens: list[str] = []  # rational mode: every literal
+    end = 0
+    for i, (row, width) in enumerate(zip(rows, widths)):
+        parts = row.split()
+        if len(parts) != width:
+            raise ParseError(f"{path}: row {i + 1} has {len(parts)} entries, expected {width}")
+        if mode == "rational":
+            tokens += parts
+        else:
+            try:
+                floats[end:end + width] = [float(p) for p in parts]
+            except ValueError as exc:
+                raise ParseError(f"{path}: row {i + 1}: {exc}") from exc
+        end += width
+    if mode == "float":
+        return floats, None, None
+    try:
+        numerators, scale = parse_numerators(tokens)
+        exact = np.array(numerators, dtype=object)
+        return (exact / scale).astype(float), exact, scale
+    except (ParseError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class VectorDoc:
+    """A vector file.  In rational mode ``exact`` holds the coordinates as an
+    m x n object array of Python-int numerators over ``exact_scale`` (D), as
+    ``GramState`` holds an exact Gram, and ``vectors`` is their float view."""
+
     dim: int
     mode: str
     vectors: np.ndarray
-    exact_rows: list[list[Fraction]] | None
+    exact: np.ndarray | None = None
+    exact_scale: int | None = None
 
     @property
     def count(self) -> int:
@@ -114,36 +158,13 @@ def write_vector_file(path, vectors: np.ndarray, mode: str = "float",
 
 
 def read_vector_file(path) -> VectorDoc:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    lines = _data_lines(text)
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    fields = _parse_header(lines[0], VECTOR_MAGIC, path)
-    dim, count = _header_shape(fields, path)
-    mode = _header_mode(fields, path)
-    rows = lines[1:]
-    if len(rows) != count:
-        raise ParseError(f"{path}: header claims {count} rows, found {len(rows)}")
-    exact_rows = [] if mode == "rational" else None
-    vectors = np.zeros((count, dim))
-    for i, row in enumerate(rows):
-        parts = row.split()
-        if len(parts) != dim:
-            raise ParseError(f"{path}: row {i + 1} has {len(parts)} entries, expected {dim}")
-        try:
-            if mode == "rational":
-                exact = [parse_rational(p) for p in parts]
-                exact_rows.append(exact)
-                vectors[i] = [float(x) for x in exact]
-            else:
-                vectors[i] = [float(p) for p in parts]
-        except (ValueError, OverflowError) as exc:
-            raise ParseError(f"{path}: row {i + 1}: {exc}") from exc
+    dim, count, mode, rows = _table_rows(_read_text(path), VECTOR_MAGIC, path)
+    floats, exact, scale = _table_entries(rows, [dim] * count, mode, path)
+    vectors = floats.reshape(count, dim)
     _require_finite(vectors, path)
-    return VectorDoc(dim=dim, mode=mode, vectors=vectors, exact_rows=exact_rows)
+    if exact is not None:
+        exact = exact.reshape(count, dim)
+    return VectorDoc(dim=dim, mode=mode, vectors=vectors, exact=exact, exact_scale=scale)
 
 
 def gram_text(state: GramState, mode: str) -> str:
@@ -166,48 +187,21 @@ def write_gram_file(path, state: GramState, mode: str | None = None):
 
 def parse_gram_text(text: str, path) -> GramState:
     """Parse ``gram_text`` output; ``path`` names the source in errors."""
-    lines = _data_lines(text)
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    fields = _parse_header(lines[0], GRAM_MAGIC, path)
-    dim, count = _header_shape(fields, path)
-    mode = _header_mode(fields, path)
-    rows = lines[1:]
-    if len(rows) != count:
-        raise ParseError(f"{path}: header claims {count} rows, found {len(rows)}")
-    entries = np.zeros((count, count))
-    cells: list[tuple[int, int]] = []  # rational mode: (p, q) of the upper triangle, row-major
-    for i, row in enumerate(rows):
-        parts = row.split()
-        if len(parts) != count - i:
-            raise ParseError(f"{path}: row {i + 1} has {len(parts)} entries, expected {count - i}")
-        for k, part in enumerate(parts):
-            j = i + k
-            try:
-                if mode == "rational":
-                    value = parse_rational(part)
-                    cells.append((value.numerator, value.denominator))
-                    entries[i, j] = entries[j, i] = float(value)
-                else:
-                    entries[i, j] = entries[j, i] = float(part)
-            except (ValueError, OverflowError) as exc:
-                raise ParseError(f"{path}: row {i + 1}: {exc}") from exc
-    _require_finite(entries, path)
-    if mode == "float":
-        return GramState(dim=dim, entries=entries)
-    scale = math.lcm(*(q for _, q in cells))
+    dim, count, mode, rows = _table_rows(text, GRAM_MAGIC, path)
+    floats, numerators, scale = _table_entries(rows, range(count, 0, -1), mode, path)
     upper = np.triu_indices(count)
-    exact = np.zeros((count, count), dtype=object)
-    exact[upper] = exact[upper[::-1]] = [p * (scale // q) for p, q in cells]
+    entries = np.zeros((count, count))
+    entries[upper] = entries[upper[::-1]] = floats
+    _require_finite(entries, path)
+    exact = None
+    if numerators is not None:
+        exact = np.zeros((count, count), dtype=object)
+        exact[upper] = exact[upper[::-1]] = numerators
     return GramState(dim=dim, entries=entries, exact=exact, exact_scale=scale)
 
 
 def read_gram_file(path) -> GramState:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return parse_gram_text(text, path)
+    return parse_gram_text(_read_text(path), path)
 
 
 def _cosine_value_fields(entry: CosineValue) -> str:
@@ -239,10 +233,7 @@ class CosineReport:
 
 
 def read_cosine_report(path) -> CosineReport:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    text = _read_text(path)
     lines = _data_lines(text)
     if not lines:
         raise ParseError(f"{path}: empty file")
@@ -329,10 +320,7 @@ def write_certificate(path, cert: Certificate):
 
 def read_certificate(path) -> dict:
     """Parse a certificate back into a plain dict (fields as written)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    text = _read_text(path)
     lines = text.splitlines()
     if not lines or lines[0] != CERT_MAGIC:
         raise ParseError(f"{path}: not a certificate file")

@@ -168,9 +168,10 @@ class SearchTree:
         return tree
 
 
-def select_action(tree: SearchTree, state: GramState,
-                  candidates: Sequence[CandidateColumn]) -> CandidateColumn:
-    """UCB-greedy choice; unvisited actions rank above all visited ones.
+def select_action(tree: SearchTree, state: GramState, candidates: Sequence[CandidateColumn]
+                  ) -> tuple[CandidateColumn, tuple[bytes, bytes]]:
+    """UCB-greedy choice and its tree edge ``(state_fp, action_fp)``;
+    unvisited actions rank above all visited ones.
 
     Ties resolve to the earliest candidate in the (deterministic) stream
     order, so cold starts are reproducible.
@@ -178,16 +179,18 @@ def select_action(tree: SearchTree, state: GramState,
     if not candidates:
         raise EmptyCandidates("no candidate columns to select from")
     state_fp = fingerprint_state(state)
+    action_fps = []
     best_i = 0
     best_score = -math.inf
     for i, cand in enumerate(candidates):
-        score = tree.ucb(state_fp, fingerprint_column(cand))
+        action_fps.append(fingerprint_column(cand))
+        score = tree.ucb(state_fp, action_fps[i])
         if score > best_score:
             best_score = score
             best_i = i
         if math.isinf(score):
             break  # first unvisited candidate wins outright
-    return candidates[best_i]
+    return candidates[best_i], (state_fp, action_fps[best_i])
 
 
 def backpropagate(tree: SearchTree, trajectory: Sequence[tuple[bytes, bytes]],

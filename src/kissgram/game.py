@@ -39,8 +39,6 @@ from .filler import (
     enumerate_lifted,
     enumerate_membership,
     enumerate_small,
-    fingerprint_column,
-    fingerprint_state,
     select_action,
 )
 from .gram import (
@@ -276,9 +274,8 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
             candidates = [candidates[i] for i in pick]
             if members is not None:
                 members = [members[i] for i in pick]
-        chosen = select_action(tree, state, candidates)
-        trajectory.append((fingerprint_state(state), fingerprint_column(chosen)))
-        was_small = state.m < state.dim
+        chosen, edge = select_action(tree, state, candidates)
+        trajectory.append(edge)
         state = extend(state, chosen, revalidate=config.debug_revalidate, tols=tols)
         member, anchor = -1, None
         if members is not None:
@@ -287,7 +284,7 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
         meta.append(round_no, member, anchor)
         added += 1
         _check_bound(state)
-        if cache is not None and not was_small:
+        if cache is not None:
             cache = extend_cache(cache, np.asarray(chosen.head, dtype=float),
                                  exact_head=chosen.exact[: state.dim] if chosen.exact else None)
     return _FillOutcome(state, added)

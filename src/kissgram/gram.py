@@ -261,20 +261,18 @@ def rank_of(state: GramState | np.ndarray, tol: float) -> int:
 class FactorCache:
     """Factorization of the leading basis block used by the lifted action set.
 
-    ``lift_matrix`` is the precomputed product cross_block @ pseudo_inv so a
-    tail costs one matrix-vector product.  The exact fields are populated in
-    rational mode only, as integers over the state's denominator D: with B
-    the basis block and C the cross block, ``exact_det`` = det(D B) > 0,
-    ``exact_adj`` = adj(D B) and ``exact_cross`` = D C (object arrays of
-    Python ints).  Then B^-1 = D adj(D B) / det(D B), so a head h has
-    h^T B^-1 h = (D h)^T adj (D h) / (D det) and tail
+    With B the basis block and C the cross block (the rows after it),
+    ``lift_matrix`` is the precomputed product C B^-1, so a tail costs one
+    matrix-vector product.  The exact fields are populated in rational mode
+    only, as integers over the state's denominator D: ``exact_det`` =
+    det(D B) > 0, ``exact_adj`` = adj(D B) and ``exact_cross`` = D C (object
+    arrays of Python ints).  Then B^-1 = D adj(D B) / det(D B), so a head h
+    has h^T B^-1 h = (D h)^T adj (D h) / (D det) and tail
     C B^-1 h = (D C) adj (D h) / (D det).
     """
 
-    basis_block: np.ndarray
     chol_factor: np.ndarray
     pseudo_inv: np.ndarray
-    cross_block: np.ndarray
     lift_matrix: np.ndarray
     exact_scale: int | None = None
     exact_det: int | None = None
@@ -283,11 +281,7 @@ class FactorCache:
 
     @property
     def n(self) -> int:
-        return self.basis_block.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.n + self.cross_block.shape[0]
+        return self.chol_factor.shape[0]
 
 
 def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCache:
@@ -307,7 +301,6 @@ def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCac
         raise RankDeficientBasis(f"leading {n}x{n} block has rank deficiency (min eig {w[0]:.3e})")
     chol = np.linalg.cholesky(basis)
     pinv = np.linalg.inv(basis)
-    cross = state.entries[n:, :n]
     det = adj = exact_cross = None
     if state.exact is not None:
         factored = pd_adjugate(state.exact[:n, :n])
@@ -316,11 +309,9 @@ def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCac
         det, adj = factored
         exact_cross = state.exact[n:, :n].copy()  # a view would pin the whole m x m Gram
     return FactorCache(
-        basis_block=_frozen(basis),
         chol_factor=_frozen(chol),
         pseudo_inv=_frozen(pinv),
-        cross_block=_frozen(cross),
-        lift_matrix=_frozen(cross @ pinv),
+        lift_matrix=_frozen(state.entries[n:, :n] @ pinv),
         exact_scale=state.exact_scale,
         exact_det=det,
         exact_adj=adj,
@@ -338,10 +329,8 @@ def extend_cache(cache: FactorCache, head: np.ndarray,
             raise MixedModeEntries("exact cache extended with a float-only head")
         exact_cross = np.vstack([exact_cross, np.array(exact_head, dtype=object)[None, :]])
     return FactorCache(
-        basis_block=cache.basis_block,
         chol_factor=cache.chol_factor,
         pseudo_inv=cache.pseudo_inv,
-        cross_block=_frozen(np.vstack([cache.cross_block, head[None, :]])),
         lift_matrix=_frozen(np.vstack([cache.lift_matrix, (cache.pseudo_inv @ head)[None, :]])),
         exact_scale=cache.exact_scale,
         exact_det=cache.exact_det,
@@ -351,25 +340,11 @@ def extend_cache(cache: FactorCache, head: np.ndarray,
 
 
 def lift_tail(cache: FactorCache, head: np.ndarray) -> np.ndarray:
-    """Tail entries implied by a head: cross_block @ basis_block^+ @ head."""
+    """Tail entries implied by a head: C B^-1 head (see FactorCache)."""
     head = np.asarray(head, dtype=float)
     if head.shape != (cache.n,):
         raise DimensionMismatch(f"head has length {head.shape[0]}, basis has n={cache.n}")
     return cache.lift_matrix @ head
-
-
-def unit_norm_test(cache: FactorCache, head: np.ndarray, tol: float) -> bool:
-    """Unit-length condition on the candidate head in the basis frame.
-
-    With basis block B = L L^T, a new center whose cosines with the basis
-    rows are ``head`` has squared length head^T B^-1 head = ||L^-1 head||^2
-    when it lies in the basis span; the test is that this length is 1.
-    """
-    head = np.asarray(head, dtype=float)
-    if head.shape != (cache.n,):
-        raise DimensionMismatch(f"head has length {head.shape[0]}, basis has n={cache.n}")
-    y = np.linalg.solve(cache.chol_factor, head)
-    return abs(float(np.linalg.norm(y)) - 1.0) <= tol
 
 
 def reconstruct_vectors(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

@@ -1,11 +1,14 @@
-"""Exact rational arithmetic: scalar parsing and exact PSD/rank certification.
+"""Exact rational arithmetic: literal parsing and exact PSD/rank certification.
 
-An exact matrix has one form: an object array of Python-int numerators N
-over one positive common denominator D, so entry (i, j) is N[i, j] / D.  D
-need not be the least denominator; a search fixes D when its seed loads, and
-its columns are integer numerators over D.  ``fractions.Fraction`` remains
-only to parse and print scalars (``parse_rational``, ``format_rational``), in
-the cosine lists of an action set, and in the tests' reference kernels.
+Exact data has one form: Python-int numerators N over one positive common
+denominator D.  An exact matrix is an object array of numerators, so entry
+(i, j) is N[i, j] / D.  D need not be the least denominator; a search fixes D
+when its seed loads, and its columns are integer numerators over D.  Files
+parse straight to that form (``parse_numerators``), with no per-entry
+``fractions.Fraction``.  ``Fraction`` remains for scalars only: a parsed or
+printed single literal (``parse_rational``, ``format_rational``), the cosine
+lists of an action set, certificate labels and the exact maximum cosine,
+cosine reports, and the tests' reference kernels.
 
 The exact kernels compute on the numerators with fraction-free (Bareiss)
 elimination, so every intermediate value is an integer minor and every
@@ -29,12 +32,32 @@ from .errors import MixedModeEntries, ParseError
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 
 
+def parse_numerators(texts: Sequence[str]) -> tuple[list[int], int]:
+    """Integer numerators N over the least common denominator D of rational
+    literals ``p/q`` (optional sign, q > 0) or bare integers: literal k is
+    N[k] / D.
+
+    Each literal is reduced by its gcd first, so N and D are those of the
+    literals' ``Fraction``s.  A literal that repeats is parsed once; lattice
+    files hold few distinct values.
+    """
+    reduced = {}
+    for text in dict.fromkeys(texts):
+        if not _RATIONAL_RE.match(text):
+            raise ParseError(f"not a rational literal: {text!r}")
+        p, _, q = text.partition("/")
+        p, q = int(p), int(q or 1)
+        g = math.gcd(p, q)
+        reduced[text] = (p // g, q // g)
+    scale = math.lcm(*(q for _, q in reduced.values()))
+    numerator = {text: p * (scale // q) for text, (p, q) in reduced.items()}
+    return [numerator[text] for text in texts], scale
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` (optional sign, q > 0) or a bare integer such as ``0`` or ``-1``."""
-    text = text.strip()
-    if not _RATIONAL_RE.match(text):
-        raise ParseError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    """One literal as accepted by ``parse_numerators``, as a Fraction."""
+    (numerator,), scale = parse_numerators([text.strip()])
+    return Fraction(numerator, scale)
 
 
 def format_rational(value: Fraction) -> str:
@@ -130,13 +153,14 @@ def pd_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, np.ndarray] | Non
     return prev, work[:, n:]
 
 
-def cosine_factors(rows: Sequence[Sequence[Fraction]]
+def cosine_factors(rows: Sequence[Sequence[int]]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
-    """Exact pairwise cosines of non-zero rational rows as ``(Z, left, right, D)``:
-    cosine (i, j) = P_ij left_i right_j / D, with Z the rows scaled to integers
-    and P = Z Z^T.  None when some cosine is irrational (equal-norm lattice
-    families never are).
+    """Exact pairwise cosines of non-zero integer rows Z as ``(Z, left, right, D)``:
+    cosine (i, j) = P_ij left_i right_j / D with P = Z Z^T.  None when some
+    cosine is irrational (equal-norm lattice families never are).
 
+    Rational coordinates are passed as their numerators over a common
+    denominator: scaling every row by one positive number changes no cosine.
     Cosine (i, j) is P_ij / sqrt(P_ii P_jj).  All are rational iff every
     P_ii P_00 is a square r_i^2, since then P_ii P_jj = (r_i r_j / P_00)^2: an
     O(m) test.  With R = lcm(r) and w = R / r, cosine (i, j) is then
@@ -146,8 +170,7 @@ def cosine_factors(rows: Sequence[Sequence[Fraction]]
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    z = np.array([scaled_integers(row, scale) for row in rows], dtype=object).reshape(m, n)
+    z = np.array(rows, dtype=object).reshape(m, n)
     norms = (z * z).sum(axis=1).tolist()
     first = norms[0] if m else 1
     roots = [math.isqrt(v * first) for v in norms]
@@ -161,7 +184,7 @@ def cosine_factors(rows: Sequence[Sequence[Fraction]]
     return z.astype(dtype), left.astype(dtype), right.astype(dtype), lcm * lcm
 
 
-def exact_cosines(rows: Sequence[Sequence[Fraction]]) -> tuple[int, np.ndarray] | None:
+def exact_cosines(rows: Sequence[Sequence[int]]) -> tuple[int, np.ndarray] | None:
     """``cosine_factors`` as a dense ``(D, N)``, cosine (i, j) = N[i, j] / D, with
     the common factor of all numerators (D among them) divided out."""
     factors = cosine_factors(rows)

@@ -12,7 +12,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -139,13 +138,14 @@ def e8_roots() -> GeneratedConfig:
 
 
 def config_from_vectors(raw: np.ndarray, dim: int, label: str = "FromVectorFile",
-                        exact_rows: list[list[Fraction]] | None = None,
+                        exact: np.ndarray | None = None,
                         tols: Tolerances = DEFAULT_TOLS) -> GeneratedConfig:
     """Normalize ingested vectors and validate the kissing constraints.
 
-    When exact rational coordinates are supplied, the Gram entries are
-    computed exactly whenever each pairwise norm product is a perfect square
-    (true for equal-norm lattice families); otherwise the state is float.
+    When ``exact``, the rational coordinates as integer numerators over a
+    common denominator, is supplied, the Gram entries are computed exactly
+    whenever each pairwise norm product is a perfect square (true for
+    equal-norm lattice families); otherwise the state is float.
     """
     raw = np.asarray(raw, dtype=float)
     norms = np.linalg.norm(raw, axis=1)
@@ -157,11 +157,11 @@ def config_from_vectors(raw: np.ndarray, dim: int, label: str = "FromVectorFile"
     off_max = float(gram[~np.eye(len(gram), dtype=bool)].max()) if len(gram) > 1 else -1.0
     if off_max > 0.5 + tols.cosine:
         raise CosineCapViolation(f"max pairwise cosine {off_max} exceeds 1/2")
-    exact = exact_cosines(exact_rows) if exact_rows is not None else None
-    if exact is None:
+    cosines = exact_cosines(exact) if exact is not None else None
+    if cosines is None:
         state = GramState(dim=dim, entries=(gram + gram.T) / 2.0)
     else:
-        state = GramState.from_exact(dim, exact[1], exact[0])
+        state = GramState.from_exact(dim, cosines[1], cosines[0])
     return GeneratedConfig(label, vectors, state)
 
 
@@ -186,5 +186,5 @@ def generate(gid: GeneratorId | str) -> GeneratedConfig:
 
         doc = read_vector_file(gid.path)
         return config_from_vectors(doc.vectors, doc.dim, label=f"FromVectorFile({gid.path})",
-                                   exact_rows=doc.exact_rows)
+                                   exact=doc.exact)
     raise ParseError(f"unknown generator: {gid.name!r}")

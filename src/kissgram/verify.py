@@ -9,9 +9,10 @@ residuals.  Certificates are pure functions of their input.
 One routine reads every input as a source of Gram row blocks, BLOCK_ROWS
 rows at a time, so it holds O(BLOCK_ROWS * m) values: a Gram state (dense
 already, as Gram files are) gives slices of its matrix, float coordinates U
-give U[a:b] U[a:]^T, and rational coordinates give integer cosine
-numerators (``rational.cosine_factors``).  A coordinate Gram is PSD by
-construction (G = U U^T) and has the rank of the m x n coordinates.
+give U[a:b] U[a:]^T, and rational coordinates, held as integer numerators,
+give integer cosine numerators (``rational.cosine_factors``).  A coordinate
+Gram is PSD by construction (G = U U^T) and has the rank of the m x n
+coordinates.
 """
 
 from __future__ import annotations
@@ -212,13 +213,16 @@ def verify_gram(state: GramState, mode: str | None = None,
 
 def verify_vectors(vectors: np.ndarray, dim: int | None = None, mode: str = "float",
                    tols: Tolerances = DEFAULT_TOLS,
-                   exact_rows: list[list[Fraction]] | None = None) -> Certificate:
+                   exact: np.ndarray | None = None) -> Certificate:
     """Certify explicit coordinates: unit-norm residuals plus the Gram checks.
 
-    Raises NonUnitVector when any coordinate vector misses unit norm by more
-    than 1e-6 (or is not finite), and in rational mode when a cosine is
-    irrational, which rules out exactly unit rows; smaller residuals are
-    reported on the certificate.  No m x m Gram is built in either mode.
+    Rational mode reads ``exact``, the coordinates as integer numerators over
+    any common positive denominator (no cosine depends on it), and reads
+    ``vectors`` only for the unit-norm residuals.  Raises NonUnitVector when
+    any coordinate vector misses unit norm by more than 1e-6 (or is not
+    finite), and in rational mode when a cosine is irrational, which rules
+    out exactly unit rows; smaller residuals are reported on the certificate.
+    No m x m Gram is built in either mode.
     """
     if mode not in ("float", "rational"):
         raise ValueError(f"unknown verification mode: {mode!r}")
@@ -237,9 +241,9 @@ def verify_vectors(vectors: np.ndarray, dim: int | None = None, mode: str = "flo
         rank = int(np.count_nonzero(sigma * sigma > tols.rank))
         return _certificate(mode, lambda a, b: unit[a:b] @ unit[a:].T, len(v), dim, 1.0, True,
                             rank, tols, [], max_err)
-    if exact_rows is None:
+    if exact is None:
         raise MixedModeEntries("rational verification needs exact coordinates")
-    factors = cosine_factors(exact_rows)
+    factors = cosine_factors(exact)
     if factors is None:
         raise NonUnitVector("pairwise cosines are irrational, so some row is not exactly unit")
     z, left, right, scale = factors

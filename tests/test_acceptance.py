@@ -337,7 +337,7 @@ def test_criterion_large_dimension_ingestion_path(tmp_path):
 
     write_vector_file(rational_path, x13.vectors, mode="rational", exact_rows=rows)
     doc = read_vector_file(rational_path)
-    cert = verify_vectors(doc.vectors, doc.dim, mode="rational", exact_rows=doc.exact_rows)
+    cert = verify_vectors(doc.vectors, doc.dim, mode="rational", exact=doc.exact)
     assert cert.verdict == "Pass"
     assert cert.sphere_count == 26
     assert cert.max_cosine_exact == 0

@@ -32,35 +32,31 @@ def _e8_doubled() -> list[list[int]]:
     return rows
 
 
-def dyadic_unit_rows(rows: list[list[int]], half: int) -> list[list[Fraction]]:
-    """Integer rows of norm^2 2 half^2 to exact unit rows: each coordinate pair
-    (a, b) becomes (a - b, a + b) / (2 half), a scaled 45-degree rotation."""
-    out = []
-    for row in rows:
-        mapped = []
-        for a, b in zip(row[0::2], row[1::2]):
-            mapped += [Fraction(a - b, 2 * half), Fraction(a + b, 2 * half)]
-        out.append(mapped)
-    return out
+def dyadic_unit_rows(rows: list[list[int]], half: int) -> tuple[list[list[int]], int]:
+    """Integer rows of norm^2 2 half^2 to exact unit rows, as integer numerators
+    over D = 2 half: each coordinate pair (a, b) becomes (a - b, a + b) / D, a
+    scaled 45-degree rotation."""
+    return [[x for a, b in zip(row[0::2], row[1::2]) for x in (a - b, a + b)]
+            for row in rows], 2 * half
 
 
-def _floats(rows) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in rows])
+def _floats(numerators, scale: int) -> np.ndarray:
+    return np.array([[x / scale for x in row] for row in numerators])
 
 
-def _vectors_cert(rows) -> str:
-    return certificate_text(verify_vectors(_floats(rows), len(rows[0]), mode="rational",
-                                           exact_rows=rows))
+def _vectors_cert(numerators, scale: int) -> str:
+    return certificate_text(verify_vectors(_floats(numerators, scale), len(numerators[0]),
+                                           mode="rational", exact=numerators))
 
 
 def shuffled_e8() -> str:
     rows = _e8_doubled()
     order = np.random.default_rng(8).permutation(len(rows))
-    return _vectors_cert(dyadic_unit_rows([rows[i] for i in order], 2))
+    return _vectors_cert(*dyadic_unit_rows([rows[i] for i in order], 2))
 
 
 def d4() -> str:
-    return _vectors_cert(dyadic_unit_rows(_pair_roots(4), 1))
+    return _vectors_cert(*dyadic_unit_rows(_pair_roots(4), 1))
 
 
 # Ten norm-4 rows with cosines in {-1, -3/4, 0, +-1/4, +-1/2}, then a row
@@ -100,8 +96,7 @@ def unequal_norms() -> str:
     """D4 roots times seeded multipliers 1-4: norm products are squares, norms differ."""
     rng = np.random.default_rng(4)
     rows = [[int(k) * x for x in v] for v, k in zip(_pair_roots(4), rng.integers(1, 5, 24))]
-    exact = [[Fraction(x) for x in row] for row in rows]
-    built = config_from_vectors(_floats(exact), 4, exact_rows=exact)
+    built = config_from_vectors(_floats(rows, 1), 4, exact=rows)
     return certificate_text(verify_gram(built.gram))
 
 

@@ -1,5 +1,6 @@
 """File formats: round trips, strict parsing, checkpoint integrity."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from kissgram.corrector import CorrectorPolicy
 from kissgram.errors import CheckpointError, ConfigError, ParseError
 from kissgram.fileio import (
     format_float,
+    gram_text,
+    parse_gram_text,
     read_cosine_report,
     read_certificate,
     read_gram_file,
@@ -22,6 +25,7 @@ from kissgram.fileio import (
 from kissgram.filler import SearchTree
 from kissgram.game import GameConfig, train_loop
 from kissgram.gram import gram_from_vectors
+from kissgram.rational import cosine_factors, format_rational
 from kissgram.refconfigs import generate
 from kissgram.runconfig import echo_text, load_run_config
 from kissgram.verify import verify_gram
@@ -55,7 +59,68 @@ def test_vector_file_round_trip_rational(tmp_path):
                       exact_rows=rows)
     doc = read_vector_file(path)
     assert doc.mode == "rational"
-    assert doc.exact_rows == rows
+    assert doc.exact.tolist() == [[6, 3], [-2, 0]] and doc.exact_scale == 6
+    assert np.array_equal(doc.vectors, [[1.0, 0.5], [-1 / 3, 0.0]])
+
+
+def _fraction_rows(rng, m: int, n: int) -> list[list[Fraction]]:
+    """Seeded rational entries with varied and unreduced denominators."""
+    return [[F(int(rng.integers(-10**12, 10**12)), int(rng.choice([1, 2, 3, 7, 10**9 + 7,
+                                                                     3**30])))
+             for _ in range(n)] for _ in range(m)]
+
+
+def _fraction_reference(rows) -> tuple[np.ndarray, np.ndarray, int]:
+    """Float view, numerators and D of exact rows, through ``Fraction``."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return (np.array([[float(x) for x in row] for row in rows]),
+            np.array([[int(x * scale) for x in row] for row in rows], dtype=object), scale)
+
+
+def test_rational_vector_and_gram_files_match_fraction_reference(tmp_path):
+    rng = np.random.default_rng(23)
+    for trial in range(20):
+        m, n = int(rng.integers(0, 9)), int(rng.integers(1, 6))
+        rows = _fraction_rows(rng, m, n)
+        floats, numerators, scale = _fraction_reference(rows)
+        path = tmp_path / "r.vec"
+        write_vector_file(path, floats.reshape(m, n), mode="rational", exact_rows=rows)
+        doc = read_vector_file(path)
+        assert np.array_equal(doc.vectors, floats.reshape(m, n))
+        assert doc.exact.shape == (m, n) and doc.exact_scale == scale
+        assert doc.exact.tolist() == numerators.reshape(m, n).tolist()
+
+        # A symmetric Gram file from the same entries, written by hand.
+        sym = [[rows[min(i, j)][max(i, j) % n] for j in range(m)] for i in range(m)]
+        floats, numerators, scale = _fraction_reference(sym)
+        text = f"kiss-gram v1 dim={n} count={m} mode=rational\n" + "".join(
+            " ".join(format_rational(x) for x in sym[i][i:]) + "\n" for i in range(m))
+        state = parse_gram_text(text, "g")
+        assert np.array_equal(state.entries, floats.reshape(m, m))
+        assert state.exact_scale == scale
+        assert state.exact.tolist() == numerators.reshape(m, m).tolist()
+
+
+def test_rational_files_parse_and_factor_without_fraction(tmp_path, monkeypatch):
+    built = generate("D4Roots")
+    path = tmp_path / "d4.vec"
+    rows = [[F(int(x)) for x in row] for row in np.rint(built.vectors * math.sqrt(2))]
+    write_vector_file(path, built.vectors, mode="rational", exact_rows=rows)
+    gram = gram_text(built.gram, "rational")
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    doc = read_vector_file(path)
+    state = parse_gram_text(gram, "d4")
+    assert made == []
+    factors = cosine_factors(doc.exact)
+    assert made == []
+    assert factors is not None and np.array_equal(state.exact, built.gram.exact)
 
 
 def test_vector_file_comments_and_errors(tmp_path):

@@ -188,7 +188,9 @@ def test_selection_cold_tree_takes_first_candidate():
     state = GramState.single(2)
     a = CandidateColumn(head=np.array([0.5]))
     b = CandidateColumn(head=np.array([0.0]))
-    assert select_action(tree, state, [a, b]) is a
+    chosen, edge = select_action(tree, state, [a, b])
+    assert chosen is a
+    assert edge == (fingerprint_state(state), fingerprint_column(a))
 
 
 def test_selection_pure_exploitation():
@@ -199,7 +201,7 @@ def test_selection_pure_exploitation():
     fp = fingerprint_state(state)
     backpropagate(tree, [(fp, fingerprint_column(a))], 1.0)
     backpropagate(tree, [(fp, fingerprint_column(b))], 0.0)
-    assert select_action(tree, state, [a, b]) is a
+    assert select_action(tree, state, [a, b])[0] is a
 
 
 def test_selection_exploration_bonus_flips_choice():
@@ -215,7 +217,9 @@ def test_selection_exploration_bonus_flips_choice():
         backpropagate(tree, [(fp, fingerprint_column(a))], 1.0)
     for _ in range(10):
         backpropagate(tree, [(fp, fingerprint_column(b))], 0.9)
-    assert select_action(tree, state, [a, b]) is b
+    chosen, edge = select_action(tree, state, [a, b])
+    assert chosen is b
+    assert edge == (fp, fingerprint_column(b))
 
 
 def test_selection_empty_candidates():

@@ -27,7 +27,6 @@ from kissgram.gram import (
     permute_state,
     rank_of,
     reconstruct_vectors,
-    unit_norm_test,
 )
 from kissgram.refconfigs import generate
 
@@ -107,7 +106,7 @@ def test_factorize_identity_basis():
     cache = factorize(state)
     assert np.allclose(cache.chol_factor, np.eye(2))
     assert np.allclose(cache.pseudo_inv, np.eye(2))
-    assert cache.cross_block.shape == (0, 2)
+    assert cache.n == 2 and cache.lift_matrix.shape == (0, 2)
 
 
 def test_factorize_closed_form_two_by_two():
@@ -123,10 +122,13 @@ def test_factorize_d4_block_reconstruction():
     order = full_rank_prefix(d4)
     state = permute_state(d4, order)
     cache = factorize(state)
-    residual = np.abs(cache.chol_factor @ cache.chol_factor.T - cache.basis_block).max()
+    basis, cross = state.entries[:4, :4], state.entries[4:, :4]
+    residual = np.abs(cache.chol_factor @ cache.chol_factor.T - basis).max()
     assert residual < 1e-12
-    recon = cache.basis_block @ cache.pseudo_inv @ cache.basis_block
-    assert np.abs(recon - cache.basis_block).max() < 1e-10
+    recon = basis @ cache.pseudo_inv @ basis
+    assert np.abs(recon - basis).max() < 1e-10
+    # The lift matrix is C B^-1: lifting the cross rows' heads gives the cross block.
+    assert np.abs(cache.lift_matrix @ basis - cross).max() < 1e-10
 
 
 def test_factorize_requires_enough_rows():
@@ -169,23 +171,6 @@ def test_lift_tail_matches_direct_dot_products_on_e8():
         got = lift_tail(cache, head)
         err = np.abs(got - expected).max()
         assert err < 1e-10
-
-
-def test_unit_norm_test_identity_basis():
-    state = GramState(dim=2, entries=np.eye(2))
-    cache = factorize(state)
-    assert unit_norm_test(cache, np.array([1.0, 0.0]), 1e-9)
-    assert not unit_norm_test(cache, np.zeros(2), 1e-9)
-
-
-def test_unit_norm_test_hand_computed_case():
-    state = GramState(dim=2, entries=np.array([[1.0, 0.5], [0.5, 1.0]]))
-    cache = factorize(state)
-    head = np.array([0.5, 0.5])
-    # Hand computation: M^-1 head = (1/2, 1/(2 sqrt 3)), norm 1/sqrt(3).
-    y = np.linalg.solve(cache.chol_factor, head)
-    assert float(np.linalg.norm(y)) == pytest.approx(1 / math.sqrt(3))
-    assert not unit_norm_test(cache, head, 1e-9)
 
 
 def test_reconstruct_vectors_antipodal():

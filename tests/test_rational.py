@@ -21,6 +21,7 @@ from kissgram.rational import (
     exact_ldlt,
     exact_matvec,
     format_rational,
+    parse_numerators,
     parse_rational,
     pd_adjugate,
 )
@@ -72,6 +73,77 @@ def test_parse_rational_accepts_signed_fractions_and_integers():
 def test_parse_rational_rejects_non_literals(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
+
+
+def fraction_numerators(texts) -> tuple[list[int], int]:
+    """Reference: each literal through the grammar and ``Fraction``, then the
+    numerators over the lcm of the reduced denominators."""
+    for text in texts:
+        if not rational._RATIONAL_RE.match(text):
+            raise ParseError(f"not a rational literal: {text!r}")
+    values = [F(text) for text in texts]
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _digits(rng) -> str:
+    """1 to 3 or 30 decimal digits; leading zeros included."""
+    return "".join(map(str, rng.integers(0, 10, int(rng.choice([1, 2, 3, 30])))))
+
+
+def random_literal(rng) -> str:
+    """Literals of every shape the grammar meets: signed, zero-padded,
+    unreduced, zero, 30-digit, beyond float range, zero denominators and
+    (rarely) text outside the grammar."""
+    kind = int(rng.integers(12))
+    if kind == 0:
+        return str(rng.choice(["0", "-0", "+0", "0/7", "-0/003", "000"]))
+    if kind == 1:  # beyond float range (overflow), or below it (rounds to 0)
+        return str(rng.choice(["1" + "0" * 400, "-7" + "0" * 320 + "/3",
+                               "1/1" + "0" * 400, "1" + "0" * 309]))
+    if kind == 2:
+        return str(rng.choice(["1.5", "a", "1/", "/2", "", "1/0", "-3/00", "1e3"]))
+    if kind == 3:  # unreduced
+        k, a, b = (int(x) for x in rng.integers(1, 50, 3))
+        return f"{int(rng.choice([-1, 1])) * a * k}/{b * k}"
+    sign = str(rng.choice(["", "+", "-"]))
+    return sign + _digits(rng) + ("" if kind < 7 else "/" + _digits(rng))
+
+
+def parse_outcome(parse, texts, floats):
+    """``(N, D, float view)`` of ``parse``, with the float view or the whole
+    outcome replaced by the name of the error raised."""
+    try:
+        numerators, scale = parse(texts)
+    except ParseError:
+        return "ParseError"
+    try:
+        view = floats(numerators, scale)
+    except OverflowError:
+        view = "OverflowError"
+    return numerators, scale, view
+
+
+def test_parse_numerators_match_fraction_reference():
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for _ in range(1500):
+        texts = [random_literal(rng) for _ in range(int(rng.integers(1, 9)))]
+        expected = parse_outcome(fraction_numerators, texts,
+                                 lambda nums, scale: [float(F(n, scale)) for n in nums])
+        got = parse_outcome(parse_numerators, texts,
+                            lambda nums, scale: [n / scale for n in nums])
+        assert got == expected, texts
+        outcomes.add(expected if isinstance(expected, str) else
+                     expected[2] if isinstance(expected[2], str) else "ok")
+    assert outcomes == {"ok", "ParseError", "OverflowError"}
+
+
+def test_parse_numerators_reduce_and_share_one_denominator():
+    assert parse_numerators(["6/4", "-0", "+1/3", "002/006", "7"]) == ([9, 0, 2, 2, 42], 6)
+    assert parse_numerators([]) == ([], 1)
+    with pytest.raises(ParseError, match="'1/0'"):
+        parse_numerators(["1/2", "1/0"])
 
 
 def test_format_round_trip():
@@ -319,7 +391,7 @@ def test_exact_cosines_match_fraction_reference():
     outcomes = set()
     for rows in _cosine_cases(rng):
         expected = fraction_cosines(rows)
-        got = exact_cosines(rows)
+        got = exact_cosines(ints(rows))
         outcomes.add(got is None)
         assert (got is None) == (expected is None)
         if got is None:
@@ -338,6 +410,6 @@ def test_exact_cosines_past_int64_match_fraction_reference():
     for k in range(15):
         rows.append([(k + 1) * c, (k + 1) * s])
         c, s = c * F(3, 5) - s * F(4, 5), c * F(4, 5) + s * F(3, 5)
-    assert cosine_factors(rows)[0].dtype == object
-    scale, num = exact_cosines(rows)
+    assert cosine_factors(ints(rows))[0].dtype == object
+    scale, num = exact_cosines(ints(rows))
     assert [[F(x, scale) for x in row] for row in num.tolist()] == fraction_cosines(rows)

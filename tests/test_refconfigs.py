@@ -127,17 +127,28 @@ def test_config_from_vectors_normalizes_and_validates():
 
 
 def test_config_from_vectors_exact_gram_for_equal_norm_lattice_rows():
-    rows = [[F(1), F(1), F(0), F(0)], [F(1), F(0), F(1), F(0)], [F(1), F(0), F(0), F(1)]]
-    raw = np.array([[float(x) for x in row] for row in rows])
-    built = config_from_vectors(raw, 4, exact_rows=rows)
+    rows = [[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]]
+    built = config_from_vectors(np.array(rows, dtype=float), 4, exact=rows)
     assert built.gram.exact is not None
     assert F(built.gram.exact[0, 1], built.gram.exact_scale) == F(1, 2)
 
 
 def test_config_from_vectors_irrational_cosine_falls_back_to_float():
     # Norm product 1 * 3 is not a square: the cosine -1/sqrt(3) is irrational.
-    rows = [[F(1), F(0), F(0)], [F(-1), F(1), F(1)]]
-    raw = np.array([[float(x) for x in row] for row in rows])
-    built = config_from_vectors(raw, 3, exact_rows=rows)
+    rows = [[1, 0, 0], [-1, 1, 1]]
+    built = config_from_vectors(np.array(rows, dtype=float), 3, exact=rows)
     assert built.gram.exact is None
     assert built.gram.entries[0, 1] == pytest.approx(-1 / np.sqrt(3))
+
+
+def test_from_vector_file_seeds_an_exact_gram_from_rational_coordinates(tmp_path):
+    from kissgram.fileio import write_vector_file
+
+    d4 = generate("D4Roots")
+    rows = [[F(int(x), 2) for x in row] for row in np.rint(d4.vectors * np.sqrt(2))]
+    path = tmp_path / "d4.vec"
+    write_vector_file(path, d4.vectors, mode="rational", exact_rows=rows)
+    built = generate(f"FromVectorFile({path})")
+    assert built.gram.exact_scale == d4.gram.exact_scale
+    assert np.array_equal(built.gram.exact, d4.gram.exact)
+    assert np.array_equal(built.gram.entries, d4.gram.entries)

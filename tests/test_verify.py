@@ -218,12 +218,12 @@ def test_rational_mode_requires_exact_entries():
 def test_rational_vectors_with_irrational_cosine_are_non_unit():
     # Norm product 1 * 3 is not a square: the cosine -1/sqrt(3) is irrational,
     # so the exact rows cannot all be unit.
-    rows = [[Fraction(1), Fraction(0), Fraction(0)], [Fraction(-1), Fraction(1), Fraction(1)]]
-    raw = np.array([[float(x) for x in row] for row in rows])
+    rows = [[1, 0, 0], [-1, 1, 1]]
+    raw = np.array(rows, dtype=float)
     unit = raw / np.linalg.norm(raw, axis=1)[:, None]
     assert verify_vectors(unit, 3).passed
     with pytest.raises(NonUnitVector):
-        verify_vectors(unit, 3, mode="rational", exact_rows=rows)
+        verify_vectors(unit, 3, mode="rational", exact=rows)
 
 
 def test_antipodality_flag():
@@ -428,11 +428,18 @@ def test_blockwise_verification_allocates_no_dense_gram():
 
 # --- The streaming rational path against the dense exact Gram ----------------
 
-def _dyadic_unit_rows(rows, half: int) -> list[list[Fraction]]:
-    """Integer rows of norm^2 2 half^2 to exact unit rows: each coordinate pair
-    (a, b) becomes (a - b, a + b) / (2 half), a scaled 45-degree rotation."""
-    return [[F(x, 2 * half) for a, b in zip(row[0::2], row[1::2]) for x in (a - b, a + b)]
-            for row in rows]
+def _dyadic_unit_rows(rows, half: int) -> tuple[list[list[int]], int]:
+    """Integer rows of norm^2 2 half^2 to exact unit rows, as integer numerators
+    over D = 2 half: each coordinate pair (a, b) becomes (a - b, a + b) / D, a
+    scaled 45-degree rotation."""
+    return [[x for a, b in zip(row[0::2], row[1::2]) for x in (a - b, a + b)]
+            for row in rows], 2 * half
+
+
+def _numerators(rows) -> tuple[list[list[int]], int]:
+    """Exact rows as integer numerators over the least common denominator."""
+    scale = math.lcm(*(F(x).denominator for row in rows for x in row))
+    return [[int(F(x) * scale) for x in row] for row in rows], scale
 
 
 def _lambda16_rows() -> list[list[int]]:
@@ -480,47 +487,51 @@ def _rational_cases():
         return _dyadic_unit_rows([l16[i] for i in np.sort(rng.choice(len(l16), count,
                                                                       replace=False))], 2)
 
+    d4_unit = _dyadic_unit_rows(d4, 1)
+    # (numerators, D, dim): the rows are numerators / D.
     return {
-        "e8-shuffled": (_dyadic_unit_rows([e8[i] for i in rng.permutation(240)], 2), 8),
-        "d4": (_dyadic_unit_rows(d4, 1), 4),
-        "lambda16-subset": (l16_subset(300), 16),
-        "cap-violation": ([[F(1), F(0), F(0)], [F(3, 5), F(4, 5), F(0)], [F(0), F(0), F(1)]], 3),
-        "empty": ([], 3),
-        "single": ([[F(3, 5), F(4, 5)]], 2),
-        "antipodal-pair": ([[F(1), F(0)], [F(-1), F(0)]], 2),
-        "block-minus-one": (l16_subset(block - 1), 16),
-        "block": (l16_subset(block), 16),
-        "block-plus-one": (l16_subset(block + 1), 16),
-        "python-ints": (_rotations(15), 2),
+        "e8-shuffled": (*_dyadic_unit_rows([e8[i] for i in rng.permutation(240)], 2), 8),
+        "d4": (*d4_unit, 4),
+        "lambda16-subset": (*l16_subset(300), 16),
+        "cap-violation": ([[5, 0, 0], [3, 4, 0], [0, 0, 5]], 5, 3),
+        "empty": ([], 1, 3),
+        "single": ([[3, 4]], 5, 2),
+        "antipodal-pair": ([[1, 0], [-1, 0]], 1, 2),
+        "block-minus-one": (*l16_subset(block - 1), 16),
+        "block": (*l16_subset(block), 16),
+        "block-plus-one": (*l16_subset(block + 1), 16),
+        "python-ints": (*_numerators(_rotations(15)), 2),
         # Unit rows times 1 + (k mod 4) 10^-7: unit within 1e-6, norms not equal.
-        "unequal-norms": ([[F(10**7 + k % 4, 10**7) * x for x in row]
-                           for k, row in enumerate(_dyadic_unit_rows(d4, 1))], 4),
+        "unequal-norms": ([[(10**7 + k % 4) * x for x in row] for k, row in enumerate(d4_unit[0])],
+                          10**7 * d4_unit[1], 4),
     }
 
 
 RATIONAL_CASES = _rational_cases()
 
 
-def _floats(rows, dim: int) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in rows]).reshape(len(rows), dim)
+def _floats(numerators, scale: int, dim: int) -> np.ndarray:
+    """The float view: each numerator / D, correctly rounded."""
+    return np.array([[x / scale for x in row] for row in numerators]).reshape(-1, dim)
 
 
-def dense_exact_certificate(rows, dim: int) -> Certificate:
+def dense_exact_certificate(numerators, scale: int, dim: int) -> Certificate:
     """``verify_gram`` of the dense exact Gram that ``exact_cosines`` builds."""
-    norms = np.linalg.norm(_floats(rows, dim), axis=1)
-    max_err = float(np.abs(norms - 1.0).max()) if len(rows) else 0.0
-    scale, numerators = exact_cosines(rows)
-    return verify_gram(GramState.from_exact(dim, numerators, scale), unit_norm_max_error=max_err)
+    norms = np.linalg.norm(_floats(numerators, scale, dim), axis=1)
+    max_err = float(np.abs(norms - 1.0).max()) if len(numerators) else 0.0
+    gram_scale, gram = exact_cosines(numerators)
+    return verify_gram(GramState.from_exact(dim, gram, gram_scale), unit_norm_max_error=max_err)
 
 
 @pytest.mark.parametrize("block_rows", [None, 4])
 @pytest.mark.parametrize("name", sorted(RATIONAL_CASES))
 def test_streaming_rational_certificate_equals_dense(name, block_rows, monkeypatch):
-    rows, dim = RATIONAL_CASES[name]
-    expected = certificate_text(dense_exact_certificate(rows, dim))
+    numerators, scale, dim = RATIONAL_CASES[name]
+    expected = certificate_text(dense_exact_certificate(numerators, scale, dim))
     if block_rows is not None:
         monkeypatch.setattr(verify, "BLOCK_ROWS", block_rows)
-    got = verify_vectors(_floats(rows, dim), dim, mode="rational", exact_rows=rows)
+    got = verify_vectors(_floats(numerators, scale, dim), dim, mode="rational",
+                         exact=numerators)
     assert certificate_text(got) == expected
 
 
@@ -537,12 +548,12 @@ def test_rational_cases_cover_verdicts_and_both_integer_paths():
 def test_streaming_rational_verification_allocates_no_dense_gram():
     rng = np.random.default_rng(12)
     l16 = _lambda16_rows()
-    rows = _dyadic_unit_rows([l16[i] for i in rng.choice(len(l16), 4000, replace=False)], 2)
-    floats = _floats(rows, 16)
+    rows, scale = _dyadic_unit_rows([l16[i] for i in rng.choice(len(l16), 4000, replace=False)], 2)
+    floats = _floats(rows, scale, 16)
     dense_bytes = 8 * len(rows) ** 2  # the pointer array alone of an m x m object Gram
     tracemalloc.start()
     try:
-        cert = verify_vectors(floats, 16, mode="rational", exact_rows=rows)
+        cert = verify_vectors(floats, 16, mode="rational", exact=rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
