@@ -4,7 +4,9 @@ Enumeration is a level-synchronous branch-and-prune over column entries.
 For rank-increasing extensions (m < dim) partial columns are pruned through
 the running Schur-complement bound; for lifted extensions (m >= dim) the
 pruning bound is the running coordinate norm of the candidate head.  Both
-walks are deterministic and lexicographic over the discrete value set.
+walks are deterministic and lexicographic over the discrete value set, and
+each returns one move's action set as a ``Candidates`` batch of K whole
+columns, of which ``select_action`` picks a row.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
 from .gram import (
     COSINE_CAP,
     DEFAULT_TOLS,
-    CandidateColumn,
     FactorCache,
     GramState,
     Tolerances,
@@ -69,7 +70,6 @@ class MembershipList:
     """Structural constraint: new rows must come from a fixed vector set."""
 
     vectors: np.ndarray
-    label: str = "membership"
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.vectors, dtype=float)
@@ -107,6 +107,31 @@ class ActionSpec:
         return False  # a continuous cap cannot be confirmed exactly
 
 
+@dataclass(frozen=True)
+class Candidates:
+    """One move's action set: K extension columns in enumeration order.
+
+    ``columns`` is K x m, each row a head followed by its snapped tail.
+    ``exact`` holds the same columns as integer numerators over the rational
+    state's D (None in float mode), ``members`` each column's index in the
+    membership list (None outside member-list runs).
+    """
+
+    columns: np.ndarray
+    exact: np.ndarray | None = None
+    members: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.columns.shape[0]
+
+    def take(self, rows: Sequence[int]) -> "Candidates":
+        """The batch restricted to ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return Candidates(self.columns[rows],
+                          None if self.exact is None else self.exact[rows],
+                          None if self.members is None else self.members[rows])
+
+
 def fingerprint_state(state: GramState) -> bytes:
     """Order-independent digest of the multiset of Gram rows.
 
@@ -124,8 +149,8 @@ def fingerprint_state(state: GramState) -> bytes:
     return h.digest()
 
 
-def fingerprint_column(column: CandidateColumn) -> bytes:
-    q = np.rint(column.full / FINGERPRINT_QUANTUM).astype(np.int64)
+def fingerprint_column(column: np.ndarray) -> bytes:
+    q = np.rint(column / FINGERPRINT_QUANTUM).astype(np.int64)
     return hashlib.blake2b(q.tobytes(), digest_size=16).digest()
 
 
@@ -168,9 +193,9 @@ class SearchTree:
         return tree
 
 
-def select_action(tree: SearchTree, state: GramState, candidates: Sequence[CandidateColumn]
-                  ) -> tuple[CandidateColumn, tuple[bytes, bytes]]:
-    """UCB-greedy choice and its tree edge ``(state_fp, action_fp)``;
+def select_action(tree: SearchTree, state: GramState, candidates: Candidates
+                  ) -> tuple[int, tuple[bytes, bytes]]:
+    """UCB-greedy row of ``candidates`` and its tree edge ``(state_fp, action_fp)``;
     unvisited actions rank above all visited ones.
 
     Ties resolve to the earliest candidate in the (deterministic) stream
@@ -182,15 +207,15 @@ def select_action(tree: SearchTree, state: GramState, candidates: Sequence[Candi
     action_fps = []
     best_i = 0
     best_score = -math.inf
-    for i, cand in enumerate(candidates):
-        action_fps.append(fingerprint_column(cand))
+    for i, column in enumerate(candidates.columns):
+        action_fps.append(fingerprint_column(column))
         score = tree.ucb(state_fp, action_fps[i])
         if score > best_score:
             best_score = score
             best_i = i
         if math.isinf(score):
             break  # first unvisited candidate wins outright
-    return candidates[best_i], (state_fp, action_fps[best_i])
+    return best_i, (state_fp, action_fps[best_i])
 
 
 def backpropagate(tree: SearchTree, trajectory: Sequence[tuple[bytes, bytes]],
@@ -241,31 +266,35 @@ def _expand_columns(lower: np.ndarray, values: np.ndarray, s_limit: float,
     return cols, idx, s
 
 
+def _stuck(m: int) -> Candidates:
+    """The empty action set for a state of m rows: Player 1 is stuck."""
+    return Candidates(np.zeros((0, m)))
+
+
 def enumerate_small(state: GramState, spec: ActionSpec, *,
-                    tols: Tolerances = DEFAULT_TOLS) -> list[CandidateColumn]:
+                    tols: Tolerances = DEFAULT_TOLS) -> Candidates:
     """Rank-increasing action set for m < dim.
 
     Every column over the head set whose bordered matrix is PSD with rank
-    m + 1, in lexicographic order.  An empty list means Player 1 is stuck.
+    m + 1, in lexicographic order.
     """
     if state.m >= state.dim:
         raise DimensionMismatch(f"small-regime enumeration needs m < dim, got m={state.m}")
     values = np.asarray(spec.c1.values, dtype=float)
     if values.size == 0:
-        return []
+        return _stuck(state.m)
     try:
         lower = np.linalg.cholesky(state.entries)
     except np.linalg.LinAlgError:
-        return []  # numerically rank-deficient: no rank-(m+1) extension exists
+        return _stuck(state.m)  # numerically rank-deficient: no rank-(m+1) extension exists
     cols, idx, _ = _expand_columns(lower, values, 1.0 - tols.rank, True)
     if state.exact is None:
-        return [CandidateColumn(head=col, tail=np.zeros(0)) for col in cols]
+        return Candidates(cols)
     if not spec.c1.is_rational:
         raise MixedModeEntries("rational state requires a rational head set")
     heads = scaled_integers(spec.c1.exact, state.exact_scale)
     keep = _exact_schur_positive(state, heads, idx)
-    return [CandidateColumn(head=col, tail=np.zeros(0), exact=tuple(map(heads.__getitem__, row)))
-            for col, row in zip(cols[keep], idx[keep].tolist())]
+    return Candidates(cols[keep], np.array(heads, dtype=object)[idx[keep]])
 
 
 def _exact_schur_positive(state: GramState, heads: Sequence[int],
@@ -294,7 +323,7 @@ def _exact_schur_positive(state: GramState, heads: Sequence[int],
 
 def enumerate_lifted(state: GramState, cache: FactorCache, spec: ActionSpec, *,
                      tols: Tolerances = DEFAULT_TOLS,
-                     blame: np.ndarray | None = None) -> list[CandidateColumn]:
+                     blame: np.ndarray | None = None) -> Candidates:
     """Lifted action set for m >= dim: unit-norm heads with conforming tails.
 
     ``blame``, when given, is a length-m counter that is incremented at the
@@ -305,8 +334,6 @@ def enumerate_lifted(state: GramState, cache: FactorCache, spec: ActionSpec, *,
         raise DimensionMismatch(f"lifted enumeration needs m >= dim, got m={state.m}")
     n = state.dim
     values = np.asarray(spec.c1.values, dtype=float)
-    if values.size == 0:
-        return []
     unit_tol = tols.psd
     exact_mode = state.exact is not None
     if exact_mode:
@@ -318,17 +345,19 @@ def enumerate_lifted(state: GramState, cache: FactorCache, spec: ActionSpec, *,
     keep = np.abs(np.sqrt(s) - 1.0) <= unit_tol
     heads, idx = heads[keep], idx[keep]
     if heads.shape[0] == 0:
-        return []
+        return _stuck(state.m)
     tails = heads @ cache.lift_matrix.T
     keep, snapped, single_row = _tail_filter(tails, spec.c2, tols)
     if blame is not None and single_row.size:
         np.add.at(blame, n + single_row, 1)
-    heads, idx, tails = heads[keep], idx[keep], snapped[keep]
+    columns, idx = np.concatenate([heads[keep], snapped[keep]], axis=1), idx[keep]
     if not exact_mode:
-        return [CandidateColumn(head=head, tail=tail) for head, tail in zip(heads, tails)]
-    exact_cols = _confirm_exact_lifted(cache, spec, idx) if heads.shape[0] else None
-    return [CandidateColumn(head=heads[row], tail=tails[row], exact=col)
-            for row, col in enumerate(exact_cols or ()) if col is not None]
+        return Candidates(columns)
+    confirmed = _confirm_exact_lifted(cache, spec, idx) if len(idx) else None
+    if confirmed is None:
+        return _stuck(state.m)
+    rows, exact = confirmed
+    return Candidates(columns[rows], exact)
 
 
 def _tail_filter(tails: np.ndarray, c2: DiscreteSet | CapOnly,
@@ -353,14 +382,14 @@ def _tail_filter(tails: np.ndarray, c2: DiscreteSet | CapOnly,
 
 
 def _confirm_exact_lifted(cache: FactorCache, spec: ActionSpec,
-                          idx: np.ndarray) -> list[tuple[int, ...] | None] | None:
+                          idx: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Exact unit-norm and tail test of a batch of heads, rows of c1 indices ``idx``.
 
     With H = D c1[idx] and Y = H adj(D B), a head is unit iff
     rowsum(Y * H) == D det, and its tails N = Y (D C)^T are det times its
-    true tails over D, so each must lie in det * (D c2).  Returns the exact
-    column of each row as numerators over D (H then N / det), None for a
-    rejected row, or None when no row is confirmed.
+    true tails over D, so each must lie in det * (D c2).  Returns the
+    confirmed rows of ``idx``, ascending, and their exact columns as
+    numerators over D (H then N / det), or None when no row is confirmed.
     """
     if cache.exact_adj is None:
         raise MixedModeEntries("cache has no exact factors")
@@ -382,21 +411,19 @@ def _confirm_exact_lifted(cache: FactorCache, spec: ActionSpec,
     member = (allowed[pos] == tails).all(axis=1)
     if not member.any():
         return None
-    columns = np.concatenate([hmat[rows[member]], tails[member] // det], axis=1)
-    found = dict(zip(rows[member].tolist(), map(tuple, columns.tolist())))
-    return [found.get(row) for row in range(idx.shape[0])]
+    return rows[member], np.concatenate([hmat[rows[member]], tails[member] // det], axis=1)
 
 
 def enumerate_membership(state: GramState, anchors: np.ndarray, spec: ActionSpec, *,
                          used: np.ndarray | None = None,
                          tols: Tolerances = DEFAULT_TOLS,
-                         blame: np.ndarray | None = None) -> list[tuple[int, CandidateColumn]]:
+                         blame: np.ndarray | None = None) -> Candidates:
     """Action set restricted to a fixed vector list (coordinate-anchored runs).
 
     ``anchors`` holds the coordinates of the current rows; candidates are the
     unused vectors of the membership list whose cosine column satisfies every
-    discrete and cap constraint.  Returns (member index, column) pairs in
-    list order.
+    discrete and cap constraint, in list order, with their list indices as
+    ``members``.
     """
     member = spec.c_star
     if not isinstance(member, MembershipList):
@@ -425,15 +452,9 @@ def enumerate_membership(state: GramState, anchors: np.ndarray, spec: ActionSpec
         try:
             lower = np.linalg.cholesky(state.entries)
         except np.linalg.LinAlgError:
-            return []
+            return Candidates(cols[:0], members=np.zeros(0, dtype=np.intp))
         sel = np.nonzero(ok)[0]
-        for i in sel:
-            y = np.linalg.solve(lower, cols[i, :m])
-            if 1.0 - float(y @ y) <= tols.rank:
-                ok[i] = False
-    out = []
-    for i in np.nonzero(ok)[0]:
-        head = cols[i, :head_len]
-        tail = cols[i, n:] if m > n else np.zeros(0)
-        out.append((int(i), CandidateColumn(head=head, tail=tail)))
-    return out
+        y = np.linalg.solve(lower, cols[sel, :m].T)
+        ok[sel] = 1.0 - (y * y).sum(axis=0) > tols.rank
+    members = np.nonzero(ok)[0]
+    return Candidates(cols[members], members=members)

@@ -244,13 +244,10 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
     added = 0
     while config.fill_budget is None or added < config.fill_budget:
         blame = np.zeros(state.m, dtype=np.int64)
-        members: list[int] | None = None
         if isinstance(member_list, MembershipList):
             used = np.isin(np.arange(member_list.vectors.shape[0]), meta.member)
-            pairs = enumerate_membership(state, meta.anchors, config.action,
-                                         used=used, tols=tols, blame=blame)
-            members = [midx for midx, _ in pairs]
-            candidates = [col for _, col in pairs]
+            candidates = enumerate_membership(state, meta.anchors, config.action,
+                                              used=used, tols=tols, blame=blame)
         elif state.m < state.dim:
             candidates = enumerate_small(state, config.action, tols=tols)
         else:
@@ -271,22 +268,22 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
             break
         if len(candidates) > config.rollouts_per_move:
             pick = sorted(rng.choice(len(candidates), size=config.rollouts_per_move, replace=False))
-            candidates = [candidates[i] for i in pick]
-            if members is not None:
-                members = [members[i] for i in pick]
-        chosen, edge = select_action(tree, state, candidates)
+            candidates = candidates.take(pick)
+        row, edge = select_action(tree, state, candidates)
         trajectory.append(edge)
-        state = extend(state, chosen, revalidate=config.debug_revalidate, tols=tols)
+        column = candidates.columns[row]
+        exact = None if candidates.exact is None else candidates.exact[row]
+        state = extend(state, column, exact=exact, revalidate=config.debug_revalidate, tols=tols)
         member, anchor = -1, None
-        if members is not None:
-            member = members[next(i for i, col in enumerate(candidates) if col is chosen)]
+        if candidates.members is not None:
+            member = int(candidates.members[row])
             anchor = member_list.vectors[member]
         meta.append(round_no, member, anchor)
         added += 1
         _check_bound(state)
         if cache is not None:
-            cache = extend_cache(cache, np.asarray(chosen.head, dtype=float),
-                                 exact_head=chosen.exact[: state.dim] if chosen.exact else None)
+            cache = extend_cache(cache, column[:state.dim],
+                                 exact_head=None if exact is None else exact[:state.dim])
     return _FillOutcome(state, added)
 
 

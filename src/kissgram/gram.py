@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -155,74 +155,46 @@ def check_invariants(state: GramState, tols: Tolerances = DEFAULT_TOLS) -> None:
         raise InvalidState("rank exceeds ambient dimension")
 
 
-@dataclass(frozen=True)
-class CandidateColumn:
-    """A proposed extension column split into its basis head and lifted tail.
-
-    For states with m >= dim the tail is fully determined by the head, so
-    storing both is a cache; equality is re-checked under revalidation.
-    ``exact`` holds the whole column as Python-int numerators over the
-    rational state's ``exact_scale``.
-    """
-
-    head: np.ndarray
-    tail: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    exact: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "head", _frozen(np.atleast_1d(self.head)))
-        object.__setattr__(self, "tail", _frozen(np.atleast_1d(self.tail)))
-        if self.exact is not None:  # integers only: no Fraction reaches an exact Gram
-            object.__setattr__(self, "exact", tuple(map(operator.index, self.exact)))
-
-    @property
-    def full(self) -> np.ndarray:
-        return np.concatenate([self.head, self.tail])
-
-
-def extend(state: GramState, column: CandidateColumn | np.ndarray, *,
+def extend(state: GramState, column: np.ndarray, *, exact: Sequence[int] | None = None,
            revalidate: bool = False, tols: Tolerances = DEFAULT_TOLS) -> GramState:
     """Border the matrix with ``column`` and a trailing diagonal 1.
 
-    The input state is never mutated; a rational state keeps its D and
-    appends the column's numerators as they are.  With ``revalidate`` the
-    extended state is checked against every invariant and InfeasibleColumn
-    is raised on failure (debug mode; the filler pipeline already guarantees
-    feasibility).
+    The input state is never mutated.  A rational state needs ``exact``, the
+    column's integer numerators over its D: they are appended as Python ints
+    (a Fraction or float raises TypeError) and give the float column.  With
+    ``revalidate`` the extended state is checked against every invariant and
+    InfeasibleColumn is raised on failure (debug mode; the filler already
+    guarantees feasibility).  At m >= dim that also pins a lifted tail: a PSD
+    extension of rank at most dim has the lift of its head as its tail.
     """
-    col = column.full if isinstance(column, CandidateColumn) else np.asarray(column, dtype=float)
-    exact_col = column.exact if isinstance(column, CandidateColumn) else None
+    col = np.asarray(column, dtype=float)
     m = state.m
-    exact = scale = None
+    grown = scale = None
     if state.exact is not None:
-        if exact_col is None:
+        if exact is None:
             raise MixedModeEntries("rational state extended with a float-only column")
-        if len(exact_col) != m:
+        numerators = [operator.index(x) for x in exact]
+        if len(numerators) != m:
             raise DimensionMismatch("exact column length disagrees with state")
         scale = state.exact_scale
-        exact = np.empty((m + 1, m + 1), dtype=object)
-        exact[:m, :m] = state.exact
-        exact[:m, m] = exact[m, :m] = exact_col
-        exact[m, m] = scale
+        grown = np.empty((m + 1, m + 1), dtype=object)
+        grown[:m, :m] = state.exact
+        grown[:m, m] = grown[m, :m] = numerators
+        grown[m, m] = scale
         # Keep the float view the correctly rounded image of the exact entries.
-        col = np.array([x / scale for x in exact_col])
+        col = np.array([x / scale for x in numerators])
     if col.shape != (m,):
         raise DimensionMismatch(f"column has length {col.shape[0]}, state has m={m}")
     g = np.empty((m + 1, m + 1))
     g[:m, :m] = state.entries
     g[:m, m] = g[m, :m] = col
     g[m, m] = 1.0
-    out = GramState(dim=state.dim, entries=g, exact=exact, exact_scale=scale)
+    out = GramState(dim=state.dim, entries=g, exact=grown, exact_scale=scale)
     if revalidate:
         try:
             check_invariants(out, tols)
         except InvalidState as exc:
             raise InfeasibleColumn(str(exc)) from exc
-        if isinstance(column, CandidateColumn) and m >= state.dim and column.tail.size:
-            cache = factorize(state, tols=tols)
-            expect = lift_tail(cache, column.head)
-            if not np.allclose(expect, column.tail, atol=1e-7):
-                raise InfeasibleColumn("cached tail disagrees with the lift of its head")
     return out
 
 
@@ -328,23 +300,8 @@ def extend_cache(cache: FactorCache, head: np.ndarray,
         if exact_head is None:
             raise MixedModeEntries("exact cache extended with a float-only head")
         exact_cross = np.vstack([exact_cross, np.array(exact_head, dtype=object)[None, :]])
-    return FactorCache(
-        chol_factor=cache.chol_factor,
-        pseudo_inv=cache.pseudo_inv,
-        lift_matrix=_frozen(np.vstack([cache.lift_matrix, (cache.pseudo_inv @ head)[None, :]])),
-        exact_scale=cache.exact_scale,
-        exact_det=cache.exact_det,
-        exact_adj=cache.exact_adj,
-        exact_cross=exact_cross,
-    )
-
-
-def lift_tail(cache: FactorCache, head: np.ndarray) -> np.ndarray:
-    """Tail entries implied by a head: C B^-1 head (see FactorCache)."""
-    head = np.asarray(head, dtype=float)
-    if head.shape != (cache.n,):
-        raise DimensionMismatch(f"head has length {head.shape[0]}, basis has n={cache.n}")
-    return cache.lift_matrix @ head
+    lift = np.vstack([cache.lift_matrix, (cache.pseudo_inv @ head)[None, :]])
+    return replace(cache, lift_matrix=_frozen(lift), exact_cross=exact_cross)
 
 
 def reconstruct_vectors(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

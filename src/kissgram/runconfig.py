@@ -164,7 +164,7 @@ def _build(sections, base_dir: Path) -> RunConfig:
 
         doc = read_vector_file(cstar_path)
         norms = doc.vectors / (doc.vectors ** 2).sum(axis=1, keepdims=True) ** 0.5
-        cstar = MembershipList(vectors=norms, label=cstar_path)
+        cstar = MembershipList(vectors=norms)
     try:
         action = ActionSpec(c1=c1, c2=c2, c_star=cstar)
     except ValueError as exc:

@@ -14,7 +14,13 @@ import pytest
 
 from kissgram.checkpoint import MAGIC
 from kissgram.cli import main
-from kissgram.fileio import read_certificate, read_cosine_report, read_vector_file
+from kissgram.fileio import (
+    read_certificate,
+    read_cosine_report,
+    read_vector_file,
+    write_vector_file,
+)
+from kissgram.refconfigs import _pair_roots
 
 
 def run_cli(*argv) -> int:
@@ -206,6 +212,27 @@ def test_search_with_membership_constraint_config(tmp_path):
     cert = read_certificate(tmp_path / "out" / "best.cert")
     assert cert["verdict"] == "Pass"
     assert cert["sphere-count"] == "240"
+
+
+def test_member_list_search_is_unchanged_by_debug_revalidation(tmp_path):
+    # The seed [r0, -r0, r4] has a singular leading 3x3 block, and a
+    # member-list run never reorders its rows into a basis: revalidation
+    # must check the extended state without factorizing that block.
+    roots = np.array(_pair_roots(3), dtype=float) / np.sqrt(2)
+    write_vector_file(tmp_path / "allowed.vec", roots)
+    write_vector_file(tmp_path / "seed.vec", np.array([roots[0], -roots[0], roots[4]]))
+    grams = []
+    for flag in ("off", "on"):
+        cfg = tmp_path / f"{flag}.cfg"
+        cfg.write_text("[run]\ndim = 3\nepisodes = 2\nrounds = 2\nrng-seed = 1\n"
+                       f"out-dir = out-{flag}\ndebug-revalidate = {flag}\n"
+                       "[seed]\nsource = file:seed.vec\n"
+                       "[action]\nc1 = -1, -1/2, 0, 1/2\ncstar = file:allowed.vec\n")
+        assert run_cli("search", "--config", str(cfg)) == 0
+        cert = read_certificate(tmp_path / f"out-{flag}" / "best.cert")
+        assert (cert["verdict"], cert["sphere-count"]) == ("Pass", "12")
+        grams.append((tmp_path / f"out-{flag}" / "best.gram").read_bytes())
+    assert grams[0] == grams[1]
 
 
 def test_search_generator_seeded_e8_reaches_240(tmp_path):

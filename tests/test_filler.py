@@ -12,6 +12,7 @@ from kissgram.cli import main
 from kissgram.errors import EmptyCandidates, EnumerationOverflow
 from kissgram.filler import (
     ActionSpec,
+    Candidates,
     CapOnly,
     DiscreteSet,
     MembershipList,
@@ -28,7 +29,6 @@ from kissgram.filler import (
     select_action,
 )
 from kissgram.gram import (
-    CandidateColumn,
     GramState,
     Tolerances,
     extend,
@@ -98,7 +98,7 @@ def oracle_lifted(state: GramState, values, c2, tols=TOLS) -> set[tuple[float, .
 
 
 def as_set(candidates) -> set[tuple[float, ...]]:
-    return {tuple(c.full.tolist()) for c in candidates}
+    return set(map(tuple, candidates.columns.tolist()))
 
 
 def test_enumerate_small_single_sphere_example():
@@ -115,13 +115,13 @@ def test_enumerate_small_matches_oracle_on_identity_pair():
 
 def test_enumerate_small_empty_value_set():
     spec = ActionSpec(c1=DiscreteSet(()))
-    assert enumerate_small(GramState.single(2), spec) == []
+    assert len(enumerate_small(GramState.single(2), spec)) == 0
 
 
 def test_enumerate_small_is_lexicographic():
     spec = ActionSpec(c1=DiscreteSet(C1))
     state = GramState(dim=3, entries=np.eye(2))
-    cols = [tuple(c.full.tolist()) for c in enumerate_small(state, spec)]
+    cols = list(map(tuple, enumerate_small(state, spec).columns.tolist()))
     assert cols == sorted(cols)
 
 
@@ -132,13 +132,13 @@ def test_enumerate_lifted_recovers_missing_e8_root():
     sub = GramState(dim=8, entries=state.entries[:239, :239])
     cands = enumerate_lifted(sub, factorize(sub), spec)
     assert len(cands) == 1
-    assert np.abs(cands[0].full - state.entries[239, :239]).max() < 1e-9
+    assert np.abs(cands.columns[0] - state.entries[239, :239]).max() < 1e-9
 
 
 def test_enumerate_lifted_hexagon_is_stuck():
     spec = ActionSpec(c1=DiscreteSet(C1))
     hexagon = generate("Hexagon").gram.as_float()
-    assert enumerate_lifted(hexagon, factorize(hexagon), spec) == []
+    assert len(enumerate_lifted(hexagon, factorize(hexagon), spec)) == 0
 
 
 def test_enumerate_lifted_cap_only_postcondition():
@@ -146,8 +146,9 @@ def test_enumerate_lifted_cap_only_postcondition():
     spec = ActionSpec(c1=DiscreteSet(C1), c2=CapOnly(0.5))
     built = generate("CrossPolytope(3)").gram.as_float()
     cands = enumerate_lifted(built, factorize(built), spec)
-    for c in cands:
-        assert c.tail.size == 0 or c.tail.max() <= 0.5 + 1e-9
+    for column in cands.columns:
+        tail = column[built.dim:]
+        assert tail.size == 0 or tail.max() <= 0.5 + 1e-9
 
 
 def test_enumerate_lifted_agrees_with_oracle_randomized():
@@ -179,29 +180,29 @@ def _random_discrete_state(rng, n, m, values):
                 return None
         if not cands:
             return state if state.m >= n else None
-        state = extend(state, cands[int(rng.integers(len(cands)))])
+        state = extend(state, cands.columns[int(rng.integers(len(cands)))])
     return state
+
+
+A, B = np.array([0.5]), np.array([0.0])
+AB = Candidates(np.array([A, B]))
 
 
 def test_selection_cold_tree_takes_first_candidate():
     tree = SearchTree()
     state = GramState.single(2)
-    a = CandidateColumn(head=np.array([0.5]))
-    b = CandidateColumn(head=np.array([0.0]))
-    chosen, edge = select_action(tree, state, [a, b])
-    assert chosen is a
-    assert edge == (fingerprint_state(state), fingerprint_column(a))
+    row, edge = select_action(tree, state, AB)
+    assert row == 0
+    assert edge == (fingerprint_state(state), fingerprint_column(A))
 
 
 def test_selection_pure_exploitation():
     tree = SearchTree(exploration=0.0)
     state = GramState.single(2)
-    a = CandidateColumn(head=np.array([0.5]))
-    b = CandidateColumn(head=np.array([0.0]))
     fp = fingerprint_state(state)
-    backpropagate(tree, [(fp, fingerprint_column(a))], 1.0)
-    backpropagate(tree, [(fp, fingerprint_column(b))], 0.0)
-    assert select_action(tree, state, [a, b])[0] is a
+    backpropagate(tree, [(fp, fingerprint_column(A))], 1.0)
+    backpropagate(tree, [(fp, fingerprint_column(B))], 0.0)
+    assert select_action(tree, state, AB) == (0, (fp, fingerprint_column(A)))
 
 
 def test_selection_exploration_bonus_flips_choice():
@@ -210,21 +211,19 @@ def test_selection_exploration_bonus_flips_choice():
     assert math.sqrt(math.log(100) / 10) - math.sqrt(math.log(100) / 90) > 0.1
     tree = SearchTree(exploration=1.0)
     state = GramState.single(2)
-    a = CandidateColumn(head=np.array([0.5]))
-    b = CandidateColumn(head=np.array([0.0]))
     fp = fingerprint_state(state)
     for _ in range(90):
-        backpropagate(tree, [(fp, fingerprint_column(a))], 1.0)
+        backpropagate(tree, [(fp, fingerprint_column(A))], 1.0)
     for _ in range(10):
-        backpropagate(tree, [(fp, fingerprint_column(b))], 0.9)
-    chosen, edge = select_action(tree, state, [a, b])
-    assert chosen is b
-    assert edge == (fp, fingerprint_column(b))
+        backpropagate(tree, [(fp, fingerprint_column(B))], 0.9)
+    row, edge = select_action(tree, state, AB)
+    assert row == 1
+    assert edge == (fp, fingerprint_column(B))
 
 
 def test_selection_empty_candidates():
     with pytest.raises(EmptyCandidates):
-        select_action(SearchTree(), GramState.single(2), [])
+        select_action(SearchTree(), GramState.single(2), AB.take([]))
 
 
 def test_backpropagate_running_mean():
@@ -265,8 +264,7 @@ def test_enumeration_determinism():
     sub = GramState(dim=4, entries=state.entries[:20, :20])
     runs = [as_set(enumerate_lifted(sub, factorize(sub), spec)) for _ in range(2)]
     assert runs[0] == runs[1]
-    streams = [[tuple(c.full.tolist()) for c in enumerate_lifted(sub, factorize(sub), spec)]
-               for _ in range(2)]
+    streams = [enumerate_lifted(sub, factorize(sub), spec).columns.tolist() for _ in range(2)]
     assert streams[0] == streams[1]
 
 
@@ -276,12 +274,12 @@ def test_enumerate_membership_restricts_to_list():
     state = gram_from_vectors(built.vectors[:6], 4)
     used = np.zeros(24, dtype=bool)
     used[:6] = True
-    pairs = enumerate_membership(state, built.vectors[:6], spec, used=used)
-    assert pairs, "remaining roots must be reachable"
-    for idx, col in pairs:
+    cands = enumerate_membership(state, built.vectors[:6], spec, used=used)
+    assert len(cands), "remaining roots must be reachable"
+    for idx, col in zip(cands.members, cands.columns):
         assert not used[idx]
         expected = built.vectors[idx] @ built.vectors[:6].T
-        assert np.abs(col.full - expected).max() < 1e-7
+        assert np.abs(col - expected).max() < 1e-7
 
 
 def test_enumerate_membership_small_regime_requires_rank_growth():
@@ -290,9 +288,9 @@ def test_enumerate_membership_small_regime_requires_rank_growth():
     state = gram_from_vectors(built.vectors[:1], 3)
     used = np.zeros(6, dtype=bool)
     used[0] = True
-    pairs = enumerate_membership(state, built.vectors[:1], spec, used=used)
+    cands = enumerate_membership(state, built.vectors[:1], spec, used=used)
     # The antipode -e1 extends PSD but keeps rank 1, so it is excluded.
-    indices = {i for i, _ in pairs}
+    indices = set(cands.members.tolist())
     assert 3 not in indices
     assert {1, 2, 4, 5} <= indices
 
@@ -415,17 +413,19 @@ def test_batched_confirmation_matches_fraction_path(monkeypatch, name, rows, exa
     idx = _prescreened_and_random(state, spec, cache, np.random.default_rng(rows))
     expected = fraction_confirm(state, spec, idx)
     assert any(c is not None for c in expected) and any(c is None for c in expected)
-    got = _confirm_exact_lifted(cache, spec, idx)
-    assert [as_fractions(c, state) for c in got] == expected
+    rows, columns = _confirm_exact_lifted(cache, spec, idx)
+    assert rows.tolist() == [i for i, e in enumerate(expected) if e is not None]
+    assert [as_fractions(c, state) for c in columns.tolist()] == [e for e in expected if e is not None]
     assert chosen == [object if len(exact) > 4 else np.int64]
     # The same batch on Python ints gives the same answer.
     monkeypatch.setattr(filler, "integer_dtype", lambda bound: object)
-    assert _confirm_exact_lifted(cache, spec, idx) == got
+    rows_obj, columns_obj = _confirm_exact_lifted(cache, spec, idx)
+    assert columns_obj.dtype == object
+    assert rows_obj.tolist() == rows.tolist() and columns_obj.tolist() == columns.tolist()
     # Appending a confirmed row to the cache keeps its integer rows in step.
-    row = next(c for c in got if c is not None)
-    floats = np.array([x / state.exact_scale for x in row])
-    grown = extend(state, CandidateColumn(head=floats[:state.dim], tail=floats[state.dim:],
-                                          exact=row))
+    row = columns[0]
+    floats = np.array([x / state.exact_scale for x in row.tolist()])
+    grown = extend(state, floats, exact=row)
     extended = extend_cache(cache, floats[:state.dim], exact_head=row[:state.dim])
     assert np.array_equal(extended.exact_cross, factorize(grown).exact_cross)
 
@@ -437,7 +437,7 @@ def test_batched_confirmation_rejects_everything_as_none():
     idx = _prescreened_and_random(state, spec, cache, np.random.default_rng(0))
     assert fraction_confirm(state, spec, idx) == [None] * len(idx)
     assert _confirm_exact_lifted(cache, spec, idx) is None
-    assert enumerate_lifted(state, cache, spec) == []
+    assert len(enumerate_lifted(state, cache, spec)) == 0
 
 
 def fraction_small(state: GramState, spec: ActionSpec) -> list:
@@ -467,7 +467,7 @@ def test_enumerate_small_exact_gap_matches_fraction_path(monkeypatch, name, rows
     keep = _exact_schur_positive(state, scaled_integers(spec.c1.exact, state.exact_scale), idx)
     assert [tuple(spec.c1.exact[i] for i in row) for row in idx[keep]] == expected
     # The float walk prunes, the exact gap confirms.
-    got = [as_fractions(c.exact, state) for c in enumerate_small(state, spec)]
+    got = [as_fractions(c, state) for c in enumerate_small(state, spec).exact.tolist()]
     float_only = as_set(enumerate_small(state.as_float(), spec))
     assert got == [e for e in expected if tuple(float(x) for x in e) in float_only]
     assert set(chosen) == {object if len(exact) > 4 else np.int64}

@@ -14,7 +14,6 @@ from kissgram.errors import (
     RankDeficientBasis,
 )
 from kissgram.gram import (
-    CandidateColumn,
     GramState,
     Tolerances,
     check_invariants,
@@ -23,7 +22,6 @@ from kissgram.gram import (
     full_rank_prefix,
     gram_from_vectors,
     is_psd,
-    lift_tail,
     permute_state,
     rank_of,
     reconstruct_vectors,
@@ -82,6 +80,20 @@ def test_extend_dimension_mismatch():
 def test_extend_revalidation_rejects_cap_violation():
     with pytest.raises(InfeasibleColumn):
         extend(GramState.single(2), np.array([0.9]), revalidate=True)
+
+
+def test_extend_revalidation_rejects_a_tail_off_the_lift_of_its_head():
+    # At m >= dim the invariants alone pin a tail to C B^-1 head: moving one
+    # tail entry by -1e-8 leaves the PSD cone.
+    e8 = generate("E8Roots").gram.as_float()
+    state = permute_state(e8, full_rank_prefix(e8))
+    sub = state.principal(range(40))
+    head = state.entries[40, :8]
+    column = np.concatenate([head, factorize(sub).lift_matrix @ head])
+    assert extend(sub, column, revalidate=True).m == 41
+    column[20] -= 1e-8
+    with pytest.raises(InfeasibleColumn, match="not positive semidefinite"):
+        extend(sub, column, revalidate=True)
 
 
 def test_is_psd_examples():
@@ -145,7 +157,7 @@ def test_factorize_rank_deficient_basis_raises():
 
 def test_lift_tail_empty_cross_block():
     state = GramState(dim=2, entries=np.eye(2))
-    assert lift_tail(factorize(state), np.array([0.5, 0.0])).shape == (0,)
+    assert (factorize(state).lift_matrix @ np.array([0.5, 0.0])).shape == (0,)
 
 
 def test_lift_tail_identity_basis_single_cross_row():
@@ -156,7 +168,7 @@ def test_lift_tail_identity_basis_single_cross_row():
     state = GramState(dim=2, entries=g)
     cache = factorize(state)
     head = np.array([0.25, 0.5])
-    assert lift_tail(cache, head) == pytest.approx([r @ head])
+    assert cache.lift_matrix @ head == pytest.approx([r @ head])
 
 
 def test_lift_tail_matches_direct_dot_products_on_e8():
@@ -168,7 +180,7 @@ def test_lift_tail_matches_direct_dot_products_on_e8():
     for row in rng.choice(np.arange(8, 240), size=12, replace=False):
         head = state.entries[row, :8]
         expected = state.entries[row, 8:]
-        got = lift_tail(cache, head)
+        got = cache.lift_matrix @ head
         err = np.abs(got - expected).max()
         assert err < 1e-10
 
@@ -279,20 +291,22 @@ def test_exact_float_view_is_correctly_rounded():
                for i in range(4) for j in range(4))
 
 
-def test_candidate_column_rejects_non_integer_exact_entries():
+def test_extend_rejects_non_integer_exact_entries():
     # Exact columns are integer numerators over the state's D; a Fraction
     # must not reach an exact Gram through one.
+    state = GramState.from_exact(3, [[6, -3], [-3, 6]], 6)
     with pytest.raises(TypeError):
-        CandidateColumn(head=np.array([1 / 3]), exact=(Fraction(1, 3),))
+        extend(state, np.array([1 / 3, 0.0]), exact=(Fraction(1, 3), 0))
     with pytest.raises(TypeError):
-        CandidateColumn(head=np.array([0.5]), exact=(0.5,))
-    col = CandidateColumn(head=np.array([0.5, 0.0]), exact=(np.int64(3), 0))
-    assert col.exact == (3, 0) and all(type(x) is int for x in col.exact)
+        extend(state, np.array([0.5, 0.0]), exact=(0.5, 0))
+    grown = extend(state, np.array([0.5, 0.0]), exact=np.array([3, 0], dtype=np.int64))
+    assert grown.exact[2].tolist() == [3, 0, 6]
+    assert all(type(x) is int for x in grown.exact.flat)
 
 
 def test_extend_keeps_the_state_denominator():
     state = GramState.from_exact(3, [[6, -3], [-3, 6]], 6)  # cosine -1/2 over D = 6
-    grown = extend(state, CandidateColumn(head=np.array([1 / 3, 0.0]), exact=(2, 0)))
+    grown = extend(state, np.array([1 / 3, 0.0]), exact=(2, 0))
     assert grown.exact_scale == 6
     assert grown.exact.tolist() == [[6, -3, 2], [-3, 6, 0], [2, 0, 6]]
     assert grown.entries[0, 2] == float(Fraction(1, 3)) and grown.entries[2, 2] == 1.0
@@ -308,7 +322,3 @@ def test_check_invariants_rejects_asymmetric_exact_entries():
     with pytest.raises(InvalidState, match="exact entries are not symmetric"):
         check_invariants(state)
 
-
-def test_candidate_column_full_concatenates():
-    col = CandidateColumn(head=np.array([0.5, 0.0]), tail=np.array([-0.5]))
-    assert col.full.tolist() == [0.5, 0.0, -0.5]

@@ -52,3 +52,7 @@ def test_traced_search_feeds_every_hooked_counter(tmp_path):
     for key in ("corrector.rows_deleted", "filler.offered", "filler.candidates",
                 "corrector.row_features.calls"):
         assert summary.get(key, 0) > 0, key
+    # No d3 move has more candidates than rollouts-per-move, so every
+    # enumerated candidate is offered to select_action, one batch per move.
+    assert summary["filler.candidates"] == summary["filler.offered"] == 242
+    assert summary["gram.extend.calls"] == 58
