@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonUnitVector, RankDeficient
-from .filler import DiscreteSet, SearchTree, backpropagate, fingerprint_state
+from .filler import SearchTree, backpropagate, fingerprint_state
 from .gram import COSINE_CAP, gram_from_vectors
 
 # Exact algebraic constants that recur in lattice-derived configurations.
@@ -80,10 +80,6 @@ class CosineSet:
     def is_rational(self) -> bool:
         return all(e.exact is not None for e in self.entries)
 
-    def as_discrete_set(self) -> DiscreteSet:
-        exact = tuple(e.exact for e in self.entries) if self.is_rational else None
-        return DiscreteSet(values=self.values, exact=exact)
-
     @staticmethod
     def from_floats(values, snap: bool = True) -> "CosineSet":
         entries = tuple(snap_value(v) if snap else CosineValue(v) for v in values)
@@ -114,44 +110,22 @@ class CosineHistogram:
         return out
 
 
-@dataclass(frozen=True)
-class TangentSystem:
-    """The linear part of the tangency equations for n-1 chosen centers."""
+def solve_tangent(centers: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
+    """Unit centers tangent to all n-1 given ones: zero, one or two solutions.
 
-    basis_matrix: np.ndarray   # (n-1, n) stacked center coordinates
-    rhs: np.ndarray            # (1/2, ..., 1/2)
-    particular: np.ndarray     # minimum-norm solution of A x = b
-    kernel_dir: np.ndarray     # unit vector spanning ker(A)
-
-
-def build_tangent_system(centers: np.ndarray, tol: float = 1e-9) -> TangentSystem:
+    One combination of ``_batched_tangent``; the two solutions coincide, and
+    one is returned, when the radicand is clipped to 0.
+    """
     a = np.asarray(centers, dtype=float)
     k, n = a.shape
     if k != n - 1:
         raise RankDeficient(f"need exactly n-1 = {n - 1} centers, got {k}")
-    u, s, vt = np.linalg.svd(a)
-    if s.size < n - 1 or s[-1] <= tol:
+    if np.linalg.matrix_rank(a, tol=tol) < k:
         raise RankDeficient("stacked center matrix is not of full row rank")
-    b = np.full(n - 1, 0.5)
-    particular = vt[: n - 1].T @ ((u.T @ b) / s)
-    kernel = vt[n - 1]
-    nz = np.nonzero(np.abs(kernel) > tol)[0]
-    if nz.size and kernel[nz[0]] < 0:
-        kernel = -kernel  # canonical sign for determinism
-    return TangentSystem(basis_matrix=a, rhs=b, particular=particular, kernel_dir=kernel)
-
-
-def solve_tangent(centers: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
-    """Unit centers tangent to all the given ones: zero, one or two solutions."""
-    system = build_tangent_system(centers, tol)
-    radicand = 1.0 - float(system.particular @ system.particular)
-    if radicand < -tol:
-        return []
-    r = math.sqrt(max(radicand, 0.0))
-    plus = system.particular + r * system.kernel_dir
-    if r == 0.0:
-        return [plus]
-    return [plus, system.particular - r * system.kernel_dir]
+    sols = list(_batched_tangent(a, np.arange(k)[None, :], tol))
+    if len(sols) == 2 and np.array_equal(*sols):
+        return sols[:1]
+    return sols
 
 
 def _batched_tangent(vs: np.ndarray, combos: np.ndarray, tol: float) -> np.ndarray:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .gram import (
     GramState,
     Tolerances,
 )
-from .rational import integer_dtype, pd_adjugate, scaled_integers
+from .rational import integer_dtype, pd_adjugate
 
 MAX_ENUMERATION_WIDTH = 4_000_000
 FINGERPRINT_QUANTUM = 1e-9  # entries closer than this share a fingerprint
@@ -40,22 +40,46 @@ FINGERPRINT_QUANTUM = 1e-9  # entries closer than this share a fingerprint
 
 @dataclass(frozen=True)
 class DiscreteSet:
-    """A finite admissible cosine set, optionally with exact rational forms."""
+    """A finite admissible cosine set, ascending, with no value repeated.
+
+    A rational set holds its values exactly in the form of ``GramState``:
+    ``exact`` is a tuple of Python-int numerators over the positive
+    denominator ``exact_scale``, ascending, and ``values`` the correctly
+    rounded float of each (``from_exact``).  So -1/2 and -2/4 are a repeat.
+    """
 
     values: tuple[float, ...]
-    exact: tuple[Fraction, ...] | None = None
+    exact: tuple[int, ...] | None = None
+    exact_scale: int | None = None
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.values))
-        if ordered != self.values:
-            idx = sorted(range(len(self.values)), key=lambda i: self.values[i])
-            object.__setattr__(self, "values", ordered)
-            if self.exact is not None:
-                object.__setattr__(self, "exact", tuple(self.exact[i] for i in idx))
+        object.__setattr__(self, "values", tuple(sorted(self.values)))
+        key = self.values
+        if self.exact is not None:
+            key = tuple(sorted(self.exact))
+            if not (self.exact_scale > 0
+                    and self.values == tuple(n / self.exact_scale for n in key)):
+                raise ValueError("values are not the exact numerators over a positive scale")
+            object.__setattr__(self, "exact", key)
+        repeats = [v for v, a, b in zip(self.values[1:], key, key[1:]) if a == b]
+        if repeats:
+            raise ValueError(f"cosine value {repeats[0]} is repeated")
+
+    @staticmethod
+    def from_exact(numerators: Sequence[int], scale: int) -> "DiscreteSet":
+        """A rational set from integer numerators over ``scale``."""
+        exact = tuple(map(operator.index, numerators))
+        return DiscreteSet(tuple(n / scale for n in exact), exact, operator.index(scale))
 
     @property
     def is_rational(self) -> bool:
-        return self.exact is not None and len(self.exact) == len(self.values)
+        return self.exact is not None
+
+    def numerators_over(self, scale: int) -> list[int]:
+        """The exact values as integer numerators over a run's denominator ``scale``."""
+        if self.exact is None or scale % self.exact_scale:
+            raise MixedModeEntries(f"the cosine set is not rational over 1/{scale}")
+        return [n * (scale // self.exact_scale) for n in self.exact]
 
 
 @dataclass(frozen=True)
@@ -86,25 +110,20 @@ class ActionSpec:
     c_star: MembershipList | None = None
 
     def __post_init__(self):
-        for v in self.c1.values:
-            if v < -1.0 - 1e-12 or v > COSINE_CAP + 1e-12:
-                raise ValueError(f"head cosine value {v} outside [-1, 1/2]")
-        if isinstance(self.c2, CapOnly) and self.c2.max_value > COSINE_CAP + 1e-12:
+        tail = self.c2.values if isinstance(self.c2, DiscreteSet) else ()
+        for part, values in (("head", self.c1.values), ("tail", tail)):
+            for v in values:
+                if not -1.0 - 1e-12 <= v <= COSINE_CAP + 1e-12:  # nan included
+                    raise ValueError(f"{part} cosine value {v} outside [-1, 1/2]")
+        if isinstance(self.c2, CapOnly) and not self.c2.max_value <= COSINE_CAP + 1e-12:
             raise ValueError(f"tail cap {self.c2.max_value} exceeds 1/2")
-        if isinstance(self.c2, DiscreteSet):
-            for v in self.c2.values:
-                if v < -1.0 - 1e-12 or v > COSINE_CAP + 1e-12:
-                    raise ValueError(f"tail cosine value {v} outside [-1, 1/2]")
         if self.c2 is None:
-            object.__setattr__(self, "c2", DiscreteSet(self.c1.values, self.c1.exact))
+            object.__setattr__(self, "c2", self.c1)
 
     @property
     def is_rational(self) -> bool:
-        if not self.c1.is_rational:
-            return False
-        if isinstance(self.c2, DiscreteSet):
-            return self.c2.is_rational
-        return False  # a continuous cap cannot be confirmed exactly
+        # A continuous cap cannot be confirmed exactly.
+        return self.c1.is_rational and isinstance(self.c2, DiscreteSet) and self.c2.is_rational
 
 
 @dataclass(frozen=True)
@@ -290,9 +309,7 @@ def enumerate_small(state: GramState, spec: ActionSpec, *,
     cols, idx, _ = _expand_columns(lower, values, 1.0 - tols.rank, True)
     if state.exact is None:
         return Candidates(cols)
-    if not spec.c1.is_rational:
-        raise MixedModeEntries("rational state requires a rational head set")
-    heads = scaled_integers(spec.c1.exact, state.exact_scale)
+    heads = spec.c1.numerators_over(state.exact_scale)
     keep = _exact_schur_positive(state, heads, idx)
     return Candidates(cols[keep], np.array(heads, dtype=object)[idx[keep]])
 
@@ -387,18 +404,18 @@ def _confirm_exact_lifted(cache: FactorCache, spec: ActionSpec,
 
     With H = D c1[idx] and Y = H adj(D B), a head is unit iff
     rowsum(Y * H) == D det, and its tails N = Y (D C)^T are det times its
-    true tails over D, so each must lie in det * (D c2).  Returns the
-    confirmed rows of ``idx``, ascending, and their exact columns as
+    true tails over D, so each must lie in det * (D c2), ascending as c2 is.
+    The overflow bound reads max|adj| and max|D C| from the cache.  Returns
+    the confirmed rows of ``idx``, ascending, and their exact columns as
     numerators over D (H then N / det), or None when no row is confirmed.
     """
     if cache.exact_adj is None:
         raise MixedModeEntries("cache has no exact factors")
     scale, det, adj, cross = cache.exact_scale, cache.exact_det, cache.exact_adj, cache.exact_cross
-    heads = scaled_integers(spec.c1.exact, scale)
-    targets = sorted(det * v for v in scaled_integers(spec.c2.exact, scale))
+    heads = spec.c1.numerators_over(scale)
+    targets = [det * v for v in spec.c2.numerators_over(scale)]
     h = max(map(abs, heads))
-    a = max(abs(x) for x in adj.flat)
-    c = max((abs(x) for x in cross.flat), default=0)
+    a, c = cache.exact_adj_max, cache.exact_cross_max
     n = cache.n
     # |Y| <= n h a, so |rowsum(Y * H)| <= n^2 h^2 a and |N| <= n^2 h a c.
     dtype = integer_dtype(max(n * n * h * a * max(h, c), scale * det, *map(abs, targets)))

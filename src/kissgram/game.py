@@ -223,7 +223,7 @@ def _run_scale(state: GramState, spec: ActionSpec) -> GramState:
     the episode keeps: every cosine it can add is then an integer over D."""
     if state.exact is None:
         return state
-    scale = math.lcm(state.exact_scale, *(x.denominator for x in spec.c1.exact + spec.c2.exact))
+    scale = math.lcm(state.exact_scale, spec.c1.exact_scale, spec.c2.exact_scale)
     if scale == state.exact_scale:
         return state
     return GramState.from_exact(state.dim, state.exact * (scale // state.exact_scale), scale)

@@ -161,7 +161,7 @@ def extend(state: GramState, column: np.ndarray, *, exact: Sequence[int] | None 
 
     The input state is never mutated.  A rational state needs ``exact``, the
     column's integer numerators over its D: they are appended as Python ints
-    (a Fraction or float raises TypeError) and give the float column.  With
+    (any other number raises TypeError) and give the float column.  With
     ``revalidate`` the extended state is checked against every invariant and
     InfeasibleColumn is raised on failure (debug mode; the filler already
     guarantees feasibility).  At m >= dim that also pins a lifted tail: a PSD
@@ -238,8 +238,10 @@ class FactorCache:
     matrix-vector product.  The exact fields are populated in rational mode
     only, as integers over the state's denominator D: ``exact_det`` =
     det(D B) > 0, ``exact_adj`` = adj(D B) and ``exact_cross`` = D C (object
-    arrays of Python ints).  Then B^-1 = D adj(D B) / det(D B), so a head h
-    has h^T B^-1 h = (D h)^T adj (D h) / (D det) and tail
+    arrays of Python ints), with their largest magnitudes ``exact_adj_max``
+    and ``exact_cross_max`` (0 for an empty C), which bound exact products.
+    Then B^-1 = D adj(D B) / det(D B), so a head h has
+    h^T B^-1 h = (D h)^T adj (D h) / (D det) and tail
     C B^-1 h = (D C) adj (D h) / (D det).
     """
 
@@ -250,6 +252,8 @@ class FactorCache:
     exact_det: int | None = None
     exact_adj: np.ndarray | None = None
     exact_cross: np.ndarray | None = None
+    exact_adj_max: int | None = None
+    exact_cross_max: int | None = None
 
     @property
     def n(self) -> int:
@@ -273,13 +277,15 @@ def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCac
         raise RankDeficientBasis(f"leading {n}x{n} block has rank deficiency (min eig {w[0]:.3e})")
     chol = np.linalg.cholesky(basis)
     pinv = np.linalg.inv(basis)
-    det = adj = exact_cross = None
+    det = adj = exact_cross = adj_max = cross_max = None
     if state.exact is not None:
         factored = pd_adjugate(state.exact[:n, :n])
         if factored is None:
             raise RankDeficientBasis(f"leading {n}x{n} block is not positive definite (exact)")
         det, adj = factored
         exact_cross = state.exact[n:, :n].copy()  # a view would pin the whole m x m Gram
+        adj_max = max(map(abs, adj.flat))
+        cross_max = max(map(abs, exact_cross.flat), default=0)
     return FactorCache(
         chol_factor=_frozen(chol),
         pseudo_inv=_frozen(pinv),
@@ -288,20 +294,25 @@ def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCac
         exact_det=det,
         exact_adj=adj,
         exact_cross=exact_cross,
+        exact_adj_max=adj_max,
+        exact_cross_max=cross_max,
     )
 
 
 def extend_cache(cache: FactorCache, head: np.ndarray,
                  exact_head: Sequence[int] | None = None) -> FactorCache:
-    """Append one configuration row to the cross block without refactorizing."""
+    """Append one row to the cross block, and grow its maximum, without refactorizing."""
     head = np.asarray(head, dtype=float)
-    exact_cross = cache.exact_cross
+    exact_cross, cross_max = cache.exact_cross, cache.exact_cross_max
     if exact_cross is not None:
         if exact_head is None:
             raise MixedModeEntries("exact cache extended with a float-only head")
-        exact_cross = np.vstack([exact_cross, np.array(exact_head, dtype=object)[None, :]])
+        row = [operator.index(x) for x in exact_head]
+        exact_cross = np.vstack([exact_cross, np.array(row, dtype=object)[None, :]])
+        cross_max = max(cross_max, *map(abs, row))
     lift = np.vstack([cache.lift_matrix, (cache.pseudo_inv @ head)[None, :]])
-    return replace(cache, lift_matrix=_frozen(lift), exact_cross=exact_cross)
+    return replace(cache, lift_matrix=_frozen(lift), exact_cross=exact_cross,
+                   exact_cross_max=cross_max)
 
 
 def reconstruct_vectors(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

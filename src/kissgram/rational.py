@@ -5,10 +5,11 @@ denominator D.  An exact matrix is an object array of numerators, so entry
 (i, j) is N[i, j] / D.  D need not be the least denominator; a search fixes D
 when its seed loads, and its columns are integer numerators over D.  Files
 parse straight to that form (``parse_numerators``), with no per-entry
-``fractions.Fraction``.  ``Fraction`` remains for scalars only: a parsed or
-printed single literal (``parse_rational``, ``format_rational``), the cosine
-lists of an action set, certificate labels and the exact maximum cosine,
-cosine reports, and the tests' reference kernels.
+``fractions.Fraction``; the cosine sets c1 and c2 of a search parse to
+numerators too.  ``Fraction`` remains for scalars only: a parsed or printed
+single literal (``parse_rational``, ``format_rational``), the config echo,
+certificate labels and the exact maximum cosine, cosine reports, and the
+tests' reference kernels.
 
 The exact kernels compute on the numerators with fraction-free (Bareiss)
 elimination, so every intermediate value is an integer minor and every
@@ -65,17 +66,6 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def scaled_integers(values: Iterable, scale: int) -> list[int]:
-    """``scale * x`` for each exact value x; each product must be an integer."""
-    out = []
-    for x in values:
-        q, r = divmod(x.numerator * scale, x.denominator)
-        if r:
-            raise ValueError(f"{x} is not a multiple of 1/{scale}")
-        out.append(q)
-    return out
 
 
 def integer_dtype(bound: int):

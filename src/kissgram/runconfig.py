@@ -17,7 +17,7 @@ from .errors import ConfigError, ParseError
 from .filler import ActionSpec, CapOnly, DiscreteSet, MembershipList
 from .game import CorrectorConfig, GameConfig, SeedSpec
 from .gram import Tolerances
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_numerators, parse_rational
 
 _SCHEMA: dict[str, dict[str, str]] = {
     "run": {
@@ -91,26 +91,26 @@ def _as_flag(value: str, what: str) -> bool:
     raise ConfigError(f"{what} must be on/off, got {value!r}")
 
 
+def _as_cosine(value: str, what: str) -> float:
+    """A rational literal or a float, as a float."""
+    try:
+        return float(parse_rational(value))
+    except ParseError:
+        return _as_float(value, what)
+
+
 def _parse_value_list(text: str, what: str) -> DiscreteSet:
-    values: list[float] = []
-    exact: list[Fraction | None] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            frac = parse_rational(token)
-            values.append(float(frac))
-            exact.append(frac)
-            continue
-        except ParseError:
-            pass
-        values.append(_as_float(token, what))
-        exact.append(None)
-    if not values:
+    """A cosine set: rational when every literal is, else float."""
+    tokens = [token.strip() for token in text.split(",") if token.strip()]
+    if not tokens:
         raise ConfigError(f"{what} must list at least one cosine value")
-    all_exact = all(e is not None for e in exact)
-    return DiscreteSet(values=tuple(values), exact=tuple(exact) if all_exact else None)
+    try:
+        try:
+            return DiscreteSet.from_exact(*parse_numerators(tokens))
+        except ParseError:  # one float literal makes the whole set float
+            return DiscreteSet(tuple(_as_cosine(token, what) for token in tokens))
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -143,14 +143,9 @@ def _build(sections, base_dir: Path) -> RunConfig:
     c1 = _parse_value_list(_get(sections, "action", "c1"), "action c1")
     c2_text = _get(sections, "action", "c2")
     if c2_text == "same":
-        c2: DiscreteSet | CapOnly = DiscreteSet(c1.values, c1.exact)
+        c2: DiscreteSet | CapOnly = c1
     elif c2_text.startswith("cap:"):
-        cap_text = c2_text.split(":", 1)[1].strip()
-        try:
-            cap_value = float(parse_rational(cap_text))
-        except ParseError:
-            cap_value = _as_float(cap_text, "tail cap")
-        c2 = CapOnly(max_value=cap_value)
+        c2 = CapOnly(max_value=_as_cosine(c2_text.split(":", 1)[1].strip(), "tail cap"))
     else:
         c2 = _parse_value_list(c2_text, "action c2")
     cstar_text = _get(sections, "action", "cstar")
@@ -222,23 +217,22 @@ def load_run_config(path) -> RunConfig:
     return _build(sections, p.parent)
 
 
+def _set_text(cosines: DiscreteSet) -> str:
+    if cosines.exact is None:
+        return ", ".join(map(repr, cosines.values))
+    return ", ".join(format_rational(Fraction(n, cosines.exact_scale)) for n in cosines.exact)
+
+
 def echo_text(config: RunConfig) -> str:
     """Canonical rendering of the effective configuration, defaults included."""
     game = config.game
-    c1 = game.action.c1
-    if c1.exact is not None:
-        c1_text = ", ".join(format_rational(x) for x in c1.exact)
-    else:
-        c1_text = ", ".join(repr(v) for v in c1.values)
-    c2 = game.action.c2
+    c1, c2 = game.action.c1, game.action.c2
     if isinstance(c2, CapOnly):
         c2_text = f"cap:{c2.max_value!r}"
-    elif isinstance(c2, DiscreteSet) and c2.values == c1.values:
+    elif c2.values == c1.values:
         c2_text = "same"
-    elif c2.exact is not None:
-        c2_text = ", ".join(format_rational(x) for x in c2.exact)
     else:
-        c2_text = ", ".join(repr(v) for v in c2.values)
+        c2_text = _set_text(c2)
     seed = game.seed
     if seed.kind == "scratch":
         seed_text = "scratch"
@@ -265,7 +259,7 @@ def echo_text(config: RunConfig) -> str:
         f"source = {seed_text}",
         f"rows = {'all' if seed.rows is None else seed.rows}",
         "[action]",
-        f"c1 = {c1_text}",
+        f"c1 = {_set_text(c1)}",
         f"c2 = {c2_text}",
         f"cstar = {'none' if config.cstar_path is None else 'file:' + config.cstar_path}",
         "[corrector]",

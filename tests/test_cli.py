@@ -468,6 +468,15 @@ def test_search_resume_with_wrong_policy_shape_exits_4(tmp_path, capsys, weights
 @pytest.mark.parametrize("text", [
     "[run]\ndim = 2\n[action]\nc1 = -1, 0.7\n",
     "[run]\ndim = 2\n[action]\nc2 = cap:0.9\n",
+    "[run]\ndim = 2\n[action]\nc1 = -1, nan, 1/2\n",
+    "[run]\ndim = 2\n[action]\nc2 = cap:nan\n",
+    # A repeated cosine value, which would offer each column through it twice.
+    "[run]\ndim = 2\nmode = rational\n[action]\nc1 = -1, -1/2, 0, 1/2, 1/2\n",
+    "[run]\ndim = 2\nmode = rational\n[action]\nc1 = -1, -1/2, -2/4, 0, 1/2\n",
+    "[run]\ndim = 2\n[action]\nc1 = -1, -1/2, 0, 1/2, 1/2\n",
+    "[run]\ndim = 2\n[action]\nc1 = -1, -0.5, 0, 0.5, 0.5\n",
+    "[run]\ndim = 2\nmode = rational\n[action]\nc2 = -1, -1/2, 0, 1/2, -1/2\n",
+    "[run]\ndim = 2\n[action]\nc2 = -1, -0.5, 0.0, 0, 0.5\n",
     "[run]\ndim = 2\n[corrector]\ntemperature = 0\n",
     "[run]\ndim = 2\n[corrector]\nmax-delete-fraction = 1.5\n",
     "[run]\ndim = 2\ncheckpoint-every = 0\n",

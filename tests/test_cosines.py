@@ -9,7 +9,6 @@ from kissgram.cosines import (
     CosineHistogram,
     CosineSet,
     _rollout,
-    build_tangent_system,
     simulate_cosine_set,
     snap_value,
     solve_tangent,
@@ -40,13 +39,18 @@ def test_solve_tangent_rank_deficient_rows():
         solve_tangent(np.array([[1.0, 0, 0], [-1.0, 0, 0]]))
 
 
+def particular_solution(centers: np.ndarray) -> np.ndarray:
+    """The minimum-norm solution of centers @ x = 1/2."""
+    return np.linalg.lstsq(centers, np.full(centers.shape[0], 0.5), rcond=None)[0]
+
+
 def test_solve_tangent_no_real_solution():
     # Two centers 150 degrees apart: the particular solution has norm
     # sqrt(1/4 + tan(75deg)^2/4) > 1, so no tangent unit vector exists.
     theta = math.radians(150)
     centers = np.array([[1.0, 0.0, 0.0], [math.cos(theta), math.sin(theta), 0.0]])
-    sys = build_tangent_system(centers)
-    assert float(sys.particular @ sys.particular) > 1.0 + 1e-9
+    particular = particular_solution(centers)
+    assert float(particular @ particular) > 1.0 + 1e-9
     assert solve_tangent(centers) == []
 
 
@@ -60,20 +64,28 @@ def test_tangency_and_unit_norm_properties():
             if np.linalg.matrix_rank(centers) == n - 1:
                 break
         sols = solve_tangent(centers)
-        sys = build_tangent_system(centers)
         for x in sols:
             assert abs(np.linalg.norm(x) - 1.0) <= 1e-9
             assert np.abs(centers @ x - 0.5).max() <= 1e-9
         if len(sols) == 2:
             midpoint = (sols[0] + sols[1]) / 2
-            assert np.abs(midpoint - sys.particular).max() <= 1e-9
+            assert np.abs(midpoint - particular_solution(centers)).max() <= 1e-9
 
 
 def test_kernel_direction_is_unit_and_in_kernel():
+    # The two solutions differ along the kernel of the centers.
     centers = np.array([[1.0, 0, 0], [0.5, math.sqrt(3) / 2, 0]])
-    sys = build_tangent_system(centers)
-    assert np.abs(sys.basis_matrix @ sys.kernel_dir).max() < 1e-12
-    assert np.linalg.norm(sys.kernel_dir) == pytest.approx(1.0)
+    plus, minus = solve_tangent(centers)
+    kernel = (plus - minus) / np.linalg.norm(plus - minus)
+    assert np.abs(centers @ kernel).max() < 1e-12
+    assert np.abs(kernel) == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
+
+
+def test_solve_tangent_double_root_is_one_vector():
+    # A center of norm 1/2 touches the unit sphere in one point only.
+    sols = solve_tangent(np.array([[0.5, 0.0]]))
+    assert len(sols) == 1
+    assert sols[0] == pytest.approx([1.0, 0.0])
 
 
 def test_snap_value_low_height_rationals_and_constants():
@@ -94,8 +106,6 @@ def test_cosine_set_ordering_and_rationality():
     s = CosineSet.from_floats([0.5, -1.0, 0.0])
     assert s.values == (-1.0, 0.0, 0.5)
     assert s.is_rational
-    d = s.as_discrete_set()
-    assert d.exact is not None
 
 
 def test_histogram_counts_and_merge():

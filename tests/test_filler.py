@@ -9,7 +9,7 @@ import pytest
 
 import kissgram.filler as filler
 from kissgram.cli import main
-from kissgram.errors import EmptyCandidates, EnumerationOverflow
+from kissgram.errors import EmptyCandidates, EnumerationOverflow, MixedModeEntries
 from kissgram.filler import (
     ActionSpec,
     Candidates,
@@ -39,7 +39,7 @@ from kissgram.gram import (
     permute_state,
 )
 from kissgram.game import GameConfig, SeedSpec, load_seed
-from kissgram.rational import exact_inverse, exact_matvec, scaled_integers
+from kissgram.rational import exact_inverse, exact_matvec
 from kissgram.refconfigs import generate
 
 TOLS = Tolerances()
@@ -257,6 +257,19 @@ def test_action_spec_validation():
     assert isinstance(spec.c2, DiscreteSet)  # defaults to C1
 
 
+def test_discrete_set_holds_integer_numerators():
+    cosines = DiscreteSet.from_exact([1, -2, 0, -1], 2)
+    assert cosines.exact == (-2, -1, 0, 1) and cosines.exact_scale == 2
+    assert cosines.values == tuple(float(Fraction(n, 2)) for n in (-2, -1, 0, 1))
+    assert cosines.numerators_over(6) == [-6, -3, 0, 3]
+    with pytest.raises(MixedModeEntries):
+        cosines.numerators_over(3)  # not a multiple of 2
+    with pytest.raises(MixedModeEntries):
+        DiscreteSet(C1).numerators_over(2)  # a float set
+    with pytest.raises(ValueError):
+        DiscreteSet((0.5, 0.0), (0, 1), 3)  # 1/3 does not round to 0.5
+
+
 def test_enumeration_determinism():
     spec = ActionSpec(c1=DiscreteSet(C1))
     built = generate("D4Roots").gram.as_float()
@@ -341,7 +354,13 @@ RATIONAL_C1 = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2))
 
 
 def _rational_spec(exact=RATIONAL_C1) -> ActionSpec:
-    return ActionSpec(c1=DiscreteSet(tuple(float(x) for x in exact), exact))
+    scale = math.lcm(*(x.denominator for x in exact))
+    return ActionSpec(c1=DiscreteSet.from_exact([int(x * scale) for x in exact], scale))
+
+
+def set_fractions(cosines: DiscreteSet) -> list[Fraction]:
+    """The exact values of a rational cosine set as Fractions."""
+    return [Fraction(n, cosines.exact_scale) for n in cosines.exact]
 
 
 def _truncated(name: str, rows: int, spec: ActionSpec) -> GramState:
@@ -368,10 +387,10 @@ def fraction_confirm(state: GramState, spec: ActionSpec, idx: np.ndarray) -> lis
     gram = fractions(state)
     inv = exact_inverse([row[:n] for row in gram[:n]])
     cross = [row[:n] for row in gram[n:]]
-    allowed = set(spec.c2.exact)
+    allowed, c1 = set(set_fractions(spec.c2)), set_fractions(spec.c1)
     out = []
     for row in idx:
-        head = tuple(spec.c1.exact[i] for i in row)
+        head = tuple(c1[i] for i in row)
         coeff = exact_matvec(inv, head)
         tail = exact_matvec(cross, coeff)
         unit = sum(h * c for h, c in zip(head, coeff)) == 1
@@ -427,7 +446,12 @@ def test_batched_confirmation_matches_fraction_path(monkeypatch, name, rows, exa
     floats = np.array([x / state.exact_scale for x in row.tolist()])
     grown = extend(state, floats, exact=row)
     extended = extend_cache(cache, floats[:state.dim], exact_head=row[:state.dim])
-    assert np.array_equal(extended.exact_cross, factorize(grown).exact_cross)
+    refactored = factorize(grown)
+    assert np.array_equal(extended.exact_cross, refactored.exact_cross)
+    # ... and its cached bounds equal those of the grown state's factors.
+    assert extended.exact_adj_max == refactored.exact_adj_max
+    assert extended.exact_cross_max == refactored.exact_cross_max
+    assert extended.exact_cross_max == max(map(abs, refactored.exact_cross.flat))
 
 
 def test_batched_confirmation_rejects_everything_as_none():
@@ -444,7 +468,7 @@ def fraction_small(state: GramState, spec: ActionSpec) -> list:
     """Rank-increasing exact columns by the Fraction Schur gap 1 - g^T G^-1 g > 0."""
     inv = exact_inverse(fractions(state))
     out = []
-    for row in itertools.product(spec.c1.exact, repeat=state.m):
+    for row in itertools.product(set_fractions(spec.c1), repeat=state.m):
         coeff = exact_matvec(inv, row)
         if sum(g * c for g, c in zip(row, coeff)) < 1:
             out.append(row)
@@ -464,8 +488,9 @@ def test_enumerate_small_exact_gap_matches_fraction_path(monkeypatch, name, rows
     expected = fraction_small(state, spec)
     # Every column over c1, zero gaps (a repeated row) included.
     idx = np.array(list(itertools.product(range(len(exact)), repeat=rows)))
-    keep = _exact_schur_positive(state, scaled_integers(spec.c1.exact, state.exact_scale), idx)
-    assert [tuple(spec.c1.exact[i] for i in row) for row in idx[keep]] == expected
+    keep = _exact_schur_positive(state, spec.c1.numerators_over(state.exact_scale), idx)
+    c1 = set_fractions(spec.c1)
+    assert [tuple(c1[i] for i in row) for row in idx[keep]] == expected
     # The float walk prunes, the exact gap confirms.
     got = [as_fractions(c, state) for c in enumerate_small(state, spec).exact.tolist()]
     float_only = as_set(enumerate_small(state.as_float(), spec))

@@ -1,5 +1,6 @@
 """Game orchestration: rewards, episodes, training, round boundaries."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -130,7 +131,8 @@ def test_load_seed_truncation():
 
 
 def _rational_spec(*exact: Fraction) -> ActionSpec:
-    return ActionSpec(c1=DiscreteSet(tuple(map(float, exact)), exact))
+    scale = math.lcm(*(x.denominator for x in exact))
+    return ActionSpec(c1=DiscreteSet.from_exact([int(x * scale) for x in exact], scale))
 
 
 def test_load_seed_lifts_a_rational_seed_to_the_action_denominator():
@@ -155,22 +157,34 @@ def test_load_seed_lifts_a_rational_seed_to_the_action_denominator():
 
 
 def test_rational_fill_phase_builds_no_fractions(monkeypatch):
-    # The run's D is fixed when the seed loads: the fill phase constructs no
-    # Fraction, and every exact entry it appends is a Python int.
-    real_new, real_fill, real_extend = Fraction.__new__, game._fill_phase, game.extend
-    built, entry_types, filling = [], set(), []
+    # The run's D is fixed when the seed loads, and the cosine sets are
+    # integer numerators: loading the seed and filling construct no Fraction
+    # and read none, and every exact entry the fill appends is a Python int.
+    real_new, real_extend = Fraction.__new__, game.extend
+    built, reads, entry_types, inside = [], [], set(), []
 
     def counting_new(cls, *args, **kwargs):
-        if filling:
+        if inside:
             built.append(args)
         return real_new(cls, *args, **kwargs)
 
-    def watched_fill(*args, **kwargs):
-        filling.append(True)
-        try:
-            return real_fill(*args, **kwargs)
-        finally:
-            filling.pop()
+    def counting_read(name):
+        getter = getattr(Fraction, name).fget
+
+        def read(self):
+            if inside:
+                reads.append(name)
+            return getter(self)
+        return property(read)
+
+    def watched(fn):
+        def run(*args, **kwargs):
+            inside.append(True)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return run
 
     def watched_extend(state, column, **kwargs):
         out = real_extend(state, column, **kwargs)
@@ -178,12 +192,16 @@ def test_rational_fill_phase_builds_no_fractions(monkeypatch):
         return out
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    monkeypatch.setattr(game, "_fill_phase", watched_fill)
+    for name in ("numerator", "denominator"):
+        monkeypatch.setattr(Fraction, name, counting_read(name))
+    monkeypatch.setattr(game, "load_seed", watched(game.load_seed))
+    monkeypatch.setattr(game, "_fill_phase", watched(game._fill_phase))
     monkeypatch.setattr(game, "extend", watched_extend)
     spec = _rational_spec(Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2))
     result = train_loop(GameConfig(dim=3, action=spec, mode="rational", rounds=2), 2)
     assert result.best.team_reward == 12  # both enumeration regimes ran
     assert built == []
+    assert reads == []
     assert entry_types == {int}
 
 
@@ -246,9 +264,7 @@ def test_decompose_reassemble_finds_x8_frame_in_e8():
 def test_rational_mode_game_runs_exactly():
     from fractions import Fraction
 
-    spec = ActionSpec(c1=DiscreteSet(
-        values=(-1.0, -0.5, 0.0, 0.5),
-        exact=(Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2))))
+    spec = _rational_spec(Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2))
     cfg = GameConfig(dim=2, action=spec, rounds=3, rng_seed=0, mode="rational")
     result = train_loop(cfg, episodes=3)
     assert result.best.team_reward == 6
@@ -315,13 +331,9 @@ def test_trained_corrector_is_no_worse_than_always_pass():
 
 
 def test_rational_mode_rejects_membership_constraint():
-    from fractions import Fraction
-
     from kissgram.filler import MembershipList
 
-    spec = ActionSpec(
-        c1=DiscreteSet(values=(-1.0, 0.0, 0.5),
-                       exact=(Fraction(-1), Fraction(0), Fraction(1, 2))),
-        c_star=MembershipList(vectors=np.eye(3)))
+    spec = ActionSpec(c1=DiscreteSet.from_exact([-2, 0, 1], 2),
+                      c_star=MembershipList(vectors=np.eye(3)))
     with pytest.raises(ConfigError):
         GameConfig(dim=3, action=spec, mode="rational")
