@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -86,7 +85,7 @@ def _cmd_search(args) -> int:
 
     run = load_run_config(args.config)
     echo = echo_text(run)
-    out_dir = Path(run.out_dir)
+    out_dir = run.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "run.log"
     ckpt_path = out_dir / "checkpoint.bin"

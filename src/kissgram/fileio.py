@@ -174,10 +174,14 @@ def gram_text(state: GramState, mode: str) -> str:
     if mode == "rational":
         if state.exact is None:
             raise ParseError("state has no exact entries for a rational gram file")
-        label = {n: format_rational(Fraction(n, state.exact_scale)) for n in set(state.exact.flat)}
-        lines += [" ".join(map(label.__getitem__, state.exact[i, i:])) for i in range(m)]
+        keys = state.exact
+        label = {n: format_rational(Fraction(n, state.exact_scale)) for n in set(keys.flat)}
     else:
-        lines += [" ".join(format_float(float(x)) for x in state.entries[i, i:]) for i in range(m)]
+        # Keyed on the bit pattern: -0.0 == 0.0 as dict keys, but they format differently.
+        keys = np.ascontiguousarray(state.entries).view(np.int64)
+        distinct = np.unique(keys)
+        label = dict(zip(distinct.tolist(), map(format_float, distinct.view(np.float64).tolist())))
+    lines += [" ".join(map(label.__getitem__, keys[i, i:].tolist())) for i in range(m)]
     return "\n".join(lines) + "\n"
 
 

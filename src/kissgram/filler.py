@@ -7,6 +7,11 @@ pruning bound is the running coordinate norm of the candidate head.  Both
 walks are deterministic and lexicographic over the discrete value set, and
 each returns one move's action set as a ``Candidates`` batch of K whole
 columns, of which ``select_action`` picks a row.
+
+A lifted head depends only on the basis block, which a fill phase never
+changes, and each move appends one row.  So a ``LiftedPool`` enumerates the
+unit heads once per phase and, per move, snaps one new tail entry per head
+that has at most one violation so far.
 """
 
 from __future__ import annotations
@@ -338,37 +343,86 @@ def _exact_schur_positive(state: GramState, heads: Sequence[int],
     return quad < scale * det
 
 
+class LiftedPool:
+    """The unit heads of one basis block and their tails so far: one fill phase.
+
+    Within a fill phase rows are only appended, so the basis block, and with
+    it the set of unit heads, never changes, and each new row adds one tail
+    entry per head.  The pool runs ``_expand_columns`` once, keeps the unit
+    heads in lexicographic order with their c1 indices, and per head its
+    snapped tails, its violation count and the lift row of its first
+    violation.  A count never falls, so a head leaves the pool at its second
+    violation; a head with one violation stays, since it is still blamed.
+    """
+
+    def __init__(self, state: GramState, cache: FactorCache, spec: ActionSpec, *,
+                 tols: Tolerances = DEFAULT_TOLS):
+        unit_tol = tols.psd
+        if state.exact is not None:
+            if not spec.is_rational:
+                raise MixedModeEntries("rational state requires rational cosine sets")
+            unit_tol = 1e-6  # float prescreen; survivors are confirmed exactly
+        values = np.asarray(spec.c1.values, dtype=float)
+        heads, idx, s = _expand_columns(cache.chol_factor, values, (1.0 + unit_tol) ** 2, False)
+        keep = np.abs(np.sqrt(s) - 1.0) <= unit_tol
+        self.basis, self.spec, self.tols = cache.chol_factor, spec, tols
+        self.columns = heads[keep]  # K x (n + lift rows seen): head, then snapped tails
+        self.idx = idx[keep]
+        self.violations = np.zeros(len(self.idx), dtype=np.int64)
+        self.first = np.zeros(len(self.idx), dtype=np.int64)
+
+    def advance(self, cache: FactorCache,
+                blame: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Test the lift rows of ``cache`` not seen yet; the violation-free columns and
+        their c1 indices, and one ``blame`` at the violating row of each single violator."""
+        basis = cache.chol_factor
+        if basis is not self.basis and not np.array_equal(basis, self.basis):
+            raise ValueError("lifted pool handed a cache from another basis")
+        n = basis.shape[0]
+        seen = self.columns.shape[1] - n
+        lift = cache.lift_matrix
+        if lift.shape[0] < seen:
+            raise ValueError(f"cache has {lift.shape[0]} lift rows, the pool has seen {seen}")
+        if lift.shape[0] > seen:
+            snapped, viol = _tail_filter(self.columns[:, :n] @ lift[seen:].T, self.spec.c2,
+                                         self.tols)
+            count = viol.sum(axis=1)
+            self.first = np.where((self.violations == 0) & (count > 0),
+                                  seen + viol.argmax(axis=1), self.first)
+            self.violations += count
+            self.columns = np.concatenate([self.columns, snapped], axis=1)
+            live = self.violations < 2
+            if not live.all():
+                self.columns, self.idx = self.columns[live], self.idx[live]
+                self.violations, self.first = self.violations[live], self.first[live]
+        if blame is not None:
+            np.add.at(blame, n + self.first[self.violations == 1], 1)
+        zero = self.violations == 0
+        return self.columns[zero], self.idx[zero]
+
+
 def enumerate_lifted(state: GramState, cache: FactorCache, spec: ActionSpec, *,
                      tols: Tolerances = DEFAULT_TOLS,
-                     blame: np.ndarray | None = None) -> Candidates:
+                     blame: np.ndarray | None = None,
+                     pool: LiftedPool | None = None) -> Candidates:
     """Lifted action set for m >= dim: unit-norm heads with conforming tails.
 
-    ``blame``, when given, is a length-m counter that is incremented at the
-    row responsible each time a candidate fails through exactly one tail
-    entry; the corrector uses it as a conflict feature.
+    ``pool`` is the fill phase's ``LiftedPool`` on ``cache``'s basis, which
+    carries the heads and tails of earlier moves; without one, a one-shot
+    pool is built, so every call takes the same path.  ``blame``, when
+    given, is a length-m counter that is incremented at the row responsible
+    each time a candidate fails through exactly one tail entry; the
+    corrector uses it as a conflict feature.  In rational mode the float
+    survivors are confirmed exactly.
     """
     if state.m < state.dim:
         raise DimensionMismatch(f"lifted enumeration needs m >= dim, got m={state.m}")
-    n = state.dim
-    values = np.asarray(spec.c1.values, dtype=float)
-    unit_tol = tols.psd
-    exact_mode = state.exact is not None
-    if exact_mode:
-        if not spec.is_rational:
-            raise MixedModeEntries("rational state requires rational cosine sets")
-        unit_tol = 1e-6  # float prescreen; survivors are confirmed exactly below
-    limit = (1.0 + unit_tol) ** 2
-    heads, idx, s = _expand_columns(cache.chol_factor, values, limit, False)
-    keep = np.abs(np.sqrt(s) - 1.0) <= unit_tol
-    heads, idx = heads[keep], idx[keep]
-    if heads.shape[0] == 0:
-        return _stuck(state.m)
-    tails = heads @ cache.lift_matrix.T
-    keep, snapped, single_row = _tail_filter(tails, spec.c2, tols)
-    if blame is not None and single_row.size:
-        np.add.at(blame, n + single_row, 1)
-    columns, idx = np.concatenate([heads[keep], snapped[keep]], axis=1), idx[keep]
-    if not exact_mode:
+    if pool is None:
+        pool = LiftedPool(state, cache, spec, tols=tols)
+    elif (spec, tols) != (pool.spec, pool.tols):
+        raise ValueError("lifted pool was built for another action spec or tolerances")
+    columns, idx = pool.advance(cache, blame)
+    if state.exact is None:
         return Candidates(columns)
     confirmed = _confirm_exact_lifted(cache, spec, idx) if len(idx) else None
     if confirmed is None:
@@ -378,24 +432,19 @@ def enumerate_lifted(state: GramState, cache: FactorCache, spec: ActionSpec, *,
 
 
 def _tail_filter(tails: np.ndarray, c2: DiscreteSet | CapOnly,
-                 tols: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keep mask, snapped tails, and rows blamed by single-violation columns."""
-    if tails.shape[1] == 0:
-        return np.ones(tails.shape[0], dtype=bool), tails, np.zeros(0, dtype=np.int64)
+                 tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Snapped tails and their violation mask.
+
+    A discrete tail snaps to its nearest c2 value, the lower one on a tie
+    (a search on the midpoints of c2, which is ascending), and violates when
+    it lies farther than ``tols.snap`` from it.  A capped tail is kept as it
+    is and violates above the cap.
+    """
     if isinstance(c2, CapOnly):
-        viol = tails > c2.max_value + tols.cosine
-        snapped = tails
-    else:
-        c2v = np.asarray(c2.values, dtype=float)
-        dist = np.abs(tails[:, :, None] - c2v[None, None, :])
-        nearest = np.argmin(dist, axis=2)
-        viol = np.take_along_axis(dist, nearest[:, :, None], axis=2)[:, :, 0] > tols.snap
-        snapped = c2v[nearest]
-    nviol = viol.sum(axis=1)
-    keep = nviol == 0
-    single = np.nonzero(nviol == 1)[0]
-    single_row = viol[single].argmax(axis=1) if single.size else np.zeros(0, dtype=np.int64)
-    return keep, snapped, single_row
+        return tails, tails > c2.max_value + tols.cosine
+    c2v = np.asarray(c2.values, dtype=float)
+    snapped = c2v[np.searchsorted((c2v[1:] + c2v[:-1]) / 2, tails, side="left")]
+    return snapped, np.abs(tails - snapped) > tols.snap
 
 
 def _confirm_exact_lifted(cache: FactorCache, spec: ActionSpec,
@@ -459,10 +508,11 @@ def enumerate_membership(state: GramState, anchors: np.ndarray, spec: ActionSpec
     head_dist = np.abs(cols[:, :head_len, None] - c1v[None, None, :]).min(axis=2)
     ok &= (head_dist <= tols.snap).all(axis=1)
     if m > n:
-        keep, snapped, single_row = _tail_filter(cols[:, n:], spec.c2, tols)
-        if blame is not None and single_row.size:
-            np.add.at(blame, n + single_row, 1)
-        ok &= keep
+        snapped, viol = _tail_filter(cols[:, n:], spec.c2, tols)
+        count = viol.sum(axis=1)
+        if blame is not None:
+            np.add.at(blame, n + viol.argmax(axis=1)[count == 1], 1)
+        ok &= count == 0
         cols = np.concatenate([cols[:, :n], snapped], axis=1)
     if m < n:
         # Rank must grow: positive Schur pivot against the current state.

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .filler import (
     ActionSpec,
+    LiftedPool,
     MembershipList,
     SearchTree,
     backpropagate,
@@ -240,7 +241,8 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
     tols = config.tolerances
     member_list = config.action.c_star
     meta.conflicts = np.zeros(state.m, dtype=np.int64)
-    cache: FactorCache | None = None
+    cache: FactorCache | None = None  # with its pool, once m >= dim; dropped with the phase
+    pool: LiftedPool | None = None
     added = 0
     while config.fill_budget is None or added < config.fill_budget:
         blame = np.zeros(state.m, dtype=np.int64)
@@ -262,7 +264,9 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
                     state = permute_state(state, order)
                     meta.take(order)
                     cache = factorize(state, tols=tols)
-            candidates = enumerate_lifted(state, cache, config.action, tols=tols, blame=blame)
+                pool = LiftedPool(state, cache, config.action, tols=tols)
+            candidates = enumerate_lifted(state, cache, config.action, tols=tols, blame=blame,
+                                          pool=pool)
         meta.conflicts += blame
         if not candidates:
             break

@@ -115,13 +115,24 @@ def _parse_value_list(text: str, what: str) -> DiscreteSet:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed config.  ``out_dir``, ``seed_source`` and ``cstar`` are kept as
+    written, so the echo does not depend on where the run directory sits;
+    relative paths resolve against ``base_dir``, the config file's directory,
+    where they are used."""
+
     game: GameConfig
     out_dir: str
-    cstar_path: str | None
+    seed_source: str
+    cstar: str
+    base_dir: Path
 
     @property
     def episodes(self) -> int:
         return self.game.episodes
+
+    @property
+    def out_path(self) -> Path:
+        return self.base_dir / self.out_dir
 
 
 def _build(sections, base_dir: Path) -> RunConfig:
@@ -150,14 +161,12 @@ def _build(sections, base_dir: Path) -> RunConfig:
         c2 = _parse_value_list(c2_text, "action c2")
     cstar_text = _get(sections, "action", "cstar")
     cstar = None
-    cstar_path = None
     if cstar_text != "none":
         if not cstar_text.startswith("file:"):
             raise ConfigError(f"cstar must be none or file:<path>, got {cstar_text!r}")
-        cstar_path = str(base_dir / cstar_text.split(":", 1)[1])
         from .fileio import read_vector_file
 
-        doc = read_vector_file(cstar_path)
+        doc = read_vector_file(base_dir / cstar_text.split(":", 1)[1])
         norms = doc.vectors / (doc.vectors ** 2).sum(axis=1, keepdims=True) ** 0.5
         cstar = MembershipList(vectors=norms)
     try:
@@ -203,8 +212,8 @@ def _build(sections, base_dir: Path) -> RunConfig:
         checkpoint_every=_as_int(_get(sections, "run", "checkpoint-every"),
                                  "checkpoint-every"),
     )
-    out_dir = str(base_dir / _get(sections, "run", "out-dir"))
-    return RunConfig(game=game, out_dir=out_dir, cstar_path=cstar_path)
+    return RunConfig(game=game, out_dir=_get(sections, "run", "out-dir"), seed_source=seed_source,
+                     cstar=cstar_text, base_dir=base_dir)
 
 
 def load_run_config(path) -> RunConfig:
@@ -233,13 +242,6 @@ def echo_text(config: RunConfig) -> str:
         c2_text = "same"
     else:
         c2_text = _set_text(c2)
-    seed = game.seed
-    if seed.kind == "scratch":
-        seed_text = "scratch"
-    elif seed.kind == "generator":
-        seed_text = f"generator:{seed.name}"
-    else:
-        seed_text = f"file:{seed.path}"
     lines = [
         "[run]",
         f"dim = {game.dim}",
@@ -256,12 +258,12 @@ def echo_text(config: RunConfig) -> str:
         f"debug-revalidate = {'on' if game.debug_revalidate else 'off'}",
         f"out-dir = {config.out_dir}",
         "[seed]",
-        f"source = {seed_text}",
-        f"rows = {'all' if seed.rows is None else seed.rows}",
+        f"source = {config.seed_source}",
+        f"rows = {'all' if game.seed.rows is None else game.seed.rows}",
         "[action]",
         f"c1 = {_set_text(c1)}",
         f"c2 = {c2_text}",
-        f"cstar = {'none' if config.cstar_path is None else 'file:' + config.cstar_path}",
+        f"cstar = {config.cstar}",
         "[corrector]",
         f"temperature = {game.corrector.temperature!r}",
         f"max-delete-fraction = {game.corrector.max_delete_fraction!r}",

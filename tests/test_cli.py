@@ -179,7 +179,7 @@ def test_resume_after_kill_equals_uninterrupted(tmp_path):
     left.pop("checkpoint.bin")
     right.pop("checkpoint.bin")
     assert left == right
-    # Checkpoints agree on everything except the echoed output path.
+    # Both configs write out-dir = out, so the checkpoints agree section by section.
     from kissgram.checkpoint import load_checkpoint
 
     a = load_checkpoint(straight / "out" / "checkpoint.bin")
@@ -190,6 +190,39 @@ def test_resume_after_kill_equals_uninterrupted(tmp_path):
     assert np.array_equal(a.policy.weights, b.policy.weights)
     assert a.best.team_reward == b.best.team_reward
     assert np.array_equal(a.best.final_state.entries, b.best.final_state.entries)
+
+
+def test_copied_run_directory_resumes(tmp_path):
+    # The echo a checkpoint must match holds the paths as written, so a run
+    # directory moved elsewhere resumes from its own checkpoint.
+    import shutil
+
+    from kissgram.checkpoint import save_checkpoint
+    from kissgram.game import train_loop
+    from kissgram.runconfig import echo_text, load_run_config
+
+    first = tmp_path / "a"
+    first.mkdir()
+    write_vector_file(first / "seed.vec", np.eye(3)[:2])
+    cfg = first / "r.cfg"
+    cfg.write_text("[run]\ndim = 3\nepisodes = 6\nrounds = 3\nrng-seed = 4\n"
+                   "checkpoint-every = 2\nout-dir = runs/out\n[seed]\nsource = file:seed.vec\n")
+    assert run_cli("search", "--config", str(cfg)) == 0
+    straight = _search_artifacts(first / "runs" / "out")
+    run = load_run_config(cfg)
+    rng = np.random.default_rng(run.game.rng_seed)
+    half = train_loop(run.game, 2, rng=rng)
+    for name in ("best.gram", "best.cert", "best.vectors"):
+        (first / "runs" / "out" / name).unlink()
+    save_checkpoint(first / "runs" / "out" / "checkpoint.bin", config_echo=echo_text(run),
+                    rng=rng, tree=half.tree, policy=half.policy, baseline=half.baseline,
+                    rewards=half.rewards, best=half.best)
+    copy = tmp_path / "b"
+    shutil.copytree(first, copy)
+    shutil.rmtree(first)  # the copy must not reach back into the original
+    assert run_cli("search", "--config", str(copy / "r.cfg"),
+                   "--resume", str(copy / "runs" / "out" / "checkpoint.bin")) == 0
+    assert _search_artifacts(copy / "runs" / "out") == straight
 
 
 def test_thread_count_env_validation(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from kissgram.fileio import (
 )
 from kissgram.filler import SearchTree
 from kissgram.game import GameConfig, train_loop
-from kissgram.gram import gram_from_vectors
+from kissgram.gram import GramState, gram_from_vectors
 from kissgram.rational import cosine_factors, format_rational
 from kissgram.refconfigs import generate
 from kissgram.runconfig import echo_text, load_run_config
@@ -156,6 +156,20 @@ def test_gram_file_round_trip_float_and_rational(tmp_path):
     back = read_gram_file(path)
     assert np.array_equal(back.exact, exact_state.exact)
     assert back.exact_scale == exact_state.exact_scale
+
+
+def test_float_gram_text_labels_signed_zeros_apart():
+    # -0.0 == 0.0 as a dict key, but the two format differently.
+    entries = np.array([[1.0, 0.0, -0.0, 0.5],
+                        [0.0, 1.0, -0.5, -0.0],
+                        [-0.0, -0.5, 1.0, 0.1 + 0.2],
+                        [0.5, -0.0, 0.1 + 0.2, 1.0]])
+    state = GramState(dim=4, entries=entries)
+    rows = gram_text(state, "float").splitlines()[1:]
+    assert rows == [" ".join(format_float(float(x)) for x in entries[i, i:]) for i in range(4)]
+    assert rows[0].split()[1:3] == ["0.0000000000000000e+00", "-0.0000000000000000e+00"]
+    assert np.array_equal(np.signbit(parse_gram_text(gram_text(state, "float"), "g").entries),
+                          np.signbit(entries))
 
 
 def test_gram_file_stores_upper_triangle(tmp_path):

@@ -15,11 +15,13 @@ from kissgram.filler import (
     Candidates,
     CapOnly,
     DiscreteSet,
+    LiftedPool,
     MembershipList,
     SearchTree,
     _confirm_exact_lifted,
     _exact_schur_positive,
     _expand_columns,
+    _tail_filter,
     backpropagate,
     enumerate_lifted,
     enumerate_membership,
@@ -319,6 +321,41 @@ def test_blame_counts_single_violator_rows():
     assert blame.sum() >= 0
 
 
+def _argmin_snap(tails, values, snap):
+    """The cube rule the midpoint search replaced: argmin of |tail - c2| (lowest on ties)."""
+    c2v = np.asarray(values)
+    dist = np.abs(tails[:, :, None] - c2v[None, None, :])
+    nearest = np.argmin(dist, axis=2)
+    return c2v[nearest], np.take_along_axis(dist, nearest[:, :, None], axis=2)[:, :, 0] > snap
+
+
+@pytest.mark.parametrize("values", [
+    C1, (-1.0, -0.75, -0.25, 0.0, 0.125, 0.5), (-1.0, -1 / 3, 0.0, 1 / 3, 0.5), (0.25,),
+])
+def test_tail_filter_snaps_like_argmin(values):
+    rng = np.random.default_rng(len(values))
+    c2v = np.array(values)
+    spec = DiscreteSet(values)
+    near = np.concatenate([c2v, c2v + 0.9 * TOLS.snap, c2v - 1.1 * TOLS.snap])
+    outside = np.array([-3.0, c2v[0] - 1e-3, c2v[-1] + 1e-3, 2.0])
+    flat = np.concatenate([rng.uniform(-1.5, 1.0, 200), near, outside])
+    tails = np.stack([flat, flat[::-1]])
+    snapped, viol = _tail_filter(tails, spec, TOLS)
+    want_snapped, want_viol = _argmin_snap(tails, values, TOLS.snap)
+    assert np.array_equal(snapped, want_snapped) and np.array_equal(viol, want_viol)
+    assert viol.sum() and (~viol).sum()
+    # On a midpoint both rules snap to the lower value when the midpoint is
+    # exact, as for dyadic values; otherwise they may part within an ulp, where
+    # the tail is half a gap from c2 and violates under either rule.
+    mids = ((c2v[1:] + c2v[:-1]) / 2)[:, None]
+    snapped, viol = _tail_filter(mids, spec, TOLS)
+    want_snapped, want_viol = _argmin_snap(mids, values, TOLS.snap)
+    assert np.array_equal(viol, want_viol) and viol.all()
+    if all(float(v * 1024).is_integer() for v in values):
+        assert np.array_equal(snapped, want_snapped)
+        assert np.array_equal(snapped[:, 0], c2v[:-1])
+
+
 def test_enumerate_small_rejects_lifted_regime():
     from kissgram.errors import DimensionMismatch
 
@@ -496,3 +533,72 @@ def test_enumerate_small_exact_gap_matches_fraction_path(monkeypatch, name, rows
     float_only = as_set(enumerate_small(state.as_float(), spec))
     assert got == [e for e in expected if tuple(float(x) for x in e) in float_only]
     assert set(chosen) == {object if len(exact) > 4 else np.int64}
+
+
+def _pool_population(pool: LiftedPool) -> dict:
+    return dict(zip(map(tuple, pool.idx.tolist()), pool.violations.tolist()))
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize("name, rows, tail_numerators", [
+    ("E8Roots", 16, None),
+    # Without 1/2 among the tails a d4 head can violate twice; with c2 = c1
+    # every d4 head is a D4 root and only ever conflicts with its own row.
+    ("D4Roots", 4, (-2, -1, 0)),
+])
+def test_lifted_pool_matches_fresh_enumeration(mode, name, rows, tail_numerators):
+    # One pool driven through extend and extend_cache returns, at every move,
+    # the batch and the blame of a fresh enumeration on a fresh factorization.
+    spec = _rational_spec()
+    if tail_numerators is not None:
+        spec = ActionSpec(c1=spec.c1, c2=DiscreteSet.from_exact(tail_numerators, 2))
+    state = _truncated(name, rows, spec)
+    if mode == "float":
+        state = state.as_float()
+    cache = factorize(state)
+    pool = LiftedPool(state, cache, spec)
+    rng = np.random.default_rng(rows)
+    events = set()
+    for _ in range(8):
+        before = _pool_population(pool)
+        blame, fresh_blame = np.zeros(state.m, dtype=np.int64), np.zeros(state.m, dtype=np.int64)
+        got = enumerate_lifted(state, cache, spec, blame=blame, pool=pool)
+        want = enumerate_lifted(state, factorize(state), spec, blame=fresh_blame)
+        assert np.array_equal(got.columns, want.columns)
+        assert got.columns.shape[1] == state.m
+        assert (got.exact is None) == (want.exact is None) == (mode == "float" or not want)
+        if got.exact is not None:
+            assert got.exact.tolist() == want.exact.tolist()
+        assert np.array_equal(blame, fresh_blame)
+        after = _pool_population(pool)
+        assert set(after.values()) <= {0, 1}
+        if any(v == 1 and head not in after for head, v in before.items()):
+            events.add("second violation leaves the pool")
+        if any(v == 1 and after.get(head) == 1 for head, v in before.items()):
+            events.add("single violator blamed again")
+        if not got:
+            break
+        row = int(rng.integers(len(got)))
+        column = got.columns[row]
+        exact = None if got.exact is None else got.exact[row]
+        state = extend(state, column, exact=exact)
+        cache = extend_cache(cache, column[:state.dim],
+                             exact_head=None if exact is None else exact[:state.dim])
+    assert events == {"second violation leaves the pool", "single violator blamed again"}
+
+
+def test_lifted_pool_refuses_a_stale_cache():
+    spec = _rational_spec()
+    state = _truncated("D4Roots", 8, spec).as_float()
+    cache = factorize(state)
+    pool = LiftedPool(state, cache, spec)
+    got = enumerate_lifted(state, cache, spec, pool=pool)
+    grown = extend(state, got.columns[0])
+    grown_cache = extend_cache(cache, got.columns[0][:4])
+    enumerate_lifted(grown, grown_cache, spec, pool=pool)
+    with pytest.raises(ValueError, match="lift rows"):
+        enumerate_lifted(state, cache, spec, pool=pool)  # fewer rows than it has seen
+    other = permute_state(grown, range(grown.m - 1, -1, -1))
+    other = permute_state(other, full_rank_prefix(other))
+    with pytest.raises(ValueError, match="another basis"):
+        enumerate_lifted(other, factorize(other), spec, pool=pool)

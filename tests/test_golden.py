@@ -6,8 +6,8 @@ stream, the enumeration order or a serializer shows up as a digest change.
 ``best.vectors`` is left out: it comes from an eigendecomposition whose last
 bits may differ between BLAS builds.  So is the checkpoint's ``POLI`` section,
 whose float weights pass through ``exp`` and BLAS dot products, and ``CFGE``,
-which echoes the absolute output path.  ``TREE`` is pinned because only it
-records the states reached after the corrector's deletions.
+the configuration echo, which the CLI resume tests cover.  ``TREE`` is pinned
+because only it records the states reached after the corrector's deletions.
 """
 
 import hashlib
