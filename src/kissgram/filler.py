@@ -9,9 +9,11 @@ each returns one move's action set as a ``Candidates`` batch of K whole
 columns, of which ``select_action`` picks a row.
 
 A lifted head depends only on the basis block, which a fill phase never
-changes, and each move appends one row.  So a ``LiftedPool`` enumerates the
-unit heads once per phase and, per move, snaps one new tail entry per head
-that has at most one violation so far.
+changes, and each move appends one row.  So a ``LiftedPool``, the one object
+of a lifted fill phase, factors the basis and enumerates the unit heads once
+per phase; per move it snaps one new tail entry per head that has at most
+one violation so far and, in rational mode, checks one new exact tail entry
+per head that is still exactly unit and conforming.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from .errors import (
 from .gram import (
     COSINE_CAP,
     DEFAULT_TOLS,
-    FactorCache,
     GramState,
     Tolerances,
+    extend_cache,
+    factorize,
 )
 from .rational import integer_dtype, pd_adjugate
 
@@ -344,91 +347,104 @@ def _exact_schur_positive(state: GramState, heads: Sequence[int],
 
 
 class LiftedPool:
-    """The unit heads of one basis block and their tails so far: one fill phase.
+    """The one object of a lifted fill phase: the basis factors, the unit heads
+    and their tails so far.
 
+    A pool factors the leading dim x dim block of the state it is made from
+    (``factorize``, which raises RankDeficientBasis for a singular block) and
+    keeps that ``FactorCache``, which ``extend`` grows by one row per move.
     Within a fill phase rows are only appended, so the basis block, and with
     it the set of unit heads, never changes, and each new row adds one tail
     entry per head.  The pool runs ``_expand_columns`` once, keeps the unit
-    heads in lexicographic order with their c1 indices, and per head its
-    snapped tails, its violation count and the lift row of its first
-    violation.  A count never falls, so a head leaves the pool at its second
-    violation; a head with one violation stays, since it is still blamed.
+    heads in lexicographic order, and per head its snapped tails, its
+    violation count and the lift row of its first violation.  A count never
+    falls, so a head leaves the pool at its second violation; a head with one
+    violation stays, since it is still blamed.
+
+    In rational mode the float unit test is a prescreen.  With H = D c1[head]
+    and Y = H adj(D B), the pool decides once per head whether it is exactly
+    unit: rowsum(Y * H) == D det.  ``exact_ok`` marks the heads that are
+    exactly unit, violation-free and exactly conforming so far; for these, in
+    pool order, ``y`` holds Y and ``exact`` the exact columns over D.  No
+    head regains the mark, so a move checks one new exact tail entry per
+    marked head (``_confirm_exact_lifted``).
     """
 
-    def __init__(self, state: GramState, cache: FactorCache, spec: ActionSpec, *,
+    def __init__(self, state: GramState, spec: ActionSpec, *,
                  tols: Tolerances = DEFAULT_TOLS):
-        unit_tol = tols.psd
-        if state.exact is not None:
-            if not spec.is_rational:
-                raise MixedModeEntries("rational state requires rational cosine sets")
-            unit_tol = 1e-6  # float prescreen; survivors are confirmed exactly
+        rational = state.exact is not None
+        if rational and not spec.is_rational:
+            raise MixedModeEntries("rational state requires rational cosine sets")
+        self.cache = factorize(state, tols=tols)
+        self.spec, self.tols = spec, tols
+        unit_tol = 1e-6 if rational else tols.psd
         values = np.asarray(spec.c1.values, dtype=float)
-        heads, idx, s = _expand_columns(cache.chol_factor, values, (1.0 + unit_tol) ** 2, False)
+        heads, idx, s = _expand_columns(self.cache.chol_factor, values, (1.0 + unit_tol) ** 2,
+                                        False)
         keep = np.abs(np.sqrt(s) - 1.0) <= unit_tol
-        self.basis, self.spec, self.tols = cache.chol_factor, spec, tols
         self.columns = heads[keep]  # K x (n + lift rows seen): head, then snapped tails
-        self.idx = idx[keep]
-        self.violations = np.zeros(len(self.idx), dtype=np.int64)
-        self.first = np.zeros(len(self.idx), dtype=np.int64)
+        self.violations = np.zeros(len(self.columns), dtype=np.int64)
+        self.first = np.zeros(len(self.columns), dtype=np.int64)
+        self.exact = None
+        if rational:
+            n, scale = self.cache.n, self.cache.exact_scale
+            det, adj = self.cache.exact_det, self.cache.exact_adj
+            numerators = spec.c1.numerators_over(scale)
+            h = max(map(abs, numerators))
+            a = max(map(abs, adj.flat))
+            self.y_max = n * h * a  # bounds |Y|, so |rowsum(Y * H)| <= n^2 h^2 a
+            dtype = integer_dtype(max(n * self.y_max * h, scale * det))
+            hmat = np.array(numerators, dtype=object).astype(dtype)[idx[keep]]
+            y = hmat @ adj.astype(dtype)
+            self.exact_ok = (y * hmat).sum(axis=1) == scale * det
+            self.y, self.exact = y[self.exact_ok], hmat[self.exact_ok]
+            self.targets = np.array([det * v for v in spec.c2.numerators_over(scale)],
+                                    dtype=object)
 
-    def advance(self, cache: FactorCache,
-                blame: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Test the lift rows of ``cache`` not seen yet; the violation-free columns and
-        their c1 indices, and one ``blame`` at the violating row of each single violator."""
-        basis = cache.chol_factor
-        if basis is not self.basis and not np.array_equal(basis, self.basis):
-            raise ValueError("lifted pool handed a cache from another basis")
-        n = basis.shape[0]
-        seen = self.columns.shape[1] - n
-        lift = cache.lift_matrix
-        if lift.shape[0] < seen:
-            raise ValueError(f"cache has {lift.shape[0]} lift rows, the pool has seen {seen}")
-        if lift.shape[0] > seen:
-            snapped, viol = _tail_filter(self.columns[:, :n] @ lift[seen:].T, self.spec.c2,
-                                         self.tols)
-            count = viol.sum(axis=1)
-            self.first = np.where((self.violations == 0) & (count > 0),
-                                  seen + viol.argmax(axis=1), self.first)
-            self.violations += count
-            self.columns = np.concatenate([self.columns, snapped], axis=1)
-            live = self.violations < 2
-            if not live.all():
-                self.columns, self.idx = self.columns[live], self.idx[live]
-                self.violations, self.first = self.violations[live], self.first[live]
-        if blame is not None:
-            np.add.at(blame, n + self.first[self.violations == 1], 1)
-        zero = self.violations == 0
-        return self.columns[zero], self.idx[zero]
+    def extend(self, head: np.ndarray, exact_head: Sequence[int] | None = None):
+        """Append the head of the row a move placed to the cross block (``extend_cache``)."""
+        self.cache = extend_cache(self.cache, head, exact_head)
 
 
-def enumerate_lifted(state: GramState, cache: FactorCache, spec: ActionSpec, *,
-                     tols: Tolerances = DEFAULT_TOLS,
-                     blame: np.ndarray | None = None,
-                     pool: LiftedPool | None = None) -> Candidates:
-    """Lifted action set for m >= dim: unit-norm heads with conforming tails.
+def enumerate_lifted(pool: LiftedPool, *, blame: np.ndarray | None = None) -> Candidates:
+    """Lifted action set for m >= dim: the pool's unit heads with conforming tails.
 
-    ``pool`` is the fill phase's ``LiftedPool`` on ``cache``'s basis, which
-    carries the heads and tails of earlier moves; without one, a one-shot
-    pool is built, so every call takes the same path.  ``blame``, when
-    given, is a length-m counter that is incremented at the row responsible
-    each time a candidate fails through exactly one tail entry; the
-    corrector uses it as a conflict feature.  In rational mode the float
-    survivors are confirmed exactly.
+    Each call tests the lift rows the pool's cache gained since the last call
+    (every cross row on the first): one snapped tail entry per head in the
+    pool and, in rational mode, one exact tail entry per ``exact_ok`` head,
+    whose exact columns are the batch's ``exact``.  ``blame``, when given, is
+    a length-m counter that is incremented at the row responsible each time a
+    candidate fails through exactly one tail entry; the corrector uses it as
+    a conflict feature.
     """
-    if state.m < state.dim:
-        raise DimensionMismatch(f"lifted enumeration needs m >= dim, got m={state.m}")
-    if pool is None:
-        pool = LiftedPool(state, cache, spec, tols=tols)
-    elif (spec, tols) != (pool.spec, pool.tols):
-        raise ValueError("lifted pool was built for another action spec or tolerances")
-    columns, idx = pool.advance(cache, blame)
-    if state.exact is None:
-        return Candidates(columns)
-    confirmed = _confirm_exact_lifted(cache, spec, idx) if len(idx) else None
-    if confirmed is None:
-        return _stuck(state.m)
-    rows, exact = confirmed
-    return Candidates(columns[rows], exact)
+    n = pool.cache.n
+    seen = pool.columns.shape[1] - n
+    lift = pool.cache.lift_matrix[seen:]
+    if len(lift):
+        snapped, viol = _tail_filter(pool.columns[:, :n] @ lift.T, pool.spec.c2, pool.tols)
+        count = viol.sum(axis=1)
+        pool.first = np.where((pool.violations == 0) & (count > 0),
+                              seen + viol.argmax(axis=1), pool.first)
+        pool.violations += count
+        pool.columns = np.concatenate([pool.columns, snapped], axis=1)
+        if pool.exact is not None:  # a head that violates is never a candidate again
+            clean = count[pool.exact_ok] == 0
+            pool.exact_ok &= count == 0
+            pool.y, pool.exact = pool.y[clean], pool.exact[clean]
+        live = pool.violations < 2
+        if not live.all():
+            pool.columns, pool.violations, pool.first = (
+                pool.columns[live], pool.violations[live], pool.first[live])
+            if pool.exact is not None:
+                pool.exact_ok = pool.exact_ok[live]
+    if blame is not None:
+        np.add.at(blame, n + pool.first[pool.violations == 1], 1)
+    if pool.exact is None:
+        return Candidates(pool.columns[pool.violations == 0])
+    if (pool.exact_ok.any()
+            and _confirm_exact_lifted(pool, pool.cache.exact_cross[seen:]) is not None):
+        return Candidates(pool.columns[pool.exact_ok], pool.exact)
+    return _stuck(pool.columns.shape[1])
 
 
 def _tail_filter(tails: np.ndarray, c2: DiscreteSet | CapOnly,
@@ -447,37 +463,29 @@ def _tail_filter(tails: np.ndarray, c2: DiscreteSet | CapOnly,
     return snapped, np.abs(tails - snapped) > tols.snap
 
 
-def _confirm_exact_lifted(cache: FactorCache, spec: ActionSpec,
-                          idx: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Exact unit-norm and tail test of a batch of heads, rows of c1 indices ``idx``.
+def _confirm_exact_lifted(pool: LiftedPool, cross: np.ndarray) -> np.ndarray | None:
+    """Exact tail test of the pool's ``exact_ok`` heads on new cross rows ``cross`` (D C_new).
 
-    With H = D c1[idx] and Y = H adj(D B), a head is unit iff
-    rowsum(Y * H) == D det, and its tails N = Y (D C)^T are det times its
-    true tails over D, so each must lie in det * (D c2), ascending as c2 is.
-    The overflow bound reads max|adj| and max|D C| from the cache.  Returns
-    the confirmed rows of ``idx``, ascending, and their exact columns as
-    numerators over D (H then N / det), or None when no row is confirmed.
+    The tails N = Y (D C_new)^T are det times the true tails over D, so each
+    must lie in det * (D c2) (``pool.targets``, ascending as c2 is).  The
+    overflow bound reads the pool's bound on |Y| and max|D C_new| from the
+    new rows.  Heads that fail lose their mark, and those that pass get N /
+    det appended to their exact columns.  Returns the exact columns, or None
+    when no head passes.
     """
-    if cache.exact_adj is None:
-        raise MixedModeEntries("cache has no exact factors")
-    scale, det, adj, cross = cache.exact_scale, cache.exact_det, cache.exact_adj, cache.exact_cross
-    heads = spec.c1.numerators_over(scale)
-    targets = [det * v for v in spec.c2.numerators_over(scale)]
-    h = max(map(abs, heads))
-    a, c = cache.exact_adj_max, cache.exact_cross_max
-    n = cache.n
-    # |Y| <= n h a, so |rowsum(Y * H)| <= n^2 h^2 a and |N| <= n^2 h a c.
-    dtype = integer_dtype(max(n * n * h * a * max(h, c), scale * det, *map(abs, targets)))
-    hmat = np.array(heads, dtype=object).astype(dtype)[idx]
-    y = hmat @ adj.astype(dtype)
-    rows = np.nonzero((y * hmat).sum(axis=1) == scale * det)[0]
-    tails = y[rows] @ cross.astype(dtype).T
-    allowed = np.array(targets, dtype=object).astype(dtype)
+    det, targets = pool.cache.exact_det, pool.targets
+    c = max(map(abs, cross.flat), default=0)
+    # |N| <= n |Y| max|D C_new|.
+    dtype = integer_dtype(max(pool.cache.n * pool.y_max * c, det, *map(abs, targets)))
+    tails = pool.y.astype(dtype, copy=False) @ cross.astype(dtype).T
+    allowed = targets.astype(dtype)
     pos = np.minimum(np.searchsorted(allowed, tails), len(targets) - 1)
     member = (allowed[pos] == tails).all(axis=1)
-    if not member.any():
-        return None
-    return rows[member], np.concatenate([hmat[rows[member]], tails[member] // det], axis=1)
+    if not member.all():
+        pool.exact_ok[np.flatnonzero(pool.exact_ok)] = member
+        pool.y, pool.exact, tails = pool.y[member], pool.exact[member], tails[member]
+    pool.exact = np.concatenate([pool.exact, tails // det], axis=1)
+    return pool.exact if len(pool.exact) else None
 
 
 def enumerate_membership(state: GramState, anchors: np.ndarray, spec: ActionSpec, *,

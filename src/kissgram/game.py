@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -43,13 +43,10 @@ from .filler import (
     select_action,
 )
 from .gram import (
-    FactorCache,
     GramState,
     Tolerances,
     check_invariants,
     extend,
-    extend_cache,
-    factorize,
     full_rank_prefix,
     permute_state,
 )
@@ -113,6 +110,10 @@ class GameConfig:
             raise ConfigError("rounds must be at least 1")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint-every must be at least 1")
+        if self.rollouts_per_move < 1:
+            raise ConfigError("rollouts-per-move must be at least 1")
+        if not all(tol >= 0.0 for tol in astuple(self.tolerances)):
+            raise ConfigError("tolerances must be non-negative")
         if not self.corrector.temperature > 0.0:
             raise ConfigError("corrector temperature must be positive")
         if not 0.0 <= self.corrector.max_delete_fraction < 1.0:
@@ -241,8 +242,7 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
     tols = config.tolerances
     member_list = config.action.c_star
     meta.conflicts = np.zeros(state.m, dtype=np.int64)
-    cache: FactorCache | None = None  # with its pool, once m >= dim; dropped with the phase
-    pool: LiftedPool | None = None
+    pool: LiftedPool | None = None  # once m >= dim; dropped with the phase
     added = 0
     while config.fill_budget is None or added < config.fill_budget:
         blame = np.zeros(state.m, dtype=np.int64)
@@ -253,9 +253,9 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
         elif state.m < state.dim:
             candidates = enumerate_small(state, config.action, tols=tols)
         else:
-            if cache is None:
+            if pool is None:
                 try:
-                    cache = factorize(state, tols=tols)
+                    pool = LiftedPool(state, config.action, tols=tols)
                 except RankDeficientBasis:
                     try:
                         order = full_rank_prefix(state, tols=tols)
@@ -263,10 +263,8 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
                         break  # rank-deficient at m >= dim: no lifted action exists
                     state = permute_state(state, order)
                     meta.take(order)
-                    cache = factorize(state, tols=tols)
-                pool = LiftedPool(state, cache, config.action, tols=tols)
-            candidates = enumerate_lifted(state, cache, config.action, tols=tols, blame=blame,
-                                          pool=pool)
+                    pool = LiftedPool(state, config.action, tols=tols)
+            candidates = enumerate_lifted(pool, blame=blame)
         meta.conflicts += blame
         if not candidates:
             break
@@ -285,9 +283,8 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
         meta.append(round_no, member, anchor)
         added += 1
         _check_bound(state)
-        if cache is not None:
-            cache = extend_cache(cache, column[:state.dim],
-                                 exact_head=None if exact is None else exact[:state.dim])
+        if pool is not None:
+            pool.extend(column[:state.dim], None if exact is None else exact[:state.dim])
     return _FillOutcome(state, added)
 
 

@@ -199,14 +199,12 @@ def extend(state: GramState, column: np.ndarray, *, exact: Sequence[int] | None 
 
 
 def is_psd(state: GramState | np.ndarray, tol: float) -> bool:
-    """True iff the smallest eigenvalue is >= -tol (exact pivots in rational mode).
+    """True iff the smallest eigenvalue of the float entries is >= -tol.
 
     Fast path: a Cholesky attempt on the tol-shifted matrix accepts most
     feasible states; the smallest eigenvalue is computed only on failure.
+    Exact entries are not read: exact callers run ``exact_ldlt`` themselves.
     """
-    if isinstance(state, GramState) and state.exact is not None:
-        psd, _ = exact_ldlt(state.exact)
-        return psd
     g = state.entries if isinstance(state, GramState) else np.asarray(state, dtype=float)
     if g.size == 0:
         return True
@@ -219,10 +217,7 @@ def is_psd(state: GramState | np.ndarray, tol: float) -> bool:
 
 
 def rank_of(state: GramState | np.ndarray, tol: float) -> int:
-    """Number of eigenvalues (exact pivots in rational mode) exceeding tol."""
-    if isinstance(state, GramState) and state.exact is not None:
-        _, rank = exact_ldlt(state.exact)
-        return rank
+    """Number of eigenvalues of the float entries exceeding tol."""
     g = state.entries if isinstance(state, GramState) else np.asarray(state, dtype=float)
     if g.size == 0:
         return 0
@@ -233,14 +228,14 @@ def rank_of(state: GramState | np.ndarray, tol: float) -> int:
 class FactorCache:
     """Factorization of the leading basis block used by the lifted action set.
 
+    A ``filler.LiftedPool`` makes one with ``factorize`` when a fill phase
+    reaches m >= dim and grows it with ``extend_cache`` on each move.
     With B the basis block and C the cross block (the rows after it),
     ``lift_matrix`` is the precomputed product C B^-1, so a tail costs one
     matrix-vector product.  The exact fields are populated in rational mode
     only, as integers over the state's denominator D: ``exact_det`` =
     det(D B) > 0, ``exact_adj`` = adj(D B) and ``exact_cross`` = D C (object
-    arrays of Python ints), with their largest magnitudes ``exact_adj_max``
-    and ``exact_cross_max`` (0 for an empty C), which bound exact products.
-    Then B^-1 = D adj(D B) / det(D B), so a head h has
+    arrays of Python ints).  Then B^-1 = D adj(D B) / det(D B), so a head h has
     h^T B^-1 h = (D h)^T adj (D h) / (D det) and tail
     C B^-1 h = (D C) adj (D h) / (D det).
     """
@@ -252,8 +247,6 @@ class FactorCache:
     exact_det: int | None = None
     exact_adj: np.ndarray | None = None
     exact_cross: np.ndarray | None = None
-    exact_adj_max: int | None = None
-    exact_cross_max: int | None = None
 
     @property
     def n(self) -> int:
@@ -277,15 +270,13 @@ def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCac
         raise RankDeficientBasis(f"leading {n}x{n} block has rank deficiency (min eig {w[0]:.3e})")
     chol = np.linalg.cholesky(basis)
     pinv = np.linalg.inv(basis)
-    det = adj = exact_cross = adj_max = cross_max = None
+    det = adj = exact_cross = None
     if state.exact is not None:
         factored = pd_adjugate(state.exact[:n, :n])
         if factored is None:
             raise RankDeficientBasis(f"leading {n}x{n} block is not positive definite (exact)")
         det, adj = factored
         exact_cross = state.exact[n:, :n].copy()  # a view would pin the whole m x m Gram
-        adj_max = max(map(abs, adj.flat))
-        cross_max = max(map(abs, exact_cross.flat), default=0)
     return FactorCache(
         chol_factor=_frozen(chol),
         pseudo_inv=_frozen(pinv),
@@ -294,25 +285,21 @@ def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCac
         exact_det=det,
         exact_adj=adj,
         exact_cross=exact_cross,
-        exact_adj_max=adj_max,
-        exact_cross_max=cross_max,
     )
 
 
 def extend_cache(cache: FactorCache, head: np.ndarray,
                  exact_head: Sequence[int] | None = None) -> FactorCache:
-    """Append one row to the cross block, and grow its maximum, without refactorizing."""
+    """Append one row to the cross block without refactorizing."""
     head = np.asarray(head, dtype=float)
-    exact_cross, cross_max = cache.exact_cross, cache.exact_cross_max
+    exact_cross = cache.exact_cross
     if exact_cross is not None:
         if exact_head is None:
             raise MixedModeEntries("exact cache extended with a float-only head")
         row = [operator.index(x) for x in exact_head]
         exact_cross = np.vstack([exact_cross, np.array(row, dtype=object)[None, :]])
-        cross_max = max(cross_max, *map(abs, row))
     lift = np.vstack([cache.lift_matrix, (cache.pseudo_inv @ head)[None, :]])
-    return replace(cache, lift_matrix=_frozen(lift), exact_cross=exact_cross,
-                   exact_cross_max=cross_max)
+    return replace(cache, lift_matrix=_frozen(lift), exact_cross=exact_cross)
 
 
 def reconstruct_vectors(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

@@ -78,9 +78,12 @@ def _as_int(value: str, what: str) -> int:
 
 def _as_float(value: str, what: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 def _as_flag(value: str, what: str) -> bool:

@@ -16,13 +16,12 @@ from kissgram.checkpoint import load_checkpoint, save_checkpoint
 from kissgram.cli import main as cli_main
 from kissgram.corrector import CorrectorPolicy, grad_log_prob, log_prob
 from kissgram.cosines import simulate_cosine_set
-from kissgram.filler import ActionSpec, DiscreteSet, enumerate_lifted, enumerate_small
+from kissgram.filler import ActionSpec, DiscreteSet, LiftedPool, enumerate_lifted, enumerate_small
 from kissgram.game import KNOWN_OPTIMAL, GameConfig, SeedSpec, team_reward, train_loop
 from kissgram.gram import (
     GramState,
     Tolerances,
     extend,
-    factorize,
     gram_from_vectors,
 )
 from kissgram.refconfigs import generate
@@ -184,10 +183,10 @@ def test_criterion_brute_force_equivalence():
             want = _oracle_small(state, values)
         else:
             try:
-                cache = factorize(state)
+                lifted = LiftedPool(state, spec)
             except Exception:
                 continue
-            got = set(map(tuple, enumerate_lifted(state, cache, spec).columns.tolist()))
+            got = set(map(tuple, enumerate_lifted(lifted).columns.tolist()))
             want = _oracle_lifted(state, values)
         assert got == want, f"mismatch on n={n}, m={state.m}, values={values}"
         cases += 1

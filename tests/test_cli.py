@@ -514,6 +514,13 @@ def test_search_resume_with_wrong_policy_shape_exits_4(tmp_path, capsys, weights
     "[run]\ndim = 2\n[corrector]\nmax-delete-fraction = 1.5\n",
     "[run]\ndim = 2\ncheckpoint-every = 0\n",
     "[run]\ndim = 2\n[seed]\nrows = 7\n",
+    "[run]\ndim = 2\nrollouts-per-move = -1\n",
+    "[run]\ndim = 2\nrollouts-per-move = 0\n",
+    "[run]\ndim = 2\n[corrector]\nlearning-rate = nan\n",
+    "[run]\ndim = 2\nexploration = inf\n",
+    # A nan snap tolerance would turn every snap check off.
+    "[run]\ndim = 3\n[tolerances]\nsnap = nan\n",
+    "[run]\ndim = 2\n[tolerances]\npsd = -1e-9\n",
 ])
 def test_search_rejects_out_of_range_config_values(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"

@@ -34,8 +34,6 @@ from kissgram.gram import (
     GramState,
     Tolerances,
     extend,
-    extend_cache,
-    factorize,
     full_rank_prefix,
     gram_from_vectors,
     permute_state,
@@ -132,7 +130,7 @@ def test_enumerate_lifted_recovers_missing_e8_root():
     e8 = generate("E8Roots").gram.as_float()
     state = permute_state(e8, full_rank_prefix(e8))
     sub = GramState(dim=8, entries=state.entries[:239, :239])
-    cands = enumerate_lifted(sub, factorize(sub), spec)
+    cands = enumerate_lifted(LiftedPool(sub, spec))
     assert len(cands) == 1
     assert np.abs(cands.columns[0] - state.entries[239, :239]).max() < 1e-9
 
@@ -140,14 +138,14 @@ def test_enumerate_lifted_recovers_missing_e8_root():
 def test_enumerate_lifted_hexagon_is_stuck():
     spec = ActionSpec(c1=DiscreteSet(C1))
     hexagon = generate("Hexagon").gram.as_float()
-    assert len(enumerate_lifted(hexagon, factorize(hexagon), spec)) == 0
+    assert len(enumerate_lifted(LiftedPool(hexagon, spec))) == 0
 
 
 def test_enumerate_lifted_cap_only_postcondition():
     rng = np.random.default_rng(0)
     spec = ActionSpec(c1=DiscreteSet(C1), c2=CapOnly(0.5))
     built = generate("CrossPolytope(3)").gram.as_float()
-    cands = enumerate_lifted(built, factorize(built), spec)
+    cands = enumerate_lifted(LiftedPool(built, spec))
     for column in cands.columns:
         tail = column[built.dim:]
         assert tail.size == 0 or tail.max() <= 0.5 + 1e-9
@@ -164,7 +162,7 @@ def test_enumerate_lifted_agrees_with_oracle_randomized():
         if state is None:
             continue
         spec = ActionSpec(c1=DiscreteSet(values))
-        cands = enumerate_lifted(state, factorize(state), spec)
+        cands = enumerate_lifted(LiftedPool(state, spec))
         assert as_set(cands) == oracle_lifted(state, values, spec.c2)
 
 
@@ -177,7 +175,7 @@ def _random_discrete_state(rng, n, m, values):
             cands = enumerate_small(state, spec)
         else:
             try:
-                cands = enumerate_lifted(state, factorize(state), spec)
+                cands = enumerate_lifted(LiftedPool(state, spec))
             except Exception:
                 return None
         if not cands:
@@ -277,9 +275,9 @@ def test_enumeration_determinism():
     built = generate("D4Roots").gram.as_float()
     state = permute_state(built, full_rank_prefix(built))
     sub = GramState(dim=4, entries=state.entries[:20, :20])
-    runs = [as_set(enumerate_lifted(sub, factorize(sub), spec)) for _ in range(2)]
+    runs = [as_set(enumerate_lifted(LiftedPool(sub, spec))) for _ in range(2)]
     assert runs[0] == runs[1]
-    streams = [enumerate_lifted(sub, factorize(sub), spec).columns.tolist() for _ in range(2)]
+    streams = [enumerate_lifted(LiftedPool(sub, spec)).columns.tolist() for _ in range(2)]
     assert streams[0] == streams[1]
 
 
@@ -316,7 +314,7 @@ def test_blame_counts_single_violator_rows():
     state = permute_state(e8, full_rank_prefix(e8))
     sub = GramState(dim=8, entries=state.entries[:40, :40])
     blame = np.zeros(40)
-    enumerate_lifted(sub, factorize(sub), spec, blame=blame)
+    enumerate_lifted(LiftedPool(sub, spec), blame=blame)
     assert blame[:8].sum() == 0  # heads are never blamed
     assert blame.sum() >= 0
 
@@ -364,7 +362,7 @@ def test_enumerate_small_rejects_lifted_regime():
     with pytest.raises(DimensionMismatch):
         enumerate_small(state, spec)
     with pytest.raises(DimensionMismatch):
-        enumerate_lifted(GramState.single(3), factorize(state), spec)
+        LiftedPool(GramState.single(3), spec)
 
 
 def test_enumeration_overflow_raises_and_search_exits_3(monkeypatch, tmp_path, capsys):
@@ -419,7 +417,8 @@ def fractions(state: GramState) -> list[list[Fraction]]:
 
 
 def fraction_confirm(state: GramState, spec: ActionSpec, idx: np.ndarray) -> list:
-    """Per-candidate confirmation on Fractions: B^-1 by Gauss-Jordan, lifts by matvec."""
+    """Per-candidate confirmation on Fractions: B^-1 by Gauss-Jordan, lifts by matvec,
+    one cross row at a time up to the first tail outside c2."""
     n = state.dim
     gram = fractions(state)
     inv = exact_inverse([row[:n] for row in gram[:n]])
@@ -429,18 +428,24 @@ def fraction_confirm(state: GramState, spec: ActionSpec, idx: np.ndarray) -> lis
     for row in idx:
         head = tuple(c1[i] for i in row)
         coeff = exact_matvec(inv, head)
-        tail = exact_matvec(cross, coeff)
-        unit = sum(h * c for h, c in zip(head, coeff)) == 1
-        out.append(head + tail if unit and all(t in allowed for t in tail) else None)
+        confirmed = None
+        if sum(h * c for h, c in zip(head, coeff)) == 1:
+            tail = []
+            for cross_row in cross:
+                tail += exact_matvec([cross_row], coeff)
+                if tail[-1] not in allowed:
+                    break
+            else:
+                confirmed = head + tuple(tail)
+        out.append(confirmed)
     return out
 
 
-def _prescreened_and_random(state: GramState, spec: ActionSpec, cache, rng) -> np.ndarray:
-    """Heads passing the float unit-norm prescreen (before the tail filter), plus random rows."""
+def _unit_prescreened(pool: LiftedPool, spec: ActionSpec) -> np.ndarray:
+    """c1 indices of the heads passing the float unit-norm prescreen, before any tail test."""
     values = np.asarray(spec.c1.values)
-    _, idx, s = _expand_columns(cache.chol_factor, values, (1 + 1e-6) ** 2, False)
-    idx = idx[np.abs(np.sqrt(s) - 1.0) <= 1e-6]
-    return np.vstack([idx, rng.integers(0, values.size, size=(50, state.dim))])
+    _, idx, s = _expand_columns(pool.cache.chol_factor, values, (1 + 1e-6) ** 2, False)
+    return idx[np.abs(np.sqrt(s) - 1.0) <= 1e-6]
 
 
 def _dtype_recorder(monkeypatch) -> list:
@@ -455,50 +460,105 @@ def _dtype_recorder(monkeypatch) -> list:
     return chosen
 
 
+def _pool_population(pool: LiftedPool) -> dict:
+    heads = pool.columns[:, :pool.cache.n]
+    return dict(zip(map(tuple, heads.tolist()), pool.violations.tolist()))
+
+
+def _drive_pool(state: GramState, spec: ActionSpec, moves: int, seed: int) -> set[str]:
+    """Drive one pool through up to ``moves`` random moves, checking every batch.
+
+    At every move the batch and the blame equal those of a fresh pool on the
+    grown state and, in rational mode, the exact columns equal the Fraction
+    reference on every head passing the float unit prescreen.  Returns the
+    events seen on the way.
+    """
+    rng = np.random.default_rng(seed)
+    pool = LiftedPool(state, spec)
+    heads = _unit_prescreened(pool, spec)
+    events = set()
+    for _ in range(moves):
+        before = _pool_population(pool)
+        blame, fresh_blame = np.zeros(state.m, dtype=np.int64), np.zeros(state.m, dtype=np.int64)
+        got = enumerate_lifted(pool, blame=blame)
+        want = enumerate_lifted(LiftedPool(state, spec), blame=fresh_blame)
+        assert np.array_equal(got.columns, want.columns)
+        assert got.columns.shape[1] == state.m
+        assert (got.exact is None) == (want.exact is None) == (state.exact is None or not want)
+        assert np.array_equal(blame, fresh_blame)
+        if state.exact is not None:
+            if got.exact is not None:
+                assert got.exact.tolist() == want.exact.tolist()
+            expected = [e for e in fraction_confirm(state, spec, heads) if e is not None]
+            exact = [] if got.exact is None else got.exact.tolist()
+            assert [as_fractions(c, state) for c in exact] == expected
+            if expected:
+                events.add("exact columns confirmed")
+            if np.count_nonzero(pool.violations == 0) > len(got):
+                events.add("exact test rejects a float survivor")
+        after = _pool_population(pool)
+        assert set(after.values()) <= {0, 1}
+        if any(v == 1 and head not in after for head, v in before.items()):
+            events.add("second violation leaves the pool")
+        if any(v == 1 and after.get(head) == 1 for head, v in before.items()):
+            events.add("single violator blamed again")
+        if not got:
+            break
+        row = int(rng.integers(len(got)))
+        column = got.columns[row]
+        exact = None if got.exact is None else got.exact[row]
+        state = extend(state, column, exact=exact)
+        pool.extend(column[:state.dim], None if exact is None else exact[:state.dim])
+        if state.exact is not None:
+            assert pool.cache.exact_cross.tolist() == state.exact[state.dim:, :state.dim].tolist()
+    return events
+
+
 @pytest.mark.parametrize("name, rows, exact", [
     ("D4Roots", 16, RATIONAL_C1),
     ("E8Roots", 232, RATIONAL_C1),
-    # A value with denominator 2^40 puts D at 2^40: the bound fails int64.
+    # A value with denominator 2^40 puts D at 2^40: the bounds fail int64.
     ("D4Roots", 16, RATIONAL_C1 + (Fraction(1, 2**40),)),
+    # With no cross row yet, only the exact unit test rejects a head through 2^-40.
+    ("D4Roots", 4, RATIONAL_C1 + (Fraction(1, 2**40),)),
 ])
 def test_batched_confirmation_matches_fraction_path(monkeypatch, name, rows, exact):
     chosen = _dtype_recorder(monkeypatch)
     spec = _rational_spec(exact)
     state = _truncated(name, rows, spec)
-    cache = factorize(state)
-    idx = _prescreened_and_random(state, spec, cache, np.random.default_rng(rows))
-    expected = fraction_confirm(state, spec, idx)
-    assert any(c is not None for c in expected) and any(c is None for c in expected)
-    rows, columns = _confirm_exact_lifted(cache, spec, idx)
-    assert rows.tolist() == [i for i, e in enumerate(expected) if e is not None]
-    assert [as_fractions(c, state) for c in columns.tolist()] == [e for e in expected if e is not None]
-    assert chosen == [object if len(exact) > 4 else np.int64]
-    # The same batch on Python ints gives the same answer.
-    monkeypatch.setattr(filler, "integer_dtype", lambda bound: object)
-    rows_obj, columns_obj = _confirm_exact_lifted(cache, spec, idx)
-    assert columns_obj.dtype == object
-    assert rows_obj.tolist() == rows.tolist() and columns_obj.tolist() == columns.tolist()
-    # Appending a confirmed row to the cache keeps its integer rows in step.
-    row = columns[0]
-    floats = np.array([x / state.exact_scale for x in row.tolist()])
-    grown = extend(state, floats, exact=row)
-    extended = extend_cache(cache, floats[:state.dim], exact_head=row[:state.dim])
-    refactored = factorize(grown)
-    assert np.array_equal(extended.exact_cross, refactored.exact_cross)
-    # ... and its cached bounds equal those of the grown state's factors.
-    assert extended.exact_adj_max == refactored.exact_adj_max
-    assert extended.exact_cross_max == refactored.exact_cross_max
-    assert extended.exact_cross_max == max(map(abs, refactored.exact_cross.flat))
+    events = _drive_pool(state, spec, 2, rows)
+    assert "exact columns confirmed" in events
+    assert set(chosen) == {object if len(exact) > 4 else np.int64}
+    if len(exact) > 4:
+        # Heads through 2^-40 pass the float unit test, not the exact one.
+        assert "exact test rejects a float survivor" in events
+    else:
+        # The same moves on Python ints give the same answer.
+        monkeypatch.setattr(filler, "integer_dtype", lambda bound: object)
+        assert _drive_pool(state, spec, 2, rows) == events
+
+
+def test_exact_tail_test_rejects_float_survivors():
+    # 1/2 - 2^-30 lies within the snap tolerance of 1/2: every tail of 1/2
+    # passes the float filter, and only the exact tail test rejects it.
+    spec = _rational_spec()
+    spec = ActionSpec(c1=spec.c1, c2=DiscreteSet.from_exact([-2**31, -2**30, 0, 2**30 - 2], 2**31))
+    assert abs(spec.c2.values[-1] - 0.5) < TOLS.snap
+    state = _truncated("D4Roots", 8, spec)
+    events = _drive_pool(state, spec, 4, 8)
+    assert {"exact columns confirmed", "exact test rejects a float survivor"} <= events
 
 
 def test_batched_confirmation_rejects_everything_as_none():
     spec = _rational_spec()
     state = _truncated("D4Roots", 24, spec)  # K(4) = 24: nothing can be added
-    cache = factorize(state)
-    idx = _prescreened_and_random(state, spec, cache, np.random.default_rng(0))
-    assert fraction_confirm(state, spec, idx) == [None] * len(idx)
-    assert _confirm_exact_lifted(cache, spec, idx) is None
-    assert len(enumerate_lifted(state, cache, spec)) == 0
+    pool = LiftedPool(state, spec)
+    heads = _unit_prescreened(pool, spec)
+    assert fraction_confirm(state, spec, heads) == [None] * len(heads)
+    assert len(pool.y) == len(heads)  # every unit head is exactly unit, then fails a tail
+    assert _confirm_exact_lifted(pool, pool.cache.exact_cross) is None
+    assert not pool.exact_ok.any()
+    assert len(enumerate_lifted(LiftedPool(state, spec))) == 0
 
 
 def fraction_small(state: GramState, spec: ActionSpec) -> list:
@@ -535,10 +595,6 @@ def test_enumerate_small_exact_gap_matches_fraction_path(monkeypatch, name, rows
     assert set(chosen) == {object if len(exact) > 4 else np.int64}
 
 
-def _pool_population(pool: LiftedPool) -> dict:
-    return dict(zip(map(tuple, pool.idx.tolist()), pool.violations.tolist()))
-
-
 @pytest.mark.parametrize("mode", ["float", "rational"])
 @pytest.mark.parametrize("name, rows, tail_numerators", [
     ("E8Roots", 16, None),
@@ -547,58 +603,11 @@ def _pool_population(pool: LiftedPool) -> dict:
     ("D4Roots", 4, (-2, -1, 0)),
 ])
 def test_lifted_pool_matches_fresh_enumeration(mode, name, rows, tail_numerators):
-    # One pool driven through extend and extend_cache returns, at every move,
-    # the batch and the blame of a fresh enumeration on a fresh factorization.
     spec = _rational_spec()
     if tail_numerators is not None:
         spec = ActionSpec(c1=spec.c1, c2=DiscreteSet.from_exact(tail_numerators, 2))
     state = _truncated(name, rows, spec)
     if mode == "float":
         state = state.as_float()
-    cache = factorize(state)
-    pool = LiftedPool(state, cache, spec)
-    rng = np.random.default_rng(rows)
-    events = set()
-    for _ in range(8):
-        before = _pool_population(pool)
-        blame, fresh_blame = np.zeros(state.m, dtype=np.int64), np.zeros(state.m, dtype=np.int64)
-        got = enumerate_lifted(state, cache, spec, blame=blame, pool=pool)
-        want = enumerate_lifted(state, factorize(state), spec, blame=fresh_blame)
-        assert np.array_equal(got.columns, want.columns)
-        assert got.columns.shape[1] == state.m
-        assert (got.exact is None) == (want.exact is None) == (mode == "float" or not want)
-        if got.exact is not None:
-            assert got.exact.tolist() == want.exact.tolist()
-        assert np.array_equal(blame, fresh_blame)
-        after = _pool_population(pool)
-        assert set(after.values()) <= {0, 1}
-        if any(v == 1 and head not in after for head, v in before.items()):
-            events.add("second violation leaves the pool")
-        if any(v == 1 and after.get(head) == 1 for head, v in before.items()):
-            events.add("single violator blamed again")
-        if not got:
-            break
-        row = int(rng.integers(len(got)))
-        column = got.columns[row]
-        exact = None if got.exact is None else got.exact[row]
-        state = extend(state, column, exact=exact)
-        cache = extend_cache(cache, column[:state.dim],
-                             exact_head=None if exact is None else exact[:state.dim])
-    assert events == {"second violation leaves the pool", "single violator blamed again"}
-
-
-def test_lifted_pool_refuses_a_stale_cache():
-    spec = _rational_spec()
-    state = _truncated("D4Roots", 8, spec).as_float()
-    cache = factorize(state)
-    pool = LiftedPool(state, cache, spec)
-    got = enumerate_lifted(state, cache, spec, pool=pool)
-    grown = extend(state, got.columns[0])
-    grown_cache = extend_cache(cache, got.columns[0][:4])
-    enumerate_lifted(grown, grown_cache, spec, pool=pool)
-    with pytest.raises(ValueError, match="lift rows"):
-        enumerate_lifted(state, cache, spec, pool=pool)  # fewer rows than it has seen
-    other = permute_state(grown, range(grown.m - 1, -1, -1))
-    other = permute_state(other, full_rank_prefix(other))
-    with pytest.raises(ValueError, match="another basis"):
-        enumerate_lifted(other, factorize(other), spec, pool=pool)
+    events = _drive_pool(state, spec, 8, rows)
+    assert {"second violation leaves the pool", "single violator blamed again"} <= events

@@ -34,21 +34,26 @@ def test_tracer_installs_on_every_target_and_uninstalls():
         assert getattr(sys.modules[mod], fn) is original
 
 
-def test_traced_search_feeds_every_hooked_counter(tmp_path):
-    # The hooks read arguments by position; a signature change that moves one
-    # fails here rather than in a traced benchmark run.
+def _traced_search(tmp_path, mode: str) -> dict:
     from kissgram.cli import main
 
     spans = _load_spans()
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("[run]\ndim = 3\nepisodes = 4\nrounds = 4\nrng-seed = 5\nout-dir = out\n")
+    cfg.write_text(f"[run]\ndim = 3\nmode = {mode}\nepisodes = 4\nrounds = 4\nrng-seed = 5\n"
+                   "out-dir = out\n")
     tracer = spans.Tracer()
     try:
         tracer.install()
         assert main(["search", "--config", str(cfg)]) == 0
     finally:
         tracer.uninstall()
-    summary = tracer.summary()
+    return tracer.summary()
+
+
+def test_traced_search_feeds_every_hooked_counter(tmp_path):
+    # The hooks read arguments by position; a signature change that moves one
+    # fails here rather than in a traced benchmark run.
+    summary = _traced_search(tmp_path, "float")
     for key in ("corrector.rows_deleted", "filler.offered", "filler.candidates",
                 "corrector.row_features.calls"):
         assert summary.get(key, 0) > 0, key
@@ -56,3 +61,10 @@ def test_traced_search_feeds_every_hooked_counter(tmp_path):
     # enumerated candidate is offered to select_action, one batch per move.
     assert summary["filler.candidates"] == summary["filler.offered"] == 242
     assert summary["gram.extend.calls"] == 58
+
+
+def test_traced_rational_search_feeds_exact_confirmation(tmp_path):
+    summary = _traced_search(tmp_path, "rational")
+    assert summary["filler.exact_confirm.calls"] > 0
+    assert summary["filler.exact_confirm.accepted"] > 0
+    assert summary["gram.factorize.calls"] > 0 and summary["gram.extend_cache.calls"] > 0

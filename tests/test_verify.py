@@ -135,6 +135,19 @@ def test_rational_and_float_verdicts_agree_on_rational_instances():
         assert float(exact_cert.max_cosine) == pytest.approx(float_cert.max_cosine)
 
 
+def test_float_verification_of_a_rational_gram_reads_floats_only(monkeypatch):
+    import kissgram.gram
+
+    def refuse(matrix):
+        raise AssertionError("exact pivots in float mode")
+
+    monkeypatch.setattr(kissgram.gram, "exact_ldlt", refuse)
+    monkeypatch.setattr(verify, "exact_ldlt", refuse)
+    state = generate("E8Roots").gram
+    assert state.exact is not None
+    assert verify_gram(state, mode="float") == verify_gram(state.as_float())
+
+
 def exact_state(matrix: list[list[Fraction]], dim: int) -> GramState:
     """A rational state from a Fraction matrix, over its common denominator."""
     scale = math.lcm(*(x.denominator for row in matrix for x in row))
