@@ -22,7 +22,7 @@ from .corrector import CorrectorPolicy
 from .errors import CheckpointError, ParseError
 from .fileio import gram_text, parse_gram_text
 from .filler import SearchTree
-from .game import EpisodeResult
+from .game import EpisodeResult, TrainResult
 
 MAGIC = b"KISSCKPT"
 VERSION = 1
@@ -32,13 +32,13 @@ _SECTIONS = ("CFGE", "RNGS", "TREE", "POLI", "PROG", "BEST")
 
 @dataclass
 class Checkpoint:
+    """A loaded checkpoint: the config echo it must match, the RNG cursor, and
+    the run state that ``train_loop(config, n, run=checkpoint.run, rng=...)``
+    continues."""
+
     config_echo: str
     rng_state: dict
-    tree: SearchTree
-    policy: CorrectorPolicy
-    baseline: float
-    rewards: list[int]
-    best: EpisodeResult | None
+    run: TrainResult
 
 
 def _best_payload(best: EpisodeResult | None) -> bytes:
@@ -66,21 +66,21 @@ def _best_from_payload(payload: bytes) -> EpisodeResult | None:
     )
 
 
-def save_checkpoint(path, *, config_echo: str, rng: np.random.Generator,
-                    tree: SearchTree, policy: CorrectorPolicy, baseline: float,
-                    rewards: list[int], best: EpisodeResult | None):
+def save_checkpoint(path, *, config_echo: str, rng: np.random.Generator, run: TrainResult):
+    """Write ``run`` and the RNG cursor to ``path``, atomically."""
+    policy = run.policy
     payloads = {
         "CFGE": config_echo.encode("utf-8"),
         "RNGS": json.dumps(rng.bit_generator.state, sort_keys=True).encode("utf-8"),
-        "TREE": json.dumps(tree.summary(), sort_keys=True).encode("utf-8"),
+        "TREE": json.dumps(run.tree.summary(), sort_keys=True).encode("utf-8"),
         "POLI": json.dumps({
             "weights": [float(w) for w in policy.weights],
             "temperature": policy.temperature,
             "max_delete_fraction": policy.max_delete_fraction,
-            "baseline": baseline,
+            "baseline": run.baseline,
         }, sort_keys=True).encode("utf-8"),
-        "PROG": json.dumps({"rewards": rewards}, sort_keys=True).encode("utf-8"),
-        "BEST": _best_payload(best),
+        "PROG": json.dumps({"rewards": run.rewards}, sort_keys=True).encode("utf-8"),
+        "BEST": _best_payload(run.best),
     }
     body = io.BytesIO()
     body.write(MAGIC)
@@ -141,15 +141,14 @@ def load_checkpoint(path) -> Checkpoint:
         )
         rng_state = json.loads(payloads["RNGS"].decode("utf-8"))
         np.random.PCG64().state = rng_state  # rejects a state a resume could not restore
-        return Checkpoint(
-            config_echo=payloads["CFGE"].decode("utf-8"),
-            rng_state=rng_state,
+        run = TrainResult(
             tree=SearchTree.from_summary(json.loads(payloads["TREE"].decode("utf-8"))),
             policy=policy,
+            best=_best_from_payload(payloads["BEST"]),
             baseline=float(poli["baseline"]),
             rewards=[int(r) for r in json.loads(payloads["PROG"].decode("utf-8"))["rewards"]],
-            best=_best_from_payload(payloads["BEST"]),
         )
+        return Checkpoint(payloads["CFGE"].decode("utf-8"), rng_state, run)
     except (KeyError, TypeError, AttributeError, ValueError, ParseError) as exc:
         # A payload of the wrong shape is as corrupt as one that fails to parse.
         raise CheckpointError(f"{path}: malformed section payload: {exc}") from exc

@@ -83,29 +83,26 @@ def _cmd_search(args) -> int:
     from .game import default_policy, train_loop
     from .runconfig import echo_text, load_run_config
 
-    run = load_run_config(args.config)
-    echo = echo_text(run)
-    out_dir = run.out_path
+    config = load_run_config(args.config)
+    echo = echo_text(config)
+    out_dir = config.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "run.log"
     ckpt_path = out_dir / "checkpoint.bin"
 
-    tree = policy = best = None
-    baseline = 0.0
-    rewards: list[int] = []
-    rng = np.random.default_rng(run.game.rng_seed)
+    run = None
+    rng = np.random.default_rng(config.game.rng_seed)
     if args.resume:
         ckpt = load_checkpoint(args.resume)
         if ckpt.config_echo != echo:
             raise ConfigError(f"{args.resume}: checkpoint was produced by a different "
                               f"configuration")
-        expected = default_policy(run.game).weights.shape
-        if ckpt.policy.weights.shape != expected:
+        expected = default_policy(config.game).weights.shape
+        if ckpt.run.policy.weights.shape != expected:
             raise CheckpointError(f"{args.resume}: corrector weights have shape "
-                                  f"{ckpt.policy.weights.shape}, the configuration needs "
+                                  f"{ckpt.run.policy.weights.shape}, the configuration needs "
                                   f"{expected}")
-        tree, policy, best = ckpt.tree, ckpt.policy, ckpt.best
-        baseline, rewards = ckpt.baseline, ckpt.rewards
+        run = ckpt.run
         rng.bit_generator.state = ckpt.rng_state
 
     log = open(log_path, "a" if args.resume else "w", encoding="utf-8")
@@ -114,41 +111,32 @@ def _cmd_search(args) -> int:
             log.write("# effective configuration\n")
             log.write(echo)
             log.write("# episodes\n")
-        remaining = run.episodes - len(rewards)
+        done = 0 if run is None else len(run.rewards)
+        remaining = config.episodes - done
         if remaining <= 0:
-            print(f"nothing to do: checkpoint already covers {len(rewards)} episodes")
-            remaining = 0
+            print(f"nothing to do: checkpoint already covers {done} episodes")
 
-        def on_episode(ep_index, state):
-            log.write(f"episode {ep_index}: reward {state.rewards[-1]} "
-                      f"best {state.best.team_reward}\n")
-            if ep_index % run.game.checkpoint_every == 0 or ep_index == run.episodes:
-                save_checkpoint(ckpt_path, config_echo=echo, rng=rng, tree=state.tree,
-                                policy=state.policy, baseline=state.baseline,
-                                rewards=state.rewards, best=state.best)
+        def on_episode(ep_index, run):
+            log.write(f"episode {ep_index}: reward {run.rewards[-1]} "
+                      f"best {run.best.team_reward}\n")
+            if ep_index % config.game.checkpoint_every == 0 or ep_index == config.episodes:
+                save_checkpoint(ckpt_path, config_echo=echo, rng=rng, run=run)
 
-        result = None
-        if remaining:
-            result = train_loop(run.game, remaining, tree=tree, policy=policy, rng=rng,
-                                baseline=baseline, best=best, rewards=rewards,
-                                on_episode=on_episode)
-        if result is None:
-            if best is None:
-                raise ConfigError("checkpoint holds no result and no episodes remain")
-            final_best, final_rewards = best, rewards
-        else:
-            final_best, final_rewards = result.best, result.rewards
-        log.write(f"final best reward {final_best.team_reward} "
-                  f"over {len(final_rewards)} episodes\n")
+        if remaining > 0:
+            run = train_loop(config.game, remaining, run=run, rng=rng, on_episode=on_episode)
+        if run is None or run.best is None:
+            raise ConfigError("checkpoint holds no result and no episodes remain")
+        best = run.best
+        log.write(f"final best reward {best.team_reward} over {len(run.rewards)} episodes\n")
 
-    state = final_best.final_state
+    state = best.final_state
     write_gram_file(out_dir / "best.gram", state)
     from .gram import reconstruct_vectors
 
     write_vector_file(out_dir / "best.vectors", reconstruct_vectors(state))
     cert = verify_gram(state)
     write_certificate(out_dir / "best.cert", cert)
-    print(f"best team reward: {final_best.team_reward}")
+    print(f"best team reward: {best.team_reward}")
     print(f"certificate: {cert.verdict}")
     print(f"artifacts in {out_dir}")
     return EXIT_OK if cert.passed else EXIT_FAIL

@@ -154,20 +154,27 @@ def _check_bound(state: GramState):
             f"{state.m} spheres in dimension {state.dim} exceeds the optimal {bound}")
 
 
+class Seed(NamedTuple):
+    """A run's starting matrix, built once and replayed by every episode:
+    ``member`` is each row's membership-list index (-1 for none), and
+    ``anchors``, the rows' coordinates, are kept for member-list runs only."""
+
+    state: GramState
+    anchors: np.ndarray | None
+    member: np.ndarray
+
+
 class _RowMeta:
-    """Per-row arrays that must follow every permutation and deletion.
+    """Per-row arrays that must follow every permutation and deletion;
+    ``member`` and ``anchors`` start as the seed's (see ``Seed``)."""
 
-    ``member`` is each row's index in the membership list (-1 for none) and
-    ``anchors`` its coordinates; both matter in member-list runs only.
-    """
-
-    def __init__(self, m: int, protected: bool, anchors: np.ndarray | None,
-                 member: np.ndarray):
+    def __init__(self, seed: Seed, protected: bool):
+        m = seed.state.m
         self.ages = np.zeros(m, dtype=np.int64)
         self.conflicts = np.zeros(m, dtype=np.int64)
         self.protected = np.full(m, protected)
-        self.member = member
-        self.anchors = anchors
+        self.member = seed.member
+        self.anchors = seed.anchors
 
     def append(self, age: int, member: int, anchor: np.ndarray | None):
         self.ages = np.append(self.ages, age)
@@ -186,26 +193,37 @@ class _RowMeta:
             self.anchors = self.anchors[rows]
 
 
-def load_seed(config: GameConfig) -> tuple[GramState, np.ndarray | None]:
-    """Build and validate the initial state (and coordinates when available)."""
-    from .refconfigs import generate
+def _kept_rows(spec: SeedSpec, count: int) -> int:
+    if count == 0:
+        raise InvalidSeed("seed holds no rows")
+    k = count if spec.rows is None else spec.rows
+    if not 1 <= k <= count:
+        raise InvalidSeed(f"seed truncation to {k} rows is out of range")
+    return k
+
+
+def load_seed(config: GameConfig) -> Seed:
+    """Build the run's seed once: generate or read it, keep its first ``rows``
+    rows, validate them, lift a rational state to the run's D and look each
+    row up in the membership list.  Only a file seed's kept rows are
+    normalized, checked and turned into a Gram."""
+    from .fileio import read_vector_file
+    from .refconfigs import config_from_vectors, generate
 
     rational = config.mode == "rational"
-    if config.seed.kind == "scratch":
-        return _run_scale(GramState.single(config.dim, rational=rational), config.action), None
-    if config.seed.kind == "generator":
-        built = generate(config.seed.name)
+    spec = config.seed
+    if spec.kind == "scratch":
+        state, anchors = GramState.single(config.dim, rational=rational), None
+    elif spec.kind == "generator":
+        built = generate(spec.name)
+        k = _kept_rows(spec, built.gram.m)
+        state, anchors = built.gram.principal(range(k)), built.vectors[:k]
     else:
-        built = generate(f"FromVectorFile({config.seed.path})")
-    state, anchors = built.gram, built.vectors
-    if state.m == 0:
-        raise InvalidSeed("seed holds no rows")
-    if config.seed.rows is not None:
-        k = config.seed.rows
-        if not 1 <= k <= state.m:
-            raise InvalidSeed(f"seed truncation to {k} rows is out of range")
-        state = state.principal(range(k))
-        anchors = anchors[:k]
+        doc = read_vector_file(spec.path)
+        k = _kept_rows(spec, doc.count)
+        built = config_from_vectors(doc.vectors[:k], doc.dim,
+                                    exact=None if doc.exact is None else doc.exact[:k])
+        state, anchors = built.gram, built.vectors
     if state.dim != config.dim:
         raise InvalidSeed(f"seed dimension {state.dim} disagrees with config dim {config.dim}")
     if rational:
@@ -217,7 +235,18 @@ def load_seed(config: GameConfig) -> tuple[GramState, np.ndarray | None]:
         check_invariants(state, config.tolerances)
     except InvalidState as exc:
         raise InvalidSeed(str(exc)) from exc
-    return _run_scale(state, config.action), anchors
+    _check_bound(state)
+    member = np.full(state.m, -1)
+    if isinstance(config.action.c_star, MembershipList):
+        if anchors is None:
+            raise InvalidSeed("membership constraint needs a coordinate-anchored seed")
+        lookup = {np.rint(v * 1e9).astype(np.int64).tobytes(): i
+                  for i, v in enumerate(config.action.c_star.vectors)}
+        member = np.array([lookup.get(np.rint(v * 1e9).astype(np.int64).tobytes(), -1)
+                           for v in anchors])
+    else:
+        anchors = None
+    return Seed(_run_scale(state, config.action), anchors, member)
 
 
 def _run_scale(state: GramState, spec: ActionSpec) -> GramState:
@@ -337,34 +366,20 @@ def decompose_reassemble(state: GramState, *, min_pairs: int = 2,
                             tuple(order))
 
 
-def play_episode(config: GameConfig, tree: SearchTree, policy: CorrectorPolicy,
+def play_episode(config: GameConfig, seed: Seed, tree: SearchTree, policy: CorrectorPolicy,
                  rng: np.random.Generator) -> EpisodeResult:
-    """One pass of the alternating game, up to ``config.rounds`` rounds.
+    """One pass of the alternating game from ``seed``, up to ``config.rounds`` rounds.
 
     The episode ends early when a fill pass adds nothing and the corrector
     passes, or when the best size stagnates for the configured window.  The
     reported state is the largest completed matrix the episode reached.
     """
     start = time.perf_counter()
-    state, anchors = load_seed(config)
-    membership = isinstance(config.action.c_star, MembershipList)
-    if not membership:
-        anchors = None  # coordinates are only tracked for member-list runs
-    member = np.full(state.m, -1)
-    if membership:
-        if anchors is None:
-            raise InvalidSeed("membership constraint needs a coordinate-anchored seed")
-        lookup = {np.rint(v * 1e9).astype(np.int64).tobytes(): i
-                  for i, v in enumerate(config.action.c_star.vectors)}
-        member = np.array([lookup.get(np.rint(v * 1e9).astype(np.int64).tobytes(), -1)
-                           for v in anchors])
-    meta = _RowMeta(state.m, protected=config.corrector.protect_seed, anchors=anchors,
-                    member=member)
-    _check_bound(state)
+    meta = _RowMeta(seed, protected=config.corrector.protect_seed)
     trajectory: list[tuple[bytes, bytes]] = []
     draws: list[CorrectionDraw] = []
     sizes: list[int] = []
-    state, added = _fill_phase(state, meta, config, tree, rng, trajectory, 1)
+    state, added = _fill_phase(seed.state, meta, config, tree, rng, trajectory, 1)
     sizes.append(state.m)
     best = state
     stagnant = 0
@@ -407,14 +422,16 @@ def play_episode(config: GameConfig, tree: SearchTree, policy: CorrectorPolicy,
 
 @dataclass
 class TrainResult:
+    """A run's state: what ``train_loop`` continues and a checkpoint stores."""
+
     tree: SearchTree
     policy: CorrectorPolicy
-    best: EpisodeResult | None
-    baseline: float
-    rewards: list[int]
+    best: EpisodeResult | None = None
+    baseline: float = 0.0
+    rewards: list[int] = field(default_factory=list)
 
 
-EpisodeCallback = Callable[[int, "TrainResult"], None]
+EpisodeCallback = Callable[[int, TrainResult], None]
 
 
 def default_policy(config: GameConfig) -> CorrectorPolicy:
@@ -427,40 +444,37 @@ def default_policy(config: GameConfig) -> CorrectorPolicy:
     )
 
 
-def train_loop(config: GameConfig, episodes: int, *, tree: SearchTree | None = None,
-               policy: CorrectorPolicy | None = None, rng: np.random.Generator | None = None,
-               baseline: float = 0.0, best: EpisodeResult | None = None,
-               rewards: list[int] | None = None,
+def train_loop(config: GameConfig, episodes: int, *, run: TrainResult | None = None,
+               rng: np.random.Generator | None = None,
                on_episode: EpisodeCallback | None = None) -> TrainResult:
     """Run episodes, updating both learners from the shared team reward.
 
-    The best-ever result is monotone over episodes.  All stochastic choices
-    flow through the single ``rng`` stream, so a fixed seed reproduces the
-    run bit for bit (and checkpoint resume continues the same stream).
+    The seed is loaded once and every episode replays it.  ``run``, a fresh
+    one by default, is continued in place and returned.  The best-ever
+    result is monotone over episodes.  All stochastic choices flow through
+    the single ``rng`` stream, so a fixed seed reproduces the run bit for bit
+    (and a checkpoint resume continues the same stream).
     """
     if episodes < 1:
         raise ConfigError("episodes must be at least 1")
-    if tree is None:
-        tree = SearchTree(exploration=config.exploration)
-    if policy is None:
-        policy = default_policy(config)
+    if run is None:
+        run = TrainResult(tree=SearchTree(exploration=config.exploration),
+                          policy=default_policy(config))
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-    rewards = rewards if rewards is not None else []
-    result = TrainResult(tree=tree, policy=policy, best=best, baseline=baseline,
-                         rewards=rewards)
+    seed = load_seed(config)
     for _ in range(episodes):
-        episode = play_episode(config, result.tree, result.policy, rng)
-        backpropagate(result.tree, episode.trajectory, float(episode.team_reward))
+        episode = play_episode(config, seed, run.tree, run.policy, rng)
+        backpropagate(run.tree, episode.trajectory, float(episode.team_reward))
         if episode.draws:
             sample = EpisodeSample(draws=episode.draws, team_reward=float(episode.team_reward))
-            result.policy, result.baseline = policy_gradient_update(
-                result.policy, [sample], config.corrector.learning_rate, result.baseline)
+            run.policy, run.baseline = policy_gradient_update(
+                run.policy, [sample], config.corrector.learning_rate, run.baseline)
         else:
-            result.baseline = 0.9 * result.baseline + 0.1 * episode.team_reward
-        result.rewards.append(episode.team_reward)
-        if result.best is None or episode.team_reward > result.best.team_reward:
-            result.best = episode
+            run.baseline = 0.9 * run.baseline + 0.1 * episode.team_reward
+        run.rewards.append(episode.team_reward)
+        if run.best is None or episode.team_reward > run.best.team_reward:
+            run.best = episode
         if on_episode is not None:
-            on_episode(len(result.rewards), result)
-    return result
+            on_episode(len(run.rewards), run)
+    return run

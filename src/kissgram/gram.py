@@ -256,8 +256,9 @@ class FactorCache:
 def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCache:
     """Factor the leading dim x dim block of a state with m >= dim.
 
-    Raises RankDeficientBasis when the leading block is singular, which
-    signals the caller to reorder rows (see full_rank_prefix) before retrying.
+    Raises RankDeficientBasis when a squared Cholesky pivot of the leading
+    block is at most ``tols.rank``, the rule full_rank_prefix picks rows by,
+    which signals the caller to reorder rows with it before retrying.
     The exact factors are taken at the state's D, which a rational run fixes
     when its seed loads.
     """
@@ -265,10 +266,14 @@ def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCac
     if state.m < n:
         raise DimensionMismatch(f"factorize needs m >= dim, got m={state.m}, dim={n}")
     basis = state.entries[:n, :n]
-    w = np.linalg.eigvalsh(basis)
-    if int(np.count_nonzero(w > tols.rank)) < n:
-        raise RankDeficientBasis(f"leading {n}x{n} block has rank deficiency (min eig {w[0]:.3e})")
-    chol = np.linalg.cholesky(basis)
+    try:
+        chol = np.linalg.cholesky(basis)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficientBasis(f"leading {n}x{n} block is not positive definite") from exc
+    pivots = np.diag(chol) ** 2
+    if not np.all(pivots > tols.rank):
+        raise RankDeficientBasis(f"leading {n}x{n} block has rank deficiency "
+                                 f"(min squared pivot {pivots.min():.3e})")
     pinv = np.linalg.inv(basis)
     det = adj = exact_cross = None
     if state.exact is not None:

@@ -28,7 +28,6 @@ class GeneratorId:
 
     name: str
     n: int | None = None
-    path: str | None = None
 
     @staticmethod
     def parse(text: str) -> "GeneratorId":
@@ -44,10 +43,6 @@ class GeneratorId:
             if arg is not None:
                 raise ParseError(f"{name} takes no argument")
             return GeneratorId(name=name)
-        if name == "FromVectorFile":
-            if not arg:
-                raise ParseError("FromVectorFile needs a path argument")
-            return GeneratorId(name=name, path=arg)
         raise ParseError(f"unknown generator: {name!r}")
 
 
@@ -137,8 +132,16 @@ def e8_roots() -> GeneratedConfig:
     return GeneratedConfig("E8Roots", vectors, GramState.from_exact(8, dots, 8))
 
 
-def config_from_vectors(raw: np.ndarray, dim: int, label: str = "FromVectorFile",
-                        exact: np.ndarray | None = None,
+def unit_rows(raw: np.ndarray) -> np.ndarray:
+    """The rows of ``raw`` scaled to unit norm; a zero row raises NonUnitVector."""
+    raw = np.asarray(raw, dtype=float)
+    norms = np.linalg.norm(raw, axis=1)
+    if np.any(norms < 1e-12):
+        raise NonUnitVector("zero vector cannot be normalized")
+    return raw / norms[:, None]
+
+
+def config_from_vectors(raw: np.ndarray, dim: int, exact: np.ndarray | None = None,
                         tols: Tolerances = DEFAULT_TOLS) -> GeneratedConfig:
     """Normalize ingested vectors and validate the kissing constraints.
 
@@ -147,11 +150,7 @@ def config_from_vectors(raw: np.ndarray, dim: int, label: str = "FromVectorFile"
     whenever each pairwise norm product is a perfect square (true for
     equal-norm lattice families); otherwise the state is float.
     """
-    raw = np.asarray(raw, dtype=float)
-    norms = np.linalg.norm(raw, axis=1)
-    if np.any(norms < 1e-12):
-        raise NonUnitVector("zero vector cannot be normalized")
-    vectors = raw / norms[:, None]
+    vectors = unit_rows(raw)
     gram = vectors @ vectors.T
     np.fill_diagonal(gram, 1.0)
     off_max = float(gram[~np.eye(len(gram), dtype=bool)].max()) if len(gram) > 1 else -1.0
@@ -162,7 +161,7 @@ def config_from_vectors(raw: np.ndarray, dim: int, label: str = "FromVectorFile"
         state = GramState(dim=dim, entries=(gram + gram.T) / 2.0)
     else:
         state = GramState.from_exact(dim, cosines[1], cosines[0])
-    return GeneratedConfig(label, vectors, state)
+    return GeneratedConfig("vectors", vectors, state)
 
 
 def generate(gid: GeneratorId | str) -> GeneratedConfig:
@@ -181,10 +180,4 @@ def generate(gid: GeneratorId | str) -> GeneratedConfig:
         return d4_roots()
     if gid.name == "E8Roots":
         return e8_roots()
-    if gid.name == "FromVectorFile":
-        from .fileio import read_vector_file
-
-        doc = read_vector_file(gid.path)
-        return config_from_vectors(doc.vectors, doc.dim, label=f"FromVectorFile({gid.path})",
-                                   exact=doc.exact)
     raise ParseError(f"unknown generator: {gid.name!r}")

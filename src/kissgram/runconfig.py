@@ -18,6 +18,7 @@ from .filler import ActionSpec, CapOnly, DiscreteSet, MembershipList
 from .game import CorrectorConfig, GameConfig, SeedSpec
 from .gram import Tolerances
 from .rational import format_rational, parse_numerators, parse_rational
+from .refconfigs import GeneratorId, unit_rows
 
 _SCHEMA: dict[str, dict[str, str]] = {
     "run": {
@@ -139,11 +140,17 @@ class RunConfig:
 
 
 def _build(sections, base_dir: Path) -> RunConfig:
+    dim = _as_int(_get(sections, "run", "dim"), "dim")
     seed_source = _get(sections, "seed", "source")
     if seed_source == "scratch":
         seed = SeedSpec(kind="scratch")
     elif seed_source.startswith("generator:"):
-        seed = SeedSpec(kind="generator", name=seed_source.split(":", 1)[1])
+        name = seed_source.split(":", 1)[1]
+        try:
+            GeneratorId.parse(name)
+        except ParseError as exc:
+            raise ConfigError(f"seed source: {exc}") from exc
+        seed = SeedSpec(kind="generator", name=name)
     elif seed_source.startswith("file:"):
         seed = SeedSpec(kind="file", path=str(base_dir / seed_source.split(":", 1)[1]))
     else:
@@ -170,8 +177,9 @@ def _build(sections, base_dir: Path) -> RunConfig:
         from .fileio import read_vector_file
 
         doc = read_vector_file(base_dir / cstar_text.split(":", 1)[1])
-        norms = doc.vectors / (doc.vectors ** 2).sum(axis=1, keepdims=True) ** 0.5
-        cstar = MembershipList(vectors=norms)
+        if doc.dim != dim:
+            raise ConfigError(f"cstar file dimension {doc.dim} disagrees with dim {dim}")
+        cstar = MembershipList(vectors=unit_rows(doc.vectors))
     try:
         action = ActionSpec(c1=c1, c2=c2, c_star=cstar)
     except ValueError as exc:
@@ -194,7 +202,7 @@ def _build(sections, base_dir: Path) -> RunConfig:
         snap=_as_float(_get(sections, "tolerances", "snap"), "snap tolerance"),
     )
     game = GameConfig(
-        dim=_as_int(_get(sections, "run", "dim"), "dim"),
+        dim=dim,
         action=action,
         seed=seed,
         rounds=_as_int(_get(sections, "run", "rounds"), "rounds"),

@@ -297,14 +297,11 @@ def test_criterion_determinism(tmp_path):
     rng = np.random.default_rng(cfg.rng_seed)
     stage1 = train_loop(cfg, episodes=5, rng=rng)
     ck_path = tmp_path / "stage.bin"
-    save_checkpoint(ck_path, config_echo="echo", rng=rng, tree=stage1.tree,
-                    policy=stage1.policy, baseline=stage1.baseline,
-                    rewards=stage1.rewards, best=stage1.best)
+    save_checkpoint(ck_path, config_echo="echo", rng=rng, run=stage1)
     ck = load_checkpoint(ck_path)
     rng2 = np.random.default_rng(0)
     rng2.bit_generator.state = ck.rng_state
-    resumed = train_loop(cfg, episodes=7, tree=ck.tree, policy=ck.policy, rng=rng2,
-                         baseline=ck.baseline, best=ck.best, rewards=ck.rewards)
+    resumed = train_loop(cfg, episodes=7, run=ck.run, rng=rng2)
     assert resumed.rewards == straight.rewards
     assert resumed.tree.summary() == straight.tree.summary()
     assert np.array_equal(resumed.policy.weights, straight.policy.weights)

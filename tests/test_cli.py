@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import signal
 import struct
@@ -184,12 +185,12 @@ def test_resume_after_kill_equals_uninterrupted(tmp_path):
 
     a = load_checkpoint(straight / "out" / "checkpoint.bin")
     b = load_checkpoint(killed / "out" / "checkpoint.bin")
-    assert a.rewards == b.rewards
+    assert a.run.rewards == b.run.rewards
     assert a.rng_state == b.rng_state
-    assert a.tree.summary() == b.tree.summary()
-    assert np.array_equal(a.policy.weights, b.policy.weights)
-    assert a.best.team_reward == b.best.team_reward
-    assert np.array_equal(a.best.final_state.entries, b.best.final_state.entries)
+    assert a.run.tree.summary() == b.run.tree.summary()
+    assert np.array_equal(a.run.policy.weights, b.run.policy.weights)
+    assert a.run.best.team_reward == b.run.best.team_reward
+    assert np.array_equal(a.run.best.final_state.entries, b.run.best.final_state.entries)
 
 
 def test_copied_run_directory_resumes(tmp_path):
@@ -215,8 +216,7 @@ def test_copied_run_directory_resumes(tmp_path):
     for name in ("best.gram", "best.cert", "best.vectors"):
         (first / "runs" / "out" / name).unlink()
     save_checkpoint(first / "runs" / "out" / "checkpoint.bin", config_echo=echo_text(run),
-                    rng=rng, tree=half.tree, policy=half.policy, baseline=half.baseline,
-                    rewards=half.rewards, best=half.best)
+                    rng=rng, run=half)
     copy = tmp_path / "b"
     shutil.copytree(first, copy)
     shutil.rmtree(first)  # the copy must not reach back into the original
@@ -266,6 +266,47 @@ def test_member_list_search_is_unchanged_by_debug_revalidation(tmp_path):
         assert (cert["verdict"], cert["sphere-count"]) == ("Pass", "12")
         grams.append((tmp_path / f"out-{flag}" / "best.gram").read_bytes())
     assert grams[0] == grams[1]
+
+
+def test_search_checks_the_cstar_file_before_any_episode(tmp_path, capsys):
+    (tmp_path / "zero.vec").write_text("kiss-vectors v1 dim=2 count=2\n1 0\n0 0\n")
+    write_vector_file(tmp_path / "d3.vec", np.eye(3))
+    cfg = tmp_path / "run.cfg"
+    for name, code, message in (
+            ("zero.vec", 1, "verification failure: zero vector cannot be normalized"),
+            ("d3.vec", 3, "config error: cstar file dimension 3 disagrees with dim 2")):
+        cfg.write_text("[run]\ndim = 2\nepisodes = 1\nrounds = 1\nout-dir = out\n"
+                       f"[action]\ncstar = file:{name}\n")
+        assert run_cli("search", "--config", str(cfg)) == code
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (tmp_path / "out").exists()
+
+
+def test_search_from_a_seed_whose_smallest_eigenvalue_is_below_the_rank_tolerance(tmp_path,
+                                                                                  capsys):
+    # Rows (1, 0) and (c, sqrt(1 - c^2)) with c = -1 + 7e-8: the smallest
+    # eigenvalue is 7.0e-8, below the rank tolerance 1e-7, but the squared
+    # Cholesky pivots are 1 and 1.4e-7.  factorize and full_rank_prefix apply
+    # the same pivot rule, so the lifted fill phase accepts this basis.
+    c = -1 + 7e-8
+    (tmp_path / "near.vec").write_text(
+        f"kiss-vectors v1 dim=2 count=2\n1.0 0.0\n{c!r} {math.sqrt(1 - c * c)!r}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ndim = 2\nepisodes = 1\nrounds = 2\nout-dir = out\n"
+                   "[seed]\nsource = file:near.vec\n")
+    assert run_cli("search", "--config", str(cfg)) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["best team reward: 2",
+                                                        "certificate: Pass"]
+
+
+def test_search_from_a_seed_path_with_parentheses(tmp_path):
+    (tmp_path / "seeds (v2)").mkdir()
+    write_vector_file(tmp_path / "seeds (v2)" / "hex(1).vec", np.eye(2)[:1])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ndim = 2\nepisodes = 1\nrounds = 2\nout-dir = out\n"
+                   "[seed]\nsource = file:seeds (v2)/hex(1).vec\n")
+    assert run_cli("search", "--config", str(cfg)) == 0
+    assert read_certificate(tmp_path / "out" / "best.cert")["sphere-count"] == "6"
 
 
 def test_search_generator_seeded_e8_reaches_240(tmp_path):
@@ -476,9 +517,7 @@ def test_resume_accepts_a_policy_section_with_protected_prefix(tmp_path):
     rng = np.random.default_rng(run.game.rng_seed)
     half = train_loop(run.game, 2, rng=rng)
     ckpt = tmp_path / "half.bin"
-    save_checkpoint(ckpt, config_echo=echo_text(run), rng=rng, tree=half.tree,
-                    policy=half.policy, baseline=half.baseline, rewards=half.rewards,
-                    best=half.best)
+    save_checkpoint(ckpt, config_echo=echo_text(run), rng=rng, run=half)
     _rewrite_checkpoint_section(ckpt, "POLI",
                                 _edit_json(lambda doc: {**doc, "protected_prefix": 0}))
     assert run_cli("search", "--config", str(cfg), "--resume", str(ckpt)) == 0
@@ -521,6 +560,9 @@ def test_search_resume_with_wrong_policy_shape_exits_4(tmp_path, capsys, weights
     # A nan snap tolerance would turn every snap check off.
     "[run]\ndim = 3\n[tolerances]\nsnap = nan\n",
     "[run]\ndim = 2\n[tolerances]\npsd = -1e-9\n",
+    # Generator names are parsed when the config loads, not in the first episode.
+    "[run]\ndim = 2\n[seed]\nsource = generator:Nope\n",
+    "[run]\ndim = 2\n[seed]\nsource = generator:CrossPolytope(0)\n",
 ])
 def test_search_rejects_out_of_range_config_values(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"

@@ -23,7 +23,7 @@ from kissgram.fileio import (
     write_vector_file,
 )
 from kissgram.filler import SearchTree
-from kissgram.game import GameConfig, train_loop
+from kissgram.game import GameConfig, TrainResult, train_loop
 from kissgram.gram import GramState, gram_from_vectors
 from kissgram.rational import cosine_factors, format_rational
 from kissgram.refconfigs import generate
@@ -223,26 +223,25 @@ def test_checkpoint_round_trip(tmp_path):
                      rounds=2, rng_seed=7)
     trained = train_loop(cfg, episodes=2)
     path = tmp_path / "ck.bin"
-    save_checkpoint(path, config_echo="[run]\ndim = 2\n", rng=rng, tree=tree,
-                    policy=policy, baseline=3.5, rewards=[5, 6],
-                    best=trained.best)
+    save_checkpoint(path, config_echo="[run]\ndim = 2\n", rng=rng,
+                    run=TrainResult(tree=tree, policy=policy, best=trained.best, baseline=3.5,
+                                    rewards=[5, 6]))
     ck = load_checkpoint(path)
     assert ck.config_echo == "[run]\ndim = 2\n"
     assert ck.rng_state == rng.bit_generator.state
-    assert ck.tree.summary() == tree.summary()
-    assert np.array_equal(ck.policy.weights, policy.weights)
-    assert ck.baseline == 3.5
-    assert ck.rewards == [5, 6]
-    assert ck.best.team_reward == trained.best.team_reward
-    assert np.array_equal(ck.best.final_state.entries, trained.best.final_state.entries)
+    assert ck.run.tree.summary() == tree.summary()
+    assert np.array_equal(ck.run.policy.weights, policy.weights)
+    assert ck.run.baseline == 3.5
+    assert ck.run.rewards == [5, 6]
+    assert ck.run.best.team_reward == trained.best.team_reward
+    assert np.array_equal(ck.run.best.final_state.entries, trained.best.final_state.entries)
 
 
 def test_checkpoint_detects_corruption(tmp_path):
     rng = np.random.default_rng(4)
     path = tmp_path / "ck.bin"
-    save_checkpoint(path, config_echo="x", rng=rng, tree=SearchTree(),
-                    policy=CorrectorPolicy(weights=np.zeros(2)), baseline=0.0,
-                    rewards=[], best=None)
+    save_checkpoint(path, config_echo="x", rng=rng,
+                    run=TrainResult(tree=SearchTree(), policy=CorrectorPolicy(weights=np.zeros(2))))
     blob = bytearray(path.read_bytes())
     blob[20] ^= 0xFF
     path.write_bytes(bytes(blob))

@@ -8,7 +8,7 @@ import pytest
 
 import kissgram.game as game
 from kissgram.errors import ConfigError, InvalidSeed, SoundnessError
-from kissgram.filler import ActionSpec, DiscreteSet
+from kissgram.filler import ActionSpec, DiscreteSet, MembershipList
 from kissgram.game import (
     CorrectorConfig,
     GameConfig,
@@ -54,7 +54,8 @@ def test_check_bound_raises_on_impossible_claim():
 
 def test_play_episode_dim2_reaches_hexagon():
     cfg = GameConfig(dim=2, action=SPEC, rounds=3, rng_seed=0)
-    result = play_episode(cfg, SearchTree(), default_policy(cfg), np.random.default_rng(0))
+    result = play_episode(cfg, load_seed(cfg), SearchTree(), default_policy(cfg),
+                          np.random.default_rng(0))
     assert result.team_reward == 6
     assert result.final_state.m == 6
     assert result.per_round_sizes[0] >= 4
@@ -63,7 +64,8 @@ def test_play_episode_dim2_reaches_hexagon():
 
 def test_play_episode_terminates_within_rounds():
     cfg = GameConfig(dim=3, action=SPEC, rounds=4, rng_seed=1, stagnation_window=2)
-    result = play_episode(cfg, SearchTree(), default_policy(cfg), np.random.default_rng(1))
+    result = play_episode(cfg, load_seed(cfg), SearchTree(), default_policy(cfg),
+                          np.random.default_rng(1))
     assert len(result.per_round_sizes) <= 4
     assert result.wall_time >= 0.0
 
@@ -125,9 +127,59 @@ def test_load_seed_rejects_wrong_dimension():
 def test_load_seed_truncation():
     cfg = GameConfig(dim=8, action=SPEC,
                      seed=SeedSpec(kind="generator", name="E8Roots", rows=120))
-    state, anchors = load_seed(cfg)
-    assert state.m == 120
-    assert anchors.shape == (120, 8)
+    seed = load_seed(cfg)
+    assert seed.state.m == 120
+    assert seed.anchors is None  # coordinates are kept for member-list runs only
+    assert seed.member.tolist() == [-1] * 120
+    e8 = generate("E8Roots").vectors
+    member_list = ActionSpec(c1=SPEC.c1, c_star=MembershipList(vectors=e8[::-1]))
+    seed = load_seed(GameConfig(dim=8, action=member_list, seed=cfg.seed))
+    assert np.array_equal(seed.anchors, e8[:120])
+    assert seed.member.tolist() == list(range(239, 119, -1))
+
+
+def test_file_seed_builds_an_exact_gram_from_rational_coordinates(tmp_path):
+    from kissgram.fileio import write_vector_file
+
+    d4 = generate("D4Roots")
+    rows = [[Fraction(int(x), 2) for x in row] for row in np.rint(d4.vectors * np.sqrt(2))]
+    path = tmp_path / "d4.vec"
+    write_vector_file(path, d4.vectors, mode="rational", exact_rows=rows)
+    cfg = GameConfig(dim=4, action=_rational_spec(Fraction(-1), Fraction(-1, 2), Fraction(0),
+                                                  Fraction(1, 2)),
+                     mode="rational", seed=SeedSpec(kind="file", path=str(path)))
+    state = load_seed(cfg).state
+    assert state.exact_scale == d4.gram.exact_scale
+    assert np.array_equal(state.exact, d4.gram.exact)
+    assert np.array_equal(state.entries, d4.gram.entries)
+
+
+def test_file_seed_turns_only_its_kept_rows_into_a_gram(tmp_path, monkeypatch):
+    import kissgram.refconfigs as refconfigs
+    from kissgram.fileio import write_vector_file
+
+    seen = []
+    real = refconfigs.config_from_vectors
+
+    def spy(raw, dim, *args, **kwargs):
+        seen.append(len(raw))
+        return real(raw, dim, *args, **kwargs)
+
+    monkeypatch.setattr(refconfigs, "config_from_vectors", spy)
+    path = tmp_path / "e8.vec"
+    write_vector_file(path, generate("E8Roots").vectors)
+    seed = SeedSpec(kind="file", path=str(path), rows=10)
+    loaded = load_seed(GameConfig(dim=8, action=SPEC, seed=seed))
+    assert seen == [10]
+    assert loaded.state.m == 10
+    # Rows after the kept ones are not validated: a zero row or a cosine
+    # above 1/2 there no longer rejects the seed.
+    path.write_text("kiss-vectors v1 dim=2 count=4\n1 0\n0 1\n0 0\n1 0\n")
+    seed = SeedSpec(kind="file", path=str(path), rows=2)
+    assert load_seed(GameConfig(dim=2, action=SPEC, seed=seed)).state.m == 2
+    with pytest.raises(InvalidSeed, match="truncation to 5 rows is out of range"):
+        load_seed(GameConfig(dim=2, action=SPEC,
+                             seed=SeedSpec(kind="file", path=str(path), rows=5)))
 
 
 def _rational_spec(*exact: Fraction) -> ActionSpec:
@@ -141,7 +193,7 @@ def test_load_seed_lifts_a_rational_seed_to_the_action_denominator():
                           Fraction(1, 2))
     cfg = GameConfig(dim=8, action=spec, mode="rational",
                      seed=SeedSpec(kind="generator", name="E8Roots"))
-    state, _ = load_seed(cfg)
+    state = load_seed(cfg).state
     assert seed.exact_scale == 8 and state.exact_scale == 24
     assert ([[Fraction(x, 24) for x in row] for row in state.exact.tolist()]
             == [[Fraction(x, 8) for x in row] for row in seed.exact.tolist()])
@@ -152,7 +204,7 @@ def test_load_seed_lifts_a_rational_seed_to_the_action_denominator():
     assert load_seed(cfg)[0].exact_scale == 8
     # From scratch, [[1]] over D = 1 becomes [[6]] over D = 6.
     cfg = GameConfig(dim=3, action=spec, mode="rational")
-    state, _ = load_seed(cfg)
+    state = load_seed(cfg).state
     assert state.exact_scale == 6 and state.exact.tolist() == [[6]]
 
 
@@ -297,7 +349,8 @@ def test_membership_constrained_game_completes_e8():
 
 def test_fill_budget_caps_additions_per_round():
     cfg = GameConfig(dim=2, action=SPEC, rounds=1, rng_seed=0, fill_budget=2)
-    result = play_episode(cfg, SearchTree(), default_policy(cfg), np.random.default_rng(0))
+    result = play_episode(cfg, load_seed(cfg), SearchTree(), default_policy(cfg),
+                          np.random.default_rng(0))
     assert result.per_round_sizes == (3,)  # one sphere seed plus two additions
 
 
