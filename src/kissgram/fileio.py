@@ -179,7 +179,9 @@ def gram_text(state: GramState, mode: str) -> str:
     else:
         # Keyed on the bit pattern: -0.0 == 0.0 as dict keys, but they format differently.
         keys = np.ascontiguousarray(state.entries).view(np.int64)
-        distinct = np.unique(keys)
+        # Sort and diff rather than np.unique, which imports numpy.ma on first use.
+        ordered = np.sort(keys, axis=None)
+        distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
         label = dict(zip(distinct.tolist(), map(format_float, distinct.view(np.float64).tolist())))
     lines += [" ".join(map(label.__getitem__, keys[i, i:].tolist())) for i in range(m)]
     return "\n".join(lines) + "\n"

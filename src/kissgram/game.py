@@ -108,6 +108,8 @@ class GameConfig:
             raise ConfigError("dim must be at least 1")
         if self.rounds < 1:
             raise ConfigError("rounds must be at least 1")
+        if self.episodes < 1:
+            raise ConfigError("episodes must be at least 1")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint-every must be at least 1")
         if self.rollouts_per_move < 1:

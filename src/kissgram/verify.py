@@ -13,6 +13,15 @@ give U[a:b] U[a:]^T, and rational coordinates, held as integer numerators,
 give integer cosine numerators (``rational.cosine_factors``).  A coordinate
 Gram is PSD by construction (G = U U^T) and has the rank of the m x n
 coordinates.
+
+The routine walks the strict upper triangle once.  It copies each block's
+entries there into one buffer, sorts it in place and splits it into distinct
+values and counts for the spectrum, then raises the running maximum and
+counts the block's contacts against it.  A rise restarts the degrees, since
+every earlier value lies below the new maximum.  A float contact lies within
+CONTACT_TOL of the maximum, so a rise by at most CONTACT_TOL marks the
+earlier blocks for a recount against the final maximum, and a larger rise
+clears the mark; only marked blocks are produced twice.
 """
 
 from __future__ import annotations
@@ -90,37 +99,57 @@ def _merge_clusters(lo: np.ndarray, hi: np.ndarray, count: np.ndarray,
             np.add.reduceat(total, starts))
 
 
-def _upper_blocks(rows, m: int):
-    """Yield ``rows(a, b)``, the Gram rows a..b-1 against columns a.., BLOCK_ROWS
-    rows at a time, with the mask of each block's strictly-upper entries."""
+def _walk(rows, m: int, one, exact: bool):
+    """The largest value (``-one`` without pairs), the antipodality flag, the
+    spectrum and the contact degrees, in one pass over the row blocks."""
+    tri = np.triu(np.ones((BLOCK_ROWS, BLOCK_ROWS), dtype=bool), 1)
+    degrees = np.zeros(m, dtype=np.int64)
+    top, recount, antipodal, parts = None, 0, False, []
+
+    def count(a, b, block):
+        if exact:
+            hits = block == top
+        else:
+            block -= top
+            hits = np.abs(block, out=block) <= CONTACT_TOL
+        hits[:, :b - a] &= tri[:b - a, :b - a]
+        degrees[a:b] += hits.sum(axis=1)
+        degrees[a:] += hits.sum(axis=0)
+
     for a in range(0, m, BLOCK_ROWS):
         b = min(a + BLOCK_ROWS, m)
-        yield a, b, rows(a, b), np.arange(a, m) > np.arange(a, b)[:, None]
-
-
-def _values(rows, m: int, one, exact: bool):
-    """First pass over the strict upper triangle: the largest value (``-one``
-    without pairs), the antipodality flag and the spectrum."""
-    tops, antipodal, parts = [], False, []
-    for _, _, block, upper in _upper_blocks(rows, m):
-        u, c = np.unique(block[upper], return_counts=True)
-        if u.size:
-            tops.append(u[-1])
-            antipodal = antipodal or bool(np.any(u == -one) if exact
-                                          else np.any(np.abs(u + 1.0) <= CONTACT_TOL))
-            parts.append((u, c) if exact else _merge_clusters(u, u, c, u * c))
+        k, block = b - a, rows(a, b)
+        values = np.concatenate((block[:, :k][tri[:k, :k]], block[:, k:]), axis=None)
+        if not values.size:
+            continue
+        values.sort()
+        starts = np.append(0, np.flatnonzero(values[1:] != values[:-1]) + 1)
+        u, c = values[starts], np.diff(starts, append=values.size)
+        del values
+        if top is None or u[-1] > top:
+            recount = a if top is not None and not exact and u[-1] - top <= CONTACT_TOL else 0
+            degrees[:] = 0
+            top = u[-1]
+        antipodal = antipodal or bool(np.any(u == -one) if exact
+                                      else np.any(np.abs(u + 1.0) <= CONTACT_TOL))
+        parts.append((u, c) if exact else _merge_clusters(u, u, c, u * c))
+        count(a, b, block)
+        del block
+    for a in range(0, recount, BLOCK_ROWS):
+        count(a, a + BLOCK_ROWS, rows(a, a + BLOCK_ROWS))
+    top = -one if top is None else top
     if not exact:  # each cluster's mean, snapped
         clusters = _merge_clusters(*map(np.concatenate, zip(*parts))) if parts else [()] * 4
         spectrum = tuple(SpectrumEntry(snap_value(float(t / c)), int(c))
                          for c, t in zip(*clusters[2:]))
-        return max(tops, default=-one), antipodal, spectrum
+        return top, antipodal, spectrum, degrees
     tally: Counter = Counter()
     for u, c in parts:
         tally.update(dict(zip(u.tolist(), c.tolist())))
     values = ((Fraction(v, one), n) for v, n in sorted(tally.items()))
     spectrum = tuple(SpectrumEntry(CosineValue(float(v), v, format_rational(v)), n)
                      for v, n in values)
-    return int(max(tops, default=-one)), antipodal, spectrum
+    return int(top), antipodal, spectrum, degrees
 
 
 def _certificate(mode: str, rows, m: int, dim: int, one, psd: bool, rank: int,
@@ -129,19 +158,11 @@ def _certificate(mode: str, rows, m: int, dim: int, one, psd: bool, rank: int,
     """Certificate of the Gram whose fresh row blocks ``rows(a, b)`` returns,
     given the caller's structural ``reasons``, PSD check and rank.  Rational
     values are numerators over ``one`` = D, compared exactly; float values
-    (``one`` = 1.0) are contacts within CONTACT_TOL of the maximum."""
+    (``one`` = 1.0) are contacts within CONTACT_TOL of the maximum.  Contacts
+    are counted in the pass that finds the maximum (``_walk``); only the blocks
+    before a float rise by at most CONTACT_TOL are produced twice."""
     exact = mode == "rational"
-    top, antipodal, spectrum = _values(rows, m, one, exact)
-    degrees = np.zeros(m, dtype=np.int64)
-    for a, b, block, upper in _upper_blocks(rows, m):
-        if exact:
-            hits = block == top
-        else:
-            block -= top
-            hits = np.abs(block, out=block) <= CONTACT_TOL
-        hits &= upper
-        degrees[a:b] += hits.sum(axis=1)
-        degrees[a:] += hits.sum(axis=0)
+    top, antipodal, spectrum, degrees = _walk(rows, m, one, exact)
     max_exact = Fraction(top, one) if exact else None
     max_cos = float(max_exact) if exact else float(top)
     if (max_exact > COSINE_CAP) if exact else (max_cos > COSINE_CAP + tols.cosine):
@@ -180,7 +201,7 @@ def spectrum_report(state: GramState) -> tuple[SpectrumEntry, ...]:
     once).  Rational mode is exact; floating mode clusters values within 1e-7
     and snaps cluster means to recognized exact forms."""
     _, one, rows = _state_rows(state, state.mode)
-    return _values(rows, state.m, one, state.mode == "rational")[2]
+    return _walk(rows, state.m, one, state.mode == "rational")[2]
 
 
 def verify_gram(state: GramState, mode: str | None = None,

@@ -552,6 +552,8 @@ def test_search_resume_with_wrong_policy_shape_exits_4(tmp_path, capsys, weights
     "[run]\ndim = 2\n[corrector]\ntemperature = 0\n",
     "[run]\ndim = 2\n[corrector]\nmax-delete-fraction = 1.5\n",
     "[run]\ndim = 2\ncheckpoint-every = 0\n",
+    "[run]\ndim = 2\nepisodes = 0\n",
+    "[run]\ndim = 2\nepisodes = -1\n",
     "[run]\ndim = 2\n[seed]\nrows = 7\n",
     "[run]\ndim = 2\nrollouts-per-move = -1\n",
     "[run]\ndim = 2\nrollouts-per-move = 0\n",

@@ -1,6 +1,9 @@
 """File formats: round trips, strict parsing, checkpoint integrity."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -170,6 +173,21 @@ def test_float_gram_text_labels_signed_zeros_apart():
     assert rows[0].split()[1:3] == ["0.0000000000000000e+00", "-0.0000000000000000e+00"]
     assert np.array_equal(np.signbit(parse_gram_text(gram_text(state, "float"), "g").entries),
                           np.signbit(entries))
+
+
+def test_float_gram_text_leaves_numpy_ma_unimported():
+    # np.unique without counts imports numpy.ma on first use, a cost every float
+    # search would pay once when it writes its best Gram.
+    code = ("import sys\n"
+            "from kissgram.fileio import gram_text\n"
+            "from kissgram.refconfigs import generate\n"
+            "gram_text(generate('D4Roots').gram.as_float(), 'float')\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gram_file_stores_upper_triangle(tmp_path):

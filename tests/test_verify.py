@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -420,6 +421,33 @@ def test_spectrum_report_agrees_with_per_value_loop():
             assert math.isclose(a.cosine.value, b.cosine.value, rel_tol=eps, abs_tol=eps)
 
 
+def test_walker_produces_each_block_once_when_the_maximum_comes_first():
+    # Distinct directions of {-1, 0, 1}^8; rows 0 and 1 hold the largest
+    # cosine, 7 / sqrt(56), which later blocks may repeat but not exceed.
+    block = verify.BLOCK_ROWS
+    m = 3 * block + 5
+    directions = np.array([d for d in itertools.product((-1.0, 0.0, 1.0), repeat=8)
+                           if any(d) and d[0] == 0.0])
+    rng = np.random.default_rng(13)
+    v = np.vstack([[1.0] * 8, [1.0] * 7 + [0.0],
+                   directions[rng.choice(len(directions), size=m - 2, replace=False)]])
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    produced = []
+
+    def rows(a, b):
+        produced.append((a, b))
+        return v[a:b] @ v[a:].T
+
+    cert = verify._certificate("float", rows, m, 8, 1.0, True, 8, DEFAULT_TOLS, [], None)
+    assert produced == [(a, min(a + block, m)) for a in range(0, m, block)]
+    dense = dense_float_certificate(v)
+    assert cert.max_cosine == pytest.approx(7 / math.sqrt(56), abs=1e-12)
+    assert cert.max_cosine_text() == dense.max_cosine_text()
+    assert cert.contact_degrees == dense.contact_degrees
+    assert ([(e.cosine.display(), e.multiplicity) for e in cert.cosine_spectrum]
+            == [(e.cosine.display(), e.multiplicity) for e in dense.cosine_spectrum])
+
+
 def test_blockwise_verification_allocates_no_dense_gram():
     # Random distinct directions of {-1, 0, 1}^8: the certificate lists every
     # distinct cosine, and this set has few, so the peak is working memory.
@@ -556,6 +584,27 @@ def test_rational_cases_cover_verdicts_and_both_integer_paths():
     # Denominators 5^14 put n max|Z|^2 past 2^63: the blocks are Python ints.
     assert cosine_factors(RATIONAL_CASES["python-ints"][0])[0].dtype == object
     assert cosine_factors(RATIONAL_CASES["lambda16-subset"][0])[0].dtype == np.int64
+
+
+def test_rational_maximum_rising_after_the_first_block(monkeypatch):
+    # Twelve exact unit rows over D = 25 * 13 * 17; the largest cosine per
+    # 4-row block rises from 7/25 to 5/13 to 8/17, which the last block holds twice.
+    scale = 25 * 13 * 17
+    rows = [[scale * (i == j) for j in range(12)] for i in range(12)]
+    for i, j, (c, s) in ((2, 3, (F(7, 25), F(24, 25))), (5, 9, (F(5, 13), F(12, 13))),
+                         (8, 10, (F(8, 17), F(15, 17))), (9, 11, (F(8, 17), F(15, 17)))):
+        rows[j] = [int(scale * (c * F(x, scale) + s * (k == j))) for k, x in enumerate(rows[i])]
+    cosines = {(i, j): F(sum(x * y for x, y in zip(rows[i], rows[j])), scale * scale)
+               for i, j in itertools.combinations(range(12), 2)}
+    top = max(cosines.values())
+    assert top == F(8, 17) and max(cosines[p] for p in cosines if p[0] < 4) < top
+    degrees = [sum(c == top for p, c in cosines.items() if i in p) for i in range(12)]
+    spectrum = sorted(Counter(cosines.values()).items())
+    monkeypatch.setattr(verify, "BLOCK_ROWS", 4)
+    cert = verify_vectors(_floats(rows, scale, 12), 12, mode="rational", exact=rows)
+    assert cert.max_cosine_exact == top
+    assert cert.contact_degrees == tuple(degrees)
+    assert [(e.cosine.exact, e.multiplicity) for e in cert.cosine_spectrum] == spectrum
 
 
 def test_streaming_rational_verification_allocates_no_dense_gram():
