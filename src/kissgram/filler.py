@@ -10,10 +10,16 @@ columns, of which ``select_action`` picks a row.
 
 A lifted head depends only on the basis block, which a fill phase never
 changes, and each move appends one row.  So a ``LiftedPool``, the one object
-of a lifted fill phase, factors the basis and enumerates the unit heads once
-per phase; per move it snaps one new tail entry per head that has at most
-one violation so far and, in rational mode, checks one new exact tail entry
-per head that is still exactly unit and conforming.
+of a lifted fill phase, takes the basis factors and the unit heads once per
+phase; per move it snaps one new tail entry per head that has at most one
+violation so far and, in rational mode, checks one new exact tail entry per
+head that is still exactly unit and conforming.
+
+The corrector rarely changes the basis block, so fill phases of one run
+meet the same blocks again, and small-regime moves the same states.  A
+``BasisTable``, made once per run, keeps what each block determines: the
+factors and unit heads of a lifted basis, the action set of a small state.
+So a run factors and enumerates each distinct block once.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,19 +38,23 @@ from .errors import (
     EmptyCandidates,
     EnumerationOverflow,
     MixedModeEntries,
+    RankDeficientBasis,
 )
 from .gram import (
     COSINE_CAP,
     DEFAULT_TOLS,
+    FactorCache,
     GramState,
     Tolerances,
     extend_cache,
     factorize,
+    rebase_cache,
 )
 from .rational import integer_dtype, pd_adjugate
 
 MAX_ENUMERATION_WIDTH = 4_000_000
 FINGERPRINT_QUANTUM = 1e-9  # entries closer than this share a fingerprint
+BASIS_TABLE_ENTRIES = 256  # blocks a run's BasisTable keeps; the least recently used leave first
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,45 @@ class Candidates:
         return Candidates(self.columns[rows],
                           None if self.exact is None else self.exact[rows],
                           None if self.members is None else self.members[rows])
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class BasisTable:
+    """What a run has derived from each block, so that it derives it once.
+
+    Keys are a block of a state: the leading dim x dim basis block for a
+    ``LiftedPool``, the whole m < dim state for ``enumerate_small``.  A block
+    is its float bytes in float mode and its exact numerators over D in
+    rational mode; the key also holds the cosine sets and tolerances, which
+    shape what is derived, so an entry never serves another spec.  Entries
+    are shared, so their arrays are read-only.  The table keeps at most
+    ``BASIS_TABLE_ENTRIES`` entries, evicting the least recently used.
+    """
+
+    def __init__(self):
+        self.entries: OrderedDict = OrderedDict()
+
+    def lookup(self, kind: str, state: GramState, rows: int, spec: ActionSpec,
+               tols: Tolerances, build: Callable[[], object]):
+        """The entry of the leading ``rows`` x ``rows`` block of ``state``;
+        ``build`` makes it on a miss."""
+        if state.exact is None:
+            block = state.entries[:rows, :rows].tobytes()
+        else:
+            block = (state.exact_scale, *state.exact[:rows, :rows].flat)
+        key = (kind, rows, block, spec.c1, spec.c2, tols)
+        entry = self.entries.get(key)
+        if entry is None:
+            entry = self.entries[key] = build()
+            if len(self.entries) > BASIS_TABLE_ENTRIES:
+                self.entries.popitem(last=False)
+        else:
+            self.entries.move_to_end(key)
+        return entry
 
 
 def fingerprint_state(state: GramState) -> bytes:
@@ -295,18 +345,26 @@ def _expand_columns(lower: np.ndarray, values: np.ndarray, s_limit: float,
 
 def _stuck(m: int) -> Candidates:
     """The empty action set for a state of m rows: Player 1 is stuck."""
-    return Candidates(np.zeros((0, m)))
+    return Candidates(_readonly(np.zeros((0, m))))
 
 
-def enumerate_small(state: GramState, spec: ActionSpec, *,
-                    tols: Tolerances = DEFAULT_TOLS) -> Candidates:
+def enumerate_small(state: GramState, spec: ActionSpec, *, tols: Tolerances = DEFAULT_TOLS,
+                    table: BasisTable | None = None) -> Candidates:
     """Rank-increasing action set for m < dim.
 
     Every column over the head set whose bordered matrix is PSD with rank
-    m + 1, in lexicographic order.
+    m + 1, in lexicographic order.  The batch is ``table``'s entry for the
+    whole state (a throwaway table by default), built on a miss; its arrays
+    are read-only.
     """
     if state.m >= state.dim:
         raise DimensionMismatch(f"small-regime enumeration needs m < dim, got m={state.m}")
+    table = BasisTable() if table is None else table
+    return table.lookup("small", state, state.m, spec, tols,
+                        lambda: _small_candidates(state, spec, tols))
+
+
+def _small_candidates(state: GramState, spec: ActionSpec, tols: Tolerances) -> Candidates:
     values = np.asarray(spec.c1.values, dtype=float)
     if values.size == 0:
         return _stuck(state.m)
@@ -316,10 +374,11 @@ def enumerate_small(state: GramState, spec: ActionSpec, *,
         return _stuck(state.m)  # numerically rank-deficient: no rank-(m+1) extension exists
     cols, idx, _ = _expand_columns(lower, values, 1.0 - tols.rank, True)
     if state.exact is None:
-        return Candidates(cols)
+        return Candidates(_readonly(cols))
     heads = spec.c1.numerators_over(state.exact_scale)
     keep = _exact_schur_positive(state, heads, idx)
-    return Candidates(cols[keep], np.array(heads, dtype=object)[idx[keep]])
+    return Candidates(_readonly(cols[keep]),
+                      _readonly(np.array(heads, dtype=object)[idx[keep]]))
 
 
 def _exact_schur_positive(state: GramState, heads: Sequence[int],
@@ -346,60 +405,105 @@ def _exact_schur_positive(state: GramState, heads: Sequence[int],
     return quad < scale * det
 
 
+class _LiftedBasis(NamedTuple):
+    """What a basis block determines for every lifted pool built on it.
+
+    ``cache`` holds the factors (its cross block is that of the state that
+    built the entry), ``heads`` the unit heads in lexicographic order.  In
+    rational mode ``exact_ok`` marks the exactly unit heads, ``y`` and
+    ``exact`` hold their Y and head numerators, and ``targets`` the allowed
+    exact tails, in ``dtype``, the integer type of the exact tail test.
+    """
+
+    cache: FactorCache
+    heads: np.ndarray
+    exact_ok: np.ndarray | None = None
+    y: np.ndarray | None = None
+    exact: np.ndarray | None = None
+    targets: np.ndarray | None = None
+    dtype: type | None = None
+
+
+def _lifted_basis(state: GramState, spec: ActionSpec, tols: Tolerances
+                  ) -> _LiftedBasis | RankDeficientBasis:
+    """The entry of the state's basis block; a singular block's entry is its error."""
+    try:
+        cache = factorize(state, tols=tols)
+    except RankDeficientBasis as exc:
+        return RankDeficientBasis(*exc.args)  # without the traceback, which pins its frames
+    rational = state.exact is not None
+    unit_tol = 1e-6 if rational else tols.psd
+    values = np.asarray(spec.c1.values, dtype=float)
+    heads, idx, s = _expand_columns(cache.chol_factor, values, (1.0 + unit_tol) ** 2, False)
+    keep = np.abs(np.sqrt(s) - 1.0) <= unit_tol
+    heads = _readonly(heads[keep])
+    if not rational:
+        return _LiftedBasis(cache, heads)
+    n, scale = cache.n, cache.exact_scale
+    det, adj = cache.exact_det, cache.exact_adj
+    numerators = spec.c1.numerators_over(scale)
+    h = max(map(abs, numerators))
+    y_max = n * h * max(map(abs, adj.flat))  # bounds |Y|, so |rowsum(Y * H)| <= n^2 h^2 max|adj|
+    dtype = integer_dtype(max(n * y_max * h, scale * det))
+    hmat = np.array(numerators, dtype=object).astype(dtype)[idx[keep]]
+    y = hmat @ adj.astype(dtype)
+    exact_ok = (y * hmat).sum(axis=1) == scale * det
+    targets = [det * v for v in spec.c2.numerators_over(scale)]
+    # A cross entry is a cosine numerator over D, so |D C| <= D and a tail
+    # N = Y (D C_new)^T has |N| <= n max|Y| D.
+    confirm = integer_dtype(max(n * y_max * scale, det, *map(abs, targets)))
+    return _LiftedBasis(cache, heads, _readonly(exact_ok), _readonly(y[exact_ok].astype(confirm)),
+                        _readonly(hmat[exact_ok]),
+                        _readonly(np.array(targets, dtype=object).astype(confirm)), confirm)
+
+
 class LiftedPool:
     """The one object of a lifted fill phase: the basis factors, the unit heads
     and their tails so far.
 
-    A pool factors the leading dim x dim block of the state it is made from
-    (``factorize``, which raises RankDeficientBasis for a singular block) and
-    keeps that ``FactorCache``, which ``extend`` grows by one row per move.
+    A pool takes its basis block's ``_LiftedBasis`` from ``table`` (a
+    throwaway table by default).  A miss factors the leading dim x dim block
+    (``factorize``) and runs ``_expand_columns`` once; a singular block
+    raises RankDeficientBasis, on every lookup.  The pool's own
+    ``FactorCache`` holds the shared factors and the lift rows of its
+    state's cross block (``rebase_cache`` on a hit), and ``extend`` grows it
+    by one row per move.
     Within a fill phase rows are only appended, so the basis block, and with
     it the set of unit heads, never changes, and each new row adds one tail
-    entry per head.  The pool runs ``_expand_columns`` once, keeps the unit
-    heads in lexicographic order, and per head its snapped tails, its
-    violation count and the lift row of its first violation.  A count never
-    falls, so a head leaves the pool at its second violation; a head with one
-    violation stays, since it is still blamed.
+    entry per head.  The pool keeps the unit heads in lexicographic order,
+    and per head its snapped tails, its violation count and the lift row of
+    its first violation.  A count never falls, so a head leaves the pool at
+    its second violation; a head with one violation stays, since it is
+    still blamed.
 
     In rational mode the float unit test is a prescreen.  With H = D c1[head]
-    and Y = H adj(D B), the pool decides once per head whether it is exactly
-    unit: rowsum(Y * H) == D det.  ``exact_ok`` marks the heads that are
-    exactly unit, violation-free and exactly conforming so far; for these, in
-    pool order, ``y`` holds Y and ``exact`` the exact columns over D.  No
-    head regains the mark, so a move checks one new exact tail entry per
-    marked head (``_confirm_exact_lifted``).
+    and Y = H adj(D B), the basis entry decides once per head whether it is
+    exactly unit: rowsum(Y * H) == D det.  ``exact_ok`` marks the heads that
+    are exactly unit, violation-free and exactly conforming so far; for
+    these, in pool order, ``y`` holds Y and ``exact`` the exact columns over
+    D.  No head regains the mark, so a move checks one new exact tail entry
+    per marked head (``_confirm_exact_lifted``).
     """
 
     def __init__(self, state: GramState, spec: ActionSpec, *,
-                 tols: Tolerances = DEFAULT_TOLS):
-        rational = state.exact is not None
-        if rational and not spec.is_rational:
+                 tols: Tolerances = DEFAULT_TOLS, table: BasisTable | None = None):
+        if state.exact is not None and not spec.is_rational:
             raise MixedModeEntries("rational state requires rational cosine sets")
-        self.cache = factorize(state, tols=tols)
+        table = BasisTable() if table is None else table
+        built = []  # an entry built from this state already holds its cross block
+        basis = table.lookup("lifted", state, state.dim, spec, tols,
+                             lambda: built.append(True) or _lifted_basis(state, spec, tols))
+        if isinstance(basis, RankDeficientBasis):
+            raise RankDeficientBasis(*basis.args)
+        self.cache = basis.cache if built else rebase_cache(basis.cache, state)
         self.spec, self.tols = spec, tols
-        unit_tol = 1e-6 if rational else tols.psd
-        values = np.asarray(spec.c1.values, dtype=float)
-        heads, idx, s = _expand_columns(self.cache.chol_factor, values, (1.0 + unit_tol) ** 2,
-                                        False)
-        keep = np.abs(np.sqrt(s) - 1.0) <= unit_tol
-        self.columns = heads[keep]  # K x (n + lift rows seen): head, then snapped tails
+        self.columns = basis.heads  # K x (n + lift rows seen): head, then snapped tails
         self.violations = np.zeros(len(self.columns), dtype=np.int64)
         self.first = np.zeros(len(self.columns), dtype=np.int64)
-        self.exact = None
-        if rational:
-            n, scale = self.cache.n, self.cache.exact_scale
-            det, adj = self.cache.exact_det, self.cache.exact_adj
-            numerators = spec.c1.numerators_over(scale)
-            h = max(map(abs, numerators))
-            a = max(map(abs, adj.flat))
-            self.y_max = n * h * a  # bounds |Y|, so |rowsum(Y * H)| <= n^2 h^2 a
-            dtype = integer_dtype(max(n * self.y_max * h, scale * det))
-            hmat = np.array(numerators, dtype=object).astype(dtype)[idx[keep]]
-            y = hmat @ adj.astype(dtype)
-            self.exact_ok = (y * hmat).sum(axis=1) == scale * det
-            self.y, self.exact = y[self.exact_ok], hmat[self.exact_ok]
-            self.targets = np.array([det * v for v in spec.c2.numerators_over(scale)],
-                                    dtype=object)
+        self.exact = basis.exact
+        if self.exact is not None:
+            self.exact_ok = basis.exact_ok.copy()
+            self.y, self.targets, self.dtype = basis.y, basis.targets, basis.dtype
 
     def extend(self, head: np.ndarray, exact_head: Sequence[int] | None = None):
         """Append the head of the row a move placed to the cross block (``extend_cache``)."""
@@ -468,19 +572,15 @@ def _confirm_exact_lifted(pool: LiftedPool, cross: np.ndarray) -> np.ndarray | N
 
     The tails N = Y (D C_new)^T are det times the true tails over D, so each
     must lie in det * (D c2) (``pool.targets``, ascending as c2 is).  The
-    overflow bound reads the pool's bound on |Y| and max|D C_new| from the
-    new rows.  Heads that fail lose their mark, and those that pass get N /
-    det appended to their exact columns.  Returns the exact columns, or None
+    basis entry fixed the integer type ``pool.dtype`` from a bound on |N|.
+    Heads that fail lose their mark, and those that pass get N / det
+    appended to their exact columns.  Returns the exact columns, or None
     when no head passes.
     """
     det, targets = pool.cache.exact_det, pool.targets
-    c = max(map(abs, cross.flat), default=0)
-    # |N| <= n |Y| max|D C_new|.
-    dtype = integer_dtype(max(pool.cache.n * pool.y_max * c, det, *map(abs, targets)))
-    tails = pool.y.astype(dtype, copy=False) @ cross.astype(dtype).T
-    allowed = targets.astype(dtype)
-    pos = np.minimum(np.searchsorted(allowed, tails), len(targets) - 1)
-    member = (allowed[pos] == tails).all(axis=1)
+    tails = pool.y @ cross.astype(pool.dtype).T
+    pos = np.minimum(np.searchsorted(targets, tails), len(targets) - 1)
+    member = (targets[pos] == tails).all(axis=1)
     if not member.all():
         pool.exact_ok[np.flatnonzero(pool.exact_ok)] = member
         pool.y, pool.exact, tails = pool.y[member], pool.exact[member], tails[member]

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .filler import (
     ActionSpec,
+    BasisTable,
     LiftedPool,
     MembershipList,
     SearchTree,
@@ -268,8 +269,11 @@ class _FillOutcome(NamedTuple):
 
 
 def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: SearchTree,
-                rng: np.random.Generator, trajectory: list, round_no: int) -> _FillOutcome:
-    """Extend until the budget is spent or no feasible column remains."""
+                rng: np.random.Generator, trajectory: list, round_no: int,
+                table: BasisTable) -> _FillOutcome:
+    """Extend until the budget is spent or no feasible column remains.
+
+    Action sets come from ``table``, the run's basis table."""
     tols = config.tolerances
     member_list = config.action.c_star
     meta.conflicts = np.zeros(state.m, dtype=np.int64)
@@ -282,11 +286,11 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
             candidates = enumerate_membership(state, meta.anchors, config.action,
                                               used=used, tols=tols, blame=blame)
         elif state.m < state.dim:
-            candidates = enumerate_small(state, config.action, tols=tols)
+            candidates = enumerate_small(state, config.action, tols=tols, table=table)
         else:
             if pool is None:
                 try:
-                    pool = LiftedPool(state, config.action, tols=tols)
+                    pool = LiftedPool(state, config.action, tols=tols, table=table)
                 except RankDeficientBasis:
                     try:
                         order = full_rank_prefix(state, tols=tols)
@@ -294,7 +298,7 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
                         break  # rank-deficient at m >= dim: no lifted action exists
                     state = permute_state(state, order)
                     meta.take(order)
-                    pool = LiftedPool(state, config.action, tols=tols)
+                    pool = LiftedPool(state, config.action, tols=tols, table=table)
             candidates = enumerate_lifted(pool, blame=blame)
         meta.conflicts += blame
         if not candidates:
@@ -369,19 +373,23 @@ def decompose_reassemble(state: GramState, *, min_pairs: int = 2,
 
 
 def play_episode(config: GameConfig, seed: Seed, tree: SearchTree, policy: CorrectorPolicy,
-                 rng: np.random.Generator) -> EpisodeResult:
+                 rng: np.random.Generator, table: BasisTable | None = None) -> EpisodeResult:
     """One pass of the alternating game from ``seed``, up to ``config.rounds`` rounds.
+
+    Every fill phase looks its action sets up in ``table``, the run's basis
+    table (a throwaway one by default).
 
     The episode ends early when a fill pass adds nothing and the corrector
     passes, or when the best size stagnates for the configured window.  The
     reported state is the largest completed matrix the episode reached.
     """
     start = time.perf_counter()
+    table = BasisTable() if table is None else table
     meta = _RowMeta(seed, protected=config.corrector.protect_seed)
     trajectory: list[tuple[bytes, bytes]] = []
     draws: list[CorrectionDraw] = []
     sizes: list[int] = []
-    state, added = _fill_phase(seed.state, meta, config, tree, rng, trajectory, 1)
+    state, added = _fill_phase(seed.state, meta, config, tree, rng, trajectory, 1, table)
     sizes.append(state.m)
     best = state
     stagnant = 0
@@ -400,7 +408,8 @@ def play_episode(config: GameConfig, seed: Seed, tree: SearchTree, policy: Corre
         if draw.indices:
             state = apply_correction(state, draw.indices, protected=protected)
             meta.take(np.delete(np.arange(meta.ages.size), draw.indices))
-        state, added = _fill_phase(state, meta, config, tree, rng, trajectory, round_no)
+        state, added = _fill_phase(state, meta, config, tree, rng, trajectory, round_no,
+                                    table)
         sizes.append(state.m)
         if state.m > best.m:
             best = state
@@ -451,11 +460,13 @@ def train_loop(config: GameConfig, episodes: int, *, run: TrainResult | None = N
                on_episode: EpisodeCallback | None = None) -> TrainResult:
     """Run episodes, updating both learners from the shared team reward.
 
-    The seed is loaded once and every episode replays it.  ``run``, a fresh
-    one by default, is continued in place and returned.  The best-ever
-    result is monotone over episodes.  All stochastic choices flow through
-    the single ``rng`` stream, so a fixed seed reproduces the run bit for bit
-    (and a checkpoint resume continues the same stream).
+    The seed is loaded once and every episode replays it; the episodes
+    share one ``BasisTable``, so the run factors and enumerates each basis
+    block once.  ``run``, a fresh one by default, is continued in place and
+    returned.  The best-ever result is monotone over episodes.  All
+    stochastic choices flow through the single ``rng`` stream, so a fixed
+    seed reproduces the run bit for bit (and a checkpoint resume continues
+    the same stream).
     """
     if episodes < 1:
         raise ConfigError("episodes must be at least 1")
@@ -464,9 +475,9 @@ def train_loop(config: GameConfig, episodes: int, *, run: TrainResult | None = N
                           policy=default_policy(config))
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-    seed = load_seed(config)
+    seed, table = load_seed(config), BasisTable()
     for _ in range(episodes):
-        episode = play_episode(config, seed, run.tree, run.policy, rng)
+        episode = play_episode(config, seed, run.tree, run.policy, rng, table)
         backpropagate(run.tree, episode.trajectory, float(episode.team_reward))
         if episode.draws:
             sample = EpisodeSample(draws=episode.draws, team_reward=float(episode.team_reward))

@@ -228,8 +228,10 @@ def rank_of(state: GramState | np.ndarray, tol: float) -> int:
 class FactorCache:
     """Factorization of the leading basis block used by the lifted action set.
 
-    A ``filler.LiftedPool`` makes one with ``factorize`` when a fill phase
-    reaches m >= dim and grows it with ``extend_cache`` on each move.
+    A ``filler.BasisTable`` keeps one from ``factorize`` per basis block; a
+    ``filler.LiftedPool`` takes it for its state (``rebase_cache``) when a
+    fill phase reaches m >= dim and grows it with ``extend_cache`` on each
+    move.  The factors are read-only, since pools share them.
     With B the basis block and C the cross block (the rows after it),
     ``lift_matrix`` is the precomputed product C B^-1, so a tail costs one
     matrix-vector product.  The exact fields are populated in rational mode
@@ -275,22 +277,32 @@ def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCac
         raise RankDeficientBasis(f"leading {n}x{n} block has rank deficiency "
                                  f"(min squared pivot {pivots.min():.3e})")
     pinv = np.linalg.inv(basis)
-    det = adj = exact_cross = None
+    det = adj = None
     if state.exact is not None:
         factored = pd_adjugate(state.exact[:n, :n])
         if factored is None:
             raise RankDeficientBasis(f"leading {n}x{n} block is not positive definite (exact)")
         det, adj = factored
+        adj.setflags(write=False)  # shared by every pool on this basis
+    return rebase_cache(FactorCache(chol_factor=_frozen(chol), pseudo_inv=_frozen(pinv),
+                                    lift_matrix=_frozen(np.zeros((0, n))),
+                                    exact_scale=state.exact_scale, exact_det=det,
+                                    exact_adj=adj), state)
+
+
+def rebase_cache(cache: FactorCache, state: GramState) -> FactorCache:
+    """The cache of ``state``, whose leading block is the one ``cache`` factors.
+
+    The basis factors are shared; the lift rows and, in rational mode, the
+    exact cross numerators are those of the state's rows after the basis.
+    """
+    n = cache.n
+    exact_cross = None
+    if cache.exact_det is not None:
         exact_cross = state.exact[n:, :n].copy()  # a view would pin the whole m x m Gram
-    return FactorCache(
-        chol_factor=_frozen(chol),
-        pseudo_inv=_frozen(pinv),
-        lift_matrix=_frozen(state.entries[n:, :n] @ pinv),
-        exact_scale=state.exact_scale,
-        exact_det=det,
-        exact_adj=adj,
-        exact_cross=exact_cross,
-    )
+        exact_cross.setflags(write=False)
+    return replace(cache, lift_matrix=_frozen(state.entries[n:, :n] @ cache.pseudo_inv),
+                   exact_cross=exact_cross)
 
 
 def extend_cache(cache: FactorCache, head: np.ndarray,
@@ -333,16 +345,17 @@ def full_rank_prefix(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> li
     """
     n = state.dim
     g = state.entries
-    lower = np.zeros((0, 0))
+    lower = np.zeros((n, n))  # the factor of the chosen rows is its leading k x k block
     selected: list[int] = []
     for r in range(state.m):
-        if len(selected) == n:
+        k = len(selected)
+        if k == n:
             break
-        y = np.linalg.solve(lower, g[r, selected])
+        y = np.linalg.solve(lower[:k, :k], g[r, selected])
         piv_sq = float(g[r, r] - y @ y)
         if piv_sq > tols.rank:
-            lower = np.pad(lower, ((0, 1), (0, 1)))
-            lower[-1] = np.append(y, math.sqrt(piv_sq))
+            lower[k, :k] = y
+            lower[k, k] = math.sqrt(piv_sq)
             selected.append(r)
     if len(selected) < n:
         raise RankDeficientBasis(f"state rank {len(selected)} is below dim {n}")

@@ -9,9 +9,15 @@ import pytest
 
 import kissgram.filler as filler
 from kissgram.cli import main
-from kissgram.errors import EmptyCandidates, EnumerationOverflow, MixedModeEntries
+from kissgram.errors import (
+    EmptyCandidates,
+    EnumerationOverflow,
+    MixedModeEntries,
+    RankDeficientBasis,
+)
 from kissgram.filler import (
     ActionSpec,
+    BasisTable,
     Candidates,
     CapOnly,
     DiscreteSet,
@@ -38,7 +44,7 @@ from kissgram.gram import (
     gram_from_vectors,
     permute_state,
 )
-from kissgram.game import GameConfig, SeedSpec, load_seed
+from kissgram.game import GameConfig, SeedSpec, load_seed, train_loop
 from kissgram.rational import exact_inverse, exact_matvec
 from kissgram.refconfigs import generate
 
@@ -465,16 +471,18 @@ def _pool_population(pool: LiftedPool) -> dict:
     return dict(zip(map(tuple, heads.tolist()), pool.violations.tolist()))
 
 
-def _drive_pool(state: GramState, spec: ActionSpec, moves: int, seed: int) -> set[str]:
+def _drive_pool(state: GramState, spec: ActionSpec, moves: int, seed: int,
+                table: BasisTable | None = None) -> set[str]:
     """Drive one pool through up to ``moves`` random moves, checking every batch.
 
-    At every move the batch and the blame equal those of a fresh pool on the
-    grown state and, in rational mode, the exact columns equal the Fraction
-    reference on every head passing the float unit prescreen.  Returns the
-    events seen on the way.
+    The pool takes its basis from ``table`` when given.  At every move the
+    batch and the blame equal those of a fresh pool (on a throwaway table)
+    on the grown state and, in rational mode, the exact columns equal the
+    Fraction reference on every head passing the float unit prescreen.
+    Returns the events seen on the way.
     """
     rng = np.random.default_rng(seed)
-    pool = LiftedPool(state, spec)
+    pool = LiftedPool(state, spec, table=table)
     heads = _unit_prescreened(pool, spec)
     events = set()
     for _ in range(moves):
@@ -611,3 +619,174 @@ def test_lifted_pool_matches_fresh_enumeration(mode, name, rows, tail_numerators
         state = state.as_float()
     events = _drive_pool(state, spec, 8, rows)
     assert {"second violation leaves the pool", "single violator blamed again"} <= events
+
+
+# The run's basis table: shared entries, read-only arrays, one table per run.
+
+
+def _phase_states(state: GramState) -> list[GramState]:
+    """Fill-phase starts on one basis: the state, the state after the
+    corrector deleted every other cross row, and the state again."""
+    n = state.dim
+    thinned = state.principal(list(range(n)) + list(range(n + 1, state.m, 2)))
+    return [state, thinned, state]
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize("name, rows, exact", [
+    ("E8Roots", 16, RATIONAL_C1),
+    ("D4Roots", 12, RATIONAL_C1),
+    ("D4Roots", 16, RATIONAL_C1 + (Fraction(1, 2**40),)),
+])
+def test_shared_table_pools_match_fresh_pools(mode, name, rows, exact):
+    # Every move of a pool on the shared entry equals a fresh pool's, so no
+    # phase changed what the next one reads.
+    builds = []
+
+    class Counting(BasisTable):
+        def lookup(self, kind, state, rows, spec, tols, build):
+            return super().lookup(kind, state, rows, spec, tols,
+                                  lambda: builds.append(kind) or build())
+
+    spec = _rational_spec(exact)
+    state = _truncated(name, rows, spec)
+    if mode == "float":
+        state = state.as_float()
+    table = Counting()
+    events = set()
+    for phase, start in enumerate(_phase_states(state)):
+        events |= _drive_pool(start, spec, 4, phase, table=table)
+    assert builds == ["lifted"] and len(table.entries) == 1
+    if mode == "rational":
+        assert "exact columns confirmed" in events
+
+
+def test_table_entries_are_read_only():
+    spec = _rational_spec()
+    table = BasisTable()
+    state = _truncated("D4Roots", 8, spec)
+    pool = LiftedPool(state, spec, table=table)
+    enumerate_lifted(pool)
+    small = enumerate_small(_truncated("D4Roots", 2, spec), spec, table=table)
+    basis = next(e for e in table.entries.values() if not isinstance(e, Candidates))
+    shared = [basis.heads, basis.exact_ok, basis.y, basis.exact, basis.targets,
+              basis.cache.chol_factor, basis.cache.pseudo_inv, basis.cache.exact_adj,
+              basis.cache.lift_matrix, basis.cache.exact_cross,
+              small.columns, small.exact]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
+    # A pool's own state is its own: its marks start from a copy.
+    assert pool.exact_ok is not basis.exact_ok and pool.exact_ok.flags.writeable
+
+
+def test_enumerate_small_reads_the_table():
+    spec = _rational_spec()
+    table = BasisTable()
+    state = _truncated("D4Roots", 3, spec)
+    first = enumerate_small(state, spec, table=table)
+    assert enumerate_small(state, spec, table=table) is first
+    fresh = enumerate_small(state, spec)
+    assert fresh is not first
+    assert np.array_equal(first.columns, fresh.columns)
+    assert first.exact.tolist() == fresh.exact.tolist()
+    # Another denominator, mode or tolerance is another key.
+    float_batch = enumerate_small(state.as_float(), spec, table=table)
+    assert float_batch is not first and float_batch.exact is None
+    enumerate_small(state, spec, tols=Tolerances(rank=1e-6), table=table)
+    assert len(table.entries) == 3
+
+
+def test_a_singular_basis_is_remembered():
+    hexagon = generate("Hexagon").gram.as_float()
+    state = GramState(dim=3, entries=hexagon.entries)  # rank 2 < 3
+    spec = ActionSpec(c1=DiscreteSet(C1))
+    table = BasisTable()
+    for _ in range(2):
+        with pytest.raises(RankDeficientBasis):
+            LiftedPool(state, spec, table=table)
+    (entry,) = table.entries.values()
+    assert entry.__traceback__ is None  # a kept traceback would pin the frames of its phase
+
+
+def test_basis_table_evicts_the_least_recently_used_entry(monkeypatch):
+    monkeypatch.setattr(filler, "BASIS_TABLE_ENTRIES", 2)
+    spec = ActionSpec(c1=DiscreteSet(C1))
+    table = BasisTable()
+    states = [GramState(dim=3, entries=np.array([[1.0, c], [c, 1.0]])) for c in (-0.5, 0.0, 0.5)]
+    built = []
+
+    def lookup(state):
+        return table.lookup("small", state, state.m, spec, TOLS,
+                            lambda: built.append(state) or enumerate_small(state, spec))
+
+    _, b, _ = (lookup(s) for s in states)
+    assert built == states and len(table.entries) == 2  # a left when c came
+    lookup(states[1])  # b is now the most recent
+    lookup(states[0])  # a again: a miss, and c leaves
+    assert len(built) == 4 and len(table.entries) == 2
+    assert lookup(states[1]) is b and len(built) == 4
+    lookup(states[2])
+    assert len(built) == 5
+
+
+def _recorded_tables(monkeypatch) -> list:
+    """The basis tables the game makes from now on, in order."""
+    import kissgram.game as game
+
+    tables = []
+
+    class Recorded(BasisTable):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(game, "BasisTable", Recorded)
+    return tables
+
+
+def test_a_run_keeps_its_table_within_the_bound(monkeypatch):
+    config = GameConfig(dim=4, action=_rational_spec(), mode="rational", rounds=4)
+    tables = _recorded_tables(monkeypatch)
+    whole = train_loop(config, 4)
+    monkeypatch.setattr(filler, "BASIS_TABLE_ENTRIES", 2)
+    bounded = train_loop(config, 4)
+    assert len(tables) == 2 and len(tables[0].entries) > 2 and len(tables[1].entries) == 2
+    # Evicted blocks are built again, to the same entries.
+    assert bounded.rewards == whole.rewards
+    assert bounded.tree.summary() == whole.tree.summary()
+
+
+def test_runs_share_no_table_entry(monkeypatch):
+    tables = _recorded_tables(monkeypatch)
+    spec = _rational_spec()
+    configs = [GameConfig(dim=3, action=spec, rounds=3, tolerances=tols)
+               for tols in (Tolerances(), Tolerances(rank=1e-5, psd=1e-8))]
+    _, second = (train_loop(config, 3) for config in configs)
+    assert len(tables) == 2
+    assert not set(tables[0].entries) & set(tables[1].entries)
+    assert not {id(e) for e in tables[0].entries.values()} & {
+        id(e) for e in tables[1].entries.values()}
+    assert all(key[-1] == config.tolerances
+               for table, config in zip(tables, configs) for key in table.entries)
+    # The second run alone gives what it gave after the first.
+    again = train_loop(configs[1], 3)
+    assert again.rewards == second.rewards
+    assert again.best.final_state.entries.tobytes() == second.best.final_state.entries.tobytes()
+
+
+def test_exact_confirmation_takes_its_dtype_from_the_basis(monkeypatch):
+    spec = _rational_spec()
+    state = _truncated("E8Roots", 40, spec)
+    pool = LiftedPool(state, spec)
+
+    def forbidden(bound):
+        raise AssertionError("a move chose an integer type")
+
+    monkeypatch.setattr(filler, "integer_dtype", forbidden)
+    for _ in range(3):
+        got = enumerate_lifted(pool)
+        assert got
+        column, exact = got.columns[0], got.exact[0]
+        pool.extend(column[:state.dim], exact[:state.dim])
+    assert pool.dtype is np.int64

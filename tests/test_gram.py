@@ -267,6 +267,83 @@ def test_full_rank_prefix_raises_below_dim():
         full_rank_prefix(GramState(dim=3, entries=hexagon.entries))
 
 
+def _padded_prefix(state: GramState, tols: Tolerances = TOLS) -> list[int]:
+    """Reference full_rank_prefix whose factor grows by np.pad once per chosen row."""
+    n, g = state.dim, state.entries
+    lower = np.zeros((0, 0))
+    selected = []
+    for r in range(state.m):
+        if len(selected) == n:
+            break
+        y = np.linalg.solve(lower, g[r, selected])
+        piv_sq = float(g[r, r] - y @ y)
+        if piv_sq > tols.rank:
+            lower = np.pad(lower, ((0, 1), (0, 1)))
+            lower[-1] = np.append(y, math.sqrt(piv_sq))
+            selected.append(r)
+    if len(selected) < n:
+        raise RankDeficientBasis(f"state rank {len(selected)} is below dim {n}")
+    return selected + [r for r in range(state.m) if r not in selected]
+
+
+def _prefix_states():
+    rng = np.random.default_rng(11)
+    for _ in range(40):  # random unit rows, some in a proper subspace
+        n = int(rng.integers(2, 7))
+        v = rng.standard_normal((int(rng.integers(1, 13)), n))
+        if rng.random() < 0.3:
+            v[:, -1] = 0.0
+        yield GramState(dim=n, entries=gram_from_vectors(v / np.linalg.norm(v, axis=1)[:, None],
+                                                         n).entries)
+    for name in ("Hexagon", "D4Roots", "E8Roots", "CrossPolytope(4)", "Simplex(3)"):
+        built = generate(name).gram.as_float()
+        for _ in range(3):  # repeated, antipodal and orthogonal rows in shuffled orders
+            yield permute_state(built, rng.permutation(built.m).tolist())
+        yield GramState(dim=built.dim + 1, entries=built.entries)  # rank below dim
+    # A protected prefix of dependent rows (a hexagon in E8), then the rest.
+    e8 = generate("E8Roots")
+    plane = np.linalg.qr(e8.vectors[[0, 1]].T)[0]
+    v = e8.vectors
+    hexagon = np.flatnonzero(np.linalg.norm(v - v @ plane @ plane.T, axis=1) < 1e-9).tolist()
+    rest = [r for r in rng.permutation(e8.gram.m).tolist() if r not in hexagon]
+    yield permute_state(e8.gram.as_float(), hexagon + rest)
+    # Pivots on both sides of the rank tolerance.
+    for eps in (0.5e-7, 2e-7):
+        v = np.array([[1.0, 0.0, 0.0], [math.sqrt(1 - eps), math.sqrt(eps), 0.0],
+                      [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        yield gram_from_vectors(v, 3)
+
+
+def test_full_rank_prefix_matches_the_padded_loop(monkeypatch):
+    # The preallocated factor hands np.linalg.solve the same systems, so the
+    # chosen rows, and the error on a rank-deficient state, are the same.
+    real_solve = np.linalg.solve
+    calls = []
+
+    def recording(a, b):
+        calls.append((np.array(a), np.array(b)))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    raised = 0
+    for state in _prefix_states():
+        outcomes = []
+        for prefix in (_padded_prefix, full_rank_prefix):
+            calls.clear()
+            try:
+                outcomes.append((prefix(state), calls[:]))
+            except RankDeficientBasis as exc:
+                outcomes.append((str(exc), calls[:]))
+        (want, want_calls), (got, got_calls) = outcomes
+        assert got == want
+        assert len(got_calls) == len(want_calls)
+        for (a, b), (a_ref, b_ref) in zip(got_calls, want_calls):
+            assert a.tobytes() == a_ref.tobytes() and a.shape == a_ref.shape
+            assert b.tobytes() == b_ref.tobytes()
+        raised += isinstance(want, str)
+    assert 0 < raised
+
+
 def test_permute_state_rejects_non_permutation():
     state = generate("Hexagon").gram
     with pytest.raises(DimensionMismatch):

@@ -64,6 +64,9 @@ def test_traced_search_feeds_every_hooked_counter(tmp_path):
     # The seed is built once per run and replayed by each of the 4 episodes.
     assert summary["game.load_seed.calls"] == 1
     assert summary["game.play_episode.calls"] == 4
+    # The run's basis table factors each distinct basis block once; a fill
+    # phase that bypassed it would factor at least once per lifted phase.
+    assert summary["gram.factorize.calls"] < summary["game.fill_phase.calls"]
 
 
 def test_traced_rational_search_feeds_exact_confirmation(tmp_path):
