@@ -128,14 +128,15 @@ def apply_correction(state: GramState, delete_set: Sequence[int],
                      protected: Sequence[int] = ()) -> GramState:
     """Principal submatrix on the kept rows; invariants survive deletion."""
     m = state.m
-    dels = sorted(set(int(i) for i in delete_set))
+    doomed = set(int(i) for i in delete_set)
+    dels = sorted(doomed)
     if any(i < 0 or i >= m for i in dels):
         raise IndexError(f"deletion index out of range for m={m}")
     shielded = set(int(i) for i in protected)
     bad = [i for i in dels if i in shielded]
     if bad:
         raise ProtectedRow(f"rows {bad} are protected")
-    keep = [i for i in range(m) if i not in set(dels)]
+    keep = [i for i in range(m) if i not in doomed]
     return state.principal(keep)
 
 

@@ -11,7 +11,8 @@ columns, of which ``select_action`` picks a row.
 A lifted head depends only on the basis block, which a fill phase never
 changes, and each move appends one row.  So a ``LiftedPool``, the one object
 of a lifted fill phase, takes the basis factors and the unit heads once per
-phase; per move it snaps one new tail entry per head that has at most one
+phase and keeps only the cross rows it has not yet tested; per move it lifts
+the one new row, snaps one new tail entry per head that has at most one
 violation so far and, in rational mode, checks one new exact tail entry per
 head that is still exactly unit and conforming.
 
@@ -48,7 +49,6 @@ from .gram import (
     Tolerances,
     extend_cache,
     factorize,
-    rebase_cache,
 )
 from .rational import integer_dtype, pd_adjugate
 
@@ -390,29 +390,41 @@ def _exact_schur_positive(state: GramState, heads: Sequence[int],
     (D g)^T adj (D g) < D det.  An exactly singular G has no rank-increasing
     extension.
     """
-    scale = state.exact_scale
     factored = pd_adjugate(state.exact)
     if factored is None:
         return np.zeros(idx.shape[0], dtype=bool)
     det, adj = factored
-    h = max(map(abs, heads))
-    a = max(abs(x) for x in adj.flat)
-    m = state.m
-    # |Y| <= m h a for Y = G_int adj, so the quadratic forms are at most m^2 h^2 a.
-    dtype = integer_dtype(max(m * m * h * h * a, scale * det))
-    g_int = np.array(heads, dtype=object).astype(dtype)[idx]
-    quad = ((g_int @ adj.astype(dtype)) * g_int).sum(axis=1)
-    return quad < scale * det
+    limit = state.exact_scale * det
+    _, _, forms, _ = _exact_quadratic_forms(heads, idx, adj, limit)
+    return forms < limit
+
+
+def _exact_quadratic_forms(numerators: Sequence[int], idx: np.ndarray, adj: np.ndarray,
+                           limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """H = numerators[idx], Y = H adj, the forms rowsum(Y * H) and a bound on |Y|.
+
+    With h = max|numerators|, a = max|adj| and adj n x n, |Y| <= n h a, so
+    every form is at most n^2 h^2 a in absolute value.  H, Y and the forms
+    are in the integer type that holds that and ``limit``, the number the
+    caller compares the forms with.
+    """
+    n = adj.shape[0]
+    h = max(map(abs, numerators))
+    y_bound = n * h * max(map(abs, adj.flat))
+    dtype = integer_dtype(max(n * y_bound * h, limit))
+    hmat = np.array(numerators, dtype=object).astype(dtype)[idx]
+    y = hmat @ adj.astype(dtype)
+    return hmat, y, (y * hmat).sum(axis=1), y_bound
 
 
 class _LiftedBasis(NamedTuple):
     """What a basis block determines for every lifted pool built on it.
 
-    ``cache`` holds the factors (its cross block is that of the state that
-    built the entry), ``heads`` the unit heads in lexicographic order.  In
-    rational mode ``exact_ok`` marks the exactly unit heads, ``y`` and
-    ``exact`` hold their Y and head numerators, and ``targets`` the allowed
-    exact tails, in ``dtype``, the integer type of the exact tail test.
+    It depends on that block alone: ``cache`` holds its factors, ``heads``
+    the unit heads in lexicographic order.  In rational mode ``exact_ok``
+    marks the exactly unit heads, ``y`` and ``exact`` hold their Y and head
+    numerators, and ``targets`` the allowed exact tails, in ``dtype``, the
+    integer type of the exact tail test.
     """
 
     cache: FactorCache
@@ -439,40 +451,36 @@ def _lifted_basis(state: GramState, spec: ActionSpec, tols: Tolerances
     heads = _readonly(heads[keep])
     if not rational:
         return _LiftedBasis(cache, heads)
-    n, scale = cache.n, cache.exact_scale
-    det, adj = cache.exact_det, cache.exact_adj
-    numerators = spec.c1.numerators_over(scale)
-    h = max(map(abs, numerators))
-    y_max = n * h * max(map(abs, adj.flat))  # bounds |Y|, so |rowsum(Y * H)| <= n^2 h^2 max|adj|
-    dtype = integer_dtype(max(n * y_max * h, scale * det))
-    hmat = np.array(numerators, dtype=object).astype(dtype)[idx[keep]]
-    y = hmat @ adj.astype(dtype)
-    exact_ok = (y * hmat).sum(axis=1) == scale * det
+    n, scale, det = cache.n, cache.exact_scale, cache.exact_det
+    hmat, y, forms, y_bound = _exact_quadratic_forms(spec.c1.numerators_over(scale), idx[keep],
+                                                     cache.exact_adj, scale * det)
+    exact_ok = forms == scale * det
     targets = [det * v for v in spec.c2.numerators_over(scale)]
     # A cross entry is a cosine numerator over D, so |D C| <= D and a tail
     # N = Y (D C_new)^T has |N| <= n max|Y| D.
-    confirm = integer_dtype(max(n * y_max * scale, det, *map(abs, targets)))
+    confirm = integer_dtype(max(n * y_bound * scale, det, *map(abs, targets)))
     return _LiftedBasis(cache, heads, _readonly(exact_ok), _readonly(y[exact_ok].astype(confirm)),
                         _readonly(hmat[exact_ok]),
                         _readonly(np.array(targets, dtype=object).astype(confirm)), confirm)
 
 
 class LiftedPool:
-    """The one object of a lifted fill phase: the basis factors, the unit heads
-    and their tails so far.
+    """The one object of a lifted fill phase: the basis factors, the unit heads,
+    their tails so far and the cross rows not yet tested.
 
     A pool takes its basis block's ``_LiftedBasis`` from ``table`` (a
-    throwaway table by default).  A miss factors the leading dim x dim block
-    (``factorize``) and runs ``_expand_columns`` once; a singular block
-    raises RankDeficientBasis, on every lookup.  The pool's own
-    ``FactorCache`` holds the shared factors and the lift rows of its
-    state's cross block (``rebase_cache`` on a hit), and ``extend`` grows it
-    by one row per move.
+    throwaway table by default), and shares its ``cache`` as it is.  A miss
+    factors the leading dim x dim block (``factorize``) and runs
+    ``_expand_columns`` once; a singular block raises RankDeficientBasis, on
+    every lookup.  At creation the pool queues its state's cross rows: the
+    lift rows C B^-1 in ``lift`` and, in rational mode, their numerators
+    D C in ``cross``.  ``extend`` queues the one row a move placed, and
+    ``enumerate_lifted`` tests the queued rows and empties the queue.
     Within a fill phase rows are only appended, so the basis block, and with
     it the set of unit heads, never changes, and each new row adds one tail
     entry per head.  The pool keeps the unit heads in lexicographic order,
-    and per head its snapped tails, its violation count and the lift row of
-    its first violation.  A count never falls, so a head leaves the pool at
+    and per head its snapped tails, its violation count and the row of its
+    first violation.  A count never falls, so a head leaves the pool at
     its second violation; a head with one violation stays, since it is
     still blamed.
 
@@ -490,14 +498,16 @@ class LiftedPool:
         if state.exact is not None and not spec.is_rational:
             raise MixedModeEntries("rational state requires rational cosine sets")
         table = BasisTable() if table is None else table
-        built = []  # an entry built from this state already holds its cross block
         basis = table.lookup("lifted", state, state.dim, spec, tols,
-                             lambda: built.append(True) or _lifted_basis(state, spec, tols))
+                             lambda: _lifted_basis(state, spec, tols))
         if isinstance(basis, RankDeficientBasis):
             raise RankDeficientBasis(*basis.args)
-        self.cache = basis.cache if built else rebase_cache(basis.cache, state)
-        self.spec, self.tols = spec, tols
-        self.columns = basis.heads  # K x (n + lift rows seen): head, then snapped tails
+        self.cache, self.spec, self.tols = basis.cache, spec, tols
+        n = state.dim
+        self.lift = state.entries[n:, :n] @ self.cache.pseudo_inv
+        # A copy, since a view would pin the whole m x m exact Gram.
+        self.cross = None if state.exact is None else state.exact[n:, :n].copy()
+        self.columns = basis.heads  # K x (n + rows tested): head, then snapped tails
         self.violations = np.zeros(len(self.columns), dtype=np.int64)
         self.first = np.zeros(len(self.columns), dtype=np.int64)
         self.exact = basis.exact
@@ -506,24 +516,31 @@ class LiftedPool:
             self.y, self.targets, self.dtype = basis.y, basis.targets, basis.dtype
 
     def extend(self, head: np.ndarray, exact_head: Sequence[int] | None = None):
-        """Append the head of the row a move placed to the cross block (``extend_cache``)."""
-        self.cache = extend_cache(self.cache, head, exact_head)
+        """Queue the row a move placed, by its head: its lift row (``extend_cache``)
+        and, in rational mode, its exact numerators."""
+        lift, cross = extend_cache(self.cache, head, exact_head)
+        self.lift = np.vstack([self.lift, lift])
+        if self.cross is not None:
+            self.cross = np.vstack([self.cross, np.array(cross, dtype=object)])
 
 
 def enumerate_lifted(pool: LiftedPool, *, blame: np.ndarray | None = None) -> Candidates:
     """Lifted action set for m >= dim: the pool's unit heads with conforming tails.
 
-    Each call tests the lift rows the pool's cache gained since the last call
-    (every cross row on the first): one snapped tail entry per head in the
-    pool and, in rational mode, one exact tail entry per ``exact_ok`` head,
-    whose exact columns are the batch's ``exact``.  ``blame``, when given, is
-    a length-m counter that is incremented at the row responsible each time a
-    candidate fails through exactly one tail entry; the corrector uses it as
-    a conflict feature.
+    Each call tests the rows the pool has queued (every cross row on the
+    first call, then the row each move placed) and empties the queue: one
+    snapped tail entry per head in the pool and, in rational mode, one exact
+    tail entry per ``exact_ok`` head, whose exact columns are the batch's
+    ``exact``.  ``blame``, when given, is a length-m counter that is
+    incremented at the row responsible each time a candidate fails through
+    exactly one tail entry; the corrector uses it as a conflict feature.
     """
     n = pool.cache.n
     seen = pool.columns.shape[1] - n
-    lift = pool.cache.lift_matrix[seen:]
+    lift, cross = pool.lift, pool.cross
+    pool.lift = lift[:0]
+    if cross is not None:
+        pool.cross = cross[:0]
     if len(lift):
         snapped, viol = _tail_filter(pool.columns[:, :n] @ lift.T, pool.spec.c2, pool.tols)
         count = viol.sum(axis=1)
@@ -545,8 +562,7 @@ def enumerate_lifted(pool: LiftedPool, *, blame: np.ndarray | None = None) -> Ca
         np.add.at(blame, n + pool.first[pool.violations == 1], 1)
     if pool.exact is None:
         return Candidates(pool.columns[pool.violations == 0])
-    if (pool.exact_ok.any()
-            and _confirm_exact_lifted(pool, pool.cache.exact_cross[seen:]) is not None):
+    if pool.exact_ok.any() and _confirm_exact_lifted(pool, cross) is not None:
         return Candidates(pool.columns[pool.exact_ok], pool.exact)
     return _stuck(pool.columns.shape[1])
 

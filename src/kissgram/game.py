@@ -280,11 +280,10 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
     pool: LiftedPool | None = None  # once m >= dim; dropped with the phase
     added = 0
     while config.fill_budget is None or added < config.fill_budget:
-        blame = np.zeros(state.m, dtype=np.int64)
         if isinstance(member_list, MembershipList):
             used = np.isin(np.arange(member_list.vectors.shape[0]), meta.member)
             candidates = enumerate_membership(state, meta.anchors, config.action,
-                                              used=used, tols=tols, blame=blame)
+                                              used=used, tols=tols, blame=meta.conflicts)
         elif state.m < state.dim:
             candidates = enumerate_small(state, config.action, tols=tols, table=table)
         else:
@@ -299,8 +298,7 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
                     state = permute_state(state, order)
                     meta.take(order)
                     pool = LiftedPool(state, config.action, tols=tols, table=table)
-            candidates = enumerate_lifted(pool, blame=blame)
-        meta.conflicts += blame
+            candidates = enumerate_lifted(pool, blame=meta.conflicts)
         if not candidates:
             break
         if len(candidates) > config.rollouts_per_move:
@@ -365,7 +363,8 @@ def decompose_reassemble(state: GramState, *, min_pairs: int = 2,
             prefix.extend((i, j))
     if not prefix:
         return ReassembleResult(state, 0, (), tuple(range(m)))
-    order = prefix + [r for r in range(m) if r not in set(prefix)]
+    framed = set(prefix)
+    order = prefix + [r for r in range(m) if r not in framed]
     new_state = permute_state(state, order)
     return ReassembleResult(new_state, len(prefix),
                             tuple(tuple(sorted(r for p in fr for r in p)) for fr in frames),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -226,29 +226,25 @@ def rank_of(state: GramState | np.ndarray, tol: float) -> int:
 
 @dataclass(frozen=True)
 class FactorCache:
-    """Factorization of the leading basis block used by the lifted action set.
+    """Factorization of the leading basis block B used by the lifted action set.
 
-    A ``filler.BasisTable`` keeps one from ``factorize`` per basis block; a
-    ``filler.LiftedPool`` takes it for its state (``rebase_cache``) when a
-    fill phase reaches m >= dim and grows it with ``extend_cache`` on each
-    move.  The factors are read-only, since pools share them.
-    With B the basis block and C the cross block (the rows after it),
-    ``lift_matrix`` is the precomputed product C B^-1, so a tail costs one
+    It depends on B alone: a ``filler.BasisTable`` keeps one from
+    ``factorize`` per basis block, and every ``filler.LiftedPool`` on that
+    block shares it, so its arrays are read-only.  A cross row c (a row
+    after the basis) lifts to B^-1 c (``extend_cache``), so a tail costs one
     matrix-vector product.  The exact fields are populated in rational mode
     only, as integers over the state's denominator D: ``exact_det`` =
-    det(D B) > 0, ``exact_adj`` = adj(D B) and ``exact_cross`` = D C (object
-    arrays of Python ints).  Then B^-1 = D adj(D B) / det(D B), so a head h has
-    h^T B^-1 h = (D h)^T adj (D h) / (D det) and tail
-    C B^-1 h = (D C) adj (D h) / (D det).
+    det(D B) > 0 and ``exact_adj`` = adj(D B), an object array of Python ints.
+    Then B^-1 = D adj(D B) / det(D B), so a head h has
+    h^T B^-1 h = (D h)^T adj (D h) / (D det) and a tail
+    c^T B^-1 h = (D c)^T adj (D h) / (D det).
     """
 
     chol_factor: np.ndarray
     pseudo_inv: np.ndarray
-    lift_matrix: np.ndarray
     exact_scale: int | None = None
     exact_det: int | None = None
     exact_adj: np.ndarray | None = None
-    exact_cross: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -284,39 +280,20 @@ def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCac
             raise RankDeficientBasis(f"leading {n}x{n} block is not positive definite (exact)")
         det, adj = factored
         adj.setflags(write=False)  # shared by every pool on this basis
-    return rebase_cache(FactorCache(chol_factor=_frozen(chol), pseudo_inv=_frozen(pinv),
-                                    lift_matrix=_frozen(np.zeros((0, n))),
-                                    exact_scale=state.exact_scale, exact_det=det,
-                                    exact_adj=adj), state)
+    return FactorCache(chol_factor=_frozen(chol), pseudo_inv=_frozen(pinv),
+                       exact_scale=state.exact_scale, exact_det=det, exact_adj=adj)
 
 
-def rebase_cache(cache: FactorCache, state: GramState) -> FactorCache:
-    """The cache of ``state``, whose leading block is the one ``cache`` factors.
-
-    The basis factors are shared; the lift rows and, in rational mode, the
-    exact cross numerators are those of the state's rows after the basis.
-    """
-    n = cache.n
-    exact_cross = None
+def extend_cache(cache: FactorCache, head: np.ndarray, exact_head: Sequence[int] | None = None
+                 ) -> tuple[np.ndarray, list[int] | None]:
+    """The lift row B^-1 c of one new cross row c (``head``), and in rational
+    mode its exact numerators over D (``exact_head``) as Python ints."""
+    row = None
     if cache.exact_det is not None:
-        exact_cross = state.exact[n:, :n].copy()  # a view would pin the whole m x m Gram
-        exact_cross.setflags(write=False)
-    return replace(cache, lift_matrix=_frozen(state.entries[n:, :n] @ cache.pseudo_inv),
-                   exact_cross=exact_cross)
-
-
-def extend_cache(cache: FactorCache, head: np.ndarray,
-                 exact_head: Sequence[int] | None = None) -> FactorCache:
-    """Append one row to the cross block without refactorizing."""
-    head = np.asarray(head, dtype=float)
-    exact_cross = cache.exact_cross
-    if exact_cross is not None:
         if exact_head is None:
             raise MixedModeEntries("exact cache extended with a float-only head")
         row = [operator.index(x) for x in exact_head]
-        exact_cross = np.vstack([exact_cross, np.array(row, dtype=object)[None, :]])
-    lift = np.vstack([cache.lift_matrix, (cache.pseudo_inv @ head)[None, :]])
-    return replace(cache, lift_matrix=_frozen(lift), exact_cross=exact_cross)
+    return cache.pseudo_inv @ np.asarray(head, dtype=float), row
 
 
 def reconstruct_vectors(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

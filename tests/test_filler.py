@@ -1,5 +1,6 @@
 """Candidate enumeration against an exhaustive oracle, and UCB selection."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -27,6 +28,7 @@ from kissgram.filler import (
     _confirm_exact_lifted,
     _exact_schur_positive,
     _expand_columns,
+    _lifted_basis,
     _tail_filter,
     backpropagate,
     enumerate_lifted,
@@ -517,8 +519,10 @@ def _drive_pool(state: GramState, spec: ActionSpec, moves: int, seed: int,
         exact = None if got.exact is None else got.exact[row]
         state = extend(state, column, exact=exact)
         pool.extend(column[:state.dim], None if exact is None else exact[:state.dim])
+        # The pool keeps only the row it has not tested yet: the one just placed.
+        assert pool.lift.shape == (1, state.dim)
         if state.exact is not None:
-            assert pool.cache.exact_cross.tolist() == state.exact[state.dim:, :state.dim].tolist()
+            assert pool.cross.tolist() == state.exact[-1:, :state.dim].tolist()
     return events
 
 
@@ -564,7 +568,7 @@ def test_batched_confirmation_rejects_everything_as_none():
     heads = _unit_prescreened(pool, spec)
     assert fraction_confirm(state, spec, heads) == [None] * len(heads)
     assert len(pool.y) == len(heads)  # every unit head is exactly unit, then fails a tail
-    assert _confirm_exact_lifted(pool, pool.cache.exact_cross) is None
+    assert _confirm_exact_lifted(pool, pool.cross) is None
     assert not pool.exact_ok.any()
     assert len(enumerate_lifted(LiftedPool(state, spec))) == 0
 
@@ -671,13 +675,31 @@ def test_table_entries_are_read_only():
     basis = next(e for e in table.entries.values() if not isinstance(e, Candidates))
     shared = [basis.heads, basis.exact_ok, basis.y, basis.exact, basis.targets,
               basis.cache.chol_factor, basis.cache.pseudo_inv, basis.cache.exact_adj,
-              basis.cache.lift_matrix, basis.cache.exact_cross,
               small.columns, small.exact]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = array.flat[0]
     # A pool's own state is its own: its marks start from a copy.
     assert pool.exact_ok is not basis.exact_ok and pool.exact_ok.flags.writeable
+
+
+def test_a_basis_entry_depends_on_the_basis_alone():
+    # The entry of a 232-row state equals that of its 8-row basis prefix, so
+    # it holds nothing of the rows after the basis.
+    spec = _rational_spec()
+    state = _truncated("E8Roots", 232, spec)
+    full, prefix = (_lifted_basis(s, spec, TOLS) for s in (state, state.principal(range(8))))
+
+    def arrays(entry):
+        cache = entry.cache
+        return [*entry[1:], *(getattr(cache, f.name) for f in dataclasses.fields(cache))]
+
+    assert len(arrays(full)) == len(arrays(prefix))
+    for a, b in zip(arrays(full), arrays(prefix)):
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist()
+        else:
+            assert a == b
 
 
 def test_enumerate_small_reads_the_table():

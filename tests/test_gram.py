@@ -11,6 +11,7 @@ from kissgram.errors import (
     DimensionMismatch,
     InfeasibleColumn,
     InvalidState,
+    MixedModeEntries,
     RankDeficientBasis,
 )
 from kissgram.gram import (
@@ -18,6 +19,7 @@ from kissgram.gram import (
     Tolerances,
     check_invariants,
     extend,
+    extend_cache,
     factorize,
     full_rank_prefix,
     gram_from_vectors,
@@ -29,6 +31,13 @@ from kissgram.gram import (
 from kissgram.refconfigs import generate
 
 TOLS = Tolerances()
+
+
+def _lift_rows(state: GramState) -> np.ndarray:
+    """The lift rows C B^-1 of the state's cross rows, one ``extend_cache`` call each."""
+    cache = factorize(state)
+    n = cache.n
+    return np.array([extend_cache(cache, row)[0] for row in state.entries[n:, :n]]).reshape(-1, n)
 
 
 def test_extend_antipodal_pair():
@@ -89,7 +98,7 @@ def test_extend_revalidation_rejects_a_tail_off_the_lift_of_its_head():
     state = permute_state(e8, full_rank_prefix(e8))
     sub = state.principal(range(40))
     head = state.entries[40, :8]
-    column = np.concatenate([head, factorize(sub).lift_matrix @ head])
+    column = np.concatenate([head, _lift_rows(sub) @ head])
     assert extend(sub, column, revalidate=True).m == 41
     column[20] -= 1e-8
     with pytest.raises(InfeasibleColumn, match="not positive semidefinite"):
@@ -118,7 +127,7 @@ def test_factorize_identity_basis():
     cache = factorize(state)
     assert np.allclose(cache.chol_factor, np.eye(2))
     assert np.allclose(cache.pseudo_inv, np.eye(2))
-    assert cache.n == 2 and cache.lift_matrix.shape == (0, 2)
+    assert cache.n == 2 and _lift_rows(state).shape == (0, 2)
 
 
 def test_factorize_closed_form_two_by_two():
@@ -139,8 +148,8 @@ def test_factorize_d4_block_reconstruction():
     assert residual < 1e-12
     recon = basis @ cache.pseudo_inv @ basis
     assert np.abs(recon - basis).max() < 1e-10
-    # The lift matrix is C B^-1: lifting the cross rows' heads gives the cross block.
-    assert np.abs(cache.lift_matrix @ basis - cross).max() < 1e-10
+    # The lift rows are C B^-1: lifting the cross rows' heads gives the cross block.
+    assert np.abs(_lift_rows(state) @ basis - cross).max() < 1e-10
 
 
 def test_factorize_requires_enough_rows():
@@ -157,7 +166,7 @@ def test_factorize_rank_deficient_basis_raises():
 
 def test_lift_tail_empty_cross_block():
     state = GramState(dim=2, entries=np.eye(2))
-    assert (factorize(state).lift_matrix @ np.array([0.5, 0.0])).shape == (0,)
+    assert (_lift_rows(state) @ np.array([0.5, 0.0])).shape == (0,)
 
 
 def test_lift_tail_identity_basis_single_cross_row():
@@ -166,23 +175,38 @@ def test_lift_tail_identity_basis_single_cross_row():
     g[2, :2] = r
     g[:2, 2] = r
     state = GramState(dim=2, entries=g)
-    cache = factorize(state)
     head = np.array([0.25, 0.5])
-    assert cache.lift_matrix @ head == pytest.approx([r @ head])
+    assert _lift_rows(state) @ head == pytest.approx([r @ head])
 
 
 def test_lift_tail_matches_direct_dot_products_on_e8():
     built = generate("E8Roots")
     state = permute_state(built.gram.as_float(), full_rank_prefix(built.gram))
-    cache = factorize(state)
+    lift = _lift_rows(state)
     # Oracle: tails computed from explicit root coordinates.
     rng = np.random.default_rng(2)
     for row in rng.choice(np.arange(8, 240), size=12, replace=False):
         head = state.entries[row, :8]
         expected = state.entries[row, 8:]
-        got = cache.lift_matrix @ head
+        got = lift @ head
         err = np.abs(got - expected).max()
         assert err < 1e-10
+
+
+def test_extend_cache_lifts_one_row_by_the_basis_inverse():
+    d4 = generate("D4Roots").gram
+    state = permute_state(d4, full_rank_prefix(d4))
+    cache = factorize(state)
+    row, exact_row = state.entries[5, :4], state.exact[5, :4]
+    lift, exact = extend_cache(cache, row, exact_row)
+    assert np.array_equal(lift, cache.pseudo_inv @ row)
+    assert exact == exact_row.tolist() and all(type(x) is int for x in exact)
+    with pytest.raises(MixedModeEntries):
+        extend_cache(cache, row)  # a rational cache needs the exact row
+    with pytest.raises(TypeError):
+        extend_cache(cache, row, [0.5] * 4)
+    lift, exact = extend_cache(factorize(state.as_float()), row)
+    assert np.array_equal(lift, cache.pseudo_inv @ row) and exact is None
 
 
 def test_reconstruct_vectors_antipodal():
