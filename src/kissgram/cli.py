@@ -9,6 +9,7 @@ the config file.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -33,6 +34,7 @@ from .fileio import (
     write_gram_file,
     write_vector_file,
 )
+from .refconfigs import GENERATORS
 from .verify import verify_gram, verify_vectors
 
 EXIT_OK = 0
@@ -61,6 +63,10 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("--dim must be at least 2")
     if args.budget < 1:
         raise ConfigError("--budget must be at least 1")
+    if args.rng_seed < 0:
+        raise ConfigError("--rng-seed must be non-negative")
+    if not math.isfinite(args.ucb_c):
+        raise ConfigError("--ucb-c must be finite")
     if args.seed_file:
         doc = read_vector_file(args.seed_file)
         if doc.dim != args.dim:
@@ -81,10 +87,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_search(args) -> int:
     from .game import default_policy, train_loop
-    from .runconfig import echo_text, load_run_config
+    from .runconfig import load_run_config
 
     config = load_run_config(args.config)
-    echo = echo_text(config)
+    echo = config.echo
     out_dir = config.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "run.log"
@@ -112,14 +118,14 @@ def _cmd_search(args) -> int:
             log.write(echo)
             log.write("# episodes\n")
         done = 0 if run is None else len(run.rewards)
-        remaining = config.episodes - done
+        remaining = config.game.episodes - done
         if remaining <= 0:
             print(f"nothing to do: checkpoint already covers {done} episodes")
 
         def on_episode(ep_index, run):
             log.write(f"episode {ep_index}: reward {run.rewards[-1]} "
                       f"best {run.best.team_reward}\n")
-            if ep_index % config.game.checkpoint_every == 0 or ep_index == config.episodes:
+            if ep_index % config.game.checkpoint_every == 0 or ep_index == config.game.episodes:
                 save_checkpoint(ckpt_path, config_echo=echo, rng=rng, run=run)
 
         if remaining > 0:
@@ -214,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     gen = sub.add_parser("generate", help="write a reference configuration")
-    gen.add_argument("--name", required=True,
-                     help="CrossPolytope(n), Simplex(n), Hexagon, Icosahedron, "
-                          "D4Roots or E8Roots")
+    gen.add_argument("--name", required=True, help=", ".join(
+        f"{name}(n)" if takes_n else name for name, (_, takes_n) in GENERATORS.items()))
     gen.add_argument("--out", required=True)
     gen.add_argument("--gram-out", default=None)
     gen.set_defaults(func=_cmd_generate)

@@ -163,32 +163,20 @@ def grad_log_prob(policy: CorrectorPolicy, draw: CorrectionDraw) -> np.ndarray:
     return grad
 
 
-@dataclass(frozen=True)
-class EpisodeSample:
-    """Training record: the deletions drawn in one episode and its reward."""
+def policy_gradient_update(policy: CorrectorPolicy, draws: Sequence[CorrectionDraw],
+                           team_reward: float, learning_rate: float,
+                           baseline: float) -> tuple[CorrectorPolicy, float]:
+    """One REINFORCE step for one episode; returns (new policy, updated
+    moving baseline).
 
-    draws: tuple[CorrectionDraw, ...]
-    team_reward: float
-
-
-def policy_gradient_update(policy: CorrectorPolicy, episodes: Sequence[EpisodeSample],
-                           learning_rate: float, baseline: float) -> tuple[CorrectorPolicy, float]:
-    """One REINFORCE step; returns (new policy, updated moving baseline).
-
-    Weights move along mean advantage-weighted score gradients; episodes
-    whose reward equals the baseline contribute nothing.
+    The weights move along the advantage-weighted score gradients of the
+    episode's draws; an episode without draws, or whose reward equals the
+    baseline, leaves them as they are.
     """
-    if not episodes:
-        raise ValueError("policy_gradient_update needs at least one episode")
-    grad = np.zeros_like(policy.weights)
-    for ep in episodes:
-        advantage = ep.team_reward - baseline
-        if advantage == 0.0:
-            continue
-        for draw in ep.draws:
+    advantage = team_reward - baseline
+    if draws and advantage != 0.0:
+        grad = np.zeros_like(policy.weights)
+        for draw in draws:
             grad += advantage * grad_log_prob(policy, draw)
-    grad /= len(episodes)
-    new_weights = policy.weights + learning_rate * grad
-    mean_reward = sum(ep.team_reward for ep in episodes) / len(episodes)
-    new_baseline = 0.9 * baseline + 0.1 * mean_reward
-    return replace(policy, weights=new_weights), new_baseline
+        policy = replace(policy, weights=policy.weights + learning_rate * grad)
+    return policy, 0.9 * baseline + 0.1 * team_reward

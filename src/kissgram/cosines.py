@@ -16,9 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonUnitVector, RankDeficient
+from .errors import RankDeficient
 from .filler import SearchTree, backpropagate, fingerprint_state
 from .gram import COSINE_CAP, gram_from_vectors
+from .refconfigs import unit_rows
 
 # Exact algebraic constants that recur in lattice-derived configurations.
 _SQRT3 = math.sqrt(3.0)
@@ -177,7 +178,11 @@ def _grow_seed(vs: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CosineSimResult:
+    """``counts`` holds, per ``cosine_set`` entry, the histogram samples that
+    snap to it."""
+
     cosine_set: CosineSet
+    counts: tuple[int, ...]
     converged: bool
     histogram: CosineHistogram
     best_count: int
@@ -221,13 +226,14 @@ def _rollout(dim: int, vs0: np.ndarray, tree: SearchTree, rng: np.random.Generat
         contacts = np.count_nonzero(np.abs(profiles - COSINE_CAP) <= 1e-7, axis=1)
         visited = [i for i, k in enumerate(keys)
                    if tree.edge_visits.get((state_fp, k), 0) > 0]
+        skip = set(visited)
         if exploit:
             if visited:
                 pick = max(visited, key=lambda i: tree.edge_value[(state_fp, keys[i])])
             else:
                 pick = int(np.lexsort((np.arange(len(keys)), -contacts))[0])
         else:
-            fresh = [i for i in range(len(keys)) if i not in set(visited)]
+            fresh = [i for i in range(len(keys)) if i not in skip]
             pool = fresh if fresh else list(range(len(keys)))
             prior = contacts + rng.uniform(0.0, 1.0, size=len(keys))
             if not fresh:
@@ -272,10 +278,7 @@ def simulate_cosine_set(dim: int, seed_config: np.ndarray, budget: int,
     vs0 = np.asarray(seed_config, dtype=float)
     if vs0.ndim != 2 or vs0.shape[1] != dim:
         raise RankDeficient(f"seed centers must be vectors of dimension {dim}")
-    norms = np.linalg.norm(vs0, axis=1)
-    if np.any(norms < 1e-12):
-        raise NonUnitVector("zero vector cannot be normalized")
-    vs0 = vs0 / norms[:, None]
+    vs0 = unit_rows(vs0)
     if vs0.shape[0] < dim - 1:
         vs0 = _grow_seed(vs0, dim)
     tree = SearchTree(exploration=ucb_c)
@@ -296,18 +299,19 @@ def simulate_cosine_set(dim: int, seed_config: np.ndarray, budget: int,
         for value in buffer:
             half.record(value)
     merged = halves[0].merged(halves[1])
-    extracted = _extract(merged, halves, noise_floor)
-    per_half = [_extract(h, [h], noise_floor) for h in halves]
-    converged = (len(commits) >= 2 and len(extracted.values) > 0
-                 and per_half[0].values == per_half[1].values)
-    return CosineSimResult(cosine_set=extracted, converged=converged,
+    kept = _extract(merged, halves, noise_floor)
+    per_half = [[e.value for e, _ in _extract(h, [h], noise_floor)] for h in halves]
+    converged = len(commits) >= 2 and len(kept) > 0 and per_half[0] == per_half[1]
+    return CosineSimResult(cosine_set=CosineSet(entries=tuple(e for e, _ in kept)),
+                           counts=tuple(count for _, count in kept), converged=converged,
                            histogram=merged, best_count=best_key[0],
                            best_contacts=max(best_key[1], 0))
 
 
 def _extract(merged: CosineHistogram, halves: list[CosineHistogram],
-             noise_floor: float) -> CosineSet:
-    """Group bins by snapped value, then apply the floor and persistence."""
+             noise_floor: float) -> list[tuple[CosineValue, int]]:
+    """Group bins by snapped value, then apply the floor and persistence;
+    returns the kept values with their group counts, in ascending order."""
     total = max(merged.total_samples, 1)
     half_seen: list[set[str]] = [
         {snap_value(k).display() for k in h.bins} for h in halves]
@@ -316,7 +320,7 @@ def _extract(merged: CosineHistogram, halves: list[CosineHistogram],
         snapped = snap_value(key)
         g = groups.setdefault(snapped.display(), {"entry": snapped, "count": 0})
         g["count"] += count
-    kept = [g["entry"] for label, g in groups.items()
+    kept = [(g["entry"], g["count"]) for label, g in groups.items()
             if g["count"] >= noise_floor * total
             and all(label in seen for seen in half_seen)]
-    return CosineSet(entries=tuple(kept))
+    return sorted(kept, key=lambda pair: pair[0].value)

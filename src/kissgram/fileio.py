@@ -221,10 +221,8 @@ def write_cosine_report(path, result: CosineSimResult, dim: int, budget: int):
         f"best={result.best_count} converged={int(result.converged)}"
     ]
     total = max(result.histogram.total_samples, 1)
-    for entry in result.cosine_set.entries:
-        freq = sum(count for key, count in result.histogram.bins.items()
-                   if snap_value(key).display() == entry.display())
-        lines.append(f"{_cosine_value_fields(entry)} freq={freq / total:.6f} stable=1")
+    for entry, count in zip(result.cosine_set.entries, result.counts):
+        lines.append(f"{_cosine_value_fields(entry)} freq={count / total:.6f} stable=1")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

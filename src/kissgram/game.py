@@ -18,7 +18,6 @@ import numpy as np
 from .corrector import (
     CorrectionDraw,
     CorrectorPolicy,
-    EpisodeSample,
     apply_correction,
     policy_gradient_update,
     row_features,
@@ -127,6 +126,8 @@ class GameConfig:
             raise ConfigError("rational mode requires rational cosine sets")
         if self.mode == "rational" and isinstance(self.action.c_star, MembershipList):
             raise ConfigError("membership constraints run in float mode only")
+        if self.rng_seed < 0:
+            raise ConfigError("rng-seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -478,12 +479,9 @@ def train_loop(config: GameConfig, episodes: int, *, run: TrainResult | None = N
     for _ in range(episodes):
         episode = play_episode(config, seed, run.tree, run.policy, rng, table)
         backpropagate(run.tree, episode.trajectory, float(episode.team_reward))
-        if episode.draws:
-            sample = EpisodeSample(draws=episode.draws, team_reward=float(episode.team_reward))
-            run.policy, run.baseline = policy_gradient_update(
-                run.policy, [sample], config.corrector.learning_rate, run.baseline)
-        else:
-            run.baseline = 0.9 * run.baseline + 0.1 * episode.team_reward
+        run.policy, run.baseline = policy_gradient_update(
+            run.policy, episode.draws, float(episode.team_reward),
+            config.corrector.learning_rate, run.baseline)
         run.rewards.append(episode.team_reward)
         if run.best is None or episode.team_reward > run.best.team_reward:
             run.best = episode

@@ -35,15 +35,15 @@ class GeneratorId:
         if not m:
             raise ParseError(f"bad generator name: {text!r}")
         name, arg = m.group(1), m.group(2)
-        if name in ("CrossPolytope", "Simplex"):
-            if arg is None or not arg.strip().isdigit() or int(arg) < 1:
-                raise ParseError(f"{name} needs a positive integer argument")
-            return GeneratorId(name=name, n=int(arg))
-        if name in ("Hexagon", "Icosahedron", "D4Roots", "E8Roots"):
+        if name not in GENERATORS:
+            raise ParseError(f"unknown generator: {name!r}")
+        if not GENERATORS[name][1]:
             if arg is not None:
                 raise ParseError(f"{name} takes no argument")
             return GeneratorId(name=name)
-        raise ParseError(f"unknown generator: {name!r}")
+        if arg is None or not arg.strip().isdigit() or int(arg) < 1:
+            raise ParseError(f"{name} needs a positive integer argument")
+        return GeneratorId(name=name, n=int(arg))
 
 
 @dataclass(frozen=True)
@@ -164,20 +164,22 @@ def config_from_vectors(raw: np.ndarray, dim: int, exact: np.ndarray | None = No
     return GeneratedConfig("vectors", vectors, state)
 
 
+# Each generator's builder, and whether it takes the argument n.
+GENERATORS = {
+    "CrossPolytope": (cross_polytope, True),
+    "Simplex": (simplex, True),
+    "Hexagon": (hexagon, False),
+    "Icosahedron": (icosahedron, False),
+    "D4Roots": (d4_roots, False),
+    "E8Roots": (e8_roots, False),
+}
+
+
 def generate(gid: GeneratorId | str) -> GeneratedConfig:
     """Build the named reference configuration (exact and deterministic)."""
     if isinstance(gid, str):
         gid = GeneratorId.parse(gid)
-    if gid.name == "CrossPolytope":
-        return cross_polytope(gid.n)
-    if gid.name == "Simplex":
-        return simplex(gid.n)
-    if gid.name == "Hexagon":
-        return hexagon()
-    if gid.name == "Icosahedron":
-        return icosahedron()
-    if gid.name == "D4Roots":
-        return d4_roots()
-    if gid.name == "E8Roots":
-        return e8_roots()
-    raise ParseError(f"unknown generator: {gid.name!r}")
+    if gid.name not in GENERATORS:
+        raise ParseError(f"unknown generator: {gid.name!r}")
+    build, takes_n = GENERATORS[gid.name]
+    return build(gid.n) if takes_n else build()

@@ -1,9 +1,11 @@
 """Declarative run configuration: strict parsing, explicit defaults, echo.
 
 The file is plain text with ``[section]`` headers and ``key = value`` pairs.
-Unknown sections or keys are errors, never silently ignored, and the
-effective configuration (defaults included) is echoed into the run log so
-published runs stay reproducible.
+Unknown sections or keys are errors, never silently ignored.  ``_SCHEMA`` is
+the one list of keys and defaults.  As each key is parsed, the canonical text
+of its parsed value is recorded; that record, in schema order, is the echo
+that goes into the run log and the checkpoint, so published runs stay
+reproducible and a resume can check it runs the same configuration.
 """
 
 from __future__ import annotations
@@ -66,10 +68,6 @@ def _parse_sections(text: str, path) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _get(sections, section, key) -> str:
-    return sections.get(section, {}).get(key, _SCHEMA[section][key])
-
-
 def _as_int(value: str, what: str) -> int:
     try:
         return int(value)
@@ -119,29 +117,44 @@ def _parse_value_list(text: str, what: str) -> DiscreteSet:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A parsed config.  ``out_dir``, ``seed_source`` and ``cstar`` are kept as
-    written, so the echo does not depend on where the run directory sits;
-    relative paths resolve against ``base_dir``, the config file's directory,
-    where they are used."""
+    """A parsed config: the game, ``out_path`` (``out-dir`` resolved against
+    the config file's directory) and ``echo``, the canonical text of each
+    value as ``_build`` parsed it, defaults included, in ``_SCHEMA`` order.
+    Paths are echoed as written, so a copied run directory still resumes."""
 
     game: GameConfig
-    out_dir: str
-    seed_source: str
-    cstar: str
-    base_dir: Path
+    out_path: Path
+    echo: str
 
-    @property
-    def episodes(self) -> int:
-        return self.game.episodes
 
-    @property
-    def out_path(self) -> Path:
-        return self.base_dir / self.out_dir
+def _flag_text(on: bool) -> str:
+    return "on" if on else "off"
+
+
+def _int_or(word: str):
+    """Parse and render a key that is ``word`` (None) or an integer."""
+    return (lambda text, what: None if text == word else _as_int(text, what),
+            lambda n: word if n is None else str(n))
+
+
+def _set_text(cosines: DiscreteSet) -> str:
+    if cosines.exact is None:
+        return ", ".join(map(repr, cosines.values))
+    return ", ".join(format_rational(Fraction(n, cosines.exact_scale)) for n in cosines.exact)
 
 
 def _build(sections, base_dir: Path) -> RunConfig:
-    dim = _as_int(_get(sections, "run", "dim"), "dim")
-    seed_source = _get(sections, "seed", "source")
+    echo: dict[tuple[str, str], str] = {}
+
+    def read(section, key, parse=None, show=str, what=None):
+        """Parse one key, or its default, and record its canonical text."""
+        text = sections.get(section, {}).get(key, _SCHEMA[section][key])
+        value = text if parse is None else parse(text, what or key)
+        echo[section, key] = show(value)
+        return value
+
+    dim = read("run", "dim", _as_int)
+    seed_source = read("seed", "source")
     if seed_source == "scratch":
         seed = SeedSpec(kind="scratch")
     elif seed_source.startswith("generator:"):
@@ -156,20 +169,26 @@ def _build(sections, base_dir: Path) -> RunConfig:
     else:
         raise ConfigError(f"seed source must be scratch, generator:<name> or file:<path>, "
                           f"got {seed_source!r}")
-    rows_text = _get(sections, "seed", "rows")
-    if rows_text != "all":
-        seed = SeedSpec(kind=seed.kind, name=seed.name, path=seed.path,
-                        rows=_as_int(rows_text, "seed rows"))
+    rows = read("seed", "rows", *_int_or("all"), what="seed rows")
+    if rows is not None:
+        seed = SeedSpec(kind=seed.kind, name=seed.name, path=seed.path, rows=rows)
 
-    c1 = _parse_value_list(_get(sections, "action", "c1"), "action c1")
-    c2_text = _get(sections, "action", "c2")
-    if c2_text == "same":
-        c2: DiscreteSet | CapOnly = c1
-    elif c2_text.startswith("cap:"):
-        c2 = CapOnly(max_value=_as_cosine(c2_text.split(":", 1)[1].strip(), "tail cap"))
-    else:
-        c2 = _parse_value_list(c2_text, "action c2")
-    cstar_text = _get(sections, "action", "cstar")
+    c1 = read("action", "c1", _parse_value_list, _set_text, "action c1")
+
+    def parse_c2(text, what) -> DiscreteSet | CapOnly:
+        if text == "same":
+            return c1
+        if text.startswith("cap:"):
+            return CapOnly(max_value=_as_cosine(text.split(":", 1)[1].strip(), "tail cap"))
+        return _parse_value_list(text, what)
+
+    def show_c2(c2) -> str:
+        if isinstance(c2, CapOnly):
+            return f"cap:{c2.max_value!r}"
+        return "same" if c2.values == c1.values else _set_text(c2)
+
+    c2 = read("action", "c2", parse_c2, show_c2, "action c2")
+    cstar_text = read("action", "cstar")
     cstar = None
     if cstar_text != "none":
         if not cstar_text.startswith("file:"):
@@ -185,46 +204,39 @@ def _build(sections, base_dir: Path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"action: {exc}") from exc
 
-    fill_text = _get(sections, "run", "fill-budget")
-    fill_budget = None if fill_text == "unbounded" else _as_int(fill_text, "fill-budget")
+    fill_budget = read("run", "fill-budget", *_int_or("unbounded"))
     corrector = CorrectorConfig(
-        temperature=_as_float(_get(sections, "corrector", "temperature"), "temperature"),
-        max_delete_fraction=_as_float(
-            _get(sections, "corrector", "max-delete-fraction"), "max-delete-fraction"),
-        learning_rate=_as_float(
-            _get(sections, "corrector", "learning-rate"), "learning-rate"),
-        protect_seed=_as_flag(_get(sections, "corrector", "protect-seed"), "protect-seed"),
+        temperature=read("corrector", "temperature", _as_float, repr),
+        max_delete_fraction=read("corrector", "max-delete-fraction", _as_float, repr),
+        learning_rate=read("corrector", "learning-rate", _as_float, repr),
+        protect_seed=read("corrector", "protect-seed", _as_flag, _flag_text),
     )
-    tols = Tolerances(
-        psd=_as_float(_get(sections, "tolerances", "psd"), "psd tolerance"),
-        rank=_as_float(_get(sections, "tolerances", "rank"), "rank tolerance"),
-        cosine=_as_float(_get(sections, "tolerances", "cosine"), "cosine tolerance"),
-        snap=_as_float(_get(sections, "tolerances", "snap"), "snap tolerance"),
-    )
+    tols = Tolerances(**{key: read("tolerances", key, _as_float, repr, f"{key} tolerance")
+                         for key in ("psd", "rank", "cosine", "snap")})
     game = GameConfig(
         dim=dim,
         action=action,
         seed=seed,
-        rounds=_as_int(_get(sections, "run", "rounds"), "rounds"),
+        rounds=read("run", "rounds", _as_int),
         fill_budget=fill_budget,
-        rollouts_per_move=_as_int(_get(sections, "run", "rollouts-per-move"),
-                                  "rollouts-per-move"),
-        rng_seed=_as_int(_get(sections, "run", "rng-seed"), "rng-seed"),
-        mode=_get(sections, "run", "mode"),
-        stagnation_window=_as_int(_get(sections, "run", "stagnation-window"),
-                                  "stagnation-window"),
-        exploration=_as_float(_get(sections, "run", "exploration"), "exploration"),
+        rollouts_per_move=read("run", "rollouts-per-move", _as_int),
+        rng_seed=read("run", "rng-seed", _as_int),
+        mode=read("run", "mode"),
+        stagnation_window=read("run", "stagnation-window", _as_int),
+        exploration=read("run", "exploration", _as_float, repr),
         corrector=corrector,
         tolerances=tols,
-        reassemble=_as_flag(_get(sections, "run", "reassemble"), "reassemble"),
-        debug_revalidate=_as_flag(_get(sections, "run", "debug-revalidate"),
-                                  "debug-revalidate"),
-        episodes=_as_int(_get(sections, "run", "episodes"), "episodes"),
-        checkpoint_every=_as_int(_get(sections, "run", "checkpoint-every"),
-                                 "checkpoint-every"),
+        reassemble=read("run", "reassemble", _as_flag, _flag_text),
+        debug_revalidate=read("run", "debug-revalidate", _as_flag, _flag_text),
+        episodes=read("run", "episodes", _as_int),
+        checkpoint_every=read("run", "checkpoint-every", _as_int),
     )
-    return RunConfig(game=game, out_dir=_get(sections, "run", "out-dir"), seed_source=seed_source,
-                     cstar=cstar_text, base_dir=base_dir)
+    out_path = base_dir / read("run", "out-dir")
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {echo[section, key]}" for key in keys)
+    return RunConfig(game=game, out_path=out_path, echo="\n".join(lines) + "\n")
 
 
 def load_run_config(path) -> RunConfig:
@@ -236,54 +248,3 @@ def load_run_config(path) -> RunConfig:
     sections = _parse_sections(text, path)
     return _build(sections, p.parent)
 
-
-def _set_text(cosines: DiscreteSet) -> str:
-    if cosines.exact is None:
-        return ", ".join(map(repr, cosines.values))
-    return ", ".join(format_rational(Fraction(n, cosines.exact_scale)) for n in cosines.exact)
-
-
-def echo_text(config: RunConfig) -> str:
-    """Canonical rendering of the effective configuration, defaults included."""
-    game = config.game
-    c1, c2 = game.action.c1, game.action.c2
-    if isinstance(c2, CapOnly):
-        c2_text = f"cap:{c2.max_value!r}"
-    elif c2.values == c1.values:
-        c2_text = "same"
-    else:
-        c2_text = _set_text(c2)
-    lines = [
-        "[run]",
-        f"dim = {game.dim}",
-        f"mode = {game.mode}",
-        f"rng-seed = {game.rng_seed}",
-        f"episodes = {game.episodes}",
-        f"rounds = {game.rounds}",
-        f"fill-budget = {'unbounded' if game.fill_budget is None else game.fill_budget}",
-        f"rollouts-per-move = {game.rollouts_per_move}",
-        f"stagnation-window = {game.stagnation_window}",
-        f"exploration = {game.exploration!r}",
-        f"checkpoint-every = {game.checkpoint_every}",
-        f"reassemble = {'on' if game.reassemble else 'off'}",
-        f"debug-revalidate = {'on' if game.debug_revalidate else 'off'}",
-        f"out-dir = {config.out_dir}",
-        "[seed]",
-        f"source = {config.seed_source}",
-        f"rows = {'all' if game.seed.rows is None else game.seed.rows}",
-        "[action]",
-        f"c1 = {_set_text(c1)}",
-        f"c2 = {c2_text}",
-        f"cstar = {config.cstar}",
-        "[corrector]",
-        f"temperature = {game.corrector.temperature!r}",
-        f"max-delete-fraction = {game.corrector.max_delete_fraction!r}",
-        f"learning-rate = {game.corrector.learning_rate!r}",
-        f"protect-seed = {'on' if game.corrector.protect_seed else 'off'}",
-        "[tolerances]",
-        f"psd = {game.tolerances.psd!r}",
-        f"rank = {game.tolerances.rank!r}",
-        f"cosine = {game.tolerances.cosine!r}",
-        f"snap = {game.tolerances.snap!r}",
-    ]
-    return "\n".join(lines) + "\n"

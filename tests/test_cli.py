@@ -98,6 +98,18 @@ def test_search_writes_artifacts_and_certificate(tmp_path):
     assert "episode 6" in log
 
 
+def test_run_log_echo_equals_the_checkpoint_echo(tmp_path):
+    from kissgram.checkpoint import load_checkpoint
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ndim = 2\nepisodes = 2\nrounds = 2\nrng-seed = 5\nout-dir = out\n"
+                   "[action]\nc2 = cap:1/2\n[corrector]\nlearning-rate = 1e-1\n")
+    assert run_cli("search", "--config", str(cfg)) == 0
+    log = (tmp_path / "out" / "run.log").read_text()
+    echo = log.split("# effective configuration\n", 1)[1].split("# episodes\n", 1)[0]
+    assert echo == load_checkpoint(tmp_path / "out" / "checkpoint.bin").config_echo
+
+
 def test_search_rejects_unknown_config_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     for line in ("frobnicate = yes", "norm-convention = inverse"):
@@ -200,7 +212,7 @@ def test_copied_run_directory_resumes(tmp_path):
 
     from kissgram.checkpoint import save_checkpoint
     from kissgram.game import train_loop
-    from kissgram.runconfig import echo_text, load_run_config
+    from kissgram.runconfig import load_run_config
 
     first = tmp_path / "a"
     first.mkdir()
@@ -215,7 +227,7 @@ def test_copied_run_directory_resumes(tmp_path):
     half = train_loop(run.game, 2, rng=rng)
     for name in ("best.gram", "best.cert", "best.vectors"):
         (first / "runs" / "out" / name).unlink()
-    save_checkpoint(first / "runs" / "out" / "checkpoint.bin", config_echo=echo_text(run),
+    save_checkpoint(first / "runs" / "out" / "checkpoint.bin", config_echo=run.echo,
                     rng=rng, run=half)
     copy = tmp_path / "b"
     shutil.copytree(first, copy)
@@ -507,7 +519,7 @@ def test_resume_accepts_a_policy_section_with_protected_prefix(tmp_path):
     # Earlier checkpoints wrote the policy's protected_prefix (always 0) into POLI.
     from kissgram.checkpoint import save_checkpoint
     from kissgram.game import train_loop
-    from kissgram.runconfig import echo_text, load_run_config
+    from kissgram.runconfig import load_run_config
 
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[run]\ndim = 3\nepisodes = 4\nrounds = 3\nrng-seed = 2\nout-dir = out\n")
@@ -517,7 +529,7 @@ def test_resume_accepts_a_policy_section_with_protected_prefix(tmp_path):
     rng = np.random.default_rng(run.game.rng_seed)
     half = train_loop(run.game, 2, rng=rng)
     ckpt = tmp_path / "half.bin"
-    save_checkpoint(ckpt, config_echo=echo_text(run), rng=rng, run=half)
+    save_checkpoint(ckpt, config_echo=run.echo, rng=rng, run=half)
     _rewrite_checkpoint_section(ckpt, "POLI",
                                 _edit_json(lambda doc: {**doc, "protected_prefix": 0}))
     assert run_cli("search", "--config", str(cfg), "--resume", str(ckpt)) == 0
@@ -559,6 +571,7 @@ def test_search_resume_with_wrong_policy_shape_exits_4(tmp_path, capsys, weights
     "[run]\ndim = 2\nrollouts-per-move = 0\n",
     "[run]\ndim = 2\n[corrector]\nlearning-rate = nan\n",
     "[run]\ndim = 2\nexploration = inf\n",
+    "[run]\ndim = 2\nrng-seed = -1\n",
     # A nan snap tolerance would turn every snap check off.
     "[run]\ndim = 3\n[tolerances]\nsnap = nan\n",
     "[run]\ndim = 2\n[tolerances]\npsd = -1e-9\n",
@@ -580,6 +593,17 @@ def test_search_empty_seed_file_exits_3(tmp_path, capsys):
     cfg.write_text("[run]\ndim = 2\nepisodes = 1\nrounds = 1\n[seed]\nsource = file:x.vec\n")
     assert run_cli("search", "--config", str(cfg)) == 3
     assert "seed holds no rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--rng-seed", "-1"), ("--ucb-c", "inf"),
+                                         ("--ucb-c", "nan")])
+def test_simulate_cosines_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "r"
+    assert run_cli("simulate-cosines", "--dim", "2", "--budget", "5", "--out", str(out),
+                   flag, value) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_simulate_cosines_zero_seed_row_exits_1(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from kissgram.corrector import (
     CorrectionDraw,
     CorrectorPolicy,
-    EpisodeSample,
     FEATURE_BASE,
     apply_correction,
     grad_log_prob,
@@ -211,8 +210,7 @@ def test_update_with_zero_advantage_keeps_weights():
     rng = np.random.default_rng(4)
     policy = CorrectorPolicy(weights=np.array([0.3, -0.2]))
     draw = _random_draw(rng, m=4, n_features=2)
-    episode = EpisodeSample(draws=(draw,), team_reward=7.0)
-    updated, _ = policy_gradient_update(policy, [episode], learning_rate=0.1, baseline=7.0)
+    updated, _ = policy_gradient_update(policy, (draw,), 7.0, learning_rate=0.1, baseline=7.0)
     assert np.array_equal(updated.weights, policy.weights)
 
 
@@ -232,8 +230,7 @@ def test_synthetic_bandit_weight_increases():
         if not draw.sequence:
             baseline = 0.9 * baseline + 0.1 * reward
             continue
-        episode = EpisodeSample(draws=(draw,), team_reward=reward)
-        policy, baseline = policy_gradient_update(policy, [episode],
+        policy, baseline = policy_gradient_update(policy, (draw,), reward,
                                                   learning_rate=0.3, baseline=baseline)
         weights_history.append(float(policy.weights[0]))
     assert weights_history[-1] > 0.5

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from kissgram.game import GameConfig, TrainResult, train_loop
 from kissgram.gram import GramState, gram_from_vectors
 from kissgram.rational import cosine_factors, format_rational
 from kissgram.refconfigs import generate
-from kissgram.runconfig import echo_text, load_run_config
+from kissgram.runconfig import load_run_config
 from kissgram.verify import verify_gram
 
 F = Fraction
@@ -299,12 +300,69 @@ def test_run_config_echo_reparses_identically(tmp_path):
                     "[action]\nc1 = -1, -1/2, 1/2\nc2 = cap:1/2\n"
                     "[corrector]\ntemperature = 0.5\n")
     run = load_run_config(path)
-    echo = echo_text(run)
+    echo = run.echo
     path2 = tmp_path / "echo.cfg"
     path2.write_text(echo)
     run2 = load_run_config(path2)
-    assert echo_text(run2) == echo
+    assert run2.echo == echo
     assert run2.game == run.game
+
+
+def test_run_config_echo_is_pinned(tmp_path):
+    # Every key set away from its default, several in a form the echo
+    # canonicalizes.  Rational mode rules out a membership list, so ``mode``
+    # and ``cstar`` leave their defaults in two configs that share the rest.
+    write_vector_file(tmp_path / "allowed.vec", np.eye(3))
+    run = ("rng-seed = 11\nepisodes = 7\nrounds = 2\nfill-budget = 9\n"
+           "rollouts-per-move = 64\nstagnation-window = 4\nexploration = 0.75\n"
+           "checkpoint-every = 3\nreassemble = on\ndebug-revalidate = true\n"
+           "out-dir = elsewhere/out\n"
+           "[seed]\nsource = generator:CrossPolytope(3)\nrows = 4\n")
+    rest = ("[corrector]\ntemperature = 0.5\nmax-delete-fraction = 1e-1\n"
+            "learning-rate = 0.125\nprotect-seed = off\n"
+            "[tolerances]\npsd = 2e-9\nrank = 1E-6\ncosine = 3e-10\nsnap = 5e-8\n")
+    echo_run = ("rng-seed = 11\nepisodes = 7\nrounds = 2\nfill-budget = 9\n"
+                "rollouts-per-move = 64\nstagnation-window = 4\nexploration = 0.75\n"
+                "checkpoint-every = 3\nreassemble = on\ndebug-revalidate = on\n"
+                "out-dir = elsewhere/out\n"
+                "[seed]\nsource = generator:CrossPolytope(3)\nrows = 4\n")
+    echo_rest = ("[corrector]\ntemperature = 0.5\nmax-delete-fraction = 0.1\n"
+                 "learning-rate = 0.125\nprotect-seed = off\n"
+                 "[tolerances]\npsd = 2e-09\nrank = 1e-06\ncosine = 3e-10\nsnap = 5e-08\n")
+    cases = [
+        ("[run]\ndim = 3\nmode = rational\n" + run
+         + "[action]\nc1 = -1, 0/3, 2/4\nc2 = -1, -1/2, 0, 1/2\n" + rest,
+         "[run]\ndim = 3\nmode = rational\n" + echo_run
+         + "[action]\nc1 = -1, 0, 1/2\nc2 = -1, -1/2, 0, 1/2\ncstar = none\n" + echo_rest),
+        ("[run]\ndim = 3\n" + run
+         + "[action]\nc1 = -1, -0.5, 0.0, 0.5\nc2 = cap:1/4\ncstar = file:allowed.vec\n" + rest,
+         "[run]\ndim = 3\nmode = float\n" + echo_run
+         + "[action]\nc1 = -1.0, -0.5, 0.0, 0.5\nc2 = cap:0.25\ncstar = file:allowed.vec\n"
+         + echo_rest),
+    ]
+    path = tmp_path / "run.cfg"
+    for text, echo in cases:
+        path.write_text(text)
+        assert load_run_config(path).echo == echo
+
+
+def test_readme_run_configuration_lists_the_schema(tmp_path):
+    from kissgram.runconfig import _SCHEMA
+
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Run configuration", 1)[1]
+    block = section.split("```\n", 2)[1]
+    path = tmp_path / "run.cfg"
+    path.write_text(block)
+    load_run_config(path)
+    listed, current = [], None
+    for raw in block.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("["):
+            current = line[1:-1]
+        elif line:
+            listed.append((current, line.split("=", 1)[0].strip()))
+    assert listed == [(section, key) for section, keys in _SCHEMA.items() for key in keys]
 
 
 def test_run_config_seed_and_cap_parsing(tmp_path):
