@@ -62,7 +62,6 @@ def _best_from_payload(payload: bytes) -> EpisodeResult | None:
         team_reward=int(doc["team_reward"]),
         per_round_sizes=tuple(doc["per_round_sizes"]),
         trajectory=(),
-        wall_time=0.0,
     )
 
 

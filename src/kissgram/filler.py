@@ -11,8 +11,8 @@ columns, of which ``select_action`` picks a row.
 A lifted head depends only on the basis block, which a fill phase never
 changes, and each move appends one row.  So a ``LiftedPool``, the one object
 of a lifted fill phase, takes the basis factors and the unit heads once per
-phase and keeps only the cross rows it has not yet tested; per move it lifts
-the one new row, snaps one new tail entry per head that has at most one
+phase and keeps only each head's tails; per move it reads the one new row
+from the state, snaps one new tail entry per head that has at most one
 violation so far and, in rational mode, checks one new exact tail entry per
 head that is still exactly unit and conforming.
 
@@ -465,24 +465,20 @@ def _lifted_basis(state: GramState, spec: ActionSpec, tols: Tolerances
 
 
 class LiftedPool:
-    """The one object of a lifted fill phase: the basis factors, the unit heads,
-    their tails so far and the cross rows not yet tested.
+    """The one object of a lifted fill phase: the basis factors, the unit heads
+    and their tails so far.
 
     A pool takes its basis block's ``_LiftedBasis`` from ``table`` (a
     throwaway table by default), and shares its ``cache`` as it is.  A miss
     factors the leading dim x dim block (``factorize``) and runs
     ``_expand_columns`` once; a singular block raises RankDeficientBasis, on
-    every lookup.  At creation the pool queues its state's cross rows: the
-    lift rows C B^-1 in ``lift`` and, in rational mode, their numerators
-    D C in ``cross``.  ``extend`` queues the one row a move placed, and
-    ``enumerate_lifted`` tests the queued rows and empties the queue.
-    Within a fill phase rows are only appended, so the basis block, and with
-    it the set of unit heads, never changes, and each new row adds one tail
-    entry per head.  The pool keeps the unit heads in lexicographic order,
-    and per head its snapped tails, its violation count and the row of its
-    first violation.  A count never falls, so a head leaves the pool at
-    its second violation; a head with one violation stays, since it is
-    still blamed.
+    every lookup.  ``start`` is the state's row count at creation.  Within a
+    fill phase rows are only appended, so the basis block, and with it the
+    set of unit heads, never changes, and each new row adds one tail entry
+    per head.  The pool keeps the unit heads in lexicographic order, and per
+    head its snapped tails, its violation count and the row of its first
+    violation.  A count never falls, so a head leaves the pool at its second
+    violation; a head with one violation stays, since it is still blamed.
 
     In rational mode the float unit test is a prescreen.  With H = D c1[head]
     and Y = H adj(D B), the basis entry decides once per head whether it is
@@ -503,10 +499,7 @@ class LiftedPool:
         if isinstance(basis, RankDeficientBasis):
             raise RankDeficientBasis(*basis.args)
         self.cache, self.spec, self.tols = basis.cache, spec, tols
-        n = state.dim
-        self.lift = state.entries[n:, :n] @ self.cache.pseudo_inv
-        # A copy, since a view would pin the whole m x m exact Gram.
-        self.cross = None if state.exact is None else state.exact[n:, :n].copy()
+        self.start = state.m
         self.columns = basis.heads  # K x (n + rows tested): head, then snapped tails
         self.violations = np.zeros(len(self.columns), dtype=np.int64)
         self.first = np.zeros(len(self.columns), dtype=np.int64)
@@ -515,33 +508,29 @@ class LiftedPool:
             self.exact_ok = basis.exact_ok.copy()
             self.y, self.targets, self.dtype = basis.y, basis.targets, basis.dtype
 
-    def extend(self, head: np.ndarray, exact_head: Sequence[int] | None = None):
-        """Queue the row a move placed, by its head: its lift row (``extend_cache``)
-        and, in rational mode, its exact numerators."""
-        lift, cross = extend_cache(self.cache, head, exact_head)
-        self.lift = np.vstack([self.lift, lift])
-        if self.cross is not None:
-            self.cross = np.vstack([self.cross, np.array(cross, dtype=object)])
 
-
-def enumerate_lifted(pool: LiftedPool, *, blame: np.ndarray | None = None) -> Candidates:
+def enumerate_lifted(pool: LiftedPool, state: GramState, *,
+                     blame: np.ndarray | None = None) -> Candidates:
     """Lifted action set for m >= dim: the pool's unit heads with conforming tails.
 
-    Each call tests the rows the pool has queued (every cross row on the
-    first call, then the row each move placed) and empties the queue: one
-    snapped tail entry per head in the pool and, in rational mode, one exact
-    tail entry per ``exact_ok`` head, whose exact columns are the batch's
-    ``exact``.  ``blame``, when given, is a length-m counter that is
-    incremented at the row responsible each time a candidate fails through
-    exactly one tail entry; the corrector uses it as a conflict feature.
+    ``state`` is the pool's state grown by the phase's moves.  Each call
+    tests the rows of ``state`` the pool has not yet tested: the cross rows
+    present at creation, lifted as one block C B^-1, then the row each move
+    placed, lifted by ``extend_cache``.  A row adds one snapped tail entry
+    per head in the pool and, in rational mode, one exact tail entry per
+    ``exact_ok`` head, whose exact columns are the batch's ``exact``.
+    ``blame``, when given, is a length-m counter that is incremented at the
+    row responsible each time a candidate fails through exactly one tail
+    entry; the corrector uses it as a conflict feature.
     """
     n = pool.cache.n
     seen = pool.columns.shape[1] - n
-    lift, cross = pool.lift, pool.cross
-    pool.lift = lift[:0]
-    if cross is not None:
-        pool.cross = cross[:0]
-    if len(lift):
+    untested = slice(n + seen, None)
+    new = state.entries[untested, :n]
+    if len(new):
+        held = max(pool.start - n - seen, 0)  # untested rows present at the pool's creation
+        lift = np.vstack([new[:held] @ pool.cache.pseudo_inv,
+                          *(extend_cache(pool.cache, row) for row in new[held:])])
         snapped, viol = _tail_filter(pool.columns[:, :n] @ lift.T, pool.spec.c2, pool.tols)
         count = viol.sum(axis=1)
         pool.first = np.where((pool.violations == 0) & (count > 0),
@@ -562,7 +551,7 @@ def enumerate_lifted(pool: LiftedPool, *, blame: np.ndarray | None = None) -> Ca
         np.add.at(blame, n + pool.first[pool.violations == 1], 1)
     if pool.exact is None:
         return Candidates(pool.columns[pool.violations == 0])
-    if pool.exact_ok.any() and _confirm_exact_lifted(pool, cross) is not None:
+    if pool.exact_ok.any() and _confirm_exact_lifted(pool, state.exact[untested, :n]) is not None:
         return Candidates(pool.columns[pool.exact_ok], pool.exact)
     return _stuck(pool.columns.shape[1])
 
@@ -605,28 +594,24 @@ def _confirm_exact_lifted(pool: LiftedPool, cross: np.ndarray) -> np.ndarray | N
 
 
 def enumerate_membership(state: GramState, anchors: np.ndarray, spec: ActionSpec, *,
-                         used: np.ndarray | None = None,
                          tols: Tolerances = DEFAULT_TOLS,
                          blame: np.ndarray | None = None) -> Candidates:
     """Action set restricted to a fixed vector list (coordinate-anchored runs).
 
     ``anchors`` holds the coordinates of the current rows; candidates are the
-    unused vectors of the membership list whose cosine column satisfies every
+    vectors of the membership list whose cosine column satisfies every
     discrete and cap constraint, in list order, with their list indices as
-    ``members``.
+    ``members``.  A vector already placed has cosine 1 with its own row, so
+    the cap rejects it while ``tols.cosine`` < 1/2.
     """
-    member = spec.c_star
-    if not isinstance(member, MembershipList):
+    if not isinstance(spec.c_star, MembershipList):
         raise ValueError("enumerate_membership needs a MembershipList constraint")
-    allowed = member.vectors
+    allowed = spec.c_star.vectors
     m, n = state.m, state.dim
     if anchors.shape != (m, allowed.shape[1]):
         raise DimensionMismatch("anchor coordinates disagree with the state")
     cols = allowed @ anchors.T
-    ok = np.ones(allowed.shape[0], dtype=bool)
-    if used is not None:
-        ok &= ~used
-    ok &= cols.max(axis=1) <= COSINE_CAP + tols.cosine
+    ok = cols.max(axis=1) <= COSINE_CAP + tols.cosine
     head_len = min(m, n)
     c1v = np.asarray(spec.c1.values, dtype=float)
     head_dist = np.abs(cols[:, :head_len, None] - c1v[None, None, :]).min(axis=2)

@@ -9,7 +9,6 @@ would be a soundness bug and raises immediately.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import astuple, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -74,6 +73,8 @@ class SeedSpec:
         if self.kind == "scratch" and self.rows is not None:
             raise ConfigError("seed rows apply to generator and file seeds; "
                               "the scratch seed is a single row")
+        if self.rows is not None and self.rows < 1:
+            raise ConfigError("seed rows must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -114,12 +115,24 @@ class GameConfig:
             raise ConfigError("checkpoint-every must be at least 1")
         if self.rollouts_per_move < 1:
             raise ConfigError("rollouts-per-move must be at least 1")
+        if self.fill_budget is not None and self.fill_budget < 1:
+            raise ConfigError("fill-budget must be at least 1")
+        if self.stagnation_window < 1:
+            raise ConfigError("stagnation-window must be at least 1")
+        if not self.exploration >= 0.0:
+            raise ConfigError("exploration must be non-negative")
         if not all(tol >= 0.0 for tol in astuple(self.tolerances)):
             raise ConfigError("tolerances must be non-negative")
+        # A placed member-list vector has cosine 1 with its own row: the cap
+        # rejects it only while cosine + 1/2 < 1.
+        if not self.tolerances.cosine < 0.5:
+            raise ConfigError("the cosine tolerance must be below 1/2")
         if not self.corrector.temperature > 0.0:
             raise ConfigError("corrector temperature must be positive")
         if not 0.0 <= self.corrector.max_delete_fraction < 1.0:
             raise ConfigError("corrector max-delete-fraction must lie in [0, 1)")
+        if not self.corrector.learning_rate >= 0.0:
+            raise ConfigError("corrector learning-rate must be non-negative")
         if self.mode not in ("float", "rational"):
             raise ConfigError(f"unknown mode: {self.mode!r}")
         if self.mode == "rational" and not self.action.is_rational:
@@ -138,7 +151,6 @@ class EpisodeResult:
     team_reward: int
     per_round_sizes: tuple[int, ...]
     trajectory: tuple[tuple[bytes, bytes], ...]
-    wall_time: float
     draws: tuple[CorrectionDraw, ...] = ()
 
 
@@ -159,32 +171,28 @@ def _check_bound(state: GramState):
 
 
 class Seed(NamedTuple):
-    """A run's starting matrix, built once and replayed by every episode:
-    ``member`` is each row's membership-list index (-1 for none), and
+    """A run's starting matrix, built once and replayed by every episode;
     ``anchors``, the rows' coordinates, are kept for member-list runs only."""
 
     state: GramState
     anchors: np.ndarray | None
-    member: np.ndarray
 
 
 class _RowMeta:
     """Per-row arrays that must follow every permutation and deletion;
-    ``member`` and ``anchors`` start as the seed's (see ``Seed``)."""
+    ``anchors`` start as the seed's (see ``Seed``)."""
 
     def __init__(self, seed: Seed, protected: bool):
         m = seed.state.m
         self.ages = np.zeros(m, dtype=np.int64)
         self.conflicts = np.zeros(m, dtype=np.int64)
         self.protected = np.full(m, protected)
-        self.member = seed.member
         self.anchors = seed.anchors
 
-    def append(self, age: int, member: int, anchor: np.ndarray | None):
+    def append(self, age: int, anchor: np.ndarray | None):
         self.ages = np.append(self.ages, age)
         self.conflicts = np.append(self.conflicts, 0)
         self.protected = np.append(self.protected, False)
-        self.member = np.append(self.member, member)
         if self.anchors is not None:
             self.anchors = np.vstack([self.anchors, anchor[None, :]])
 
@@ -192,7 +200,7 @@ class _RowMeta:
         """Keep ``rows``, in that order: a deletion or a permutation."""
         rows = np.asarray(rows, dtype=np.intp)
         self.ages, self.conflicts = self.ages[rows], self.conflicts[rows]
-        self.protected, self.member = self.protected[rows], self.member[rows]
+        self.protected = self.protected[rows]
         if self.anchors is not None:
             self.anchors = self.anchors[rows]
 
@@ -208,9 +216,8 @@ def _kept_rows(spec: SeedSpec, count: int) -> int:
 
 def load_seed(config: GameConfig) -> Seed:
     """Build the run's seed once: generate or read it, keep its first ``rows``
-    rows, validate them, lift a rational state to the run's D and look each
-    row up in the membership list.  Only a file seed's kept rows are
-    normalized, checked and turned into a Gram."""
+    rows, validate them and lift a rational state to the run's D.  Only a
+    file seed's kept rows are normalized, checked and turned into a Gram."""
     from .fileio import read_vector_file
     from .refconfigs import config_from_vectors, generate
 
@@ -240,17 +247,11 @@ def load_seed(config: GameConfig) -> Seed:
     except InvalidState as exc:
         raise InvalidSeed(str(exc)) from exc
     _check_bound(state)
-    member = np.full(state.m, -1)
-    if isinstance(config.action.c_star, MembershipList):
-        if anchors is None:
-            raise InvalidSeed("membership constraint needs a coordinate-anchored seed")
-        lookup = {np.rint(v * 1e9).astype(np.int64).tobytes(): i
-                  for i, v in enumerate(config.action.c_star.vectors)}
-        member = np.array([lookup.get(np.rint(v * 1e9).astype(np.int64).tobytes(), -1)
-                           for v in anchors])
-    else:
+    if not isinstance(config.action.c_star, MembershipList):
         anchors = None
-    return Seed(_run_scale(state, config.action), anchors, member)
+    elif anchors is None:
+        raise InvalidSeed("membership constraint needs a coordinate-anchored seed")
+    return Seed(_run_scale(state, config.action), anchors)
 
 
 def _run_scale(state: GramState, spec: ActionSpec) -> GramState:
@@ -282,9 +283,8 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
     added = 0
     while config.fill_budget is None or added < config.fill_budget:
         if isinstance(member_list, MembershipList):
-            used = np.isin(np.arange(member_list.vectors.shape[0]), meta.member)
             candidates = enumerate_membership(state, meta.anchors, config.action,
-                                              used=used, tols=tols, blame=meta.conflicts)
+                                              tols=tols, blame=meta.conflicts)
         elif state.m < state.dim:
             candidates = enumerate_small(state, config.action, tols=tols, table=table)
         else:
@@ -299,7 +299,7 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
                     state = permute_state(state, order)
                     meta.take(order)
                     pool = LiftedPool(state, config.action, tols=tols, table=table)
-            candidates = enumerate_lifted(pool, blame=meta.conflicts)
+            candidates = enumerate_lifted(pool, state, blame=meta.conflicts)
         if not candidates:
             break
         if len(candidates) > config.rollouts_per_move:
@@ -310,15 +310,10 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
         column = candidates.columns[row]
         exact = None if candidates.exact is None else candidates.exact[row]
         state = extend(state, column, exact=exact, revalidate=config.debug_revalidate, tols=tols)
-        member, anchor = -1, None
-        if candidates.members is not None:
-            member = int(candidates.members[row])
-            anchor = member_list.vectors[member]
-        meta.append(round_no, member, anchor)
+        members = candidates.members
+        meta.append(round_no, None if members is None else member_list.vectors[members[row]])
         added += 1
         _check_bound(state)
-        if pool is not None:
-            pool.extend(column[:state.dim], None if exact is None else exact[:state.dim])
     return _FillOutcome(state, added)
 
 
@@ -383,7 +378,6 @@ def play_episode(config: GameConfig, seed: Seed, tree: SearchTree, policy: Corre
     passes, or when the best size stagnates for the configured window.  The
     reported state is the largest completed matrix the episode reached.
     """
-    start = time.perf_counter()
     table = BasisTable() if table is None else table
     meta = _RowMeta(seed, protected=config.corrector.protect_seed)
     trajectory: list[tuple[bytes, bytes]] = []
@@ -426,7 +420,6 @@ def play_episode(config: GameConfig, seed: Seed, tree: SearchTree, policy: Corre
         team_reward=reward,
         per_round_sizes=tuple(sizes),
         trajectory=tuple(trajectory),
-        wall_time=time.perf_counter() - start,
         draws=tuple(draws),
     )
 

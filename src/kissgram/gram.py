@@ -284,16 +284,9 @@ def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCac
                        exact_scale=state.exact_scale, exact_det=det, exact_adj=adj)
 
 
-def extend_cache(cache: FactorCache, head: np.ndarray, exact_head: Sequence[int] | None = None
-                 ) -> tuple[np.ndarray, list[int] | None]:
-    """The lift row B^-1 c of one new cross row c (``head``), and in rational
-    mode its exact numerators over D (``exact_head``) as Python ints."""
-    row = None
-    if cache.exact_det is not None:
-        if exact_head is None:
-            raise MixedModeEntries("exact cache extended with a float-only head")
-        row = [operator.index(x) for x in exact_head]
-    return cache.pseudo_inv @ np.asarray(head, dtype=float), row
+def extend_cache(cache: FactorCache, head: np.ndarray) -> np.ndarray:
+    """The lift row B^-1 c of one new cross row c (``head``)."""
+    return cache.pseudo_inv @ np.asarray(head, dtype=float)
 
 
 def reconstruct_vectors(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

@@ -186,7 +186,7 @@ def test_criterion_brute_force_equivalence():
                 lifted = LiftedPool(state, spec)
             except Exception:
                 continue
-            got = set(map(tuple, enumerate_lifted(lifted).columns.tolist()))
+            got = set(map(tuple, enumerate_lifted(lifted, state).columns.tolist()))
             want = _oracle_lifted(state, values)
         assert got == want, f"mismatch on n={n}, m={state.m}, values={values}"
         cases += 1

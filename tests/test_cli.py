@@ -575,6 +575,18 @@ def test_search_resume_with_wrong_policy_shape_exits_4(tmp_path, capsys, weights
     # A nan snap tolerance would turn every snap check off.
     "[run]\ndim = 3\n[tolerances]\nsnap = nan\n",
     "[run]\ndim = 2\n[tolerances]\npsd = -1e-9\n",
+    "[run]\ndim = 2\nfill-budget = 0\n",
+    "[run]\ndim = 2\nfill-budget = -1\n",
+    "[run]\ndim = 2\nstagnation-window = 0\n",
+    "[run]\ndim = 2\nexploration = -5\n",
+    "[run]\ndim = 2\n[corrector]\nlearning-rate = -1\n",
+    # A placed member-list vector has cosine 1 with its own row, which the
+    # cap rejects only while the cosine tolerance stays below 1/2.
+    "[run]\ndim = 2\n[tolerances]\ncosine = 0.5\n",
+    "[run]\ndim = 2\n[tolerances]\ncosine = 0.7\n",
+    # Seed rows are range-checked when the config loads, not in the first episode.
+    "[run]\ndim = 8\n[seed]\nsource = generator:E8Roots\nrows = 0\n",
+    "[run]\ndim = 8\n[seed]\nsource = generator:E8Roots\nrows = -3\n",
     # Generator names are parsed when the config loads, not in the first episode.
     "[run]\ndim = 2\n[seed]\nsource = generator:Nope\n",
     "[run]\ndim = 2\n[seed]\nsource = generator:CrossPolytope(0)\n",

@@ -138,7 +138,7 @@ def test_enumerate_lifted_recovers_missing_e8_root():
     e8 = generate("E8Roots").gram.as_float()
     state = permute_state(e8, full_rank_prefix(e8))
     sub = GramState(dim=8, entries=state.entries[:239, :239])
-    cands = enumerate_lifted(LiftedPool(sub, spec))
+    cands = enumerate_lifted(LiftedPool(sub, spec), sub)
     assert len(cands) == 1
     assert np.abs(cands.columns[0] - state.entries[239, :239]).max() < 1e-9
 
@@ -146,14 +146,14 @@ def test_enumerate_lifted_recovers_missing_e8_root():
 def test_enumerate_lifted_hexagon_is_stuck():
     spec = ActionSpec(c1=DiscreteSet(C1))
     hexagon = generate("Hexagon").gram.as_float()
-    assert len(enumerate_lifted(LiftedPool(hexagon, spec))) == 0
+    assert len(enumerate_lifted(LiftedPool(hexagon, spec), hexagon)) == 0
 
 
 def test_enumerate_lifted_cap_only_postcondition():
     rng = np.random.default_rng(0)
     spec = ActionSpec(c1=DiscreteSet(C1), c2=CapOnly(0.5))
     built = generate("CrossPolytope(3)").gram.as_float()
-    cands = enumerate_lifted(LiftedPool(built, spec))
+    cands = enumerate_lifted(LiftedPool(built, spec), built)
     for column in cands.columns:
         tail = column[built.dim:]
         assert tail.size == 0 or tail.max() <= 0.5 + 1e-9
@@ -170,7 +170,7 @@ def test_enumerate_lifted_agrees_with_oracle_randomized():
         if state is None:
             continue
         spec = ActionSpec(c1=DiscreteSet(values))
-        cands = enumerate_lifted(LiftedPool(state, spec))
+        cands = enumerate_lifted(LiftedPool(state, spec), state)
         assert as_set(cands) == oracle_lifted(state, values, spec.c2)
 
 
@@ -183,7 +183,7 @@ def _random_discrete_state(rng, n, m, values):
             cands = enumerate_small(state, spec)
         else:
             try:
-                cands = enumerate_lifted(LiftedPool(state, spec))
+                cands = enumerate_lifted(LiftedPool(state, spec), state)
             except Exception:
                 return None
         if not cands:
@@ -283,9 +283,9 @@ def test_enumeration_determinism():
     built = generate("D4Roots").gram.as_float()
     state = permute_state(built, full_rank_prefix(built))
     sub = GramState(dim=4, entries=state.entries[:20, :20])
-    runs = [as_set(enumerate_lifted(LiftedPool(sub, spec))) for _ in range(2)]
+    runs = [as_set(enumerate_lifted(LiftedPool(sub, spec), sub)) for _ in range(2)]
     assert runs[0] == runs[1]
-    streams = [enumerate_lifted(LiftedPool(sub, spec)).columns.tolist() for _ in range(2)]
+    streams = [enumerate_lifted(LiftedPool(sub, spec), sub).columns.tolist() for _ in range(2)]
     assert streams[0] == streams[1]
 
 
@@ -293,12 +293,10 @@ def test_enumerate_membership_restricts_to_list():
     built = generate("D4Roots")
     spec = ActionSpec(c1=DiscreteSet(C1), c_star=MembershipList(vectors=built.vectors))
     state = gram_from_vectors(built.vectors[:6], 4)
-    used = np.zeros(24, dtype=bool)
-    used[:6] = True
-    cands = enumerate_membership(state, built.vectors[:6], spec, used=used)
+    cands = enumerate_membership(state, built.vectors[:6], spec)
     assert len(cands), "remaining roots must be reachable"
     for idx, col in zip(cands.members, cands.columns):
-        assert not used[idx]
+        assert idx >= 6  # no placed vector is offered
         expected = built.vectors[idx] @ built.vectors[:6].T
         assert np.abs(col - expected).max() < 1e-7
 
@@ -307,11 +305,10 @@ def test_enumerate_membership_small_regime_requires_rank_growth():
     built = generate("CrossPolytope(3)")
     spec = ActionSpec(c1=DiscreteSet(C1), c_star=MembershipList(vectors=built.vectors))
     state = gram_from_vectors(built.vectors[:1], 3)
-    used = np.zeros(6, dtype=bool)
-    used[0] = True
-    cands = enumerate_membership(state, built.vectors[:1], spec, used=used)
+    cands = enumerate_membership(state, built.vectors[:1], spec)
     # The antipode -e1 extends PSD but keeps rank 1, so it is excluded.
     indices = set(cands.members.tolist())
+    assert 0 not in indices  # no placed vector is offered
     assert 3 not in indices
     assert {1, 2, 4, 5} <= indices
 
@@ -322,7 +319,7 @@ def test_blame_counts_single_violator_rows():
     state = permute_state(e8, full_rank_prefix(e8))
     sub = GramState(dim=8, entries=state.entries[:40, :40])
     blame = np.zeros(40)
-    enumerate_lifted(LiftedPool(sub, spec), blame=blame)
+    enumerate_lifted(LiftedPool(sub, spec), sub, blame=blame)
     assert blame[:8].sum() == 0  # heads are never blamed
     assert blame.sum() >= 0
 
@@ -490,8 +487,8 @@ def _drive_pool(state: GramState, spec: ActionSpec, moves: int, seed: int,
     for _ in range(moves):
         before = _pool_population(pool)
         blame, fresh_blame = np.zeros(state.m, dtype=np.int64), np.zeros(state.m, dtype=np.int64)
-        got = enumerate_lifted(pool, blame=blame)
-        want = enumerate_lifted(LiftedPool(state, spec), blame=fresh_blame)
+        got = enumerate_lifted(pool, state, blame=blame)
+        want = enumerate_lifted(LiftedPool(state, spec), state, blame=fresh_blame)
         assert np.array_equal(got.columns, want.columns)
         assert got.columns.shape[1] == state.m
         assert (got.exact is None) == (want.exact is None) == (state.exact is None or not want)
@@ -518,11 +515,6 @@ def _drive_pool(state: GramState, spec: ActionSpec, moves: int, seed: int,
         column = got.columns[row]
         exact = None if got.exact is None else got.exact[row]
         state = extend(state, column, exact=exact)
-        pool.extend(column[:state.dim], None if exact is None else exact[:state.dim])
-        # The pool keeps only the row it has not tested yet: the one just placed.
-        assert pool.lift.shape == (1, state.dim)
-        if state.exact is not None:
-            assert pool.cross.tolist() == state.exact[-1:, :state.dim].tolist()
     return events
 
 
@@ -568,9 +560,32 @@ def test_batched_confirmation_rejects_everything_as_none():
     heads = _unit_prescreened(pool, spec)
     assert fraction_confirm(state, spec, heads) == [None] * len(heads)
     assert len(pool.y) == len(heads)  # every unit head is exactly unit, then fails a tail
-    assert _confirm_exact_lifted(pool, pool.cross) is None
+    assert _confirm_exact_lifted(pool, state.exact[4:, :4]) is None
     assert not pool.exact_ok.any()
-    assert len(enumerate_lifted(LiftedPool(state, spec))) == 0
+    assert len(enumerate_lifted(LiftedPool(state, spec), state)) == 0
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_enumerate_lifted_twice_on_an_unchanged_state(mode):
+    # The pool reads its untested rows from the state: a second call on the
+    # same state has none, so it returns the same batch and changes nothing.
+    spec = _rational_spec()
+    state = _truncated("E8Roots", 40, spec)
+    if mode == "float":
+        state = state.as_float()
+    pool = LiftedPool(state, spec)
+    blames = [np.zeros(state.m, dtype=np.int64) for _ in range(2)]
+    once = enumerate_lifted(pool, state, blame=blames[0])
+    kept = [a.copy() for a in (pool.columns, pool.violations, pool.first)]
+    assert once and (pool.violations == 1).any()
+    twice = enumerate_lifted(pool, state, blame=blames[1])
+    assert np.array_equal(twice.columns, once.columns)
+    assert (twice.exact is None) == (mode == "float")
+    if mode == "rational":
+        assert twice.exact.tolist() == once.exact.tolist()
+    for now, before in zip((pool.columns, pool.violations, pool.first), kept):
+        assert np.array_equal(now, before)
+    assert np.array_equal(blames[0], blames[1])
 
 
 def fraction_small(state: GramState, spec: ActionSpec) -> list:
@@ -670,7 +685,7 @@ def test_table_entries_are_read_only():
     table = BasisTable()
     state = _truncated("D4Roots", 8, spec)
     pool = LiftedPool(state, spec, table=table)
-    enumerate_lifted(pool)
+    enumerate_lifted(pool, state)
     small = enumerate_small(_truncated("D4Roots", 2, spec), spec, table=table)
     basis = next(e for e in table.entries.values() if not isinstance(e, Candidates))
     shared = [basis.heads, basis.exact_ok, basis.y, basis.exact, basis.targets,
@@ -807,8 +822,7 @@ def test_exact_confirmation_takes_its_dtype_from_the_basis(monkeypatch):
 
     monkeypatch.setattr(filler, "integer_dtype", forbidden)
     for _ in range(3):
-        got = enumerate_lifted(pool)
+        got = enumerate_lifted(pool, state)
         assert got
-        column, exact = got.columns[0], got.exact[0]
-        pool.extend(column[:state.dim], exact[:state.dim])
+        state = extend(state, got.columns[0], exact=got.exact[0])
     assert pool.dtype is np.int64

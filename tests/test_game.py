@@ -67,7 +67,6 @@ def test_play_episode_terminates_within_rounds():
     result = play_episode(cfg, load_seed(cfg), SearchTree(), default_policy(cfg),
                           np.random.default_rng(1))
     assert len(result.per_round_sizes) <= 4
-    assert result.wall_time >= 0.0
 
 
 def test_train_loop_single_episode_is_best():
@@ -130,12 +129,10 @@ def test_load_seed_truncation():
     seed = load_seed(cfg)
     assert seed.state.m == 120
     assert seed.anchors is None  # coordinates are kept for member-list runs only
-    assert seed.member.tolist() == [-1] * 120
     e8 = generate("E8Roots").vectors
     member_list = ActionSpec(c1=SPEC.c1, c_star=MembershipList(vectors=e8[::-1]))
     seed = load_seed(GameConfig(dim=8, action=member_list, seed=cfg.seed))
     assert np.array_equal(seed.anchors, e8[:120])
-    assert seed.member.tolist() == list(range(239, 119, -1))
 
 
 def test_file_seed_builds_an_exact_gram_from_rational_coordinates(tmp_path):

@@ -79,7 +79,36 @@ GOLDEN = {
             "TREE": "59aff71508e0b029349ca45d23cb02e00c0b41233577df10b0957fe127ff6736",
         },
     ),
+    # Member-list moves: candidates come from the D4 list, from a 3-row seed.
+    "d4-member-list": (
+        "[run]\ndim = 4\nepisodes = 6\nrounds = 3\nrng-seed = 7\nout-dir = out\n"
+        "[seed]\nsource = file:d4.vec\nrows = 3\n[action]\ncstar = file:d4.vec\n",
+        {
+            "best.gram": "eb263d5da6fb1525c9dfdd50284934e90bcb47900a5297f4a87e30f9ed66d459",
+            "best.cert": "1df0f4e154e4614dde794a5e8f37fa970cba406f7a63e57bc65d3da004bc32c9",
+            "BEST": "1f8f2152da522819b9424a95d7d6d779ba769fab08333c8dca44ef78d5368903",
+            "PROG": "28bb936b2f440fbf4d67c8c56d7884df88583a6140d061dea6308db15a289d9a",
+            "RNGS": "850a29ebfa245b7d64a699197ac0ac96707ca4006df748f631d654557830b5df",
+            "TREE": "5db0cd3b0596cd5c06b9c878970c288872806893926c7d13a94b4d76ca1e8e1f",
+        },
+    ),
+    # A capped tail is written into the Gram as lifted, unsnapped.
+    "d4-cap-only": (
+        "[run]\ndim = 4\nepisodes = 6\nrounds = 3\nrng-seed = 7\nout-dir = out\n"
+        "[action]\nc2 = cap:1/2\n",
+        {
+            "best.gram": "b8aa51fba95bfd4409ba9e7953721e3328c82a2c3bf25b16e24e0c30ebe564fa",
+            "best.cert": "1df0f4e154e4614dde794a5e8f37fa970cba406f7a63e57bc65d3da004bc32c9",
+            "BEST": "6d35614866d061a14c96b05d0f18cea318102e54d5691c853e3d3583259723c8",
+            "PROG": "355bf2665823dc70f1dc70f04aa608eb78aa9a30434a0a443584315923cd27ee",
+            "RNGS": "af6a2afc4f6e853a0cb3047ea36e4f812571853e9b8ba8944a8efddaffab3839",
+            "TREE": "29c854d73cd107e57b90ec01e9cef282e636aa7ba51626dc8dde413d4d41611a",
+        },
+    ),
 }
+
+# Vector files a config reads, written next to it by ``generate``.
+INPUTS = {"d4-member-list": {"d4.vec": "D4Roots"}}
 
 
 def checkpoint_sections(blob: bytes) -> dict[str, bytes]:
@@ -103,6 +132,8 @@ def _sha(data: bytes) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_fixed_seed_search_artifacts_are_pinned(tmp_path, name):
     config, expected = GOLDEN[name]
+    for file, generator in INPUTS.get(name, {}).items():
+        assert main(["generate", "--name", generator, "--out", str(tmp_path / file)]) == 0
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     assert main(["search", "--config", str(cfg)]) == 0

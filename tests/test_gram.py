@@ -37,7 +37,7 @@ def _lift_rows(state: GramState) -> np.ndarray:
     """The lift rows C B^-1 of the state's cross rows, one ``extend_cache`` call each."""
     cache = factorize(state)
     n = cache.n
-    return np.array([extend_cache(cache, row)[0] for row in state.entries[n:, :n]]).reshape(-1, n)
+    return np.array([extend_cache(cache, row) for row in state.entries[n:, :n]]).reshape(-1, n)
 
 
 def test_extend_antipodal_pair():
@@ -196,17 +196,9 @@ def test_lift_tail_matches_direct_dot_products_on_e8():
 def test_extend_cache_lifts_one_row_by_the_basis_inverse():
     d4 = generate("D4Roots").gram
     state = permute_state(d4, full_rank_prefix(d4))
-    cache = factorize(state)
-    row, exact_row = state.entries[5, :4], state.exact[5, :4]
-    lift, exact = extend_cache(cache, row, exact_row)
-    assert np.array_equal(lift, cache.pseudo_inv @ row)
-    assert exact == exact_row.tolist() and all(type(x) is int for x in exact)
-    with pytest.raises(MixedModeEntries):
-        extend_cache(cache, row)  # a rational cache needs the exact row
-    with pytest.raises(TypeError):
-        extend_cache(cache, row, [0.5] * 4)
-    lift, exact = extend_cache(factorize(state.as_float()), row)
-    assert np.array_equal(lift, cache.pseudo_inv @ row) and exact is None
+    row = state.entries[5, :4]
+    for cache in (factorize(state), factorize(state.as_float())):
+        assert np.array_equal(extend_cache(cache, row), cache.pseudo_inv @ row)
 
 
 def test_reconstruct_vectors_antipodal():
@@ -396,6 +388,8 @@ def test_extend_rejects_non_integer_exact_entries():
     # Exact columns are integer numerators over the state's D; a Fraction
     # must not reach an exact Gram through one.
     state = GramState.from_exact(3, [[6, -3], [-3, 6]], 6)
+    with pytest.raises(MixedModeEntries):
+        extend(state, np.array([0.5, 0.0]))  # a rational state needs the exact column
     with pytest.raises(TypeError):
         extend(state, np.array([1 / 3, 0.0]), exact=(Fraction(1, 3), 0))
     with pytest.raises(TypeError):
