@@ -25,7 +25,7 @@ from .filler import SearchTree
 from .game import EpisodeResult, TrainResult
 
 MAGIC = b"KISSCKPT"
-VERSION = 1
+VERSION = 2  # 2: TREE keys are fingerprints of sorted row digests
 
 _SECTIONS = ("CFGE", "RNGS", "TREE", "POLI", "PROG", "BEST")
 

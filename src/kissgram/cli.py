@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a reference configuration")
     gen.add_argument("--name", required=True, help=", ".join(
-        f"{name}(n)" if takes_n else name for name, (_, takes_n) in GENERATORS.items()))
+        f"{name}(n)" if takes_n else name for name, (_, takes_n, _) in GENERATORS.items()))
     gen.add_argument("--out", required=True)
     gen.add_argument("--gram-out", default=None)
     gen.set_defaults(func=_cmd_generate)

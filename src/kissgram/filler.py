@@ -21,6 +21,12 @@ meet the same blocks again, and small-regime moves the same states.  A
 ``BasisTable``, made once per run, keeps what each block determines: the
 factors and unit heads of a lifted basis, the action set of a small state.
 So a run factors and enumerates each distinct block once.
+
+The search tree keys its statistics on the state's fingerprint, a hash of
+its sorted row digests.  A row's digest is an order-free sum over its
+quantized entries, so a fill phase computes the digests once and a move
+updates them in O(m): the new row adds one entry to every kept row's sum
+and brings its own.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import math
 import operator
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -53,7 +60,10 @@ from .gram import (
 from .rational import integer_dtype, pd_adjugate
 
 MAX_ENUMERATION_WIDTH = 4_000_000
-FINGERPRINT_QUANTUM = 1e-9  # entries closer than this share a fingerprint
+FINGERPRINT_QUANTUM = 1e-9  # entries that round to the same multiple of this share a fingerprint
+# The splitmix64 finalizer's multipliers and shifts.
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_SHIFTS = tuple(map(np.uint64, (30, 27, 31)))
 BASIS_TABLE_ENTRIES = 256  # blocks a run's BasisTable keeps; the least recently used leave first
 
 
@@ -93,6 +103,13 @@ class DiscreteSet:
     @property
     def is_rational(self) -> bool:
         return self.exact is not None
+
+    @cached_property
+    def snap_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The values as a float array and the midpoints between neighbours,
+        which ``_tail_filter`` searches; built once per set."""
+        values = _readonly(np.array(self.values, dtype=float))
+        return values, _readonly((values[1:] + values[:-1]) / 2)
 
     def numerators_over(self, scale: int) -> list[int]:
         """The exact values as integer numerators over a run's denominator ``scale``."""
@@ -209,20 +226,53 @@ class BasisTable:
         return entry
 
 
-def fingerprint_state(state: GramState) -> bytes:
-    """Order-independent digest of the multiset of Gram rows.
+def _mixed(entries: np.ndarray) -> np.ndarray:
+    """mix(q) of each entry: q = rint(g / FINGERPRINT_QUANTUM) as a 64-bit word,
+    mixed by the splitmix64 finalizer, a bijection on 64-bit words."""
+    z = np.rint(entries / FINGERPRINT_QUANTUM).astype(np.int64).view(np.uint64)
+    shifted = z >> _SHIFTS[0]
+    z ^= shifted
+    z *= _MIX1
+    np.right_shift(z, _SHIFTS[1], out=shifted)
+    z ^= shifted
+    z *= _MIX2
+    np.right_shift(z, _SHIFTS[2], out=shifted)
+    z ^= shifted
+    return z
 
-    Rows are quantized, each row's entries sorted, and the rows themselves
-    sorted, so permuted discoveries of the same sphere set share statistics.
+
+def row_digests(state: GramState) -> np.ndarray:
+    """Each row's digest: the wrapping uint64 sum of ``mix(q)`` over its entries.
+
+    The sum is order-free, so it depends on the row's multiset of quantized
+    entries alone."""
+    return _mixed(state.entries).sum(axis=1)
+
+
+def grow_digests(digests: np.ndarray, state: GramState) -> np.ndarray:
+    """The digests of ``state`` from those of its first m - 1 rows: its last
+    row adds one entry to every kept row and brings its own sum, in O(m)."""
+    z = _mixed(state.entries[-1])
+    grown = np.empty_like(z)
+    np.add(digests, z[:-1], out=grown[:-1])
+    grown[-1] = z.sum()
+    return grown
+
+
+def fingerprint_state(state: GramState, digests: np.ndarray | None = None) -> bytes:
+    """Order-independent digest of the multiset of quantized Gram rows.
+
+    It is blake2b-128 of (m, dim, the sorted row digests): ``digests`` as a
+    fill phase keeps them (``row_digests``, ``grow_digests``), or computed
+    from ``state`` when not given.  So permuted discoveries of the same
+    sphere set share statistics.  States with equal multisets of quantized
+    rows share a fingerprint; distinct ones collide only if two distinct
+    rows share a 64-bit digest.
     """
-    q = np.rint(state.entries / FINGERPRINT_QUANTUM).astype(np.int64)
-    q = np.sort(q, axis=1)
-    order = np.lexsort(q.T[::-1])
-    canon = np.ascontiguousarray(q[order])
-    h = hashlib.blake2b(digest_size=16)
-    h.update(np.int64(state.m).tobytes())
-    h.update(np.int64(state.dim).tobytes())
-    h.update(canon.tobytes())
+    digests = row_digests(state) if digests is None else digests
+    h = hashlib.blake2b(np.array((state.m, state.dim), dtype=np.int64).tobytes(),
+                        digest_size=16)
+    h.update(np.sort(digests).tobytes())
     return h.digest()
 
 
@@ -270,17 +320,18 @@ class SearchTree:
         return tree
 
 
-def select_action(tree: SearchTree, state: GramState, candidates: Candidates
-                  ) -> tuple[int, tuple[bytes, bytes]]:
+def select_action(tree: SearchTree, state: GramState, candidates: Candidates,
+                  digests: np.ndarray | None = None) -> tuple[int, tuple[bytes, bytes]]:
     """UCB-greedy row of ``candidates`` and its tree edge ``(state_fp, action_fp)``;
-    unvisited actions rank above all visited ones.
+    unvisited actions rank above all visited ones.  ``digests``, the state's
+    row digests when the caller keeps them, go to ``fingerprint_state``.
 
     Ties resolve to the earliest candidate in the (deterministic) stream
     order, so cold starts are reproducible.
     """
     if not candidates:
         raise EmptyCandidates("no candidate columns to select from")
-    state_fp = fingerprint_state(state)
+    state_fp = fingerprint_state(state, digests)
     action_fps = []
     best_i = 0
     best_score = -math.inf
@@ -529,8 +580,10 @@ def enumerate_lifted(pool: LiftedPool, state: GramState, *,
     new = state.entries[untested, :n]
     if len(new):
         held = max(pool.start - n - seen, 0)  # untested rows present at the pool's creation
-        lift = np.vstack([new[:held] @ pool.cache.pseudo_inv,
-                          *(extend_cache(pool.cache, row) for row in new[held:])])
+        lift = [extend_cache(pool.cache, row)[None] for row in new[held:]]
+        if held:
+            lift.insert(0, new[:held] @ pool.cache.pseudo_inv)
+        lift = lift[0] if len(lift) == 1 else np.concatenate(lift)
         snapped, viol = _tail_filter(pool.columns[:, :n] @ lift.T, pool.spec.c2, pool.tols)
         count = viol.sum(axis=1)
         pool.first = np.where((pool.violations == 0) & (count > 0),
@@ -567,8 +620,8 @@ def _tail_filter(tails: np.ndarray, c2: DiscreteSet | CapOnly,
     """
     if isinstance(c2, CapOnly):
         return tails, tails > c2.max_value + tols.cosine
-    c2v = np.asarray(c2.values, dtype=float)
-    snapped = c2v[np.searchsorted((c2v[1:] + c2v[:-1]) / 2, tails, side="left")]
+    c2v, midpoints = c2.snap_points
+    snapped = c2v[np.searchsorted(midpoints, tails, side="left")]
     return snapped, np.abs(tails - snapped) > tols.snap
 
 

@@ -39,6 +39,8 @@ from .filler import (
     enumerate_lifted,
     enumerate_membership,
     enumerate_small,
+    grow_digests,
+    row_digests,
     select_action,
 )
 from .gram import (
@@ -180,18 +182,23 @@ class Seed(NamedTuple):
 
 class _RowMeta:
     """Per-row arrays that must follow every permutation and deletion;
-    ``anchors`` start as the seed's (see ``Seed``)."""
+    ``anchors`` start as the seed's (see ``Seed``).  ``conflicts`` and
+    ``digests``, the state fingerprint's row digests, are reset by each fill
+    phase, which keeps them current while it runs."""
 
     def __init__(self, seed: Seed, protected: bool):
         m = seed.state.m
         self.ages = np.zeros(m, dtype=np.int64)
         self.conflicts = np.zeros(m, dtype=np.int64)
+        self.digests = np.zeros(m, dtype=np.uint64)
         self.protected = np.full(m, protected)
         self.anchors = seed.anchors
 
-    def append(self, age: int, anchor: np.ndarray | None):
+    def append(self, age: int, anchor: np.ndarray | None, state: GramState):
+        """Record the row a move placed as ``state``'s last."""
         self.ages = np.append(self.ages, age)
         self.conflicts = np.append(self.conflicts, 0)
+        self.digests = grow_digests(self.digests, state)
         self.protected = np.append(self.protected, False)
         if self.anchors is not None:
             self.anchors = np.vstack([self.anchors, anchor[None, :]])
@@ -200,7 +207,7 @@ class _RowMeta:
         """Keep ``rows``, in that order: a deletion or a permutation."""
         rows = np.asarray(rows, dtype=np.intp)
         self.ages, self.conflicts = self.ages[rows], self.conflicts[rows]
-        self.protected = self.protected[rows]
+        self.digests, self.protected = self.digests[rows], self.protected[rows]
         if self.anchors is not None:
             self.anchors = self.anchors[rows]
 
@@ -279,6 +286,7 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
     tols = config.tolerances
     member_list = config.action.c_star
     meta.conflicts = np.zeros(state.m, dtype=np.int64)
+    meta.digests = row_digests(state)
     pool: LiftedPool | None = None  # once m >= dim; dropped with the phase
     added = 0
     while config.fill_budget is None or added < config.fill_budget:
@@ -305,13 +313,14 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
         if len(candidates) > config.rollouts_per_move:
             pick = sorted(rng.choice(len(candidates), size=config.rollouts_per_move, replace=False))
             candidates = candidates.take(pick)
-        row, edge = select_action(tree, state, candidates)
+        row, edge = select_action(tree, state, candidates, meta.digests)
         trajectory.append(edge)
         column = candidates.columns[row]
         exact = None if candidates.exact is None else candidates.exact[row]
         state = extend(state, column, exact=exact, revalidate=config.debug_revalidate, tols=tols)
         members = candidates.members
-        meta.append(round_no, None if members is None else member_list.vectors[members[row]])
+        meta.append(round_no, None if members is None else member_list.vectors[members[row]],
+                    state)
         added += 1
         _check_bound(state)
     return _FillOutcome(state, added)

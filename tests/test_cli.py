@@ -128,6 +128,20 @@ def test_search_corrupted_checkpoint_exits_4(tmp_path):
     assert run_cli("search", "--config", str(cfg), "--resume", str(ckpt)) == 4
 
 
+def test_search_refuses_a_version_1_checkpoint(tmp_path, capsys):
+    # Version 1 keyed its tree on another state fingerprint, which no state
+    # of a resumed run would match.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ndim = 2\nepisodes = 4\nrounds = 2\nout-dir = out\n")
+    assert run_cli("search", "--config", str(cfg)) == 0
+    ckpt = tmp_path / "out" / "checkpoint.bin"
+    raw = ckpt.read_bytes()[:-32]
+    body = MAGIC + struct.pack("<I", 1) + raw[len(MAGIC) + 4:]
+    ckpt.write_bytes(body + hashlib.sha256(body).digest())
+    capsys.readouterr()
+    assert run_cli("search", "--config", str(cfg), "--resume", str(ckpt)) == 4
+    assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
 def test_search_resume_with_different_config_exits_3(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[run]\ndim = 2\nepisodes = 4\nrounds = 2\nout-dir = out\n")
@@ -587,6 +601,8 @@ def test_search_resume_with_wrong_policy_shape_exits_4(tmp_path, capsys, weights
     # Seed rows are range-checked when the config loads, not in the first episode.
     "[run]\ndim = 8\n[seed]\nsource = generator:E8Roots\nrows = 0\n",
     "[run]\ndim = 8\n[seed]\nsource = generator:E8Roots\nrows = -3\n",
+    "[run]\ndim = 8\n[seed]\nsource = generator:E8Roots\nrows = 300\n",
+    "[run]\ndim = 4\n[seed]\nsource = generator:CrossPolytope(4)\nrows = 9\n",
     # Generator names are parsed when the config loads, not in the first episode.
     "[run]\ndim = 2\n[seed]\nsource = generator:Nope\n",
     "[run]\ndim = 2\n[seed]\nsource = generator:CrossPolytope(0)\n",
@@ -597,6 +613,15 @@ def test_search_rejects_out_of_range_config_values(tmp_path, capsys, text):
     assert run_cli("search", "--config", str(cfg)) == 3
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "runs").exists()  # rejected before any episode runs
+
+
+def test_search_rejects_file_seed_rows_above_its_header_count(tmp_path, capsys):
+    write_vector_file(tmp_path / "seed.vec", np.eye(3)[:2])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ndim = 3\nout-dir = out\n[seed]\nsource = file:seed.vec\nrows = 3\n")
+    assert run_cli("search", "--config", str(cfg)) == 3
+    assert capsys.readouterr().err == "config error: seed rows = 3 exceeds the seed's 2 rows\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_search_empty_seed_file_exits_3(tmp_path, capsys):

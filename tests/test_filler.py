@@ -1,6 +1,7 @@
 """Candidate enumeration against an exhaustive oracle, and UCB selection."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -254,6 +255,97 @@ def test_fingerprint_is_permutation_invariant():
     assert fingerprint_state(built) == fingerprint_state(permute_state(built, order))
     other = generate("CrossPolytope(4)").gram.as_float()
     assert fingerprint_state(built) != fingerprint_state(other)
+
+
+def _lexsort_fingerprint(state: GramState) -> bytes:
+    """The oracle: the sort-and-lexsort fingerprint that the row digests replaced,
+    a hash of every quantized entry with each row sorted and the rows sorted."""
+    q = np.sort(np.rint(state.entries / filler.FINGERPRINT_QUANTUM).astype(np.int64), axis=1)
+    canon = np.ascontiguousarray(q[np.lexsort(q.T[::-1])])
+    h = hashlib.blake2b(digest_size=16)
+    for part in (np.int64(state.m), np.int64(state.dim), canon):
+        h.update(part.tobytes())
+    return h.digest()
+
+
+def _with_offdiagonal(entries: np.ndarray, pairs: dict) -> GramState:
+    g = np.array(entries, dtype=float)
+    for (i, j), value in pairs.items():
+        g[i, j] = g[j, i] = value
+    return GramState(dim=g.shape[0], entries=g)
+
+
+def _oracle_cases() -> dict[str, GramState]:
+    d4 = generate("D4Roots").gram.as_float()
+    shuffled = permute_state(d4, list(np.random.default_rng(3).permutation(d4.m)))
+
+    def without(state, a, cosine):  # delete row a and its first partner at ``cosine``
+        b = int(np.flatnonzero(state.entries[a] == cosine)[0])
+        return state.principal([r for r in range(state.m) if r not in (a, b)])
+
+    base = np.eye(3)
+    step = filler.FINGERPRINT_QUANTUM
+    cap = 0.3141592653589793  # a CapOnly-style unsnapped lifted entry
+    cycle = [(i, (i + 1) % 6) for i in range(6)]
+    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    return {
+        "d4": d4, "d4 permuted": shuffled,
+        # Deletions of an antipodal pair leave permuted copies of one state.
+        "d4 - pair": without(d4, 0, -1.0), "d4 permuted - pair": without(shuffled, 5, -1.0),
+        "d4 - neighbours": without(d4, 0, 0.5),
+        "cross polytope": generate("CrossPolytope(4)").gram.as_float(),
+        "duplicate 01": _with_offdiagonal(base, {(0, 1): 1.0}),
+        "duplicate 12": _with_offdiagonal(base, {(1, 2): 1.0}),
+        "duplicate, quarter": _with_offdiagonal(base, {(0, 1): 1.0, (0, 2): 0.25}),
+        "-0.0": _with_offdiagonal(base, {(0, 1): -0.0, (0, 2): 0.5}),
+        "+0.0": _with_offdiagonal(base, {(0, 1): 0.0, (0, 2): 0.5}),
+        # Either side of the quantum boundary at 0.25 + quantum / 2.
+        "below 0.4": _with_offdiagonal(base, {(0, 1): 0.25 + 0.4 * step}),
+        "below 0.1": _with_offdiagonal(base, {(0, 1): 0.25 + 0.1 * step}),
+        "above 0.6": _with_offdiagonal(base, {(0, 1): 0.25 + 0.6 * step}),
+        "above 0.9": _with_offdiagonal(base, {(0, 1): 0.25 + 0.9 * step}),
+        # Unsnapped values: moved to other rows, within a quantum, a quantum apart.
+        "cap": _with_offdiagonal(base, {(0, 1): cap, (1, 2): -cap}),
+        "cap moved": _with_offdiagonal(base, {(1, 2): cap, (0, 2): -cap}),
+        "cap + 1e-13": _with_offdiagonal(base, {(0, 1): cap + 1e-13, (1, 2): -cap}),
+        "cap + quantum": _with_offdiagonal(base, {(0, 1): cap + step, (1, 2): -cap}),
+        # Equal multisets of rows that no permutation maps onto each other.
+        "6-cycle": _with_offdiagonal(np.eye(6), {e: -0.5 for e in cycle}),
+        "two triangles": _with_offdiagonal(np.eye(6), {e: -0.5 for e in triangles}),
+        "I3 in dim 3": GramState(dim=3, entries=np.eye(3)),
+        "I3 in dim 4": GramState(dim=4, entries=np.eye(3)),
+    }
+
+
+def test_fingerprint_partitions_states_as_the_lexsort_oracle():
+    cases = _oracle_cases()
+    ours = {name: fingerprint_state(s) for name, s in cases.items()}
+    oracle = {name: _lexsort_fingerprint(s) for name, s in cases.items()}
+    for a, b in itertools.combinations(cases, 2):
+        assert (ours[a] == ours[b]) == (oracle[a] == oracle[b]), (a, b)
+    # The cases exercise both outcomes at each boundary they probe.
+    same = [("d4", "d4 permuted"), ("d4 - pair", "d4 permuted - pair"),
+            ("duplicate 01", "duplicate 12"), ("-0.0", "+0.0"), ("below 0.4", "below 0.1"),
+            ("above 0.6", "above 0.9"), ("cap", "cap moved"), ("cap", "cap + 1e-13"),
+            ("6-cycle", "two triangles")]
+    differ = [("d4 - pair", "d4 - neighbours"), ("below 0.4", "above 0.6"),
+              ("cap", "cap + quantum"), ("I3 in dim 3", "I3 in dim 4"),
+              ("duplicate 01", "duplicate, quarter")]
+    assert all(ours[a] == ours[b] for a, b in same)
+    assert all(ours[a] != ours[b] for a, b in differ)
+
+
+def test_kept_row_digests_follow_moves_and_permutations():
+    state = GramState.single(4)
+    digests = filler.row_digests(state)
+    for column in ([0.5], [-0.5, 0.5], [0.0, -0.5, 0.3141592653589793]):
+        state = extend(state, np.array(column))
+        digests = filler.grow_digests(digests, state)
+        assert np.array_equal(digests, filler.row_digests(state))
+        assert fingerprint_state(state, digests) == fingerprint_state(state)
+    order = [3, 1, 0, 2]
+    assert fingerprint_state(state) == fingerprint_state(permute_state(state, order),
+                                                         digests[order])
 
 
 def test_action_spec_validation():

@@ -8,13 +8,22 @@ bits may differ between BLAS builds.  So is the checkpoint's ``POLI`` section,
 whose float weights pass through ``exp`` and BLAS dot products, and ``CFGE``,
 the configuration echo, which the CLI resume tests cover.  ``TREE`` is pinned
 because only it records the states reached after the corrector's deletions.
+Its bytes hold the state fingerprints themselves, so a change of fingerprint
+function re-pins it; ``TREE_SHAPES`` pins what such a change must keep: each
+tree's node and edge counts and its visit counts.
+
+Each config runs once per module, with every fingerprint that a fill phase
+computes from its kept row digests checked against one computed from scratch.
 """
 
 import hashlib
+import json
 import struct
+from collections import Counter
 
 import pytest
 
+from kissgram import filler
 from kissgram.checkpoint import MAGIC
 from kissgram.cli import main
 
@@ -27,7 +36,7 @@ GOLDEN = {
             "BEST": "c425029f5240eced806fcee07dc71d7eb8df831d84d42e794a33e4648855c619",
             "PROG": "2a39b4216eb0b851ff0b3b22b97cb99fd30946fc20c52d78ff48a5ad26745040",
             "RNGS": "c3b1225b6fbb57ede6aba87134e682b9c445b9698b4fbf1a788d6eca0df98019",
-            "TREE": "ccc02d3595ff651c89769ac3a055896241c3807965d9b29eb5400673ab06bc73",
+            "TREE": "2ebeaff947425d96b96f3dd53d717532ae01866bd4281ab6dc6850db0d3ac116",
         },
     ),
     "d3-rational": (
@@ -39,7 +48,7 @@ GOLDEN = {
             "BEST": "4f51757c5d806b70fa21ff92ac4d375becc62aa840356aa56ac8c75bfe709551",
             "PROG": "6e62dd1bed9a84dc5a1bf071049c502b7f41db6128745a6c1c82a8d62dd440ce",
             "RNGS": "cbb353ba42ba38b02b0091ca1f90170e33311b830d99b89ae678f4521ededa7a",
-            "TREE": "3febf30df61ddea2df0d13e2293f410c144e63778750c9038534b96318e5a39e",
+            "TREE": "27f04c989fd083042053a2f763ebc4af2dbda88f2cd911db0bc4a862e836ab1c",
         },
     ),
     "d4-float": (
@@ -50,7 +59,7 @@ GOLDEN = {
             "BEST": "e4141b08108993bbdac2392510727e673047af7b63097cbd5ef1610834835c46",
             "PROG": "355bf2665823dc70f1dc70f04aa608eb78aa9a30434a0a443584315923cd27ee",
             "RNGS": "af6a2afc4f6e853a0cb3047ea36e4f812571853e9b8ba8944a8efddaffab3839",
-            "TREE": "29c854d73cd107e57b90ec01e9cef282e636aa7ba51626dc8dde413d4d41611a",
+            "TREE": "6685dd3c0dd577cc92fb72c5fc1b9e9b2cd884518500d135bdc4b2f1e14150b8",
         },
     ),
     "d4-rational": (
@@ -62,7 +71,7 @@ GOLDEN = {
             "BEST": "0b93a16320aa9b7e8208af7787af7fa3908f4e0750cef9b65fe382d20d3f02dc",
             "PROG": "355bf2665823dc70f1dc70f04aa608eb78aa9a30434a0a443584315923cd27ee",
             "RNGS": "af6a2afc4f6e853a0cb3047ea36e4f812571853e9b8ba8944a8efddaffab3839",
-            "TREE": "29c854d73cd107e57b90ec01e9cef282e636aa7ba51626dc8dde413d4d41611a",
+            "TREE": "6685dd3c0dd577cc92fb72c5fc1b9e9b2cd884518500d135bdc4b2f1e14150b8",
         },
     ),
     # The last 8 of E8's 240 rows come from lifted enumeration with exact
@@ -76,7 +85,7 @@ GOLDEN = {
             "BEST": "ce0bc8e78d9089ba113a685350a295861fa4aff42f3512b5bfa15856ba5ea0c3",
             "PROG": "b0ae990a32f207ff3086dc93c4d41e1366b3ba6f6c14144e65ba60d57a31d5ba",
             "RNGS": "372b1e70436699a7068016e03913efc95c66f7a1a743a9534a63761c3933d1b5",
-            "TREE": "59aff71508e0b029349ca45d23cb02e00c0b41233577df10b0957fe127ff6736",
+            "TREE": "31bd126f731e9889df007405464ddfe1aff3ab87062d1e6259261c96226f282f",
         },
     ),
     # Member-list moves: candidates come from the D4 list, from a 3-row seed.
@@ -89,7 +98,7 @@ GOLDEN = {
             "BEST": "1f8f2152da522819b9424a95d7d6d779ba769fab08333c8dca44ef78d5368903",
             "PROG": "28bb936b2f440fbf4d67c8c56d7884df88583a6140d061dea6308db15a289d9a",
             "RNGS": "850a29ebfa245b7d64a699197ac0ac96707ca4006df748f631d654557830b5df",
-            "TREE": "5db0cd3b0596cd5c06b9c878970c288872806893926c7d13a94b4d76ca1e8e1f",
+            "TREE": "920104dcdace0d6a4b9925cec0e207575f15812f7a7fd43672bd80673c0c6289",
         },
     ),
     # A capped tail is written into the Gram as lifted, unsnapped.
@@ -102,9 +111,23 @@ GOLDEN = {
             "BEST": "6d35614866d061a14c96b05d0f18cea318102e54d5691c853e3d3583259723c8",
             "PROG": "355bf2665823dc70f1dc70f04aa608eb78aa9a30434a0a443584315923cd27ee",
             "RNGS": "af6a2afc4f6e853a0cb3047ea36e4f812571853e9b8ba8944a8efddaffab3839",
-            "TREE": "29c854d73cd107e57b90ec01e9cef282e636aa7ba51626dc8dde413d4d41611a",
+            "TREE": "6685dd3c0dd577cc92fb72c5fc1b9e9b2cd884518500d135bdc4b2f1e14150b8",
         },
     ),
+}
+
+# Each run's tree as (nodes, edges, {visits: nodes}, {visits: edges}), computed
+# with the sort-and-lexsort fingerprint that the row digests replaced.
+TREE_SHAPES = {
+    "d3-float": (38, 110, {1: 15, 2: 10, 3: 6, 4: 2, 7: 2, 8: 1, 10: 1, 24: 1},
+                 {1: 106, 2: 1, 3: 3}),
+    "d3-rational": (33, 78, {1: 14, 2: 10, 3: 4, 4: 1, 5: 2, 6: 1, 15: 1}, {1: 75, 2: 3}),
+    "d4-cap-only": (111, 164, {1: 81, 2: 21, 3: 4, 4: 2, 6: 1, 9: 2}, {1: 161, 2: 3}),
+    "d4-float": (111, 164, {1: 81, 2: 21, 3: 4, 4: 2, 6: 1, 9: 2}, {1: 161, 2: 3}),
+    "d4-member-list": (54, 166, {1: 21, 2: 9, 3: 9, 4: 2, 5: 3, 6: 7, 7: 1, 10: 1, 18: 1},
+                       {1: 166}),
+    "d4-rational": (111, 164, {1: 81, 2: 21, 3: 4, 4: 2, 6: 1, 9: 2}, {1: 161, 2: 3}),
+    "e8-seeded-rational": (8, 8, {1: 8}, {1: 8}),
 }
 
 # Vector files a config reads, written next to it by ``generate``.
@@ -129,16 +152,59 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """``run(name)``: the output directory of the config's search and, per
+    fingerprint computed from kept digests, whether it equals the one from
+    scratch.  Each config runs once per module."""
+    runs = {}
+    matches: list[bool] = []
+    scratch = filler.fingerprint_state
+
+    def checked(state, digests=None):
+        fp = scratch(state, digests)
+        if digests is not None:
+            matches.append(fp == scratch(state))
+        return fp
+
+    def run(name):
+        if name not in runs:
+            config, _ = GOLDEN[name]
+            root = tmp_path_factory.mktemp(name)
+            for file, generator in INPUTS.get(name, {}).items():
+                assert main(["generate", "--name", generator, "--out", str(root / file)]) == 0
+            (root / "run.cfg").write_text(config)
+            matches.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(filler, "fingerprint_state", checked)
+                assert main(["search", "--config", str(root / "run.cfg")]) == 0
+            runs[name] = (root / "out", list(matches))
+        return runs[name]
+
+    return run
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_fixed_seed_search_artifacts_are_pinned(tmp_path, name):
-    config, expected = GOLDEN[name]
-    for file, generator in INPUTS.get(name, {}).items():
-        assert main(["generate", "--name", generator, "--out", str(tmp_path / file)]) == 0
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(config)
-    assert main(["search", "--config", str(cfg)]) == 0
-    out = tmp_path / "out"
+def test_fixed_seed_search_artifacts_are_pinned(golden_run, name):
+    out, _ = golden_run(name)
+    expected = GOLDEN[name][1]
     got = {f: _sha((out / f).read_bytes()) for f in ("best.gram", "best.cert")}
     sections = checkpoint_sections((out / "checkpoint.bin").read_bytes())
     got.update({tag: _sha(sections[tag]) for tag in ("BEST", "PROG", "RNGS", "TREE")})
     assert got == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_kept_row_digests_fingerprint_as_from_scratch(golden_run, name):
+    _, matches = golden_run(name)
+    assert matches and all(matches)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_tree_shape_is_pinned(golden_run, name):
+    out, _ = golden_run(name)
+    tree = json.loads(checkpoint_sections((out / "checkpoint.bin").read_bytes())["TREE"])
+    nodes = list(tree["nodes"].values())
+    edges = [visits for _, _, visits, _ in tree["edges"]]
+    assert (len(nodes), len(edges), dict(Counter(nodes)), dict(Counter(edges))) == \
+        TREE_SHAPES[name]

@@ -61,6 +61,8 @@ def test_traced_search_feeds_every_hooked_counter(tmp_path):
     # enumerated candidate is offered to select_action, one batch per move.
     assert summary["filler.candidates"] == summary["filler.offered"] == 242
     assert summary["gram.extend.calls"] == 58
+    # One state fingerprint per move: the one select_action takes.
+    assert summary["filler.fingerprint_state.calls"] == summary["gram.extend.calls"]
     # The seed is built once per run and replayed by each of the 4 episodes.
     assert summary["game.load_seed.calls"] == 1
     assert summary["game.play_episode.calls"] == 4
