@@ -34,7 +34,7 @@ from .fileio import (
     write_gram_file,
     write_vector_file,
 )
-from .refconfigs import GENERATORS
+from .refconfigs import GENERATORS, config_from_vectors
 from .verify import verify_gram, verify_vectors
 
 EXIT_OK = 0
@@ -71,6 +71,8 @@ def _cmd_simulate(args) -> int:
         doc = read_vector_file(args.seed_file)
         if doc.dim != args.dim:
             raise ConfigError(f"seed file dimension {doc.dim} disagrees with --dim {args.dim}")
+        # Refuse a zero row or a cosine above 1/2, as search does for a file seed.
+        config_from_vectors(doc.vectors, doc.dim)
         seed = doc.vectors
     else:
         seed = np.eye(args.dim)[:1]
@@ -86,10 +88,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .game import default_policy, train_loop
+    from .game import default_policy, load_seed, train_loop
     from .runconfig import load_run_config
 
     config = load_run_config(args.config)
+    seed = load_seed(config.game)  # a bad seed is refused before any output
     echo = config.echo
     out_dir = config.out_path
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -129,7 +132,9 @@ def _cmd_search(args) -> int:
                 save_checkpoint(ckpt_path, config_echo=echo, rng=rng, run=run)
 
         if remaining > 0:
-            run = train_loop(config.game, remaining, run=run, rng=rng, on_episode=on_episode)
+            run = train_loop(config.game, remaining, run=run, rng=rng, on_episode=on_episode,
+                             seed=seed)
+        del seed  # free the seed's Gram before the final certificate is built
         if run is None or run.best is None:
             raise ConfigError("checkpoint holds no result and no episodes remain")
         best = run.best
@@ -156,17 +161,19 @@ def _cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     if head.startswith(b"kiss-gram"):
-        state = read_gram_file(args.path)
-        mode = args.mode or state.mode
-        if mode == "rational" and state.exact is None:
-            raise ConfigError(f"{args.path}: float gram file cannot be verified rationally")
-        cert = verify_gram(state, mode=mode)
+        kind, doc = "gram", read_gram_file(args.path)
     elif head.startswith(b"kiss-vectors"):
-        doc = read_vector_file(args.path)
-        mode = args.mode or doc.mode
-        cert = verify_vectors(doc.vectors, doc.dim, mode=mode, exact=doc.exact)
+        kind, doc = "vector", read_vector_file(args.path)
     else:
         raise ParseError(f"{args.path}: not a kiss-vectors or kiss-gram file")
+    # A Gram state and a vector document both carry their mode and exact entries.
+    mode = args.mode or doc.mode
+    if mode == "rational" and doc.exact is None:
+        raise ConfigError(f"{args.path}: float {kind} file cannot be verified rationally")
+    if kind == "gram":
+        cert = verify_gram(doc, mode=mode)
+    else:
+        cert = verify_vectors(doc.vectors, doc.dim, mode=mode, exact=doc.exact)
     sys.stdout.write(certificate_text(cert))
     if args.out:
         write_certificate(args.out, cert)
@@ -221,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a reference configuration")
     gen.add_argument("--name", required=True, help=", ".join(
-        f"{name}(n)" if takes_n else name for name, (_, takes_n, _) in GENERATORS.items()))
+        f"{name}(n)" if takes_n else name for name, (_, takes_n) in GENERATORS.items()))
     gen.add_argument("--out", required=True)
     gen.add_argument("--gram-out", default=None)
     gen.set_defaults(func=_cmd_generate)

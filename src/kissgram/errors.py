@@ -37,10 +37,6 @@ class ProtectedRow(KissError):
     """A deletion set touches rows marked as protected."""
 
 
-class InvalidSeed(KissError):
-    """A game seed state violates the Gram invariants."""
-
-
 class ParseError(KissError):
     """A file or scalar literal does not conform to its format."""
 
@@ -55,6 +51,13 @@ class CosineCapViolation(KissError):
 
 class ConfigError(KissError):
     """A run configuration file is malformed or contains unknown keys."""
+
+
+class InvalidSeed(ConfigError):
+    """The configured seed cannot start the run: it holds no rows or fewer
+    than asked for, has another dimension, lacks the exact cosines rational
+    mode needs or the anchors a member list needs, or violates the Gram
+    invariants.  It is a config error, raised before a search writes output."""
 
 
 class CheckpointError(KissError):

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -43,12 +42,13 @@ def _parse_header(line: str, magic: str, path) -> dict[str, str]:
     return fields
 
 
-def _data_lines(lines: Iterable[str]) -> Iterator[str]:
-    """The non-blank ``lines``, comments stripped."""
-    for raw in lines:
+def _data_lines(text: str) -> list[str]:
+    out = []
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield line
+            out.append(line)
+    return out
 
 
 def _require_finite(matrix: np.ndarray, path):
@@ -77,18 +77,10 @@ def _read_text(path) -> str:
 def _table_rows(text: str, magic: str, path) -> tuple[int, int, str, list[str]]:
     """``dim`` (at least 1), ``count`` (at least 0), mode and the ``count`` data
     rows of a vector or Gram file."""
-    lines = list(_data_lines(text.splitlines()))
+    lines = _data_lines(text)
     if not lines:
         raise ParseError(f"{path}: empty file")
-    dim, count, mode = _table_header(lines[0], magic, path)
-    if len(lines) - 1 != count:
-        raise ParseError(f"{path}: header claims {count} rows, found {len(lines) - 1}")
-    return dim, count, mode, lines[1:]
-
-
-def _table_header(line: str, magic: str, path) -> tuple[int, int, str]:
-    """``dim``, ``count`` and mode of a vector or Gram file's header ``line``."""
-    fields = _parse_header(line, magic, path)
+    fields = _parse_header(lines[0], magic, path)
     dim = _header_int(fields, "dim", path)
     count = _header_int(fields, "count", path)
     if dim < 1 or count < 0:
@@ -97,7 +89,9 @@ def _table_header(line: str, magic: str, path) -> tuple[int, int, str]:
     mode = fields.get("mode", "float")
     if mode not in ("float", "rational"):
         raise ParseError(f"{path}: unknown mode {mode!r}")
-    return dim, count, mode
+    if len(lines) - 1 != count:
+        raise ParseError(f"{path}: header claims {count} rows, found {len(lines) - 1}")
+    return dim, count, mode, lines[1:]
 
 
 def _table_entries(rows: list[str], widths, mode: str, path
@@ -161,18 +155,6 @@ def write_vector_file(path, vectors: np.ndarray, mode: str = "float",
         for row in v:
             lines.append(" ".join(format_float(float(x)) for x in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_vector_count(path) -> int:
-    """The row count a vector file's header declares; no line after it is read."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = next(_data_lines(fh), None)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if header is None:
-        raise ParseError(f"{path}: empty file")
-    return _table_header(header, VECTOR_MAGIC, path)[1]
 
 
 def read_vector_file(path) -> VectorDoc:
@@ -256,7 +238,7 @@ class CosineReport:
 
 def read_cosine_report(path) -> CosineReport:
     text = _read_text(path)
-    lines = list(_data_lines(text.splitlines()))
+    lines = _data_lines(text)
     if not lines:
         raise ParseError(f"{path}: empty file")
     fields = _parse_header(lines[0], COSINE_MAGIC, path)

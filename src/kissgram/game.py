@@ -215,16 +215,22 @@ class _RowMeta:
 def _kept_rows(spec: SeedSpec, count: int) -> int:
     if count == 0:
         raise InvalidSeed("seed holds no rows")
-    k = count if spec.rows is None else spec.rows
-    if not 1 <= k <= count:
-        raise InvalidSeed(f"seed truncation to {k} rows is out of range")
-    return k
+    if spec.rows is None:
+        return count
+    if spec.rows > count:
+        raise InvalidSeed(f"seed rows = {spec.rows} exceeds the seed's {count} rows")
+    return spec.rows
 
 
 def load_seed(config: GameConfig) -> Seed:
-    """Build the run's seed once: generate or read it, keep its first ``rows``
+    """Build the run's seed: generate or read it, keep its first ``rows``
     rows, validate them and lift a rational state to the run's D.  Only a
-    file seed's kept rows are normalized, checked and turned into a Gram."""
+    file seed's kept rows are normalized, checked and turned into a Gram.
+
+    A seed that cannot start the run raises ``InvalidSeed``, a config error;
+    an unreadable seed file raises ``ParseError``, and a zero row or a cosine
+    above 1/2 among the kept rows ``NonUnitVector`` or ``CosineCapViolation``.
+    ``search`` calls this once, before it creates any output."""
     from .fileio import read_vector_file
     from .refconfigs import config_from_vectors, generate
 
@@ -459,16 +465,17 @@ def default_policy(config: GameConfig) -> CorrectorPolicy:
 
 def train_loop(config: GameConfig, episodes: int, *, run: TrainResult | None = None,
                rng: np.random.Generator | None = None,
-               on_episode: EpisodeCallback | None = None) -> TrainResult:
+               on_episode: EpisodeCallback | None = None,
+               seed: Seed | None = None) -> TrainResult:
     """Run episodes, updating both learners from the shared team reward.
 
-    The seed is loaded once and every episode replays it; the episodes
-    share one ``BasisTable``, so the run factors and enumerates each basis
-    block once.  ``run``, a fresh one by default, is continued in place and
-    returned.  The best-ever result is monotone over episodes.  All
-    stochastic choices flow through the single ``rng`` stream, so a fixed
-    seed reproduces the run bit for bit (and a checkpoint resume continues
-    the same stream).
+    Every episode replays ``seed``, built by ``load_seed(config)`` when none
+    is given; the episodes share one ``BasisTable``, so the run factors and
+    enumerates each basis block once.  ``run``, a fresh one by default, is
+    continued in place and returned.  The best-ever result is monotone over
+    episodes.  All stochastic choices flow through the single ``rng``
+    stream, so a fixed seed reproduces the run bit for bit (and a checkpoint
+    resume continues the same stream).
     """
     if episodes < 1:
         raise ConfigError("episodes must be at least 1")
@@ -477,7 +484,9 @@ def train_loop(config: GameConfig, episodes: int, *, run: TrainResult | None = N
                           policy=default_policy(config))
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-    seed, table = load_seed(config), BasisTable()
+    if seed is None:
+        seed = load_seed(config)
+    table = BasisTable()
     for _ in range(episodes):
         episode = play_episode(config, seed, run.tree, run.policy, rng, table)
         backpropagate(run.tree, episode.trajectory, float(episode.team_reward))

@@ -45,11 +45,6 @@ class GeneratorId:
             raise ParseError(f"{name} needs a positive integer argument")
         return GeneratorId(name=name, n=int(arg))
 
-    @property
-    def rows(self) -> int:
-        """The configuration's row count, known without building it."""
-        return GENERATORS[self.name][2](self.n)
-
 
 @dataclass(frozen=True)
 class GeneratedConfig:
@@ -169,15 +164,14 @@ def config_from_vectors(raw: np.ndarray, dim: int, exact: np.ndarray | None = No
     return GeneratedConfig("vectors", vectors, state)
 
 
-# Each generator's builder, whether it takes the argument n, and its row
-# count as a function of n.
+# Each generator's builder, and whether it takes the argument n.
 GENERATORS = {
-    "CrossPolytope": (cross_polytope, True, lambda n: 2 * n),
-    "Simplex": (simplex, True, lambda n: n + 1),
-    "Hexagon": (hexagon, False, lambda n: 6),
-    "Icosahedron": (icosahedron, False, lambda n: 12),
-    "D4Roots": (d4_roots, False, lambda n: 24),
-    "E8Roots": (e8_roots, False, lambda n: 240),
+    "CrossPolytope": (cross_polytope, True),
+    "Simplex": (simplex, True),
+    "Hexagon": (hexagon, False),
+    "Icosahedron": (icosahedron, False),
+    "D4Roots": (d4_roots, False),
+    "E8Roots": (e8_roots, False),
 }
 
 
@@ -187,5 +181,5 @@ def generate(gid: GeneratorId | str) -> GeneratedConfig:
         gid = GeneratorId.parse(gid)
     if gid.name not in GENERATORS:
         raise ParseError(f"unknown generator: {gid.name!r}")
-    build, takes_n, _ = GENERATORS[gid.name]
+    build, takes_n = GENERATORS[gid.name]
     return build(gid.n) if takes_n else build()

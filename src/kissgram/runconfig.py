@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ConfigError, ParseError
-from .fileio import read_vector_count, read_vector_file
+from .fileio import read_vector_file
 from .filler import ActionSpec, CapOnly, DiscreteSet, MembershipList
 from .game import CorrectorConfig, GameConfig, SeedSpec
 from .gram import Tolerances
@@ -161,7 +161,7 @@ def _build(sections, base_dir: Path) -> RunConfig:
     elif seed_source.startswith("generator:"):
         name = seed_source.split(":", 1)[1]
         try:
-            generator = GeneratorId.parse(name)
+            GeneratorId.parse(name)
         except ParseError as exc:
             raise ConfigError(f"seed source: {exc}") from exc
         seed = SeedSpec(kind="generator", name=name)
@@ -173,11 +173,6 @@ def _build(sections, base_dir: Path) -> RunConfig:
     rows = read("seed", "rows", *_int_or("all"), what="seed rows")
     if rows is not None:
         seed = SeedSpec(kind=seed.kind, name=seed.name, path=seed.path, rows=rows)
-        # A generator's row count follows from its name, a file's from its
-        # header, so the seed itself is still built once, by the run.
-        count = generator.rows if seed.kind == "generator" else read_vector_count(seed.path)
-        if rows > count:
-            raise ConfigError(f"seed rows = {rows} exceeds the seed's {count} rows")
 
     c1 = read("action", "c1", _parse_value_list, _set_text, "action c1")
 

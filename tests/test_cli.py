@@ -346,6 +346,21 @@ def test_search_generator_seeded_e8_reaches_240(tmp_path):
     assert cert["verdict"] == "Pass"
 
 
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_search_with_reassembly_from_120_e8_rows_reaches_240(tmp_path, mode):
+    grams = []
+    for run in range(2):
+        cfg = tmp_path / f"e8-{run}.cfg"
+        cfg.write_text(f"[run]\ndim = 8\nmode = {mode}\nepisodes = 2\nrounds = 4\n"
+                       f"reassemble = on\nout-dir = out-{run}\n"
+                       "[seed]\nsource = generator:E8Roots\nrows = 120\n")
+        assert run_cli("search", "--config", str(cfg)) == 0
+        cert = read_certificate(tmp_path / f"out-{run}" / "best.cert")
+        assert (cert["verdict"], cert["sphere-count"]) == ("Pass", "240")
+        grams.append((tmp_path / f"out-{run}" / "best.gram").read_bytes())
+    assert grams[0] == grams[1]
+
+
 def test_simulate_cosines_seed_file_dimension_check(tmp_path):
     assert run_cli("generate", "--name", "Hexagon", "--out", str(tmp_path / "h.vec")) == 0
     assert run_cli("simulate-cosines", "--dim", "3", "--budget", "5",
@@ -356,15 +371,20 @@ def test_simulate_cosines_seed_file_dimension_check(tmp_path):
                    "--out", str(tmp_path / "r")) == 0
 
 
-def test_verify_float_gram_in_rational_mode_exits_3(tmp_path):
-    cfg_out = tmp_path / "g.gram"
-    import numpy as np
-
+@pytest.mark.parametrize("kind", ["vectors", "gram"])
+def test_verify_float_file_in_rational_mode_exits_3(tmp_path, capsys, kind):
     from kissgram.fileio import write_gram_file
     from kissgram.gram import GramState
 
-    write_gram_file(cfg_out, GramState(dim=2, entries=np.eye(2)), mode="float")
-    assert run_cli("verify", "--in", str(cfg_out), "--mode", "rational") == 3
+    path = tmp_path / f"eye.{kind}"
+    if kind == "vectors":
+        write_vector_file(path, np.eye(2))
+    else:
+        write_gram_file(path, GramState(dim=2, entries=np.eye(2)), mode="float")
+    assert run_cli("verify", "--in", str(path), "--mode", "rational") == 3
+    noun = kind.rstrip("s")
+    assert capsys.readouterr().err == (f"config error: {path}: float {noun} file cannot be "
+                                       f"verified rationally\n")
 
 
 def test_search_rational_mode_writes_exact_artifacts(tmp_path):
@@ -629,7 +649,34 @@ def test_search_empty_seed_file_exits_3(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[run]\ndim = 2\nepisodes = 1\nrounds = 1\n[seed]\nsource = file:x.vec\n")
     assert run_cli("search", "--config", str(cfg)) == 3
-    assert "seed holds no rows" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: seed holds no rows\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("dim = 3\n[seed]\nsource = generator:E8Roots\n", 3,
+     "config error: seed dimension 8 disagrees with config dim 3"),
+    ("dim = 4\n[seed]\nsource = file:d3.vec\n", 3,
+     "config error: seed dimension 3 disagrees with config dim 4"),
+    ("dim = 3\nmode = rational\n[seed]\nsource = file:d3.vec\n", 3,
+     "config error: rational mode needs a seed with exact rational cosines"),
+    ("dim = 3\nmode = rational\n[seed]\nsource = generator:Icosahedron\n", 3,
+     "config error: rational mode needs a seed with exact rational cosines"),
+    ("dim = 3\n[action]\ncstar = file:d3.vec\n", 3,
+     "config error: membership constraint needs a coordinate-anchored seed"),
+    ("dim = 3\n[seed]\nsource = file:missing.vec\n", 2, "error: "),
+    ("dim = 3\n[seed]\nsource = file:close.vec\n", 1,
+     "verification failure: max pairwise cosine "),
+])
+def test_search_checks_its_seed_before_any_output(tmp_path, capsys, text, code, message):
+    write_vector_file(tmp_path / "d3.vec", np.eye(3))
+    (tmp_path / "close.vec").write_text("kiss-vectors v1 dim=3 count=2\n1 0 0\n1 0.1 0\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nepisodes = 1\nrounds = 1\nout-dir = out\n" + text)
+    assert run_cli("search", "--config", str(cfg)) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--rng-seed", "-1"), ("--ucb-c", "inf"),
@@ -653,3 +700,16 @@ def test_simulate_cosines_zero_seed_row_exits_1(tmp_path, capsys):
     assert run_cli("search", "--config", str(cfg)) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["verification failure: zero vector cannot be normalized"] * 2
+    # Two rows at cosine 0.995 overlap; taken as a seed they would let the
+    # game report 13 spheres in dimension 3, above K(3) = 12.
+    (tmp_path / "close.vec").write_text("kiss-vectors v1 dim=3 count=2\n1 0 0\n1 0.1 0\n")
+    assert run_cli("simulate-cosines", "--dim", "3", "--budget", "3",
+                   "--seed-file", str(tmp_path / "close.vec"),
+                   "--out", str(tmp_path / "r")) == 1
+    cfg.write_text("[run]\ndim = 3\nepisodes = 1\nrounds = 1\n[seed]\nsource = file:close.vec\n")
+    assert run_cli("search", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == err[1]
+    assert err[0].startswith("verification failure: max pairwise cosine ")
+    assert err[0].endswith(" exceeds 1/2")
+    assert not (tmp_path / "r").exists()

@@ -174,7 +174,7 @@ def test_file_seed_turns_only_its_kept_rows_into_a_gram(tmp_path, monkeypatch):
     path.write_text("kiss-vectors v1 dim=2 count=4\n1 0\n0 1\n0 0\n1 0\n")
     seed = SeedSpec(kind="file", path=str(path), rows=2)
     assert load_seed(GameConfig(dim=2, action=SPEC, seed=seed)).state.m == 2
-    with pytest.raises(InvalidSeed, match="truncation to 5 rows is out of range"):
+    with pytest.raises(InvalidSeed, match="seed rows = 5 exceeds the seed's 4 rows"):
         load_seed(GameConfig(dim=2, action=SPEC,
                              seed=SeedSpec(kind="file", path=str(path), rows=5)))
 
