@@ -2,9 +2,11 @@
 
 Layout: an 8-byte magic, a u32 version, then length-prefixed sections
 (4-byte ascii tag, u64 payload length, payload), and a trailing sha256 over
-all prior bytes.  Restoring a checkpoint restores the RNG cursor, the tree
-statistics, the policy and the best result, so a resumed run reproduces the
-uninterrupted one bit for bit.
+all prior bytes.  A checkpoint holds what the run learned: the RNG cursor,
+the tree statistics, the policy weights with their reward baseline, the
+rewards and the best result.  Every setting comes from the configuration
+the resume runs under, so a resumed run reproduces the uninterrupted one bit
+for bit.
 """
 
 from __future__ import annotations
@@ -12,17 +14,17 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corrector import CorrectorPolicy
 from .errors import CheckpointError, ParseError
 from .fileio import gram_text, parse_gram_text
 from .filler import SearchTree
-from .game import EpisodeResult, TrainResult
+from .game import EpisodeResult, GameConfig, TrainResult, default_policy
 
 MAGIC = b"KISSCKPT"
 VERSION = 2  # 2: TREE keys are fingerprints of sorted row digests
@@ -33,12 +35,30 @@ _SECTIONS = ("CFGE", "RNGS", "TREE", "POLI", "PROG", "BEST")
 @dataclass
 class Checkpoint:
     """A loaded checkpoint: the config echo it must match, the RNG cursor, and
-    the run state that ``train_loop(config, n, run=checkpoint.run, rng=...)``
-    continues."""
+    what the run learned, which ``resume`` turns into the run state that
+    ``train_loop(config, n, run=checkpoint.resume(config), rng=...)`` continues."""
 
     config_echo: str
     rng_state: dict
-    run: TrainResult
+    tree: SearchTree
+    weights: np.ndarray
+    baseline: float
+    rewards: list[int]
+    best: EpisodeResult | None
+
+    def resume(self, config: GameConfig) -> TrainResult:
+        """The run state under ``config``: its policy is ``default_policy(config)``
+        with the learned weights.  Raises CheckpointError when the weights or
+        the tree's exploration constant do not fit ``config``."""
+        policy = default_policy(config)
+        if self.weights.shape != policy.weights.shape:
+            raise CheckpointError(f"corrector weights have shape {self.weights.shape}, "
+                                  f"the configuration needs {policy.weights.shape}")
+        if self.tree.exploration != config.exploration:
+            raise CheckpointError(f"search tree exploration {self.tree.exploration} "
+                                  f"disagrees with the configuration's {config.exploration}")
+        return TrainResult(tree=self.tree, policy=replace(policy, weights=self.weights),
+                           best=self.best, baseline=self.baseline, rewards=list(self.rewards))
 
 
 def _best_payload(best: EpisodeResult | None) -> bytes:
@@ -66,16 +86,13 @@ def _best_from_payload(payload: bytes) -> EpisodeResult | None:
 
 
 def save_checkpoint(path, *, config_echo: str, rng: np.random.Generator, run: TrainResult):
-    """Write ``run`` and the RNG cursor to ``path``, atomically."""
-    policy = run.policy
+    """Write what ``run`` learned and the RNG cursor to ``path``, atomically."""
     payloads = {
         "CFGE": config_echo.encode("utf-8"),
         "RNGS": json.dumps(rng.bit_generator.state, sort_keys=True).encode("utf-8"),
         "TREE": json.dumps(run.tree.summary(), sort_keys=True).encode("utf-8"),
         "POLI": json.dumps({
-            "weights": [float(w) for w in policy.weights],
-            "temperature": policy.temperature,
-            "max_delete_fraction": policy.max_delete_fraction,
+            "weights": [float(w) for w in run.policy.weights],
             "baseline": run.baseline,
         }, sort_keys=True).encode("utf-8"),
         "PROG": json.dumps({"rewards": run.rewards}, sort_keys=True).encode("utf-8"),
@@ -132,22 +149,27 @@ def load_checkpoint(path) -> Checkpoint:
     if missing:
         raise CheckpointError(f"{path}: missing sections {missing}")
     try:
+        # Files written before POLI held only what training learned also
+        # carry the policy's settings; those come from the configuration.
         poli = json.loads(payloads["POLI"].decode("utf-8"))
-        policy = CorrectorPolicy(
-            weights=np.array(poli["weights"], dtype=float),
-            temperature=float(poli["temperature"]),
-            max_delete_fraction=float(poli["max_delete_fraction"]),
-        )
         rng_state = json.loads(payloads["RNGS"].decode("utf-8"))
         np.random.PCG64().state = rng_state  # rejects a state a resume could not restore
-        run = TrainResult(
+        ckpt = Checkpoint(
+            config_echo=payloads["CFGE"].decode("utf-8"),
+            rng_state=rng_state,
             tree=SearchTree.from_summary(json.loads(payloads["TREE"].decode("utf-8"))),
-            policy=policy,
-            best=_best_from_payload(payloads["BEST"]),
+            weights=np.array(poli["weights"], dtype=float),
             baseline=float(poli["baseline"]),
             rewards=[int(r) for r in json.loads(payloads["PROG"].decode("utf-8"))["rewards"]],
+            best=_best_from_payload(payloads["BEST"]),
         )
-        return Checkpoint(payloads["CFGE"].decode("utf-8"), rng_state, run)
     except (KeyError, TypeError, AttributeError, ValueError, ParseError) as exc:
         # A payload of the wrong shape is as corrupt as one that fails to parse.
         raise CheckpointError(f"{path}: malformed section payload: {exc}") from exc
+    if not (np.isfinite(ckpt.weights).all() and math.isfinite(ckpt.baseline)):
+        raise CheckpointError(f"{path}: corrector weights or baseline are not finite")
+    best = ckpt.best
+    if best is not None and best.team_reward != best.final_state.m:
+        raise CheckpointError(f"{path}: best team reward {best.team_reward} disagrees with "
+                              f"its {best.final_state.m}-row Gram")
+    return ckpt

@@ -88,7 +88,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .game import default_policy, load_seed, train_loop
+    from .game import load_seed, train_loop
     from .runconfig import load_run_config
 
     config = load_run_config(args.config)
@@ -106,12 +106,7 @@ def _cmd_search(args) -> int:
         if ckpt.config_echo != echo:
             raise ConfigError(f"{args.resume}: checkpoint was produced by a different "
                               f"configuration")
-        expected = default_policy(config.game).weights.shape
-        if ckpt.run.policy.weights.shape != expected:
-            raise CheckpointError(f"{args.resume}: corrector weights have shape "
-                                  f"{ckpt.run.policy.weights.shape}, the configuration needs "
-                                  f"{expected}")
-        run = ckpt.run
+        run = ckpt.resume(config.game)
         rng.bit_generator.state = ckpt.rng_state
 
     log = open(log_path, "a" if args.resume else "w", encoding="utf-8")

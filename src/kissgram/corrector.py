@@ -14,23 +14,24 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ProtectedRow
+from .filler import DiscreteSet
 from .gram import GramState
 
 FEATURE_BASE = 4  # max-cosine degree, mean cosine, age, conflict score
 
 
-def row_features(state: GramState, c1_values: Sequence[float], ages: Sequence[int],
+def row_features(state: GramState, c1: DiscreteSet, ages: Sequence[int],
                  conflicts: Sequence[int], rounds: int) -> np.ndarray:
-    """Normalized m x (FEATURE_BASE + len(c1_values)) feature matrix for policy scoring.
+    """Normalized m x (FEATURE_BASE + len(c1.values)) feature matrix for policy scoring.
 
     Per row: the share of its m - 1 partners at the state's largest
     off-diagonal cosine, its mean cosine, its age over ``rounds``, its share
     of the total conflict score, and the share of partners whose cosine lies
-    nearest each c1 value (so the value shares account for all m - 1).
+    nearest each c1 value (``DiscreteSet.nearest``, so the value shares
+    account for all m - 1).
     """
     m = state.m
-    vals = np.asarray(c1_values, dtype=float)
-    k = vals.size
+    k = len(c1.values)
     conflicts = np.asarray(conflicts, dtype=np.int64)
     denom = max(m - 1, 1)
     out = np.zeros((m, FEATURE_BASE + k))
@@ -42,7 +43,7 @@ def row_features(state: GramState, c1_values: Sequence[float], ages: Sequence[in
         out[:, 1] = off.mean(axis=1)
         if k:
             # Bin (row, nearest value) pairs as row * k + value: one count per cell.
-            cell = np.abs(off[:, :, None] - vals).argmin(axis=2) + k * np.arange(m)[:, None]
+            cell = c1.nearest(off) + k * np.arange(m)[:, None]
             counts = np.bincount(cell.ravel(), minlength=m * k).reshape(m, k)
             out[:, FEATURE_BASE:] = counts / denom
     return out

@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,10 @@ ALGEBRAIC_CONSTANTS.update({f"-{k}": -v for k, v in list(ALGEBRAIC_CONSTANTS.ite
 
 SNAP_MAX_DENOMINATOR = 12
 SNAP_TOL = 1e-6
+COMBO_CAP = 512        # tangent combinations solved per rollout step at most
+DIGITS = 9             # histogram bins and candidate identity are values rounded to 1e-9
+NOISE_FLOOR = 0.005    # least share of the samples a kept cosine needs
+TANGENT_TOL = 1e-9     # rank, radicand and cap tolerance of the tangent solve
 
 
 @dataclass(frozen=True)
@@ -77,41 +82,14 @@ class CosineSet:
     def values(self) -> tuple[float, ...]:
         return tuple(e.value for e in self.entries)
 
-    @property
-    def is_rational(self) -> bool:
-        return all(e.exact is not None for e in self.entries)
 
-    @staticmethod
-    def from_floats(values, snap: bool = True) -> "CosineSet":
-        entries = tuple(snap_value(v) if snap else CosineValue(v) for v in values)
-        return CosineSet(entries=entries)
+def _histogram(buffers: list[list[float]]) -> Counter:
+    """Occurrence counts of the cosines in ``buffers``, rounded to DIGITS
+    decimals, with -0.0 counted as 0.0."""
+    return Counter(round(v, DIGITS) + 0.0 for buffer in buffers for v in buffer)
 
 
-@dataclass
-class CosineHistogram:
-    """Occurrence counts of rounded cosine values."""
-
-    digits: int = 9
-    bins: dict[float, int] = field(default_factory=dict)
-
-    @property
-    def total_samples(self) -> int:
-        return sum(self.bins.values())
-
-    def record(self, value: float):
-        key = round(float(value), self.digits)
-        if key == 0.0:
-            key = 0.0  # merge -0.0
-        self.bins[key] = self.bins.get(key, 0) + 1
-
-    def merged(self, other: "CosineHistogram") -> "CosineHistogram":
-        out = CosineHistogram(digits=self.digits, bins=dict(self.bins))
-        for k, v in other.bins.items():
-            out.bins[k] = out.bins.get(k, 0) + v
-        return out
-
-
-def solve_tangent(centers: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
+def solve_tangent(centers: np.ndarray) -> list[np.ndarray]:
     """Unit centers tangent to all n-1 given ones: zero, one or two solutions.
 
     One combination of ``_batched_tangent``; the two solutions coincide, and
@@ -121,34 +99,29 @@ def solve_tangent(centers: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
     k, n = a.shape
     if k != n - 1:
         raise RankDeficient(f"need exactly n-1 = {n - 1} centers, got {k}")
-    if np.linalg.matrix_rank(a, tol=tol) < k:
+    if np.linalg.matrix_rank(a, tol=TANGENT_TOL) < k:
         raise RankDeficient("stacked center matrix is not of full row rank")
-    sols = list(_batched_tangent(a, np.arange(k)[None, :], tol))
+    sols = list(_batched_tangent(a, np.arange(k)[None, :]))
     if len(sols) == 2 and np.array_equal(*sols):
         return sols[:1]
     return sols
 
 
-def _batched_tangent(vs: np.ndarray, combos: np.ndarray, tol: float) -> np.ndarray:
+def _batched_tangent(vs: np.ndarray, combos: np.ndarray) -> np.ndarray:
     """Solve every combination at once; returns candidate unit vectors."""
     a = vs[combos]                                   # (K, n-1, n)
     n = vs.shape[1]
     u, s, vt = np.linalg.svd(a)
-    ok = s[:, -1] > tol                              # full row rank
+    ok = s[:, -1] > TANGENT_TOL                      # full row rank
     b = np.full(n - 1, 0.5)
-    coeff = (u.transpose(0, 2, 1) @ b) / np.where(s > tol, s, 1.0)
+    coeff = (u.transpose(0, 2, 1) @ b) / np.where(s > TANGENT_TOL, s, 1.0)
     part = np.einsum("kij,ki->kj", vt[:, : n - 1, :], coeff)
     kernel = vt[:, n - 1, :]
     rad = 1.0 - np.einsum("ki,ki->k", part, part)
-    ok &= rad >= -tol
+    ok &= rad >= -TANGENT_TOL
     r = np.sqrt(np.clip(rad, 0.0, None))
     sols = np.concatenate([part + r[:, None] * kernel, part - r[:, None] * kernel])
     return sols[np.concatenate([ok, ok])]
-
-
-def _action_key(profile: np.ndarray) -> bytes:
-    q = np.sort(np.rint(profile * 1e9).astype(np.int64))
-    return hashlib.blake2b(q.tobytes(), digest_size=16).digest()
 
 
 def _grow_seed(vs: np.ndarray, n: int) -> np.ndarray:
@@ -184,13 +157,18 @@ class CosineSimResult:
     cosine_set: CosineSet
     counts: tuple[int, ...]
     converged: bool
-    histogram: CosineHistogram
+    histogram: Counter
     best_count: int
     best_contacts: int
 
 
+def _quantized(x: np.ndarray) -> np.ndarray:
+    """``x`` in integer units of 10**-DIGITS."""
+    return np.rint(x * 10.0 ** DIGITS).astype(np.int64)
+
+
 def _rollout(dim: int, vs0: np.ndarray, tree: SearchTree, rng: np.random.Generator,
-             exploit: bool, combo_cap: int, tol: float) -> tuple[np.ndarray, list[float]]:
+             exploit: bool) -> tuple[np.ndarray, list[float]]:
     """One configuration-growing pass; returns the final centers and the
     cosines recorded along the way."""
     vs = vs0.copy()
@@ -198,29 +176,28 @@ def _rollout(dim: int, vs0: np.ndarray, tree: SearchTree, rng: np.random.Generat
     buffer: list[float] = []
     while True:
         m = vs.shape[0]
-        if math.comb(m, dim - 1) <= combo_cap:
+        if math.comb(m, dim - 1) <= COMBO_CAP:
             combos = np.array(list(itertools.combinations(range(m), dim - 1)))
         else:
-            picks = np.sort(rng.integers(0, m, size=(combo_cap, dim - 1)), axis=1)
+            picks = np.sort(rng.integers(0, m, size=(COMBO_CAP, dim - 1)), axis=1)
             valid = (np.diff(picks, axis=1) > 0).all(axis=1)
             combos = np.unique(picks[valid], axis=0)
             if combos.size == 0:
                 break
-        sols = _batched_tangent(vs, combos, tol)
+        sols = _batched_tangent(vs, combos)
         if sols.shape[0] == 0:
             break
-        sols = sols[(sols @ vs.T).max(axis=1) <= COSINE_CAP + tol]
+        sols = sols[(sols @ vs.T).max(axis=1) <= COSINE_CAP + TANGENT_TOL]
         if sols.shape[0] == 0:
             break
-        seen: dict[bytes, int] = {}
-        for i in range(sols.shape[0]):
-            key = np.rint(sols[i] * 1e9).astype(np.int64).tobytes()
-            if key not in seen:
-                seen[key] = i
-        cands = sols[sorted(seen.values())]
+        # One candidate per rounded vector: its first occurrence, in order.
+        first = np.unique(_quantized(sols), axis=0, return_index=True)[1]
+        cands = sols[np.sort(first)]
         state_fp = fingerprint_state(gram_from_vectors(vs, dim))
         profiles = cands @ vs.T
-        keys = [_action_key(profiles[i]) for i in range(cands.shape[0])]
+        # A move is keyed by its rounded cosine profile, as a multiset.
+        keys = [hashlib.blake2b(row.tobytes(), digest_size=16).digest()
+                for row in np.sort(_quantized(profiles), axis=1)]
         # Tight contacts (cosines at the cap) densify the packing; the noise
         # keeps exploration rollouts diverse.
         contacts = np.count_nonzero(np.abs(profiles - COSINE_CAP) <= 1e-7, axis=1)
@@ -254,10 +231,7 @@ def _contact_pairs(vs: np.ndarray) -> int:
 
 def simulate_cosine_set(dim: int, seed_config: np.ndarray, budget: int,
                         ucb_c: float = math.sqrt(2.0), *,
-                        rng: np.random.Generator | None = None,
-                        combo_cap: int = 512, digits: int = 9,
-                        noise_floor: float = 0.005,
-                        tol: float = 1e-9) -> CosineSimResult:
+                        rng: np.random.Generator | None = None) -> CosineSimResult:
     """Record cosine frequencies over ``budget`` guided rollouts.
 
     Rollouts alternate between exploring fresh branches and exploiting the
@@ -286,21 +260,18 @@ def simulate_cosine_set(dim: int, seed_config: np.ndarray, budget: int,
     commits: list[list[float]] = []
     for rollout in range(budget):
         exploit = rollout % 2 == 1
-        vs, buffer = _rollout(dim, vs0, tree, rng, exploit, combo_cap, tol)
+        vs, buffer = _rollout(dim, vs0, tree, rng, exploit)
         key = (vs.shape[0], _contact_pairs(vs))
         if key > best_key:
             best_key = key
             commits = [buffer]
         elif key == best_key:
             commits.append(buffer)
-    halves = [CosineHistogram(digits=digits), CosineHistogram(digits=digits)]
-    for c_i, buffer in enumerate(commits):
-        half = halves[0] if c_i < (len(commits) + 1) // 2 else halves[1]
-        for value in buffer:
-            half.record(value)
-    merged = halves[0].merged(halves[1])
-    kept = _extract(merged, halves, noise_floor)
-    per_half = [[e.value for e, _ in _extract(h, [h], noise_floor)] for h in halves]
+    split = (len(commits) + 1) // 2
+    halves = [_histogram(commits[:split]), _histogram(commits[split:])]
+    merged = halves[0] + halves[1]
+    kept = _extract(merged, halves)
+    per_half = [[e.value for e, _ in _extract(h, [h])] for h in halves]
     converged = len(commits) >= 2 and len(kept) > 0 and per_half[0] == per_half[1]
     return CosineSimResult(cosine_set=CosineSet(entries=tuple(e for e, _ in kept)),
                            counts=tuple(count for _, count in kept), converged=converged,
@@ -308,19 +279,17 @@ def simulate_cosine_set(dim: int, seed_config: np.ndarray, budget: int,
                            best_contacts=max(best_key[1], 0))
 
 
-def _extract(merged: CosineHistogram, halves: list[CosineHistogram],
-             noise_floor: float) -> list[tuple[CosineValue, int]]:
+def _extract(merged: Counter, halves: list[Counter]) -> list[tuple[CosineValue, int]]:
     """Group bins by snapped value, then apply the floor and persistence;
     returns the kept values with their group counts, in ascending order."""
-    total = max(merged.total_samples, 1)
-    half_seen: list[set[str]] = [
-        {snap_value(k).display() for k in h.bins} for h in halves]
+    total = max(merged.total(), 1)
+    half_seen: list[set[str]] = [{snap_value(k).display() for k in h} for h in halves]
     groups: dict[str, dict] = {}
-    for key, count in sorted(merged.bins.items()):
+    for key, count in sorted(merged.items()):
         snapped = snap_value(key)
         g = groups.setdefault(snapped.display(), {"entry": snapped, "count": 0})
         g["count"] += count
     kept = [(g["entry"], g["count"]) for label, g in groups.items()
-            if g["count"] >= noise_floor * total
+            if g["count"] >= NOISE_FLOOR * total
             and all(label in seen for seen in half_seen)]
     return sorted(kept, key=lambda pair: pair[0].value)

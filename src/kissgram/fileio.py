@@ -217,10 +217,10 @@ def _cosine_value_fields(entry: CosineValue) -> str:
 
 def write_cosine_report(path, result: CosineSimResult, dim: int, budget: int):
     lines = [
-        f"{COSINE_MAGIC} dim={dim} budget={budget} samples={result.histogram.total_samples} "
+        f"{COSINE_MAGIC} dim={dim} budget={budget} samples={result.histogram.total()} "
         f"best={result.best_count} converged={int(result.converged)}"
     ]
-    total = max(result.histogram.total_samples, 1)
+    total = max(result.histogram.total(), 1)
     for entry, count in zip(result.cosine_set.entries, result.counts):
         lines.append(f"{_cosine_value_fields(entry)} freq={count / total:.6f} stable=1")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

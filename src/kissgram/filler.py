@@ -107,9 +107,14 @@ class DiscreteSet:
     @cached_property
     def snap_points(self) -> tuple[np.ndarray, np.ndarray]:
         """The values as a float array and the midpoints between neighbours,
-        which ``_tail_filter`` searches; built once per set."""
+        which ``nearest`` searches; built once per set."""
         values = _readonly(np.array(self.values, dtype=float))
         return values, _readonly((values[1:] + values[:-1]) / 2)
+
+    def nearest(self, x: np.ndarray) -> np.ndarray:
+        """Index of the value nearest each entry of ``x``, the lower one on a
+        tie: a search on the midpoints, as the values ascend."""
+        return np.searchsorted(self.snap_points[1], x, side="left")
 
     def numerators_over(self, scale: int) -> list[int]:
         """The exact values as integer numerators over a run's denominator ``scale``."""
@@ -613,15 +618,13 @@ def _tail_filter(tails: np.ndarray, c2: DiscreteSet | CapOnly,
                  tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Snapped tails and their violation mask.
 
-    A discrete tail snaps to its nearest c2 value, the lower one on a tie
-    (a search on the midpoints of c2, which is ascending), and violates when
-    it lies farther than ``tols.snap`` from it.  A capped tail is kept as it
-    is and violates above the cap.
+    A discrete tail snaps to its nearest c2 value (``DiscreteSet.nearest``)
+    and violates when it lies farther than ``tols.snap`` from it.  A capped
+    tail is kept as it is and violates above the cap.
     """
     if isinstance(c2, CapOnly):
         return tails, tails > c2.max_value + tols.cosine
-    c2v, midpoints = c2.snap_points
-    snapped = c2v[np.searchsorted(midpoints, tails, side="left")]
+    snapped = c2.snap_points[0][c2.nearest(tails)]
     return snapped, np.abs(tails - snapped) > tols.snap
 
 
@@ -665,10 +668,9 @@ def enumerate_membership(state: GramState, anchors: np.ndarray, spec: ActionSpec
         raise DimensionMismatch("anchor coordinates disagree with the state")
     cols = allowed @ anchors.T
     ok = cols.max(axis=1) <= COSINE_CAP + tols.cosine
-    head_len = min(m, n)
-    c1v = np.asarray(spec.c1.values, dtype=float)
-    head_dist = np.abs(cols[:, :head_len, None] - c1v[None, None, :]).min(axis=2)
-    ok &= (head_dist <= tols.snap).all(axis=1)
+    heads = cols[:, :min(m, n)]
+    c1v = spec.c1.snap_points[0]
+    ok &= (np.abs(heads - c1v[spec.c1.nearest(heads)]) <= tols.snap).all(axis=1)
     if m > n:
         snapped, viol = _tail_filter(cols[:, n:], spec.c2, tols)
         count = viol.sum(axis=1)

@@ -54,6 +54,8 @@ from .gram import (
 
 # Kissing numbers proved optimal; exceeding any of these is a bug, not a discovery.
 KNOWN_OPTIMAL = {1: 2, 2: 6, 3: 12, 4: 24, 8: 240, 24: 196560}
+FRAME_MIN_PAIRS = 2  # antipodal pairs a cross-polytope frame needs to be protected
+FRAME_TOL = 1e-9     # how far a frame's cosines may lie from -1 and 0
 
 
 @dataclass(frozen=True)
@@ -339,19 +341,20 @@ class ReassembleResult(NamedTuple):
     order: tuple[int, ...]
 
 
-def decompose_reassemble(state: GramState, *, min_pairs: int = 2,
-                         tol: float = 1e-9) -> ReassembleResult:
+def decompose_reassemble(state: GramState) -> ReassembleResult:
     """Move detected cross-polytope frames into the protected prefix.
 
     A frame is a maximal family of antipodal row pairs that are mutually
-    orthogonal; families below ``min_pairs`` pairs do not count as structure.
+    orthogonal, within FRAME_TOL; families below FRAME_MIN_PAIRS pairs do not
+    count as structure.
     The multiset of rows is unchanged: the result is a pure permutation
     (returned as ``order`` so callers can permute row metadata identically)
     plus a protected-prefix count.
     """
     g = state.entries
     m = state.m
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m) if abs(g[i, j] + 1.0) <= tol]
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)
+             if abs(g[i, j] + 1.0) <= FRAME_TOL]
     unused = list(pairs)
     frames: list[list[tuple[int, int]]] = []
     while unused:
@@ -360,12 +363,12 @@ def decompose_reassemble(state: GramState, *, min_pairs: int = 2,
         rest = []
         for q in unused:
             rows = [r for p in frame for r in p]
-            if all(abs(g[a, b]) <= tol for a in q for b in rows):
+            if all(abs(g[a, b]) <= FRAME_TOL for a in q for b in rows):
                 frame.append(q)
             else:
                 rest.append(q)
         unused = rest
-        if len(frame) >= min_pairs:
+        if len(frame) >= FRAME_MIN_PAIRS:
             frames.append(frame)
     frames.sort(key=lambda fr: (-len(fr), fr[0]))
     prefix: list[int] = []
@@ -409,7 +412,7 @@ def play_episode(config: GameConfig, seed: Seed, tree: SearchTree, policy: Corre
                 state = result.state
                 meta.take(result.order)
                 meta.protected[:result.protected] = True
-        feats = row_features(state, config.action.c1.values, meta.ages, meta.conflicts,
+        feats = row_features(state, config.action.c1, meta.ages, meta.conflicts,
                              config.rounds)
         protected = np.flatnonzero(meta.protected)
         draw = sample_index_set(policy, state, feats, rng, protected=protected)

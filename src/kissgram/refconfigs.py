@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CosineCapViolation, NonUnitVector, ParseError
-from .gram import DEFAULT_TOLS, GramState, Tolerances, gram_from_vectors
+from .gram import COSINE_CAP, DEFAULT_TOLS, GramState, Tolerances, gram_from_vectors
 from .rational import exact_cosines
 
 _GENERATOR_RE = re.compile(r"^([A-Za-z0-9]+)(?:\(([^)]*)\))?$")
@@ -151,15 +151,13 @@ def config_from_vectors(raw: np.ndarray, dim: int, exact: np.ndarray | None = No
     equal-norm lattice families); otherwise the state is float.
     """
     vectors = unit_rows(raw)
-    gram = vectors @ vectors.T
-    np.fill_diagonal(gram, 1.0)
-    off_max = float(gram[~np.eye(len(gram), dtype=bool)].max()) if len(gram) > 1 else -1.0
-    if off_max > 0.5 + tols.cosine:
+    state = gram_from_vectors(vectors, dim)
+    g = state.entries
+    off_max = float(g[~np.eye(len(g), dtype=bool)].max()) if len(g) > 1 else -1.0
+    if off_max > COSINE_CAP + tols.cosine:
         raise CosineCapViolation(f"max pairwise cosine {off_max} exceeds 1/2")
     cosines = exact_cosines(exact) if exact is not None else None
-    if cosines is None:
-        state = GramState(dim=dim, entries=(gram + gram.T) / 2.0)
-    else:
+    if cosines is not None:
         state = GramState.from_exact(dim, cosines[1], cosines[0])
     return GeneratedConfig("vectors", vectors, state)
 

@@ -160,7 +160,9 @@ def _certificate(mode: str, rows, m: int, dim: int, one, psd: bool, rank: int,
     values are numerators over ``one`` = D, compared exactly; float values
     (``one`` = 1.0) are contacts within CONTACT_TOL of the maximum.  Contacts
     are counted in the pass that finds the maximum (``_walk``); only the blocks
-    before a float rise by at most CONTACT_TOL are produced twice."""
+    before a float rise by at most CONTACT_TOL are produced twice.  The vectors'
+    ``unit_norm_max_error`` (None for a Gram) is reported, not judged:
+    ``verify_vectors`` refuses a residual above 1e-6 before it gets here."""
     exact = mode == "rational"
     top, antipodal, spectrum, degrees = _walk(rows, m, one, exact)
     max_exact = Fraction(top, one) if exact else None
@@ -171,8 +173,6 @@ def _certificate(mode: str, rows, m: int, dim: int, one, psd: bool, rank: int,
         reasons.append("NotPositiveSemidefinite")
     if rank > dim:
         reasons.append("RankExceedsDimension")
-    if unit_norm_max_error is not None and unit_norm_max_error > 1e-6:
-        reasons.append("NonUnitVector")
     return Certificate(
         mode=mode,
         sphere_count=m,
@@ -205,8 +205,7 @@ def spectrum_report(state: GramState) -> tuple[SpectrumEntry, ...]:
 
 
 def verify_gram(state: GramState, mode: str | None = None,
-                tols: Tolerances = DEFAULT_TOLS,
-                unit_norm_max_error: float | None = None) -> Certificate:
+                tols: Tolerances = DEFAULT_TOLS) -> Certificate:
     """Full certificate for a Gram state.
 
     ``mode`` defaults to the state's own arithmetic mode.  Rational mode
@@ -228,8 +227,7 @@ def verify_gram(state: GramState, mode: str | None = None,
         psd, rank = exact_ldlt(g)
     else:
         psd, rank = is_psd(state, tols.psd), rank_of(state, tols.rank)
-    return _certificate(mode, rows, state.m, state.dim, one, psd, rank, tols, reasons,
-                        unit_norm_max_error)
+    return _certificate(mode, rows, state.m, state.dim, one, psd, rank, tols, reasons, None)
 
 
 def verify_vectors(vectors: np.ndarray, dim: int | None = None, mode: str = "float",

@@ -301,7 +301,7 @@ def test_criterion_determinism(tmp_path):
     ck = load_checkpoint(ck_path)
     rng2 = np.random.default_rng(0)
     rng2.bit_generator.state = ck.rng_state
-    resumed = train_loop(cfg, episodes=7, run=ck.run, rng=rng2)
+    resumed = train_loop(cfg, episodes=7, run=ck.resume(cfg), rng=rng2)
     assert resumed.rewards == straight.rewards
     assert resumed.tree.summary() == straight.tree.summary()
     assert np.array_equal(resumed.policy.weights, straight.policy.weights)

@@ -211,12 +211,12 @@ def test_resume_after_kill_equals_uninterrupted(tmp_path):
 
     a = load_checkpoint(straight / "out" / "checkpoint.bin")
     b = load_checkpoint(killed / "out" / "checkpoint.bin")
-    assert a.run.rewards == b.run.rewards
+    assert a.rewards == b.rewards
     assert a.rng_state == b.rng_state
-    assert a.run.tree.summary() == b.run.tree.summary()
-    assert np.array_equal(a.run.policy.weights, b.run.policy.weights)
-    assert a.run.best.team_reward == b.run.best.team_reward
-    assert np.array_equal(a.run.best.final_state.entries, b.run.best.final_state.entries)
+    assert a.tree.summary() == b.tree.summary()
+    assert np.array_equal(a.weights, b.weights)
+    assert a.best.team_reward == b.best.team_reward
+    assert np.array_equal(a.best.final_state.entries, b.best.final_state.entries)
 
 
 def test_copied_run_directory_resumes(tmp_path):
@@ -549,8 +549,9 @@ def test_search_malformed_checkpoint_payload_exits_4(tmp_path, capsys, mode, tag
 
 
 
-def test_resume_accepts_a_policy_section_with_protected_prefix(tmp_path):
-    # Earlier checkpoints wrote the policy's protected_prefix (always 0) into POLI.
+def _checkpoint_after(tmp_path, episodes: int):
+    """A d3 run of 4 episodes: its config, the artifacts of the uninterrupted
+    run, and a checkpoint written after its first ``episodes``."""
     from kissgram.checkpoint import save_checkpoint
     from kissgram.game import train_loop
     from kissgram.runconfig import load_run_config
@@ -561,13 +562,45 @@ def test_resume_accepts_a_policy_section_with_protected_prefix(tmp_path):
     straight = _search_artifacts(tmp_path / "out")
     run = load_run_config(cfg)
     rng = np.random.default_rng(run.game.rng_seed)
-    half = train_loop(run.game, 2, rng=rng)
+    half = train_loop(run.game, episodes, rng=rng)
     ckpt = tmp_path / "half.bin"
     save_checkpoint(ckpt, config_echo=run.echo, rng=rng, run=half)
+    return cfg, ckpt, straight
+
+
+def test_resume_accepts_a_policy_section_with_protected_prefix(tmp_path):
+    # Earlier checkpoints wrote the policy's protected_prefix (always 0) into POLI.
+    cfg, ckpt, straight = _checkpoint_after(tmp_path, 2)
     _rewrite_checkpoint_section(ckpt, "POLI",
                                 _edit_json(lambda doc: {**doc, "protected_prefix": 0}))
     assert run_cli("search", "--config", str(cfg), "--resume", str(ckpt)) == 0
     assert _search_artifacts(tmp_path / "out") == straight
+
+
+def test_resume_takes_the_policy_settings_from_the_config(tmp_path):
+    # Earlier checkpoints also copied the policy's settings into POLI; a
+    # resume reads only the weights and the baseline, whatever those say.
+    cfg, ckpt, straight = _checkpoint_after(tmp_path, 1)
+    _rewrite_checkpoint_section(ckpt, "POLI", _edit_json(
+        lambda doc: {**doc, "temperature": math.nan, "max_delete_fraction": 0.9}))
+    assert run_cli("search", "--config", str(cfg), "--resume", str(ckpt)) == 0
+    assert _search_artifacts(tmp_path / "out") == straight
+
+
+@pytest.mark.parametrize("tag, edit, message", [
+    ("POLI", _edit_json(lambda doc: {**doc, "weights": [math.nan] + doc["weights"][1:]}),
+     "not finite"),
+    ("POLI", _edit_json(lambda doc: {**doc, "baseline": math.nan}), "not finite"),
+    ("BEST", _edit_json(lambda doc: {**doc, "team_reward": 999}), "best team reward 999"),
+    ("TREE", _edit_json(lambda doc: {**doc, "exploration": 0.5}), "exploration 0.5"),
+], ids=["weight-nan", "baseline-nan", "best-reward-999", "tree-exploration"])
+def test_resume_refuses_learned_values_that_cannot_hold(tmp_path, capsys, tag, edit, message):
+    cfg, ckpt, _ = _checkpoint_after(tmp_path, 1)
+    _rewrite_checkpoint_section(ckpt, tag, edit)
+    capsys.readouterr()
+    assert run_cli("search", "--config", str(cfg), "--resume", str(ckpt)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("weights", [[0.0], [[0.0] * 7]])

@@ -15,6 +15,7 @@ from kissgram.corrector import (
     sample_index_set,
 )
 from kissgram.errors import ProtectedRow
+from kissgram.filler import DiscreteSet
 from kissgram.gram import GramState, gram_from_vectors, is_psd, rank_of
 from kissgram.refconfigs import generate
 
@@ -72,13 +73,13 @@ def test_row_features_match_the_row_loop(name, state, c1):
     ages = rng.integers(0, 6, size=state.m)
     conflicts = rng.integers(0, 4, size=state.m)
     for a, c in ((ages, conflicts), (np.zeros(state.m, dtype=int), np.zeros(state.m, dtype=int))):
-        got = row_features(state, c1, a, c, 5)
+        got = row_features(state, DiscreteSet(c1), a, c, 5)
         assert np.array_equal(got, _reference_features(state, c1, a, c, 5))
 
 
 def test_row_features_histogram_sums_to_m_minus_one():
     state = generate("Hexagon").gram.as_float()
-    feats = row_features(state, (-1.0, -0.5, 0.0, 0.5), [0] * 6, [0] * 6, 1)
+    feats = row_features(state, DiscreteSet((-1.0, -0.5, 0.0, 0.5)), [0] * 6, [0] * 6, 1)
     assert np.array_equal(feats[:, FEATURE_BASE:].sum(axis=1) * 5, np.full(6, 5.0))
     assert np.isfinite(feats[:, 1]).all()
     # Every hexagon row touches two neighbors at the maximal cosine 1/2.
@@ -246,8 +247,8 @@ def test_synthetic_bandit_weight_increases():
 
 def test_feature_matrix_shape_and_normalization():
     state = generate("Hexagon").gram.as_float()
-    matrix = row_features(state, (-1.0, -0.5, 0.0, 0.5), ages=[0, 1, 2, 3, 4, 5],
-                          conflicts=[0, 0, 10, 0, 0, 0], rounds=5)
+    matrix = row_features(state, DiscreteSet((-1.0, -0.5, 0.0, 0.5)),
+                          ages=[0, 1, 2, 3, 4, 5], conflicts=[0, 0, 10, 0, 0, 0], rounds=5)
     assert matrix.shape == (6, 4 + 4)
     assert matrix[2, 3] == pytest.approx(1.0)  # all conflict mass on row 2
     assert np.isfinite(matrix).all()

@@ -26,7 +26,7 @@ from kissgram.fileio import (
     write_gram_file,
     write_vector_file,
 )
-from kissgram.filler import SearchTree
+from kissgram.filler import ActionSpec, DiscreteSet, SearchTree
 from kissgram.game import GameConfig, TrainResult, train_loop
 from kissgram.gram import GramState, gram_from_vectors
 from kissgram.rational import cosine_factors, format_rational
@@ -236,8 +236,6 @@ def test_checkpoint_round_trip(tmp_path):
     tree.edge_value[(b"0123456789abcdef", b"fedcba9876543210")] = 7.5
     policy = CorrectorPolicy(weights=np.array([0.5, -0.25]), temperature=1.5,
                              max_delete_fraction=0.25)
-    from kissgram.filler import ActionSpec, DiscreteSet
-
     cfg = GameConfig(dim=2, action=ActionSpec(c1=DiscreteSet((-1.0, -0.5, 0.0, 0.5))),
                      rounds=2, rng_seed=7)
     trained = train_loop(cfg, episodes=2)
@@ -248,12 +246,12 @@ def test_checkpoint_round_trip(tmp_path):
     ck = load_checkpoint(path)
     assert ck.config_echo == "[run]\ndim = 2\n"
     assert ck.rng_state == rng.bit_generator.state
-    assert ck.run.tree.summary() == tree.summary()
-    assert np.array_equal(ck.run.policy.weights, policy.weights)
-    assert ck.run.baseline == 3.5
-    assert ck.run.rewards == [5, 6]
-    assert ck.run.best.team_reward == trained.best.team_reward
-    assert np.array_equal(ck.run.best.final_state.entries, trained.best.final_state.entries)
+    assert ck.tree.summary() == tree.summary()
+    assert np.array_equal(ck.weights, policy.weights)
+    assert ck.baseline == 3.5
+    assert ck.rewards == [5, 6]
+    assert ck.best.team_reward == trained.best.team_reward
+    assert np.array_equal(ck.best.final_state.entries, trained.best.final_state.entries)
 
 
 def test_checkpoint_detects_corruption(tmp_path):
@@ -291,6 +289,14 @@ def test_run_config_defaults_and_strictness(tmp_path):
     path.write_text("dim = 3\n")
     with pytest.raises(ConfigError):
         load_run_config(path)
+
+
+def test_run_config_defaults_are_the_dataclass_defaults(tmp_path):
+    # runconfig._SCHEMA and the dataclasses each write every default.
+    path = tmp_path / "run.cfg"
+    path.write_text("[run]\ndim = 3\n")
+    assert load_run_config(path).game == GameConfig(
+        dim=3, action=ActionSpec(c1=DiscreteSet.from_exact([-2, -1, 0, 1], 2)))
 
 
 def test_run_config_echo_reparses_identically(tmp_path):

@@ -1,5 +1,6 @@
 """Certification: verdicts, spectra, contact degrees, antipodality."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -561,7 +562,8 @@ def dense_exact_certificate(numerators, scale: int, dim: int) -> Certificate:
     norms = np.linalg.norm(_floats(numerators, scale, dim), axis=1)
     max_err = float(np.abs(norms - 1.0).max()) if len(numerators) else 0.0
     gram_scale, gram = exact_cosines(numerators)
-    return verify_gram(GramState.from_exact(dim, gram, gram_scale), unit_norm_max_error=max_err)
+    cert = verify_gram(GramState.from_exact(dim, gram, gram_scale))
+    return dataclasses.replace(cert, unit_norm_max_error=max_err)
 
 
 @pytest.mark.parametrize("block_rows", [None, 4])
