@@ -3,7 +3,9 @@
 The policy scores rows from geometric features with a linear function and
 samples a deletion set through a temperatured softmax without replacement.
 Training is plain REINFORCE on the shared team reward with a moving-average
-baseline; the log-likelihood gradient is exact and finite-difference checkable.
+baseline.  Each draw records its score, the exact gradient of its
+log-likelihood at the sampling policy, while it samples, so an update
+replays no softmax.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ProtectedRow
+from .errors import ConfigError, ProtectedRow
 from .filler import DiscreteSet
 from .gram import GramState
 
@@ -73,29 +75,12 @@ class CorrectorPolicy:
 
 @dataclass(frozen=True)
 class CorrectionDraw:
-    """One sampled deletion: the set, the draw order, and its context."""
+    """One sampled deletion: the set, the draw order, and its score, the exact
+    gradient of its log-likelihood in the weights, recorded at sampling."""
 
     indices: tuple[int, ...]       # sorted deletion set
     sequence: tuple[int, ...]      # order the rows were drawn in
-    eligible: tuple[int, ...]      # rows that were available to the sampler
-    features: np.ndarray           # feature matrix at sampling time
-
-
-def _softmax_steps(scores: np.ndarray, eligible: Sequence[int], temperature: float,
-                   steps: int):
-    """Softmax sampling without replacement over ``eligible`` rows.
-
-    Yields ``steps`` times the list of rows still available and their
-    probabilities; the caller removes the row it picks from that list before
-    asking for the next step.
-    """
-    remaining = list(eligible)
-    for _ in range(steps):
-        logits = scores[remaining] / temperature
-        logits -= logits.max()
-        probs = np.exp(logits)
-        probs /= probs.sum()
-        yield remaining, probs
+    score: np.ndarray              # d log P(sequence) / d weights, read-only
 
 
 def sample_index_set(policy: CorrectorPolicy, state: GramState, features: np.ndarray,
@@ -104,25 +89,35 @@ def sample_index_set(policy: CorrectorPolicy, state: GramState, features: np.nda
 
     The set size is a Binomial(len(eligible), max_delete_fraction) draw
     truncated at floor(max_delete_fraction * m); an empty set is a legal
-    pass.  Protected rows are never eligible.
+    pass.  Protected rows are never eligible.  Each step adds its pick's
+    features minus their expectation under the step's probabilities, over
+    the temperature, to the draw's score.
     """
     m = state.m
     blocked = set(int(i) for i in protected)
-    eligible = [i for i in range(m) if i not in blocked]
+    remaining = [i for i in range(m) if i not in blocked]
     cap = int(policy.max_delete_fraction * m)
     k = 0
-    if eligible and cap > 0:
-        k = min(int(rng.binomial(len(eligible), policy.max_delete_fraction)), cap, len(eligible))
+    if remaining and cap > 0:
+        k = min(int(rng.binomial(len(remaining), policy.max_delete_fraction)), cap, len(remaining))
+    row_scores = features @ policy.weights
+    score = np.zeros_like(policy.weights)
     sequence: list[int] = []
-    for remaining, probs in _softmax_steps(features @ policy.weights, eligible,
-                                           policy.temperature, k):
-        sequence.append(remaining.pop(int(rng.choice(len(remaining), p=probs))))
-    return CorrectionDraw(
-        indices=tuple(sorted(sequence)),
-        sequence=tuple(sequence),
-        eligible=tuple(eligible),
-        features=features,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
+        for _ in range(k):
+            logits = row_scores[remaining] / policy.temperature
+            logits -= logits.max()
+            probs = np.exp(logits)
+            probs /= probs.sum()
+            if not np.isfinite(probs).all():
+                raise ConfigError(f"corrector temperature {policy.temperature:g} overflows "
+                                  "the deletion softmax")
+            i = int(rng.choice(len(remaining), p=probs))
+            score += (features[remaining[i]] - probs @ features[remaining]) / policy.temperature
+            sequence.append(remaining.pop(i))
+    score.setflags(write=False)
+    return CorrectionDraw(indices=tuple(sorted(sequence)), sequence=tuple(sequence),
+                          score=score)
 
 
 def apply_correction(state: GramState, delete_set: Sequence[int],
@@ -141,29 +136,6 @@ def apply_correction(state: GramState, delete_set: Sequence[int],
     return state.principal(keep)
 
 
-def log_prob(policy: CorrectorPolicy, draw: CorrectionDraw) -> float:
-    """Log-likelihood of the drawn sequence, up to the weight-independent
-    size term."""
-    steps = _softmax_steps(draw.features @ policy.weights, draw.eligible,
-                           policy.temperature, len(draw.sequence))
-    total = 0.0
-    for pick, (remaining, probs) in zip(draw.sequence, steps):
-        total += float(np.log(probs[remaining.index(pick)]))
-        remaining.remove(pick)
-    return total
-
-
-def grad_log_prob(policy: CorrectorPolicy, draw: CorrectionDraw) -> np.ndarray:
-    """Exact gradient of log_prob with respect to the policy weights."""
-    steps = _softmax_steps(draw.features @ policy.weights, draw.eligible,
-                           policy.temperature, len(draw.sequence))
-    grad = np.zeros_like(policy.weights)
-    for pick, (remaining, probs) in zip(draw.sequence, steps):
-        grad += (draw.features[pick] - probs @ draw.features[remaining]) / policy.temperature
-        remaining.remove(pick)
-    return grad
-
-
 def policy_gradient_update(policy: CorrectorPolicy, draws: Sequence[CorrectionDraw],
                            team_reward: float, learning_rate: float,
                            baseline: float) -> tuple[CorrectorPolicy, float]:
@@ -177,7 +149,12 @@ def policy_gradient_update(policy: CorrectorPolicy, draws: Sequence[CorrectionDr
     advantage = team_reward - baseline
     if draws and advantage != 0.0:
         grad = np.zeros_like(policy.weights)
-        for draw in draws:
-            grad += advantage * grad_log_prob(policy, draw)
-        policy = replace(policy, weights=policy.weights + learning_rate * grad)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
+            for draw in draws:
+                grad += advantage * draw.score
+            weights = policy.weights + learning_rate * grad
+        if not np.isfinite(weights).all():
+            raise ConfigError(f"corrector learning-rate {learning_rate:g} at temperature "
+                              f"{policy.temperature:g} overflows the deletion policy weights")
+        policy = replace(policy, weights=weights)
     return policy, 0.9 * baseline + 0.1 * team_reward

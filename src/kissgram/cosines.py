@@ -20,6 +20,7 @@ import numpy as np
 from .errors import RankDeficient
 from .filler import SearchTree, backpropagate, fingerprint_state
 from .gram import COSINE_CAP, gram_from_vectors
+from .rational import format_rational
 from .refconfigs import unit_rows
 
 # Exact algebraic constants that recur in lattice-derived configurations.
@@ -59,9 +60,7 @@ def snap_value(x: float, tol: float = SNAP_TOL) -> CosineValue:
     algebraic constant when within tolerance; otherwise keep the float."""
     frac = Fraction(x).limit_denominator(SNAP_MAX_DENOMINATOR)
     if abs(float(frac) - x) <= tol:
-        num, den = frac.numerator, frac.denominator
-        label = f"{num}" if den == 1 else f"{num}/{den}"
-        return CosineValue(value=float(frac), exact=frac, label=label)
+        return CosineValue(value=float(frac), exact=frac, label=format_rational(frac))
     for label, target in ALGEBRAIC_CONSTANTS.items():
         if abs(target - x) <= tol:
             return CosineValue(value=target, exact=None, label=label)

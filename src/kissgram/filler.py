@@ -373,8 +373,6 @@ def _expand_columns(lower: np.ndarray, values: np.ndarray, s_limit: float,
     prefix never drops a feasible completion.
     """
     k = lower.shape[0]
-    count = values.size
-    cols = np.zeros((1, 0))
     idx = np.zeros((1, 0), dtype=np.int64)
     ys = np.zeros((1, 0))
     s = np.zeros(1)
@@ -392,11 +390,10 @@ def _expand_columns(lower: np.ndarray, values: np.ndarray, s_limit: float,
             raise EnumerationOverflow(
                 f"{ki.size} partial columns at level {level}; shrink the value set "
                 f"or add a structural constraint")
-        cols = np.concatenate([cols[ki], values[vi][:, None]], axis=1)
         idx = np.concatenate([idx[ki], vi[:, None]], axis=1)
         ys = np.concatenate([ys[ki], yk[ki, vi][:, None]], axis=1)
         s = s_new[ki, vi]
-    return cols, idx, s
+    return values[idx], idx, s
 
 
 def _stuck(m: int) -> Candidates:

@@ -8,13 +8,15 @@ in captured output on failure).  Run with:
 
 import itertools
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from kissgram.checkpoint import load_checkpoint, save_checkpoint
 from kissgram.cli import main as cli_main
-from kissgram.corrector import CorrectorPolicy, grad_log_prob, log_prob
+from kissgram.corrector import CorrectorPolicy, sample_index_set
 from kissgram.cosines import simulate_cosine_set
 from kissgram.filler import ActionSpec, DiscreteSet, LiftedPool, enumerate_lifted, enumerate_small
 from kissgram.game import KNOWN_OPTIMAL, GameConfig, SeedSpec, team_reward, train_loop
@@ -81,6 +83,30 @@ def test_criterion_oracle_reproduction_dim8_seeded():
         assert elapsed < 600.0, f"dim 8 run took {elapsed:.1f}s (limit 10min)"
         assert reward == 240
     _report("oracle reproduction dim 8 seeded (120 E8 rows) = 240 (<10min)", True)
+
+
+RATIONAL_SPEC = ActionSpec(c1=DiscreteSet.from_exact((-2, -1, 0, 1), 2))
+
+
+@pytest.mark.parametrize("dim, target, episodes", [(5, 40, 4), (6, 72, 8), (7, 126, 8),
+                                                   (8, 240, 2)])
+def test_criterion_frontier_from_scratch(dim, target, episodes):
+    # Each round samples deletions and each episode updates the corrector, so
+    # these runs exercise its whole loop, though not the value of its weights:
+    # with learning-rate = 0 the reward lists are the same.
+    for seed in (1, 2, 3):
+        cfg = GameConfig(dim=dim, action=SPEC, rounds=8, rng_seed=seed)
+        result = train_loop(cfg, episodes=episodes)
+        _observed_rewards.append((dim, max(result.rewards)))
+        assert result.best.team_reward == target, f"seed {seed}: {result.rewards}"
+        assert verify_gram(result.best.final_state).verdict == "Pass"
+        if seed <= 2:
+            exact = train_loop(replace(cfg, action=RATIONAL_SPEC, mode="rational"),
+                               episodes=episodes)
+            assert exact.rewards == result.rewards, f"seed {seed}"
+            assert verify_gram(exact.best.final_state).verdict == "Pass"
+    _report(f"dim {dim} from scratch reaches {target} within {episodes} episodes "
+            "(3/3 seeds; rational rewards equal on 2)", True)
 
 
 def test_criterion_never_exceed_soundness():
@@ -220,34 +246,49 @@ def test_criterion_exact_certification():
             f"{len(rational_names) + 1} configurations, E8 contacts all 56")
 
 
+def _replayed_log_prob(weights, temperature, features, eligible, sequence) -> float:
+    """Log-likelihood of a drawn order, up to its weight-independent size
+    term, replayed softmax step by softmax step."""
+    scores = features @ weights / temperature
+    remaining = list(eligible)
+    total = 0.0
+    for pick in sequence:
+        logits = scores[remaining] - scores[remaining].max()
+        total += float(logits[remaining.index(pick)] - np.log(np.exp(logits).sum()))
+        remaining.remove(pick)
+    return total
+
+
 def test_criterion_gradient_check():
     rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(50):
         n_features = int(rng.integers(2, 7))
         m = int(rng.integers(3, 9))
+        protected = sorted(int(i) for i in rng.choice(m, size=int(rng.integers(0, m - 1)),
+                                                      replace=False))
         policy = CorrectorPolicy(weights=rng.standard_normal(n_features),
-                                 temperature=float(rng.uniform(0.4, 2.5)))
+                                 temperature=float(rng.uniform(0.4, 2.5)),
+                                 max_delete_fraction=0.6)
         feats = rng.standard_normal((m, n_features))
-        k = int(rng.integers(1, min(m, 4)))
-        seq = tuple(int(i) for i in rng.choice(m, size=k, replace=False))
-        from kissgram.corrector import CorrectionDraw
-
-        draw = CorrectionDraw(indices=tuple(sorted(seq)), sequence=seq,
-                              eligible=tuple(range(m)), features=feats)
-        grad = grad_log_prob(policy, draw)
+        state = GramState(dim=m, entries=np.eye(m))
+        draw = sample_index_set(policy, state, feats, rng, protected=protected)
+        while not draw.sequence:
+            draw = sample_index_set(policy, state, feats, rng, protected=protected)
+        eligible = [i for i in range(m) if i not in protected]
         eps = 1e-6
         for j in range(n_features):
             wp, wm = policy.weights.copy(), policy.weights.copy()
             wp[j] += eps
             wm[j] -= eps
-            fd = (log_prob(CorrectorPolicy(weights=wp, temperature=policy.temperature), draw)
-                  - log_prob(CorrectorPolicy(weights=wm, temperature=policy.temperature), draw)) / (2 * eps)
-            rel = abs(fd - grad[j]) / max(abs(fd), abs(grad[j]), 1e-8)
+            fd = (_replayed_log_prob(wp, policy.temperature, feats, eligible, draw.sequence)
+                  - _replayed_log_prob(wm, policy.temperature, feats, eligible,
+                                       draw.sequence)) / (2 * eps)
+            rel = abs(fd - draw.score[j]) / max(abs(fd), abs(draw.score[j]), 1e-8)
             worst = max(worst, rel)
             assert rel < 1e-5
-    _report("corrector gradient matches central finite differences", True,
-            f"50 instances, worst relative error {worst:.2e} < 1e-5")
+    _report("corrector score recorded at sampling matches central finite differences",
+            True, f"50 instances, worst relative error {worst:.2e} < 1e-5")
 
 
 def test_criterion_reward_identity():

@@ -712,6 +712,23 @@ def test_search_checks_its_seed_before_any_output(tmp_path, capsys, text, code, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("temperature", ["1e-300", "1e-200"])
+def test_search_with_overflowing_corrector_temperature_exits_3(tmp_path, temperature):
+    # The config is valid, but the deletion softmax overflows once the
+    # corrector has learned: one config error line, no traceback, no warning.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ndim = 3\nepisodes = 30\nrounds = 8\nrng-seed = 9\nout-dir = out\n"
+                   f"[corrector]\ntemperature = {temperature}\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    proc = subprocess.run([sys.executable, "-m", "kissgram", "search", "--config", str(cfg)],
+                          cwd=str(tmp_path), env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == (f"config error: corrector temperature {float(temperature):g} "
+                           "overflows the deletion softmax\n")
+
+
 @pytest.mark.parametrize("flag, value", [("--rng-seed", "-1"), ("--ucb-c", "inf"),
                                          ("--ucb-c", "nan")])
 def test_simulate_cosines_rejects_out_of_range_flags(tmp_path, capsys, flag, value):

@@ -8,13 +8,11 @@ from kissgram.corrector import (
     CorrectorPolicy,
     FEATURE_BASE,
     apply_correction,
-    grad_log_prob,
-    log_prob,
     policy_gradient_update,
     row_features,
     sample_index_set,
 )
-from kissgram.errors import ProtectedRow
+from kissgram.errors import ConfigError, ProtectedRow
 from kissgram.filler import DiscreteSet
 from kissgram.gram import GramState, gram_from_vectors, is_psd, rank_of
 from kissgram.refconfigs import generate
@@ -179,40 +177,86 @@ def test_deletion_preserves_invariants_on_random_states():
         assert np.all(np.diag(out.entries) == 1.0)
 
 
-def _random_draw(rng, m=6, n_features=4, k=2):
-    feats = rng.standard_normal((m, n_features))
-    eligible = tuple(range(m))
-    seq = tuple(int(i) for i in rng.choice(m, size=k, replace=False))
-    return CorrectionDraw(indices=tuple(sorted(seq)), sequence=seq,
-                          eligible=eligible, features=feats)
+def _replayed_log_prob(weights, temperature, features, eligible, sequence):
+    """Log-likelihood of the drawn order, up to the weight-independent size
+    term: the softmax steps replayed from the features, as the reference the
+    recorded score is the gradient of."""
+    scores = features @ weights / temperature
+    remaining = list(eligible)
+    total = 0.0
+    for pick in sequence:
+        logits = scores[remaining] - scores[remaining].max()
+        total += float(logits[remaining.index(pick)] - np.log(np.exp(logits).sum()))
+        remaining.remove(pick)
+    return total
+
+
+def _random_draw(rng, policy, m, protected=()):
+    """Random features and a nonempty draw sampled from them under ``policy``."""
+    feats = rng.standard_normal((m, policy.weights.size))
+    state = GramState(dim=m, entries=np.eye(m))
+    while True:
+        draw = sample_index_set(policy, state, feats, rng, protected=protected)
+        if draw.sequence:
+            return feats, draw
 
 
 def test_gradient_matches_central_finite_differences():
     rng = np.random.default_rng(0)
     for _ in range(20):
         n_features = int(rng.integers(2, 6))
+        m = int(rng.integers(3, 8))
+        protected = tuple(range(int(rng.integers(0, m - 1))))
         policy = CorrectorPolicy(weights=rng.standard_normal(n_features),
-                                 temperature=float(rng.uniform(0.5, 2.0)))
-        draw = _random_draw(rng, m=int(rng.integers(3, 8)), n_features=n_features)
-        grad = grad_log_prob(policy, draw)
+                                 temperature=float(rng.uniform(0.5, 2.0)),
+                                 max_delete_fraction=0.5)
+        feats, draw = _random_draw(rng, policy, m, protected)
+        assert not set(draw.sequence) & set(protected)
+        assert not draw.score.flags.writeable
+        eligible = range(len(protected), m)
         eps = 1e-6
         for j in range(n_features):
             w_plus = policy.weights.copy()
             w_minus = policy.weights.copy()
             w_plus[j] += eps
             w_minus[j] -= eps
-            fd = (log_prob(CorrectorPolicy(weights=w_plus, temperature=policy.temperature), draw)
-                  - log_prob(CorrectorPolicy(weights=w_minus, temperature=policy.temperature), draw)) / (2 * eps)
-            scale = max(abs(fd), abs(grad[j]), 1e-8)
-            assert abs(fd - grad[j]) / scale < 1e-5
+            fd = (_replayed_log_prob(w_plus, policy.temperature, feats, eligible, draw.sequence)
+                  - _replayed_log_prob(w_minus, policy.temperature, feats, eligible,
+                                       draw.sequence)) / (2 * eps)
+            scale = max(abs(fd), abs(draw.score[j]), 1e-8)
+            assert abs(fd - draw.score[j]) / scale < 1e-5
 
 
 def test_update_with_zero_advantage_keeps_weights():
     rng = np.random.default_rng(4)
     policy = CorrectorPolicy(weights=np.array([0.3, -0.2]))
-    draw = _random_draw(rng, m=4, n_features=2)
+    draw = CorrectionDraw(indices=(0, 2), sequence=(2, 0), score=rng.standard_normal(2))
     updated, _ = policy_gradient_update(policy, (draw,), 7.0, learning_rate=0.1, baseline=7.0)
     assert np.array_equal(updated.weights, policy.weights)
+
+
+def test_update_adds_the_advantage_weighted_scores():
+    policy = CorrectorPolicy(weights=np.array([0.3, -0.2]))
+    draws = (CorrectionDraw(indices=(1,), sequence=(1,), score=np.array([1.0, 2.0])),
+             CorrectionDraw(indices=(), sequence=(), score=np.zeros(2)),
+             CorrectionDraw(indices=(0, 3), sequence=(3, 0), score=np.array([-0.5, 4.0])))
+    updated, baseline = policy_gradient_update(policy, draws, 5.0, learning_rate=0.25,
+                                               baseline=3.0)
+    assert np.array_equal(updated.weights, [0.3 + 0.25 * 2.0 * 0.5, -0.2 + 0.25 * 2.0 * 6.0])
+    assert baseline == 0.9 * 3.0 + 0.1 * 5.0
+
+
+def test_overflowing_policy_is_a_config_error():
+    state = GramState(dim=4, entries=np.eye(4))
+    feats = np.ones((4, 1))
+    feats[0, 0] = 2.0
+    tiny = CorrectorPolicy(weights=np.ones(1), temperature=1e-308, max_delete_fraction=0.5)
+    with pytest.raises(ConfigError, match="corrector temperature"):
+        sample_index_set(tiny, state, feats, np.random.default_rng(0))  # a nonempty draw
+    draw = CorrectionDraw(indices=(0,), sequence=(0,), score=np.array([1e308]))
+    with pytest.raises(ConfigError, match="corrector learning-rate"):
+        policy_gradient_update(CorrectorPolicy(weights=np.ones(1)), (draw,), 10.0,
+                               learning_rate=100.0, baseline=0.0)
 
 
 def test_synthetic_bandit_weight_increases():
