@@ -112,7 +112,10 @@ def sample_index_set(policy: CorrectorPolicy, state: GramState, features: np.nda
             if not np.isfinite(probs).all():
                 raise ConfigError(f"corrector temperature {policy.temperature:g} overflows "
                                   "the deletion softmax")
-            i = int(rng.choice(len(remaining), p=probs))
+            # Generator.choice's draw, without its per-call checks of p.
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            i = int(cdf.searchsorted(rng.random(), side="right"))
             score += (features[remaining[i]] - probs @ features[remaining]) / policy.temperature
             sequence.append(remaining.pop(i))
     score.setflags(write=False)

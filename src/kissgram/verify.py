@@ -14,18 +14,27 @@ give integer cosine numerators (``rational.cosine_factors``).  A coordinate
 Gram is PSD by construction (G = U U^T) and has the rank of the m x n
 coordinates.
 
-The routine walks the strict upper triangle once.  It copies each block's
-entries there into one buffer, sorts it in place and splits it into distinct
-values and counts for the spectrum, then raises the running maximum and
-counts the block's contacts against it.  A rise restarts the degrees, since
-every earlier value lies below the new maximum.  A float contact lies within
-CONTACT_TOL of the maximum, so a rise by at most CONTACT_TOL marks the
-earlier blocks for a recount against the final maximum, and a larger rise
-clears the mark; only marked blocks are produced twice.
+The routine walks the strict upper triangle once, using each block in place.
+It overwrites the block's diagonal and lower triangle with a sentinel below
+every value (-inf in float mode; in rational mode one less than the least of
+-D and the block's numerators, with blocks in int64 whenever they fit), raises
+the running maximum to the block's and counts the block's contacts against
+it, then sorts the whole block, drops the k(k+1)/2 sentinels at its front and
+splits the rest into distinct values and counts for the spectrum.  A rise
+restarts the degrees, since every earlier value lies below the new maximum.
+A rational contact equals the maximum.  A float contact x lies within
+CONTACT_TOL of the maximum, |x - top| <= CONTACT_TOL in floating point;
+since no value exceeds top and fl(x - top) does not decrease in x, that is
+x >= floor for the least double floor that passes, found once per rise.  A
+rise by at most CONTACT_TOL marks the earlier blocks for a recount against
+the final maximum, and a larger rise clears the mark; only marked blocks are
+produced twice.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,44 +108,78 @@ def _merge_clusters(lo: np.ndarray, hi: np.ndarray, count: np.ndarray,
             np.add.reduceat(total, starts))
 
 
+def _contact_floor(top: float) -> float:
+    """The least double c with fl(c - top) >= -CONTACT_TOL.  fl(x - top) does
+    not decrease in x, so for x <= top, x >= c exactly when
+    |x - top| <= CONTACT_TOL in floating point.  This bisects the doubles
+    from -inf to top, at most 64 halvings: stepping from top - CONTACT_TOL
+    by ulps takes billions of steps for a top near CONTACT_TOL, where the
+    doubles near c are far denser than near top."""
+    q, d = struct.Struct("<q"), struct.Struct("<d")
+
+    def rank(x):  # the doubles in order as integers: +-0.0 to 0, -x to -rank(x)
+        k = q.unpack(d.pack(x))[0]
+        return k if k >= 0 else -k - 2**63
+
+    def double(r):  # the inverse of rank
+        return d.unpack(q.pack(r if r >= 0 else -r - 2**63))[0]
+
+    lo, hi = rank(-math.inf), rank(top)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if double(mid) - top >= -CONTACT_TOL:
+            hi = mid
+        else:
+            lo = mid
+    return double(hi)
+
+
 def _walk(rows, m: int, one, exact: bool):
     """The largest value (``-one`` without pairs), the antipodality flag, the
     spectrum and the contact degrees, in one pass over the row blocks."""
-    tri = np.triu(np.ones((BLOCK_ROWS, BLOCK_ROWS), dtype=bool), 1)
+    below = np.tril(np.ones((BLOCK_ROWS, BLOCK_ROWS), dtype=bool))
     degrees = np.zeros(m, dtype=np.int64)
-    top, recount, antipodal, parts = None, 0, False, []
+    top, floor, recount, antipodal, parts = None, None, 0, False, []
 
-    def count(a, b, block):
-        if exact:
-            hits = block == top
+    def fresh(a, b):
+        """Rows a..b-1 from column a on, with a sentinel under every value of
+        the block in place of each entry on or below the diagonal."""
+        block, k = rows(a, b), b - a
+        if exact:  # a Gram file may hold numerators beyond [-D, D]
+            low = min(int(block.min()), -one)
+            block = block.astype(integer_dtype(max(int(block.max()), -low) + 1), copy=False)
+            block[:, :k][below[:k, :k]] = low - 1
         else:
-            block -= top
-            hits = np.abs(block, out=block) <= CONTACT_TOL
-        hits[:, :b - a] &= tri[:b - a, :b - a]
-        degrees[a:b] += hits.sum(axis=1)
-        degrees[a:] += hits.sum(axis=0)
+            block[:, :k][below[:k, :k]] = -np.inf
+        return block
 
-    for a in range(0, m, BLOCK_ROWS):
+    def count(a, block):
+        hits = (block == top if exact else block >= floor).view(np.uint8)
+        degrees[a:a + len(hits)] += hits.sum(axis=1, dtype=np.int32)
+        degrees[a:] += hits.sum(axis=0, dtype=np.int32)
+
+    for a in range(0, m - 1, BLOCK_ROWS):  # a last row alone has no pair
         b = min(a + BLOCK_ROWS, m)
-        k, block = b - a, rows(a, b)
-        values = np.concatenate((block[:, :k][tri[:k, :k]], block[:, k:]), axis=None)
-        if not values.size:
-            continue
+        block = fresh(a, b)
+        high = block.max()
+        if top is None or high > top:
+            recount = a if top is not None and not exact and high - top <= CONTACT_TOL else 0
+            degrees[:] = 0
+            top = high
+            floor = None if exact else _contact_floor(float(top))
+        count(a, block)
+        values = block.reshape(-1)
+        del block
         values.sort()
+        values = values[(b - a) * (b - a + 1) // 2:]  # drop the sentinels
         starts = np.append(0, np.flatnonzero(values[1:] != values[:-1]) + 1)
         u, c = values[starts], np.diff(starts, append=values.size)
         del values
-        if top is None or u[-1] > top:
-            recount = a if top is not None and not exact and u[-1] - top <= CONTACT_TOL else 0
-            degrees[:] = 0
-            top = u[-1]
         antipodal = antipodal or bool(np.any(u == -one) if exact
                                       else np.any(np.abs(u + 1.0) <= CONTACT_TOL))
         parts.append((u, c) if exact else _merge_clusters(u, u, c, u * c))
-        count(a, b, block)
-        del block
     for a in range(0, recount, BLOCK_ROWS):
-        count(a, a + BLOCK_ROWS, rows(a, a + BLOCK_ROWS))
+        count(a, fresh(a, a + BLOCK_ROWS))
     top = -one if top is None else top
     if not exact:  # each cluster's mean, snapped
         clusters = _merge_clusters(*map(np.concatenate, zip(*parts))) if parts else [()] * 4
@@ -166,7 +209,7 @@ def _certificate(mode: str, rows, m: int, dim: int, one, psd: bool, rank: int,
     exact = mode == "rational"
     top, antipodal, spectrum, degrees = _walk(rows, m, one, exact)
     max_exact = Fraction(top, one) if exact else None
-    max_cos = float(max_exact) if exact else float(top)
+    max_cos = float(max_exact) if exact else float(top) + 0.0  # no -0 from the sort
     if (max_exact > COSINE_CAP) if exact else (max_cos > COSINE_CAP + tols.cosine):
         reasons.append("CosineCapViolation")
     if not psd:

@@ -64,6 +64,15 @@ def test_verify_tampered_file_exits_1(tmp_path):
     assert run_cli("verify", "--in", str(out)) == 1
 
 
+def test_verify_gram_with_negative_zero_cosines_prints_max_cosine_0(tmp_path, capsys):
+    # CrossPolytope(2) as gram_text writes it when its zero cosines are -0.0.
+    path = tmp_path / "x2.gram"
+    path.write_text("kiss-gram v1 dim=2 count=4 mode=float\n"
+                    "1 -1 -0.0 -0.0\n1 -0.0 -0.0\n1 -1\n1\n")
+    assert run_cli("verify", "--in", str(path)) == 0
+    assert "max-cosine: 0\n" in capsys.readouterr().out
+
+
 def test_verify_missing_file_exits_2(tmp_path):
     assert run_cli("verify", "--in", str(tmp_path / "nope.vec")) == 2
 

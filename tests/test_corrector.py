@@ -227,6 +227,46 @@ def test_gradient_matches_central_finite_differences():
             assert abs(fd - draw.score[j]) / scale < 1e-5
 
 
+def _choice_sequence(policy, features, rng, protected=()):
+    """The deletion order ``sample_index_set`` draws, each pick made by
+    ``Generator.choice``: the reference for its inline draw."""
+    m = len(features)
+    remaining = [i for i in range(m) if i not in protected]
+    cap = int(policy.max_delete_fraction * m)
+    k = 0
+    if remaining and cap > 0:
+        k = min(int(rng.binomial(len(remaining), policy.max_delete_fraction)), cap, len(remaining))
+    scores = features @ policy.weights
+    sequence = []
+    for _ in range(k):
+        logits = scores[remaining] / policy.temperature
+        logits -= logits.max()
+        probs = np.exp(logits)
+        probs /= probs.sum()
+        sequence.append(remaining.pop(int(rng.choice(len(remaining), p=probs))))
+    return tuple(sequence)
+
+
+def test_sampling_draws_as_generator_choice():
+    # 2*10^4 picks; low temperatures give probabilities that underflow to 0.
+    rng = np.random.default_rng(8)
+    drawn = 0
+    while drawn < 20_000:
+        m = int(rng.integers(2, 40))
+        policy = CorrectorPolicy(weights=rng.standard_normal(3),
+                                 temperature=float(10 ** rng.uniform(-3, 2)),
+                                 max_delete_fraction=float(rng.uniform(0.1, 0.9)))
+        feats = rng.standard_normal((m, 3))
+        protected = tuple(range(int(rng.integers(0, m))))
+        seed = int(rng.integers(2**32))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = sample_index_set(policy, GramState(dim=m, entries=np.eye(m)), feats, ours,
+                                protected=protected)
+        assert draw.sequence == _choice_sequence(policy, feats, theirs, protected)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        drawn += len(draw.sequence)
+
+
 def test_update_with_zero_advantage_keeps_weights():
     rng = np.random.default_rng(4)
     policy = CorrectorPolicy(weights=np.array([0.3, -0.2]))

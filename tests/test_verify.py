@@ -224,6 +224,21 @@ def test_rational_asymmetry_is_found_on_numerators():
     assert cert.fail_reason == "NotSymmetric"
 
 
+@pytest.mark.parametrize("huge", [4, 3 * 10**25])
+@pytest.mark.parametrize("block_rows", [None, 1])
+def test_rational_gram_numerators_beyond_the_scale(huge, block_rows, monkeypatch):
+    # A Gram file may hold cosines outside [-1, 1], below -1 and past int64
+    # too; they are certified as they stand, each counted once.
+    if block_rows is not None:
+        monkeypatch.setattr(verify, "BLOCK_ROWS", block_rows)
+    g = [[2, -huge, 5, -huge], [-huge, 2, -3, 1], [5, -3, 2, -huge], [-huge, 1, -huge, 2]]
+    cert = verify_gram(GramState.from_exact(2, g, 2))
+    assert [(e.cosine.exact, e.multiplicity) for e in cert.cosine_spectrum] == [
+        (F(-huge, 2), 3), (F(-3, 2), 1), (F(1, 2), 1), (F(5, 2), 1)]
+    assert cert.max_cosine_exact == F(5, 2) and cert.contact_degrees == (1, 0, 1, 0)
+    assert cert.fail_reason == "CosineCapViolation"
+
+
 def test_rational_mode_requires_exact_entries():
     state = generate("Icosahedron").gram
     with pytest.raises(MixedModeEntries):
@@ -449,6 +464,69 @@ def test_walker_produces_each_block_once_when_the_maximum_comes_first():
             == [(e.cosine.display(), e.multiplicity) for e in dense.cosine_spectrum])
 
 
+def _rise_within_tolerance(delta: float) -> np.ndarray:
+    """Twelve unit rows in R^12 with cosine 0.4 in the first 4-row block
+    (rows 1, 2) and 0.4 + delta in the second (rows 5, 6)."""
+    v = np.eye(12)
+    for i, j, c in ((1, 2, 0.4), (5, 6, 0.4 + delta)):
+        v[j] = c * v[i] + math.sqrt(1 - c * c) * np.eye(12)[j]
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("delta, again", [(0.0, []), (5e-10, [(0, 4)]), (1e-9, []),
+                                          (2e-9, [])])
+def test_walker_recounts_the_blocks_before_a_rise_within_tolerance(delta, again, monkeypatch):
+    # Only a rise by at most CONTACT_TOL leaves the first block's 0.4 a
+    # contact of the final maximum, so only then is that block produced again.
+    monkeypatch.setattr(verify, "BLOCK_ROWS", 4)
+    v = _rise_within_tolerance(delta)
+    assert certificate_text(verify_vectors(v, 12)) == certificate_text(dense_float_certificate(v))
+    produced = []
+
+    def rows(a, b):
+        produced.append((a, b))
+        return v[a:b] @ v[a:].T
+
+    verify._walk(rows, 12, 1.0, False)
+    assert produced == [(0, 4), (4, 8), (8, 12)] + again
+
+
+def test_float_contacts_count_as_the_subtract_and_abs_rule():
+    # Row 0 holds the maximum and values 0-3 ulp either side of
+    # top - CONTACT_TOL, for random tops and for tops that put that boundary
+    # on a power of two or near zero; every other value lies far below.
+    tol = verify.CONTACT_TOL
+    rng = np.random.default_rng(31)
+    tops = [*rng.uniform(-1.0, 1.0, 300), 0.0, 1.0, -1.0, tol, 0.5 + tol, 0.25 + tol, 0.4 + 5e-10]
+    for top in map(float, tops):
+        xs = [top - tol]
+        for _ in range(3):
+            xs = [math.nextafter(xs[0], -math.inf), *xs, math.nextafter(xs[-1], math.inf)]
+        xs = np.array([x for x in xs if x <= top])
+        block = np.full((len(xs) + 2, len(xs) + 2), top - 1.0)
+        block[0, 1:] = top, *xs
+        hits = (np.abs(xs - top) <= tol).astype(int)
+        degrees = verify._walk(lambda a, b: block[a:b, a:].copy(), len(block), 1.0, False)[3]
+        assert degrees.tolist() == [1 + hits.sum(), 1, *hits]
+
+
+@pytest.mark.parametrize("block_rows", [None, 2])
+def test_float_maximum_zero_prints_without_sign(block_rows, monkeypatch):
+    # CrossPolytope(2), whose largest cosine is 0: a sort may put -0.0 before
+    # or after 0.0, so every sign pattern of the zeros must read alike.
+    if block_rows is not None:
+        monkeypatch.setattr(verify, "BLOCK_ROWS", block_rows)
+    pairs = ((0, 2), (0, 3), (1, 2), (1, 3))
+    texts = set()
+    for signs in itertools.product((0.0, -0.0), repeat=len(pairs)):
+        g = np.array([[1.0, -1.0, 0, 0], [-1.0, 1.0, 0, 0], [0, 0, 1.0, -1.0], [0, 0, -1.0, 1.0]])
+        for (i, j), zero in zip(pairs, signs):
+            g[i, j] = g[j, i] = zero
+        texts.add(certificate_text(verify_gram(GramState(dim=2, entries=g))))
+    assert len(texts) == 1
+    assert "max-cosine: 0\n" in texts.pop()
+
+
 def test_blockwise_verification_allocates_no_dense_gram():
     # Random distinct directions of {-1, 0, 1}^8: the certificate lists every
     # distinct cosine, and this set has few, so the peak is working memory.
@@ -466,6 +544,8 @@ def test_blockwise_verification_allocates_no_dense_gram():
     assert cert.sphere_count == 4000 and cert.rank == 8
     assert sum(e.multiplicity for e in cert.cosine_spectrum) == 4000 * 3999 // 2
     assert peak < dense_bytes / 4
+    # Each block is used in place: the walk holds one block, not a copy beside it.
+    assert peak < 1.5 * 8 * verify.BLOCK_ROWS * len(v)
 
 
 # --- The streaming rational path against the dense exact Gram ----------------
