@@ -1,9 +1,11 @@
 """Discovery of the discrete cosine set of feasible kissing structures.
 
-New sphere centers tangent to n-1 chosen spheres are solved in closed form;
-a UCB tree search grows configurations toward larger sphere counts and the
-cosines of the best structures are recorded until their frequencies settle
-on a discrete set.
+New sphere centers tangent to n-1 chosen spheres are solved in closed form.
+A UCB tree search grows configurations.  An exploring move takes the fresh
+candidate (its edge not in the tree) of most tight contacts plus noise, else
+the best UCB score; an exploiting move the visited candidate of best mean
+value, else the most tight contacts.  The cosines of the best structures are
+recorded until the same values clear the noise floor in both halves.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ COMBO_CAP = 512        # tangent combinations solved per rollout step at most
 DIGITS = 9             # histogram bins and candidate identity are values rounded to 1e-9
 NOISE_FLOOR = 0.005    # least share of the samples a kept cosine needs
 TANGENT_TOL = 1e-9     # rank, radicand and cap tolerance of the tangent solve
+TIGHT_TOL = 1e-7       # distance from the cap at which a cosine is a tight contact
 
 
 @dataclass(frozen=True)
@@ -55,14 +58,14 @@ class CosineValue:
         return self.label if self.label else f"{self.value:.9f}"
 
 
-def snap_value(x: float, tol: float = SNAP_TOL) -> CosineValue:
+def snap_value(x: float) -> CosineValue:
     """Snap to a low-height rational (denominator <= 12) or a known
     algebraic constant when within tolerance; otherwise keep the float."""
     frac = Fraction(x).limit_denominator(SNAP_MAX_DENOMINATOR)
-    if abs(float(frac) - x) <= tol:
+    if abs(float(frac) - x) <= SNAP_TOL:
         return CosineValue(value=float(frac), exact=frac, label=format_rational(frac))
     for label, target in ALGEBRAIC_CONSTANTS.items():
-        if abs(target - x) <= tol:
+        if abs(target - x) <= SNAP_TOL:
             return CosineValue(value=target, exact=None, label=label)
     return CosineValue(value=x)
 
@@ -184,8 +187,6 @@ def _rollout(dim: int, vs0: np.ndarray, tree: SearchTree, rng: np.random.Generat
             if combos.size == 0:
                 break
         sols = _batched_tangent(vs, combos)
-        if sols.shape[0] == 0:
-            break
         sols = sols[(sols @ vs.T).max(axis=1) <= COSINE_CAP + TANGENT_TOL]
         if sols.shape[0] == 0:
             break
@@ -197,25 +198,17 @@ def _rollout(dim: int, vs0: np.ndarray, tree: SearchTree, rng: np.random.Generat
         # A move is keyed by its rounded cosine profile, as a multiset.
         keys = [hashlib.blake2b(row.tobytes(), digest_size=16).digest()
                 for row in np.sort(_quantized(profiles), axis=1)]
-        # Tight contacts (cosines at the cap) densify the packing; the noise
-        # keeps exploration rollouts diverse.
-        contacts = np.count_nonzero(np.abs(profiles - COSINE_CAP) <= 1e-7, axis=1)
-        visited = [i for i, k in enumerate(keys)
-                   if tree.edge_visits.get((state_fp, k), 0) > 0]
-        skip = set(visited)
+        # Tight contacts (cosines at the cap) densify; noise diversifies exploring.
+        contacts = np.count_nonzero(np.abs(profiles - COSINE_CAP) <= TIGHT_TOL, axis=1)
+        visited = [i for i, k in enumerate(keys) if (state_fp, k) in tree.edge_visits]
         if exploit:
-            if visited:
-                pick = max(visited, key=lambda i: tree.edge_value[(state_fp, keys[i])])
-            else:
-                pick = int(np.lexsort((np.arange(len(keys)), -contacts))[0])
+            pick = (max(visited, key=lambda i: tree.edge_value[(state_fp, keys[i])])
+                    if visited else int(np.argmax(contacts)))
         else:
-            fresh = [i for i in range(len(keys)) if i not in skip]
-            pool = fresh if fresh else list(range(len(keys)))
             prior = contacts + rng.uniform(0.0, 1.0, size=len(keys))
-            if not fresh:
-                pick = max(pool, key=lambda i: tree.ucb(state_fp, keys[i]))
-            else:
-                pick = max(pool, key=lambda i: prior[i])
+            prior[visited] = -np.inf
+            pick = (int(np.argmax(prior)) if len(visited) < len(keys)
+                    else max(range(len(keys)), key=lambda i: tree.ucb(state_fp, keys[i])))
         buffer.extend(float(c) for c in profiles[pick])
         trajectory.append((state_fp, keys[pick]))
         vs = np.vstack([vs, cands[pick][None, :]])
@@ -224,8 +217,8 @@ def _rollout(dim: int, vs0: np.ndarray, tree: SearchTree, rng: np.random.Generat
 
 
 def _contact_pairs(vs: np.ndarray) -> int:
-    g = vs @ vs.T
-    return int(np.count_nonzero(np.abs(g[np.triu_indices(len(g), k=1)] - COSINE_CAP) <= 1e-7))
+    pairs = (vs @ vs.T)[np.triu_indices(len(vs), k=1)]
+    return int(np.count_nonzero(np.abs(pairs - COSINE_CAP) <= TIGHT_TOL))
 
 
 def simulate_cosine_set(dim: int, seed_config: np.ndarray, budget: int,
@@ -233,14 +226,14 @@ def simulate_cosine_set(dim: int, seed_config: np.ndarray, budget: int,
                         rng: np.random.Generator | None = None) -> CosineSimResult:
     """Record cosine frequencies over ``budget`` guided rollouts.
 
-    Rollouts alternate between exploring fresh branches and exploiting the
-    tree's best path.  Samples are committed to the histogram only by
-    rollouts matching the best structure found so far, ranked by sphere
-    count and then by tight-contact pairs; a strict improvement obsoletes
-    earlier samples.  A value enters the extracted set when its frequency
-    clears the noise floor and it persists across both halves of the
-    committed samples.  Exhausting the budget is not an error: the partial
-    histogram is returned with the convergence flag down.
+    Rollouts alternate between exploring and exploiting (module docstring).
+    Only rollouts that match the best structure so far, ranked by sphere
+    count and then by tight-contact pairs, commit samples; a strict
+    improvement obsoletes earlier ones.  A value is kept when its count
+    clears the noise floor of all committed samples and it occurs in both
+    halves of them; the run converged when a value is kept and the same
+    values clear the floor in each half alone.  Exhausting the budget is
+    not an error: the partial histogram comes back with the flag down.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -269,26 +262,25 @@ def simulate_cosine_set(dim: int, seed_config: np.ndarray, budget: int,
     split = (len(commits) + 1) // 2
     halves = [_histogram(commits[:split]), _histogram(commits[split:])]
     merged = halves[0] + halves[1]
-    kept = _extract(merged, halves)
-    per_half = [[e.value for e, _ in _extract(h, [h])] for h in halves]
-    converged = len(commits) >= 2 and len(kept) > 0 and per_half[0] == per_half[1]
+    groups = [_groups(h) for h in (merged, *halves)]
+    floors = [NOISE_FLOOR * max(h.total(), 1) for h in (merged, *halves)]
+    cleared = [{label for label, (_, count) in g.items() if count >= floor}
+               for g, floor in zip(groups, floors)]
+    kept = sorted((pair for label, pair in groups[0].items()
+                   if label in cleared[0] and label in groups[1] and label in groups[2]),
+                  key=lambda pair: pair[0].value)
     return CosineSimResult(cosine_set=CosineSet(entries=tuple(e for e, _ in kept)),
-                           counts=tuple(count for _, count in kept), converged=converged,
-                           histogram=merged, best_count=best_key[0],
-                           best_contacts=max(best_key[1], 0))
+                           counts=tuple(count for _, count in kept), histogram=merged,
+                           converged=bool(kept) and cleared[1] == cleared[2],
+                           best_count=best_key[0], best_contacts=max(best_key[1], 0))
 
 
-def _extract(merged: Counter, halves: list[Counter]) -> list[tuple[CosineValue, int]]:
-    """Group bins by snapped value, then apply the floor and persistence;
-    returns the kept values with their group counts, in ascending order."""
-    total = max(merged.total(), 1)
-    half_seen: list[set[str]] = [{snap_value(k).display() for k in h} for h in halves]
-    groups: dict[str, dict] = {}
-    for key, count in sorted(merged.items()):
+def _groups(hist: Counter) -> dict[str, tuple[CosineValue, int]]:
+    """Bins by snapped label: the label's first snapped value, in ascending
+    bin order, and the group's count."""
+    groups: dict[str, tuple[CosineValue, int]] = {}
+    for key, count in sorted(hist.items()):
         snapped = snap_value(key)
-        g = groups.setdefault(snapped.display(), {"entry": snapped, "count": 0})
-        g["count"] += count
-    kept = [(g["entry"], g["count"]) for label, g in groups.items()
-            if g["count"] >= NOISE_FLOOR * total
-            and all(label in seen for seen in half_seen)]
-    return sorted(kept, key=lambda pair: pair[0].value)
+        entry, total = groups.get(snapped.display(), (snapped, 0))
+        groups[entry.display()] = (entry, total + count)
+    return groups

@@ -231,8 +231,9 @@ def load_seed(config: GameConfig) -> Seed:
 
     A seed that cannot start the run raises ``InvalidSeed``, a config error;
     an unreadable seed file raises ``ParseError``, and a zero row or a cosine
-    above 1/2 among the kept rows ``NonUnitVector`` or ``CosineCapViolation``.
-    ``search`` calls this once, before it creates any output."""
+    above 1/2 by more than the run's cosine tolerance among the kept rows
+    ``NonUnitVector`` or ``CosineCapViolation``.  ``search`` calls this once,
+    before it creates any output."""
     from .fileio import read_vector_file
     from .refconfigs import config_from_vectors, generate
 
@@ -248,7 +249,8 @@ def load_seed(config: GameConfig) -> Seed:
         doc = read_vector_file(spec.path)
         k = _kept_rows(spec, doc.count)
         built = config_from_vectors(doc.vectors[:k], doc.dim,
-                                    exact=None if doc.exact is None else doc.exact[:k])
+                                    exact=None if doc.exact is None else doc.exact[:k],
+                                    tols=config.tolerances)
         state, anchors = built.gram, built.vectors
     if state.dim != config.dim:
         raise InvalidSeed(f"seed dimension {state.dim} disagrees with config dim {config.dim}")

@@ -313,5 +313,11 @@ def verify_vectors(vectors: np.ndarray, dim: int | None = None, mode: str = "flo
     top = int(np.abs(z).max()) if z.size else 0
     zz = z.astype(integer_dtype(len(z) * top * top))
     psd, rank = exact_ldlt(zz.T @ zz)
-    return _certificate(mode, lambda a, b: (z[a:b] @ z[a:].T) * left[a:b, None] * right[a:],
-                        len(z), dim, scale, psd, rank, tols, [], max_err)
+
+    def rows(a, b):  # numerators P_ij left_i right_j, scaled in place
+        block = z[a:b] @ z[a:].T
+        block *= left[a:b, None]
+        block *= right[a:]
+        return block
+
+    return _certificate(mode, rows, len(z), dim, scale, psd, rank, tols, [], max_err)

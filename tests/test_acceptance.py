@@ -68,6 +68,7 @@ def test_criterion_oracle_reproduction_dim3():
     _report("oracle reproduction dim 3 = 12 (5/5 seeds, <2min each)", True)
 
 
+@pytest.mark.slow
 def test_criterion_oracle_reproduction_dim4():
     for seed in SEEDS:
         reward, elapsed = _search(4, seed, episodes=80, rounds=8)
@@ -122,6 +123,7 @@ def test_criterion_never_exceed_soundness():
             f"{len(_observed_rewards)} runs checked")
 
 
+@pytest.mark.slow
 def test_criterion_cosine_set_recovery():
     for seed in SEEDS:
         res2 = simulate_cosine_set(2, np.array([[1.0, 0.0]]), budget=50,

@@ -721,6 +721,34 @@ def test_search_checks_its_seed_before_any_output(tmp_path, capsys, text, code, 
     assert not (tmp_path / "out").exists()
 
 
+def _two_row_seed(tmp_path, cosine: float, tolerance: str):
+    """A float seed file of two rows at ``cosine`` and a dim-2 run from it."""
+    (tmp_path / "s.vec").write_text(f"kiss-vectors v1 dim=2 count=2\n1 0\n"
+                                    f"{cosine!r} {math.sqrt(1 - cosine * cosine)!r}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ndim = 2\nepisodes = 4\nrounds = 3\nout-dir = out\n"
+                   f"[tolerances]\ncosine = {tolerance}\n[seed]\nsource = file:s.vec\n")
+    return cfg
+
+
+def test_file_seed_above_the_run_cosine_tolerance_exits_1(tmp_path, capsys):
+    # Within the default cosine tolerance (1e-9), but not within the run's.
+    cfg = _two_row_seed(tmp_path, 0.5000000005, "0")
+    assert run_cli("search", "--config", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: max pairwise cosine ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_file_seed_within_the_run_cosine_tolerance_is_searched(tmp_path):
+    # Beyond the default cosine tolerance (1e-9), but within the run's.
+    cfg = _two_row_seed(tmp_path, 0.500000005, "1e-8")
+    code = run_cli("search", "--config", str(cfg))
+    out = tmp_path / "out"
+    assert "episode 4" in (out / "run.log").read_text()
+    assert code == (0 if read_certificate(out / "best.cert")["verdict"] == "Pass" else 1)
+
+
 @pytest.mark.parametrize("temperature", ["1e-300", "1e-200"])
 def test_search_with_overflowing_corrector_temperature_exits_3(tmp_path, temperature):
     # The config is valid, but the deletion softmax overflows once the

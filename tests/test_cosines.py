@@ -7,8 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from kissgram import cosines
 from kissgram.cosines import (
     CosineSet,
+    _groups,
     _histogram,
     _rollout,
     simulate_cosine_set,
@@ -155,6 +157,7 @@ def test_dim3_contains_stable_core():
     assert result_digest(res) == DISCOVERY_PINS[3, 300, 1]
 
 
+@pytest.mark.slow
 def test_dim4_recovers_lattice_cosines():
     res = simulate_cosine_set(4, np.array([[1.0, 0, 0, 0]]), budget=400,
                               rng=np.random.default_rng(0))
@@ -187,3 +190,42 @@ def test_budget_and_seed_validation():
         simulate_cosine_set(1, np.array([[1.0]]), budget=5)
     with pytest.raises(RankDeficient):
         simulate_cosine_set(3, np.array([[1.0, 0.0]]), budget=5)
+
+
+def test_groups_merge_bins_of_one_label():
+    groups = _groups(Counter({0.5000004: 2, 0.5: 3, -0.5: 1, 0.123456789: 4}))
+    assert list(groups) == ["-1/2", "0.123456789", "1/2"]  # ascending bin order
+    assert groups["1/2"] == (snap_value(0.5), 5)
+    assert groups["0.123456789"] == (snap_value(0.123456789), 4)
+
+
+def _discover_from_halves(monkeypatch, half0, half1):
+    """Discovery whose two rollouts record ``half0`` and then ``half1``: they
+    reach the same structure, so each buffer is one half of the samples."""
+    buffers = iter([half0, half1])
+    monkeypatch.setattr(cosines, "_rollout",
+                        lambda dim, vs0, tree, rng, exploit: (vs0, next(buffers)))
+    return simulate_cosine_set(2, np.array([[1.0, 0.0]]), budget=2)
+
+
+def test_kept_values_clear_the_merged_floor_and_occur_in_both_halves(monkeypatch):
+    # Half 0 has 200 samples (floor 1), half 1 has 1000 (floor 5), both 1200 (floor 6).
+    half0 = [0.5] * 100 + [0.5000004] * 60 + [-0.5] * 39 + [0.25]
+    half1 = [0.5] * 500 + [-0.5] * 400 + [-1.0] * 99 + [0.25]
+    res = _discover_from_halves(monkeypatch, half0, half1)
+    # -1 clears the merged floor but is seen in half 1 only; 1/4, seen in both
+    # halves and clearing half 0's floor, has 2 of the 6 the merged floor asks.
+    assert [e.display() for e in res.cosine_set.entries] == ["-1/2", "1/2"]
+    assert res.counts == (439, 660)
+    assert res.histogram == Counter(half0) + Counter(half1)
+    # Half 0 alone keeps {-1/2, 1/4, 1/2}, half 1 alone {-1, -1/2, 1/2}.
+    assert not res.converged
+
+
+def test_converged_when_each_half_keeps_the_same_values(monkeypatch):
+    # 1/4 is below the floor of half 1 (1 of 1.005) and of both (1 of 2.005).
+    res = _discover_from_halves(monkeypatch, [0.5] * 100 + [-0.5] * 100,
+                                [0.5000004] * 100 + [-0.5] * 100 + [0.25])
+    assert [e.display() for e in res.cosine_set.entries] == ["-1/2", "1/2"]
+    assert res.counts == (200, 200)
+    assert res.converged

@@ -612,7 +612,7 @@ def _drive_pool(state: GramState, spec: ActionSpec, moves: int, seed: int,
 
 @pytest.mark.parametrize("name, rows, exact", [
     ("D4Roots", 16, RATIONAL_C1),
-    ("E8Roots", 232, RATIONAL_C1),
+    pytest.param("E8Roots", 232, RATIONAL_C1, marks=pytest.mark.slow),
     # A value with denominator 2^40 puts D at 2^40: the bounds fail int64.
     ("D4Roots", 16, RATIONAL_C1 + (Fraction(1, 2**40),)),
     # With no cross row yet, only the exact unit test rejects a head through 2^-40.

@@ -704,3 +704,18 @@ def test_streaming_rational_verification_allocates_no_dense_gram():
     assert cert.passed and cert.sphere_count == 4000 and cert.rank == 16
     assert sum(e.multiplicity for e in cert.cosine_spectrum) == 4000 * 3999 // 2
     assert peak < dense_bytes / 4
+
+
+def test_rational_blockwise_verification_holds_one_block():
+    # The 1120 directions of {-1, 0, 1}^8 with four non-zero entries, exact over
+    # D = 2.  Each rational block is scaled in place: no temporaries beside it.
+    rows = [list(d) for d in itertools.product((-1, 0, 1), repeat=8)
+            if sum(map(abs, d)) == 4]
+    tracemalloc.start()
+    try:
+        verify_vectors(np.array(rows, dtype=float) / 2, 8, mode="rational", exact=rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 1120
+    assert peak < 1.5 * 8 * verify.BLOCK_ROWS * len(rows)
