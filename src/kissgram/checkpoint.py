@@ -168,6 +168,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: malformed section payload: {exc}") from exc
     if not (np.isfinite(ckpt.weights).all() and math.isfinite(ckpt.baseline)):
         raise CheckpointError(f"{path}: corrector weights or baseline are not finite")
+    tree = ckpt.tree
+    if min([*tree.node_visits.values(), *tree.edge_visits.values()], default=1) < 1:
+        raise CheckpointError(f"{path}: a tree visit count is below 1")
+    if not all(map(math.isfinite, tree.edge_value.values())):
+        raise CheckpointError(f"{path}: a tree edge value is not finite")
     best = ckpt.best
     if best is not None and best.team_reward != best.final_state.m:
         raise CheckpointError(f"{path}: best team reward {best.team_reward} disagrees with "

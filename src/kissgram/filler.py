@@ -10,11 +10,12 @@ columns, of which ``select_action`` picks a row.
 
 A lifted head depends only on the basis block, which a fill phase never
 changes, and each move appends one row.  So a ``LiftedPool``, the one object
-of a lifted fill phase, takes the basis factors and the unit heads once per
-phase and keeps only each head's tails; per move it reads the one new row
-from the state, snaps one new tail entry per head that has at most one
-violation so far and, in rational mode, checks one new exact tail entry per
-head that is still exactly unit and conforming.
+of every fill phase at m >= dim, takes the heads once per phase and keeps
+only each head's tails; per move it reads the one new row from the state,
+snaps one new tail entry per head that has at most one violation so far and,
+in rational mode, checks one new exact tail entry per head that is still
+exactly unit and conforming.  Under a membership list the heads are list
+vectors, and ``enumerate_membership`` serves m < dim.
 
 The corrector rarely changes the basis block, so fill phases of one run
 meet the same blocks again, and small-regime moves the same states.  A
@@ -518,20 +519,26 @@ def _lifted_basis(state: GramState, spec: ActionSpec, tols: Tolerances
 
 
 class LiftedPool:
-    """The one object of a lifted fill phase: the basis factors, the unit heads
-    and their tails so far.
+    """The one object of a fill phase at m >= dim: the heads and their tails so far.
 
-    A pool takes its basis block's ``_LiftedBasis`` from ``table`` (a
-    throwaway table by default), and shares its ``cache`` as it is.  A miss
-    factors the leading dim x dim block (``factorize``) and runs
-    ``_expand_columns`` once; a singular block raises RankDeficientBasis, on
-    every lookup.  ``start`` is the state's row count at creation.  Within a
-    fill phase rows are only appended, so the basis block, and with it the
-    set of unit heads, never changes, and each new row adds one tail entry
-    per head.  The pool keeps the unit heads in lexicographic order, and per
-    head its snapped tails, its violation count and the row of its first
-    violation.  A count never falls, so a head leaves the pool at its second
-    violation; a head with one violation stays, since it is still blamed.
+    ``start`` is the state's row count at creation.  Within a fill phase
+    rows are only appended, so the leading dim rows, and with them the set
+    of heads, never change, and each new row adds one tail entry per head.
+    The pool keeps per head its snapped tails, its violation count and the
+    row of its first violation.  A count never falls, so a head leaves the
+    pool at its second violation; a head with one violation stays, since it
+    is still blamed.
+
+    Under a ``MembershipList`` the heads are the list's cosines with the
+    first dim ``anchors`` (the rows' coordinates) that pass the cap and
+    snap to c1, in list order, and ``members`` their list indices.  Nothing
+    is factored, so a singular leading block is no obstacle; a raw tail
+    above the cap by more than ``tols.cosine`` also violates.  Otherwise the
+    heads are the basis block's unit heads in lexicographic order, from
+    ``table``'s ``_LiftedBasis`` (a throwaway table by default), whose
+    ``cache`` the pool shares.  A miss factors the block (``factorize``)
+    and runs ``_expand_columns`` once; a singular block raises
+    RankDeficientBasis, on every lookup.
 
     In rational mode the float unit test is a prescreen.  With H = D c1[head]
     and Y = H adj(D B), the basis entry decides once per head whether it is
@@ -543,50 +550,66 @@ class LiftedPool:
     """
 
     def __init__(self, state: GramState, spec: ActionSpec, *,
-                 tols: Tolerances = DEFAULT_TOLS, table: BasisTable | None = None):
+                 tols: Tolerances = DEFAULT_TOLS, table: BasisTable | None = None,
+                 anchors: np.ndarray | None = None):
         if state.exact is not None and not spec.is_rational:
             raise MixedModeEntries("rational state requires rational cosine sets")
-        table = BasisTable() if table is None else table
-        basis = table.lookup("lifted", state, state.dim, spec, tols,
-                             lambda: _lifted_basis(state, spec, tols))
-        if isinstance(basis, RankDeficientBasis):
-            raise RankDeficientBasis(*basis.args)
-        self.cache, self.spec, self.tols = basis.cache, spec, tols
-        self.start = state.m
-        self.columns = basis.heads  # K x (n + rows tested): head, then snapped tails
+        if state.m < state.dim:
+            raise DimensionMismatch(f"a pool needs m >= dim, got m={state.m}")
+        self.spec, self.tols, self.start = spec, tols, state.m
+        self.members = self.exact = None
+        if isinstance(spec.c_star, MembershipList):
+            heads = spec.c_star.vectors @ _anchor_rows(state, anchors, spec)[:state.dim].T
+            self.members = np.flatnonzero(_conforming_heads(heads, spec, tols))
+            self.columns = heads[self.members]  # K x (n + rows tested): head, then snapped tails
+        else:
+            table = BasisTable() if table is None else table
+            basis = table.lookup("lifted", state, state.dim, spec, tols,
+                                 lambda: _lifted_basis(state, spec, tols))
+            if isinstance(basis, RankDeficientBasis):
+                raise RankDeficientBasis(*basis.args)
+            self.cache, self.columns, self.exact = basis.cache, basis.heads, basis.exact
+            if self.exact is not None:
+                self.exact_ok = basis.exact_ok.copy()
+                self.y, self.targets, self.dtype = basis.y, basis.targets, basis.dtype
         self.violations = np.zeros(len(self.columns), dtype=np.int64)
         self.first = np.zeros(len(self.columns), dtype=np.int64)
-        self.exact = basis.exact
-        if self.exact is not None:
-            self.exact_ok = basis.exact_ok.copy()
-            self.y, self.targets, self.dtype = basis.y, basis.targets, basis.dtype
 
 
-def enumerate_lifted(pool: LiftedPool, state: GramState, *,
+def enumerate_lifted(pool: LiftedPool, state: GramState, *, anchors: np.ndarray | None = None,
                      blame: np.ndarray | None = None) -> Candidates:
-    """Lifted action set for m >= dim: the pool's unit heads with conforming tails.
+    """Action set for m >= dim: the pool's heads with conforming tails.
 
-    ``state`` is the pool's state grown by the phase's moves.  Each call
-    tests the rows of ``state`` the pool has not yet tested: the cross rows
-    present at creation, lifted as one block C B^-1, then the row each move
-    placed, lifted by ``extend_cache``.  A row adds one snapped tail entry
-    per head in the pool and, in rational mode, one exact tail entry per
+    ``state`` is the pool's state grown by the phase's moves, and
+    ``anchors`` its rows' coordinates in a member-list run.  Each call tests
+    the rows of ``state`` the pool has not yet tested.  A member-list pool
+    takes their tails as one product of its list vectors with their
+    anchors, K x n per move.  Otherwise the cross rows present at creation
+    are lifted as one block C B^-1, then the row each move placed by
+    ``extend_cache``.  A row adds one snapped tail entry per head
+    in the pool and, in rational mode, one exact tail entry per
     ``exact_ok`` head, whose exact columns are the batch's ``exact``.
     ``blame``, when given, is a length-m counter that is incremented at the
-    row responsible each time a candidate fails through exactly one tail
-    entry; the corrector uses it as a conflict feature.
+    row responsible each time a head in the pool fails through exactly one
+    tail entry; the corrector uses it as a conflict feature.
     """
-    n = pool.cache.n
+    n = state.dim
     seen = pool.columns.shape[1] - n
     untested = slice(n + seen, None)
     new = state.entries[untested, :n]
     if len(new):
-        held = max(pool.start - n - seen, 0)  # untested rows present at the pool's creation
-        lift = [extend_cache(pool.cache, row)[None] for row in new[held:]]
-        if held:
-            lift.insert(0, new[:held] @ pool.cache.pseudo_inv)
-        lift = lift[0] if len(lift) == 1 else np.concatenate(lift)
-        snapped, viol = _tail_filter(pool.columns[:, :n] @ lift.T, pool.spec.c2, pool.tols)
+        if pool.members is None:
+            held = max(pool.start - n - seen, 0)  # untested rows present at the pool's creation
+            lift = [extend_cache(pool.cache, row)[None] for row in new[held:]]
+            if held:
+                lift.insert(0, new[:held] @ pool.cache.pseudo_inv)
+            lift = lift[0] if len(lift) == 1 else np.concatenate(lift)
+            tails = pool.columns[:, :n] @ lift.T
+        else:
+            tails = pool.spec.c_star.vectors[pool.members] @ anchors[untested].T
+        snapped, viol = _tail_filter(tails, pool.spec.c2, pool.tols)
+        if pool.members is not None:
+            viol |= tails > COSINE_CAP + pool.tols.cosine
         count = viol.sum(axis=1)
         pool.first = np.where((pool.violations == 0) & (count > 0),
                               seen + viol.argmax(axis=1), pool.first)
@@ -602,10 +625,14 @@ def enumerate_lifted(pool: LiftedPool, state: GramState, *,
                 pool.columns[live], pool.violations[live], pool.first[live])
             if pool.exact is not None:
                 pool.exact_ok = pool.exact_ok[live]
+            if pool.members is not None:
+                pool.members = pool.members[live]
     if blame is not None:
         np.add.at(blame, n + pool.first[pool.violations == 1], 1)
     if pool.exact is None:
-        return Candidates(pool.columns[pool.violations == 0])
+        clean = pool.violations == 0
+        return Candidates(pool.columns[clean],
+                          members=None if pool.members is None else pool.members[clean])
     if pool.exact_ok.any() and _confirm_exact_lifted(pool, state.exact[untested, :n]) is not None:
         return Candidates(pool.columns[pool.exact_ok], pool.exact)
     return _stuck(pool.columns.shape[1])
@@ -646,43 +673,44 @@ def _confirm_exact_lifted(pool: LiftedPool, cross: np.ndarray) -> np.ndarray | N
     return pool.exact if len(pool.exact) else None
 
 
+def _anchor_rows(state: GramState, anchors: np.ndarray | None, spec: ActionSpec) -> np.ndarray:
+    """``anchors``, checked to hold one coordinate row of the list's dimension per state row."""
+    if anchors is None or anchors.shape != (state.m, spec.c_star.vectors.shape[1]):
+        raise DimensionMismatch("anchor coordinates disagree with the state")
+    return anchors
+
+
+def _conforming_heads(heads: np.ndarray, spec: ActionSpec, tols: Tolerances) -> np.ndarray:
+    """Which rows of list cosines ``heads`` lie within the cap and snap to c1.
+
+    A vector already placed has cosine 1 with its own row, so the cap
+    rejects it while ``tols.cosine`` < 1/2."""
+    _, viol = _tail_filter(heads, spec.c1, tols)
+    return (heads <= COSINE_CAP + tols.cosine).all(axis=1) & ~viol.any(axis=1)
+
+
 def enumerate_membership(state: GramState, anchors: np.ndarray, spec: ActionSpec, *,
-                         tols: Tolerances = DEFAULT_TOLS,
-                         blame: np.ndarray | None = None) -> Candidates:
-    """Action set restricted to a fixed vector list (coordinate-anchored runs).
+                         tols: Tolerances = DEFAULT_TOLS) -> Candidates:
+    """Rank-increasing action set for m < dim, restricted to a fixed vector list.
 
     ``anchors`` holds the coordinates of the current rows; candidates are the
-    vectors of the membership list whose cosine column satisfies every
-    discrete and cap constraint, in list order, with their list indices as
-    ``members``.  A vector already placed has cosine 1 with its own row, so
-    the cap rejects it while ``tols.cosine`` < 1/2.
+    vectors of the membership list whose cosine column lies within the cap,
+    snaps to c1 and raises the rank, in list order, with their list indices
+    as ``members``.  At m >= dim a ``LiftedPool`` serves member lists.
     """
     if not isinstance(spec.c_star, MembershipList):
         raise ValueError("enumerate_membership needs a MembershipList constraint")
-    allowed = spec.c_star.vectors
-    m, n = state.m, state.dim
-    if anchors.shape != (m, allowed.shape[1]):
-        raise DimensionMismatch("anchor coordinates disagree with the state")
-    cols = allowed @ anchors.T
-    ok = cols.max(axis=1) <= COSINE_CAP + tols.cosine
-    heads = cols[:, :min(m, n)]
-    c1v = spec.c1.snap_points[0]
-    ok &= (np.abs(heads - c1v[spec.c1.nearest(heads)]) <= tols.snap).all(axis=1)
-    if m > n:
-        snapped, viol = _tail_filter(cols[:, n:], spec.c2, tols)
-        count = viol.sum(axis=1)
-        if blame is not None:
-            np.add.at(blame, n + viol.argmax(axis=1)[count == 1], 1)
-        ok &= count == 0
-        cols = np.concatenate([cols[:, :n], snapped], axis=1)
-    if m < n:
-        # Rank must grow: positive Schur pivot against the current state.
-        try:
-            lower = np.linalg.cholesky(state.entries)
-        except np.linalg.LinAlgError:
-            return Candidates(cols[:0], members=np.zeros(0, dtype=np.intp))
-        sel = np.nonzero(ok)[0]
-        y = np.linalg.solve(lower, cols[sel, :m].T)
-        ok[sel] = 1.0 - (y * y).sum(axis=0) > tols.rank
+    if state.m >= state.dim:
+        raise DimensionMismatch(f"member-list enumeration needs m < dim, got m={state.m}")
+    cols = spec.c_star.vectors @ _anchor_rows(state, anchors, spec).T
+    ok = _conforming_heads(cols, spec, tols)
+    # Rank must grow: positive Schur pivot against the current state.
+    try:
+        lower = np.linalg.cholesky(state.entries)
+    except np.linalg.LinAlgError:
+        return Candidates(cols[:0], members=np.zeros(0, dtype=np.intp))
+    sel = np.nonzero(ok)[0]
+    y = np.linalg.solve(lower, cols[sel].T)
+    ok[sel] = 1.0 - (y * y).sum(axis=0) > tols.rank
     members = np.nonzero(ok)[0]
     return Candidates(cols[members], members=members)

@@ -300,16 +300,17 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
     pool: LiftedPool | None = None  # once m >= dim; dropped with the phase
     added = 0
     while config.fill_budget is None or added < config.fill_budget:
-        if isinstance(member_list, MembershipList):
-            candidates = enumerate_membership(state, meta.anchors, config.action,
-                                              tols=tols, blame=meta.conflicts)
-        elif state.m < state.dim:
-            candidates = enumerate_small(state, config.action, tols=tols, table=table)
+        if state.m < state.dim:
+            if isinstance(member_list, MembershipList):
+                candidates = enumerate_membership(state, meta.anchors, config.action, tols=tols)
+            else:
+                candidates = enumerate_small(state, config.action, tols=tols, table=table)
         else:
             if pool is None:
                 try:
-                    pool = LiftedPool(state, config.action, tols=tols, table=table)
-                except RankDeficientBasis:
+                    pool = LiftedPool(state, config.action, tols=tols, table=table,
+                                      anchors=meta.anchors)
+                except RankDeficientBasis:  # a member-list pool factors nothing
                     try:
                         order = full_rank_prefix(state, tols=tols)
                     except RankDeficientBasis:
@@ -317,7 +318,8 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
                     state = permute_state(state, order)
                     meta.take(order)
                     pool = LiftedPool(state, config.action, tols=tols, table=table)
-            candidates = enumerate_lifted(pool, state, blame=meta.conflicts)
+            candidates = enumerate_lifted(pool, state, anchors=meta.anchors,
+                                          blame=meta.conflicts)
         if not candidates:
             break
         if len(candidates) > config.rollouts_per_move:

@@ -602,7 +602,18 @@ def test_resume_takes_the_policy_settings_from_the_config(tmp_path):
     ("POLI", _edit_json(lambda doc: {**doc, "baseline": math.nan}), "not finite"),
     ("BEST", _edit_json(lambda doc: {**doc, "team_reward": 999}), "best team reward 999"),
     ("TREE", _edit_json(lambda doc: {**doc, "exploration": 0.5}), "exploration 0.5"),
-], ids=["weight-nan", "baseline-nan", "best-reward-999", "tree-exploration"])
+    ("TREE", _edit_json(lambda doc: {**doc, "edges": [[*doc["edges"][0][:2], 0, 1.0],
+                                                       *doc["edges"][1:]]}), "below 1"),
+    ("TREE", _edit_json(lambda doc: {**doc, "edges": [[*doc["edges"][0][:2], -3, 1.0],
+                                                       *doc["edges"][1:]]}), "below 1"),
+    ("TREE", _edit_json(lambda doc: {**doc, "nodes": {k: 0 for k in doc["nodes"]}}), "below 1"),
+    ("TREE", _edit_json(lambda doc: {**doc, "edges": [[*doc["edges"][0][:3], math.nan],
+                                                       *doc["edges"][1:]]}), "not finite"),
+    ("TREE", _edit_json(lambda doc: {**doc, "edges": [[*doc["edges"][0][:3], -math.inf],
+                                                       *doc["edges"][1:]]}), "not finite"),
+], ids=["weight-nan", "baseline-nan", "best-reward-999", "tree-exploration",
+        "edge-visits-0", "edge-visits-negative", "node-visits-0", "edge-value-nan",
+        "edge-value-inf"])
 def test_resume_refuses_learned_values_that_cannot_hold(tmp_path, capsys, tag, edit, message):
     cfg, ckpt, _ = _checkpoint_after(tmp_path, 1)
     _rewrite_checkpoint_section(ckpt, tag, edit)

@@ -12,6 +12,7 @@ import pytest
 import kissgram.filler as filler
 from kissgram.cli import main
 from kissgram.errors import (
+    DimensionMismatch,
     EmptyCandidates,
     EnumerationOverflow,
     MixedModeEntries,
@@ -40,6 +41,7 @@ from kissgram.filler import (
     select_action,
 )
 from kissgram.gram import (
+    COSINE_CAP,
     GramState,
     Tolerances,
     extend,
@@ -382,15 +384,134 @@ def test_enumeration_determinism():
 
 
 def test_enumerate_membership_restricts_to_list():
+    # At m >= dim a member list is a pool; enumerate_membership serves m < dim only.
     built = generate("D4Roots")
     spec = ActionSpec(c1=DiscreteSet(C1), c_star=MembershipList(vectors=built.vectors))
     state = gram_from_vectors(built.vectors[:6], 4)
-    cands = enumerate_membership(state, built.vectors[:6], spec)
+    anchors = built.vectors[:6]
+    cands = enumerate_lifted(LiftedPool(state, spec, anchors=anchors), state, anchors=anchors)
     assert len(cands), "remaining roots must be reachable"
     for idx, col in zip(cands.members, cands.columns):
         assert idx >= 6  # no placed vector is offered
         expected = built.vectors[idx] @ built.vectors[:6].T
         assert np.abs(col - expected).max() < 1e-7
+    for rows in (4, 6):
+        with pytest.raises(DimensionMismatch):
+            enumerate_membership(gram_from_vectors(anchors[:rows], 4), anchors[:rows], spec)
+    with pytest.raises(DimensionMismatch):
+        LiftedPool(gram_from_vectors(anchors[:3], 4), spec, anchors=anchors[:3])
+    with pytest.raises(DimensionMismatch):
+        LiftedPool(state, spec, anchors=anchors[:5])
+
+
+def reference_membership(state, anchors, spec, blame, tols=TOLS, pooled_blame=False):
+    """The m >= dim member-list enumeration that the pool replaced: every list
+    vector's whole cosine column, computed and tested again at each move.
+
+    It blames every list vector with one snap violation.  With
+    ``pooled_blame`` it blames only those whose heads pass, as the pool does:
+    the two differ when c2 rules out a cosine of a vector that c1 rules out."""
+    allowed = spec.c_star.vectors
+    m, n = state.m, state.dim
+    cols = allowed @ anchors.T
+    ok = cols.max(axis=1) <= COSINE_CAP + tols.cosine
+    heads = cols[:, :min(m, n)]
+    c1v = spec.c1.snap_points[0]
+    snaps = (np.abs(heads - c1v[spec.c1.nearest(heads)]) <= tols.snap).all(axis=1)
+    ok &= snaps
+    if m > n:
+        snapped, viol = _tail_filter(cols[:, n:], spec.c2, tols)
+        count = viol.sum(axis=1)
+        single = count == 1
+        if pooled_blame:
+            single &= snaps & (heads <= COSINE_CAP + tols.cosine).all(axis=1)
+        np.add.at(blame, n + viol.argmax(axis=1)[single], 1)
+        ok &= count == 0
+        cols = np.concatenate([cols[:, :n], snapped], axis=1)
+    members = np.nonzero(ok)[0]
+    return Candidates(cols[members], members=members)
+
+
+def drive_member_phase(vectors, anchors, c1, c2=None, extra_blame=None):
+    """A member-list fill phase from the seed coordinates ``anchors``, one
+    random candidate per move until none is left; every move's pool batch
+    and blame are checked against ``reference_membership``.  ``extra_blame``
+    is the blame the pool adds per move beyond the reference's.  Returns the
+    number of moves and of heads the pool dropped."""
+    spec = ActionSpec(c1=DiscreteSet(c1), c2=None if c2 is None else DiscreteSet(c2),
+                      c_star=MembershipList(vectors=vectors))
+    state = gram_from_vectors(anchors)
+    pool = LiftedPool(state, spec, anchors=anchors)
+    heads = len(pool.columns)
+    rng = np.random.default_rng(len(anchors))
+    moves = 0
+    while True:
+        got_blame, want_blame = np.zeros(state.m, np.int64), np.zeros(state.m, np.int64)
+        got = enumerate_lifted(pool, state, anchors=anchors, blame=got_blame)
+        want = reference_membership(state, anchors, spec, want_blame,
+                                    pooled_blame=c2 is not None)
+        if extra_blame is not None:
+            want_blame[:len(extra_blame)] += extra_blame
+        assert np.array_equal(got.members, want.members)
+        assert got.columns.shape == want.columns.shape
+        assert got.columns.tobytes() == want.columns.tobytes()
+        assert np.array_equal(got_blame, want_blame)
+        assert len(pool.members) == len(pool.columns)
+        if not got:
+            return moves, heads - len(pool.columns)
+        row = rng.integers(len(got))
+        state = extend(state, got.columns[row])
+        anchors = np.vstack([anchors, spec.c_star.vectors[got.members[row]]])
+        moves += 1
+
+
+def _antipode(vectors, row):
+    return int(np.flatnonzero(np.all(np.abs(vectors + vectors[row]) < 1e-12, axis=1))[0])
+
+
+@pytest.mark.parametrize("name, c1", [
+    ("CrossPolytope(4)", C1),
+    ("Icosahedron", (-1.0, -1 / math.sqrt(5.0), 1 / math.sqrt(5.0))),
+    ("D4Roots", C1),
+    ("E8Roots", C1),
+])
+@pytest.mark.parametrize("seed", ["m=dim", "m>dim", "singular"])
+def test_member_pool_matches_the_per_move_enumeration(name, c1, seed):
+    vectors = generate(name).vectors
+    dim = vectors.shape[1]
+    rows = {"m=dim": list(range(dim)), "m>dim": list(range(dim + 2)),
+            # A rank-deficient leading block, which a member-list pool never factors.
+            "singular": [0, _antipode(vectors, 0), *range(1, dim - 1)]}[seed]
+    moves, dropped = drive_member_phase(vectors, vectors[rows], c1)
+    assert moves > 0 and dropped == 0  # every list cosine is in c2: one violation at most
+
+
+@pytest.mark.parametrize("name, c2", [("D4Roots", (-1.0, 0.0, 0.5)),
+                                      ("E8Roots", (-1.0, -0.5, 0.5))])
+def test_member_pool_drops_heads_at_the_second_violation(name, c2):
+    vectors = generate(name).vectors
+    moves, dropped = drive_member_phase(vectors, vectors[:vectors.shape[1] + 2], C1, c2=c2)
+    assert moves > 0 and dropped > 0
+
+
+def test_member_pool_keeps_the_cap_on_raw_tails():
+    # The 24-cell as the unit vectors ±e_i and (±1/2, ±1/2, ±1/2, ±1/2).  Seed
+    # row t lies 3e-8 off the list vector (1, 1, 1, -1)/2, so its cosine with
+    # (1, 1, 1, 1)/2 and with (1, 1, -1, -1)/2 is 1/2 + 3e-8: within the snap
+    # of 1/2 but above the cap by more than the cosine tolerance, so neither
+    # is ever a candidate.
+    cell = np.vstack([np.eye(4), -np.eye(4),
+                      np.array(list(itertools.product((0.5, -0.5), repeat=4)))])
+    a = 0.5 + 3e-8
+    b = math.sqrt(0.5 - a * a)
+    seed = np.vstack([np.eye(4), [a, a, b, -b]])
+    for w in ([1, 1, 1, 1], [1, 1, -1, -1]):
+        assert TOLS.cosine < np.dot(w, seed[4]) / 2 - COSINE_CAP <= TOLS.snap
+    # The pool counts each over-cap tail as that vector's one violation and so
+    # blames row 4 twice at every move; the reference counted snap
+    # violations only.
+    extra = np.array([0, 0, 0, 0, 2])
+    assert drive_member_phase(cell, seed, C1, extra_blame=extra)[0] > 0
 
 
 def test_enumerate_membership_small_regime_requires_rank_growth():

@@ -101,6 +101,19 @@ GOLDEN = {
             "TREE": "920104dcdace0d6a4b9925cec0e207575f15812f7a7fd43672bd80673c0c6289",
         },
     ),
+    # Member-list moves at list scale: from 8 rows of the E8 list to its 240.
+    "e8-member-list": (
+        "[run]\ndim = 8\nepisodes = 4\nrounds = 3\nrng-seed = 3\nout-dir = out\n"
+        "[seed]\nsource = file:e8.vec\nrows = 8\n[action]\ncstar = file:e8.vec\n",
+        {
+            "best.gram": "3ec4393288c3cc03fd308d5d752e3f4d2dce35415ced44e9b74edbf97a4375c0",
+            "best.cert": "79adcac52805eeff91f35fe44fba1398ad294247b3dadae59534b59375f46339",
+            "BEST": "b68a35e71b3bf7f8410d1b6c66e9b1a2d5f27a032c09db5013e21089cc61e7c2",
+            "PROG": "c66f5316af7b6a0cb58e5bbf320beecc9275b9d701f7ca9b017987af124fdc5b",
+            "RNGS": "6766ee7948f2fb16eb1c9e18d56634c0474314826355cb4a71af5dbdc7173d18",
+            "TREE": "9ce4a00db550e70070257cddeba994ea8fb9f20b8b7f61f5d28f64d47340366c",
+        },
+    ),
     # A capped tail is written into the Gram as lifted, unsnapped.
     "d4-cap-only": (
         "[run]\ndim = 4\nepisodes = 6\nrounds = 3\nrng-seed = 7\nout-dir = out\n"
@@ -127,11 +140,13 @@ TREE_SHAPES = {
     "d4-member-list": (54, 166, {1: 21, 2: 9, 3: 9, 4: 2, 5: 3, 6: 7, 7: 1, 10: 1, 18: 1},
                        {1: 166}),
     "d4-rational": (111, 164, {1: 81, 2: 21, 3: 4, 4: 2, 6: 1, 9: 2}, {1: 161, 2: 3}),
+    "e8-member-list": (537, 1249, {1: 299, 2: 7, 3: 5, 4: 223, 7: 1, 10: 1, 12: 1},
+                       {1: 1249}),
     "e8-seeded-rational": (8, 8, {1: 8}, {1: 8}),
 }
 
 # Vector files a config reads, written next to it by ``generate``.
-INPUTS = {"d4-member-list": {"d4.vec": "D4Roots"}}
+INPUTS = {"d4-member-list": {"d4.vec": "D4Roots"}, "e8-member-list": {"e8.vec": "E8Roots"}}
 
 
 def checkpoint_sections(blob: bytes) -> dict[str, bytes]:
