@@ -140,7 +140,7 @@ def _cmd_search(args) -> int:
     from .gram import reconstruct_vectors
 
     write_vector_file(out_dir / "best.vectors", reconstruct_vectors(state))
-    cert = verify_gram(state)
+    cert = verify_gram(state, tols=config.game.tolerances)
     write_certificate(out_dir / "best.cert", cert)
     print(f"best team reward: {best.team_reward}")
     print(f"certificate: {cert.verdict}")

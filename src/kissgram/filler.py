@@ -11,11 +11,13 @@ columns, of which ``select_action`` picks a row.
 A lifted head depends only on the basis block, which a fill phase never
 changes, and each move appends one row.  So a ``LiftedPool``, the one object
 of every fill phase at m >= dim, takes the heads once per phase and keeps
-only each head's tails; per move it reads the one new row from the state,
-snaps one new tail entry per head that has at most one violation so far and,
-in rational mode, checks one new exact tail entry per head that is still
-exactly unit and conforming.  Under a membership list the heads are list
-vectors, and ``enumerate_membership`` serves m < dim.
+only each head's tails.  It tests the rows it has not yet tested in blocks
+of ``POOL_BLOCK_ROWS``, the rows held at its creation and then the one row
+each move placed: a block snaps its tail entries for every head that has at
+most one violation so far and, in rational mode, the exact tail entries for
+every head that is still exactly unit and conforming.  So a block's tails
+are K x POOL_BLOCK_ROWS, never K x rows.  Under a membership list the heads
+are list vectors, and ``enumerate_membership`` serves m < dim.
 
 The corrector rarely changes the basis block, so fill phases of one run
 meet the same blocks again, and small-regime moves the same states.  A
@@ -66,6 +68,7 @@ FINGERPRINT_QUANTUM = 1e-9  # entries that round to the same multiple of this sh
 _MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _SHIFTS = tuple(map(np.uint64, (30, 27, 31)))
 BASIS_TABLE_ENTRIES = 256  # blocks a run's BasisTable keeps; the least recently used leave first
+POOL_BLOCK_ROWS = 32  # untested rows a LiftedPool lifts and snaps at once
 
 
 @dataclass(frozen=True)
@@ -521,13 +524,13 @@ def _lifted_basis(state: GramState, spec: ActionSpec, tols: Tolerances
 class LiftedPool:
     """The one object of a fill phase at m >= dim: the heads and their tails so far.
 
-    ``start`` is the state's row count at creation.  Within a fill phase
-    rows are only appended, so the leading dim rows, and with them the set
-    of heads, never change, and each new row adds one tail entry per head.
-    The pool keeps per head its snapped tails, its violation count and the
-    row of its first violation.  A count never falls, so a head leaves the
-    pool at its second violation; a head with one violation stays, since it
-    is still blamed.
+    Within a fill phase rows are only appended, so the leading dim rows,
+    and with them the set of heads, never change, and each new row adds one
+    tail entry per head.  The pool keeps per head its snapped tails, its
+    violation count and the row of its first violation.  A count never
+    falls, so a head leaves the pool at its second violation, even within
+    the held rows tested at creation; a head with one violation stays, since
+    it is still blamed.
 
     Under a ``MembershipList`` the heads are the list's cosines with the
     first dim ``anchors`` (the rows' coordinates) that pass the cap and
@@ -556,7 +559,7 @@ class LiftedPool:
             raise MixedModeEntries("rational state requires rational cosine sets")
         if state.m < state.dim:
             raise DimensionMismatch(f"a pool needs m >= dim, got m={state.m}")
-        self.spec, self.tols, self.start = spec, tols, state.m
+        self.spec, self.tols = spec, tols
         self.members = self.exact = None
         if isinstance(spec.c_star, MembershipList):
             heads = spec.c_star.vectors @ _anchor_rows(state, anchors, spec)[:state.dim].T
@@ -582,37 +585,33 @@ def enumerate_lifted(pool: LiftedPool, state: GramState, *, anchors: np.ndarray 
 
     ``state`` is the pool's state grown by the phase's moves, and
     ``anchors`` its rows' coordinates in a member-list run.  Each call tests
-    the rows of ``state`` the pool has not yet tested.  A member-list pool
-    takes their tails as one product of its list vectors with their
-    anchors, K x n per move.  Otherwise the cross rows present at creation
-    are lifted as one block C B^-1, then the row each move placed by
-    ``extend_cache``.  A row adds one snapped tail entry per head
-    in the pool and, in rational mode, one exact tail entry per
-    ``exact_ok`` head, whose exact columns are the batch's ``exact``.
-    ``blame``, when given, is a length-m counter that is incremented at the
-    row responsible each time a head in the pool fails through exactly one
-    tail entry; the corrector uses it as a conflict feature.
+    the rows of ``state`` the pool has not yet tested, in blocks of
+    ``POOL_BLOCK_ROWS``: all rows present at the pool's creation on its
+    first call, the one row a move placed on every later call.  A block's
+    tails are one product: of the list vectors with the block's anchors in a
+    member-list pool, else of the heads with the block's lift
+    (``extend_cache``).  A row adds one snapped tail entry per head in the
+    pool and, in rational mode, one exact tail entry per ``exact_ok`` head,
+    whose exact columns are the batch's ``exact``.  A head leaves at its
+    second violation, before the next block.  ``blame``, when given, is a
+    length-m counter that is incremented at the row responsible each time a
+    head in the pool fails through exactly one tail entry; the corrector
+    uses it as a conflict feature.
     """
     n = state.dim
-    seen = pool.columns.shape[1] - n
-    untested = slice(n + seen, None)
-    new = state.entries[untested, :n]
-    if len(new):
+    untested = slice(pool.columns.shape[1], None)
+    for lo in range(untested.start, state.m, POOL_BLOCK_ROWS):
+        rows = slice(lo, lo + POOL_BLOCK_ROWS)
         if pool.members is None:
-            held = max(pool.start - n - seen, 0)  # untested rows present at the pool's creation
-            lift = [extend_cache(pool.cache, row)[None] for row in new[held:]]
-            if held:
-                lift.insert(0, new[:held] @ pool.cache.pseudo_inv)
-            lift = lift[0] if len(lift) == 1 else np.concatenate(lift)
-            tails = pool.columns[:, :n] @ lift.T
+            tails = pool.columns[:, :n] @ extend_cache(pool.cache, state.entries[rows, :n])
         else:
-            tails = pool.spec.c_star.vectors[pool.members] @ anchors[untested].T
+            tails = pool.spec.c_star.vectors[pool.members] @ anchors[rows].T
         snapped, viol = _tail_filter(tails, pool.spec.c2, pool.tols)
         if pool.members is not None:
             viol |= tails > COSINE_CAP + pool.tols.cosine
         count = viol.sum(axis=1)
         pool.first = np.where((pool.violations == 0) & (count > 0),
-                              seen + viol.argmax(axis=1), pool.first)
+                              lo - n + viol.argmax(axis=1), pool.first)
         pool.violations += count
         pool.columns = np.concatenate([pool.columns, snapped], axis=1)
         if pool.exact is not None:  # a head that violates is never a candidate again

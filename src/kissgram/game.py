@@ -323,7 +323,7 @@ def _fill_phase(state: GramState, meta: _RowMeta, config: GameConfig, tree: Sear
         if not candidates:
             break
         if len(candidates) > config.rollouts_per_move:
-            pick = sorted(rng.choice(len(candidates), size=config.rollouts_per_move, replace=False))
+            pick = np.sort(rng.choice(len(candidates), config.rollouts_per_move, replace=False))
             candidates = candidates.take(pick)
         row, edge = select_action(tree, state, candidates, meta.digests)
         trajectory.append(edge)

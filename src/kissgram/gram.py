@@ -230,11 +230,11 @@ class FactorCache:
 
     It depends on B alone: a ``filler.BasisTable`` keeps one from
     ``factorize`` per basis block, and every ``filler.LiftedPool`` on that
-    block shares it, so its arrays are read-only.  A cross row c (a row
-    after the basis) lifts to B^-1 c (``extend_cache``), so a tail costs one
-    matrix-vector product.  The exact fields are populated in rational mode
-    only, as integers over the state's denominator D: ``exact_det`` =
-    det(D B) > 0 and ``exact_adj`` = adj(D B), an object array of Python ints.
+    block shares it, so its arrays are read-only.  A block of cross rows C
+    (rows after the basis) lifts to B^-1 C^T (``extend_cache``), one matrix
+    product.  The exact fields are populated in rational mode only, as
+    integers over the state's denominator D: ``exact_det`` = det(D B) > 0
+    and ``exact_adj`` = adj(D B), an object array of Python ints.
     Then B^-1 = D adj(D B) / det(D B), so a head h has
     h^T B^-1 h = (D h)^T adj (D h) / (D det) and a tail
     c^T B^-1 h = (D c)^T adj (D h) / (D det).
@@ -284,9 +284,10 @@ def factorize(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> FactorCac
                        exact_scale=state.exact_scale, exact_det=det, exact_adj=adj)
 
 
-def extend_cache(cache: FactorCache, head: np.ndarray) -> np.ndarray:
-    """The lift row B^-1 c of one new cross row c (``head``)."""
-    return cache.pseudo_inv @ np.asarray(head, dtype=float)
+def extend_cache(cache: FactorCache, rows: np.ndarray) -> np.ndarray:
+    """The lift B^-1 C^T of new cross rows C: one column per row of a block,
+    or the vector B^-1 c of one 1-D row c."""
+    return cache.pseudo_inv @ np.asarray(rows, dtype=float).T
 
 
 def reconstruct_vectors(state: GramState, *, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:

@@ -732,13 +732,16 @@ def test_search_checks_its_seed_before_any_output(tmp_path, capsys, text, code, 
     assert not (tmp_path / "out").exists()
 
 
-def _two_row_seed(tmp_path, cosine: float, tolerance: str):
-    """A float seed file of two rows at ``cosine`` and a dim-2 run from it."""
+def _two_row_seed(tmp_path, cosine: float, tolerance: str, psd: str | None = None):
+    """A float seed file of two rows at ``cosine`` and a dim-2 run from it,
+    with the PSD tolerance ``psd`` when given."""
     (tmp_path / "s.vec").write_text(f"kiss-vectors v1 dim=2 count=2\n1 0\n"
                                     f"{cosine!r} {math.sqrt(1 - cosine * cosine)!r}\n")
     cfg = tmp_path / "run.cfg"
+    psd_line = "" if psd is None else f"psd = {psd}\n"
     cfg.write_text("[run]\ndim = 2\nepisodes = 4\nrounds = 3\nout-dir = out\n"
-                   f"[tolerances]\ncosine = {tolerance}\n[seed]\nsource = file:s.vec\n")
+                   f"[tolerances]\ncosine = {tolerance}\n{psd_line}"
+                   "[seed]\nsource = file:s.vec\n")
     return cfg
 
 
@@ -758,6 +761,16 @@ def test_file_seed_within_the_run_cosine_tolerance_is_searched(tmp_path):
     out = tmp_path / "out"
     assert "episode 4" in (out / "run.log").read_text()
     assert code == (0 if read_certificate(out / "best.cert")["verdict"] == "Pass" else 1)
+
+
+def test_final_certificate_takes_the_run_tolerances(tmp_path):
+    # The best state keeps the seed pair at 0.500000005, which the run's
+    # cosine tolerance admits.  Its antipodes' entries snap to -1/2, which
+    # leaves the smallest eigenvalue at -2.5e-9, within the run's PSD
+    # tolerance.  So the certificate passes under the run's tolerances.
+    cfg = _two_row_seed(tmp_path, 0.500000005, "1e-8", psd="1e-8")
+    assert run_cli("search", "--config", str(cfg)) == 0
+    assert read_certificate(tmp_path / "out" / "best.cert")["verdict"] == "Pass"
 
 
 @pytest.mark.parametrize("temperature", ["1e-300", "1e-200"])

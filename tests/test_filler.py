@@ -1039,3 +1039,122 @@ def test_exact_confirmation_takes_its_dtype_from_the_basis(monkeypatch):
         assert got
         state = extend(state, got.columns[0], exact=got.exact[0])
     assert pool.dtype is np.int64
+
+
+# Pools whose creation holds more rows than one block.
+
+
+def one_shot_pool(state: GramState, spec: ActionSpec, anchors: np.ndarray | None = None,
+                  tols=TOLS) -> dict:
+    """A pool's fields once it has tested every row of ``state``, from one
+    product over all of them: every tail of every head snapped and counted at
+    once, and a head with two violations dropped only at the end.  With them,
+    the blame a call adds and ``live_before[t]``, how many heads have fewer
+    than two violations on the tails before tail t."""
+    n = state.dim
+    out = dict(members=None, exact_ok=None, exact=None)
+    if spec.c_star is None:
+        basis = _lifted_basis(state, spec, tols)
+        heads = basis.heads
+        tails = heads @ (basis.cache.pseudo_inv @ state.entries[n:, :n].T)
+        snapped, viol = _tail_filter(tails, spec.c2, tols)
+    else:
+        cols = spec.c_star.vectors @ anchors.T
+        members = np.flatnonzero(filler._conforming_heads(cols[:, :n], spec, tols))
+        heads, tails = cols[members, :n], cols[members, n:]
+        snapped, viol = _tail_filter(tails, spec.c2, tols)
+        viol |= tails > COSINE_CAP + tols.cosine
+    count = viol.sum(axis=1)
+    live = count < 2
+    out["live_before"] = [len(heads), *(viol.cumsum(axis=1) < 2).sum(axis=0)]
+    out["columns"] = np.concatenate([heads, snapped], axis=1)[live]
+    out["violations"], out["first"] = count[live], viol.argmax(axis=1)[live]
+    out["blame"] = np.zeros(state.m, dtype=np.int64)
+    np.add.at(out["blame"], n + out["first"][out["violations"] == 1], 1)
+    if spec.c_star is not None:
+        out["members"] = members[live]
+    elif state.exact is not None:
+        exact_tails = basis.y @ state.exact[n:, :n].astype(basis.dtype).T
+        conform = (count[basis.exact_ok] == 0) & np.isin(exact_tails, basis.targets).all(axis=1)
+        exact_ok = np.zeros(len(heads), dtype=bool)
+        exact_ok[np.flatnonzero(basis.exact_ok)[conform]] = True
+        out["exact_ok"] = exact_ok[live]
+        det = basis.cache.exact_det
+        out["exact"] = np.concatenate([basis.exact[conform], exact_tails[conform] // det], axis=1)
+    return out
+
+
+@pytest.mark.parametrize("case", ["float", "rational", "member-list"])
+def test_pool_blocks_match_one_shot_creation(monkeypatch, case):
+    # 120 E8 rows: 112 held cross rows are four blocks, the last one partial.
+    # Heads over c1 with 1/4 that are no roots, and list vectors whose
+    # antipode is a row while -1 is no tail value, violate twice at rows
+    # spread over the blocks; others violate once or never.
+    rows = 120
+    assert rows - 8 > 3 * filler.POOL_BLOCK_ROWS
+    spec = _rational_spec(RATIONAL_C1 + (Fraction(1, 4),))
+    anchors = None
+    if case == "member-list":
+        vectors = generate("E8Roots").vectors
+        spec = ActionSpec(c1=DiscreteSet(C1), c2=DiscreteSet((-0.5, 0.0, 0.5)),
+                          c_star=MembershipList(vectors=vectors))
+        anchors = vectors[:rows]
+        state = gram_from_vectors(anchors)
+    else:
+        state = _truncated("E8Roots", rows, spec)
+        if case == "float":
+            state = state.as_float()
+    pool = LiftedPool(state, spec, anchors=anchors)
+    heads = len(pool.columns)
+    tested = []  # heads per block: those dropped in earlier blocks are gone
+    real = filler._tail_filter
+    monkeypatch.setattr(filler, "_tail_filter",
+                        lambda tails, *args: tested.append(len(tails)) or real(tails, *args))
+    rng = np.random.default_rng(rows)
+    for _ in range(3):
+        blame = np.zeros(state.m, dtype=np.int64)
+        seen = pool.columns.shape[1] - 8
+        tested.clear()
+        got = enumerate_lifted(pool, state, anchors=anchors, blame=blame)
+        blocks = list(tested)
+        want = one_shot_pool(state, spec, anchors)
+        starts = range(seen, state.m - 8, filler.POOL_BLOCK_ROWS)
+        assert blocks == [want["live_before"][t] for t in starts]
+        assert pool.columns.shape == want["columns"].shape
+        assert pool.columns.tobytes() == want["columns"].tobytes()
+        for field in ("violations", "first", "members", "exact_ok"):
+            assert np.array_equal(getattr(pool, field, None), want[field]), field
+        assert np.array_equal(blame, want["blame"])
+        if case == "rational":
+            assert pool.exact.tolist() == want["exact"].tolist()
+        if not got:
+            break
+        row = int(rng.integers(len(got)))
+        exact = None if got.exact is None else got.exact[row]
+        state = extend(state, got.columns[row], exact=exact)
+        if anchors is not None:
+            anchors = np.vstack([anchors, spec.c_star.vectors[got.members[row]]])
+    assert len(pool.columns) < heads and (pool.violations == 1).any()
+
+
+def test_extend_cache_lifts_each_row_of_a_phase_once(monkeypatch):
+    spec = ActionSpec(c1=DiscreteSet(C1))
+    state = _truncated("E8Roots", 120, _rational_spec()).as_float()
+    lifted = []
+    real = filler.extend_cache
+
+    def recording(cache, rows):
+        lifted.append(np.array(rows))
+        return real(cache, rows)
+
+    monkeypatch.setattr(filler, "extend_cache", recording)
+    pool = LiftedPool(state, spec)
+    moves = 0
+    while got := enumerate_lifted(pool, state):
+        state = extend(state, got.columns[0])
+        moves += 1
+    assert moves > 0 and state.m == 240
+    assert all(1 <= len(rows) <= filler.POOL_BLOCK_ROWS for rows in lifted)
+    # Four blocks at creation, then the one row each move placed.
+    assert len(lifted) == -(-112 // filler.POOL_BLOCK_ROWS) + moves
+    assert np.concatenate(lifted).tobytes() == state.entries[8:, :8].tobytes()

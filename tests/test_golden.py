@@ -127,6 +127,33 @@ GOLDEN = {
             "TREE": "6685dd3c0dd577cc92fb72c5fc1b9e9b2cd884518500d135bdc4b2f1e14150b8",
         },
     ),
+    # Fewer rollouts per move than candidates: each move offers a sorted sample.
+    "d4-rollout-cap": (
+        "[run]\ndim = 4\nepisodes = 6\nrounds = 3\nrng-seed = 7\nrollouts-per-move = 3\n"
+        "out-dir = out\n",
+        {
+            "best.gram": "c9551bb4129829c98ff87708b1f986301f1b8503eafc1d331d6e7ad2c21f8cf1",
+            "best.cert": "1df0f4e154e4614dde794a5e8f37fa970cba406f7a63e57bc65d3da004bc32c9",
+            "BEST": "d2c3d12e76054e744419b048b1d62029de0da3d536084bf213b5db35d4a75d1b",
+            "PROG": "313cd7173f36307ce117b559654dd32543219724e23fc0364d5cb83d536a5783",
+            "RNGS": "af0263ab1cc061d16dc16abf1af2b9a489f105468577a19ff8abf094d528e3a0",
+            "TREE": "0e01dc5bd7d602bc0ee4a0733dceef08183a5b71759b3469d483879b8d949874",
+        },
+    ),
+    # A capped pool created on 192 held cross rows, six blocks: its tails are
+    # written unsnapped, so the lift's bits are pinned across the blocks.
+    "e8-seeded-cap-only": (
+        "[run]\ndim = 8\nepisodes = 1\nrounds = 1\nrng-seed = 3\nout-dir = out\n"
+        "[seed]\nsource = generator:E8Roots\nrows = 200\n[action]\nc2 = cap:1/2\n",
+        {
+            "best.gram": "f282a8fbf687d0e31c1448b659051b04488ad111d93c0c0ebfb37b0546cccec1",
+            "best.cert": "79adcac52805eeff91f35fe44fba1398ad294247b3dadae59534b59375f46339",
+            "BEST": "6221b790a045fa523817af7e83938eda642276745d31456561f36556cd66574e",
+            "PROG": "b0ae990a32f207ff3086dc93c4d41e1366b3ba6f6c14144e65ba60d57a31d5ba",
+            "RNGS": "372b1e70436699a7068016e03913efc95c66f7a1a743a9534a63761c3933d1b5",
+            "TREE": "5b9ec43f8eb07780458f15f4e232904ff62cddec3890ec9659e52dabeef4ae8e",
+        },
+    ),
 }
 
 # Each run's tree as (nodes, edges, {visits: nodes}, {visits: edges}), computed
@@ -140,8 +167,10 @@ TREE_SHAPES = {
     "d4-member-list": (54, 166, {1: 21, 2: 9, 3: 9, 4: 2, 5: 3, 6: 7, 7: 1, 10: 1, 18: 1},
                        {1: 166}),
     "d4-rational": (111, 164, {1: 81, 2: 21, 3: 4, 4: 2, 6: 1, 9: 2}, {1: 161, 2: 3}),
+    "d4-rollout-cap": (113, 142, {1: 100, 2: 6, 3: 2, 4: 2, 6: 2, 7: 1}, {1: 141, 4: 1}),
     "e8-member-list": (537, 1249, {1: 299, 2: 7, 3: 5, 4: 223, 7: 1, 10: 1, 12: 1},
                        {1: 1249}),
+    "e8-seeded-cap-only": (40, 40, {1: 40}, {1: 40}),
     "e8-seeded-rational": (8, 8, {1: 8}, {1: 8}),
 }
 
