@@ -4,10 +4,22 @@ All formats are line-oriented with LF endings and a single header line, so
 mathematical claims stay human-diffable.  Float scalars are written with 17
 significant digits and round-trip exactly; rational scalars are written as
 p/q literals.
+
+Vector and Gram files share one grammar.  Rows are the lines between LF
+characters: ``#`` starts a comment, blank lines are skipped, and any other
+whitespace (CR, tab, form feed, NEL, U+2028, ...) separates entries within a
+row.  A float literal is an ASCII token without ``_`` that ``float()``
+accepts; a rational literal is an ASCII ``p/q`` or integer.  A float vector
+file is read by numpy's C reader (``np.loadtxt``), which converts as
+``float()`` does; a file it refuses, or reads to another shape than the
+header's, is read again row by row, and that reader, the only one for Gram
+and rational files, words every parse error.
 """
 
 from __future__ import annotations
 
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -38,17 +50,19 @@ def _parse_header(line: str, magic: str, path) -> dict[str, str]:
         if "=" not in token:
             raise ParseError(f"{path}: malformed header token {token!r}")
         key, value = token.split("=", 1)
+        if key in fields:
+            raise ParseError(f"{path}: repeated header key {key!r}")
         fields[key] = value
     return fields
 
 
+def _data_line(raw: str) -> str:
+    return raw.split("#", 1)[0].strip()
+
+
 def _data_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
+    """The non-blank lines of ``text`` without comments, split on LF only."""
+    return [line for line in map(_data_line, text.split("\n")) if line]
 
 
 def _require_finite(matrix: np.ndarray, path):
@@ -67,20 +81,26 @@ def _header_int(fields: dict[str, str], key: str, path) -> int:
         raise ParseError(f"{path}: bad {key}= value {fields[key]!r}") from exc
 
 
-def _read_text(path) -> str:
+@contextmanager
+def _text_file(path):
+    """The file open as UTF-8 text whose lines end at LF only, line endings
+    as written; a read or decode error in the block is a ParseError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _table_rows(text: str, magic: str, path) -> tuple[int, int, str, list[str]]:
-    """``dim`` (at least 1), ``count`` (at least 0), mode and the ``count`` data
-    rows of a vector or Gram file."""
-    lines = _data_lines(text)
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    fields = _parse_header(lines[0], magic, path)
+def _read_text(path) -> str:
+    with _text_file(path) as fh:
+        return fh.read()
+
+
+def _table_header(line: str, magic: str, path) -> tuple[int, int, str]:
+    """``dim`` (at least 1), ``count`` (at least 0) and mode of a vector or
+    Gram file's header line."""
+    fields = _parse_header(line, magic, path)
     dim = _header_int(fields, "dim", path)
     count = _header_int(fields, "count", path)
     if dim < 1 or count < 0:
@@ -89,35 +109,47 @@ def _table_rows(text: str, magic: str, path) -> tuple[int, int, str, list[str]]:
     mode = fields.get("mode", "float")
     if mode not in ("float", "rational"):
         raise ParseError(f"{path}: unknown mode {mode!r}")
+    return dim, count, mode
+
+
+def _table_rows(text: str, magic: str, path) -> tuple[int, int, str, list[str]]:
+    """The header fields and the ``count`` data rows of a vector or Gram file."""
+    lines = _data_lines(text)
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    dim, count, mode = _table_header(lines[0], magic, path)
     if len(lines) - 1 != count:
         raise ParseError(f"{path}: header claims {count} rows, found {len(lines) - 1}")
     return dim, count, mode, lines[1:]
+
+
+def _float_literal(text: str) -> float:
+    """``float(text)`` for the literals numpy's C reader converts too: ASCII,
+    without ``_``."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 def _table_entries(rows: list[str], widths, mode: str, path
                    ) -> tuple[np.ndarray, np.ndarray | None, int | None]:
     """The entries of ``rows``, row i holding ``widths[i]``, row-major: floats
     and, in rational mode, Python-int numerators N over the least common
-    denominator D, whose floats are N / D, each correctly rounded."""
-    floats = np.zeros(sum(widths))
-    tokens: list[str] = []  # rational mode: every literal
-    end = 0
+    denominator D, whose floats are N / D, each correctly rounded.  Storage
+    grows with the entries read, never with the widths a header claims."""
+    values: list = []  # floats, or in rational mode every literal
     for i, (row, width) in enumerate(zip(rows, widths)):
         parts = row.split()
         if len(parts) != width:
             raise ParseError(f"{path}: row {i + 1} has {len(parts)} entries, expected {width}")
-        if mode == "rational":
-            tokens += parts
-        else:
-            try:
-                floats[end:end + width] = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ParseError(f"{path}: row {i + 1}: {exc}") from exc
-        end += width
+        try:
+            values += parts if mode == "rational" else map(_float_literal, parts)
+        except ValueError as exc:
+            raise ParseError(f"{path}: row {i + 1}: {exc}") from exc
     if mode == "float":
-        return floats, None, None
+        return np.array(values, dtype=float), None, None
     try:
-        numerators, scale = parse_numerators(tokens)
+        numerators, scale = parse_numerators(values)
         exact = np.array(numerators, dtype=object)
         return (exact / scale).astype(float), exact, scale
     except (ParseError, ValueError, OverflowError) as exc:
@@ -157,8 +189,34 @@ def write_vector_file(path, vectors: np.ndarray, mode: str = "float",
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _load_float_rows(fh, path) -> np.ndarray | None:
+    """The rows of the vector file open as ``fh`` as numpy's C reader reads
+    them, or None when the file is not one it reads as ``count`` x ``dim``
+    float rows: rational, empty, unreadable or malformed."""
+    try:
+        header = next(filter(None, map(_data_line, fh)), None)
+        if header is None:
+            return None
+        dim, count, mode = _table_header(header, VECTOR_MAGIC, path)
+        if mode != "float" or count == 0:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a file with no rows
+            rows = np.loadtxt(fh, dtype=float, comments="#", ndmin=2)
+    except (ParseError, ValueError, OSError, UserWarning):  # UnicodeDecodeError included
+        return None
+    return rows if rows.shape == (count, dim) else None
+
+
 def read_vector_file(path) -> VectorDoc:
-    dim, count, mode, rows = _table_rows(_read_text(path), VECTOR_MAGIC, path)
+    with _text_file(path) as fh:
+        vectors = _load_float_rows(fh, path)
+        if vectors is not None:
+            _require_finite(vectors, path)
+            return VectorDoc(dim=vectors.shape[1], mode="float", vectors=vectors)
+        fh.seek(0)  # the per-row reader decides, and words every error
+        text = fh.read()
+    dim, count, mode, rows = _table_rows(text, VECTOR_MAGIC, path)
     floats, exact, scale = _table_entries(rows, [dim] * count, mode, path)
     vectors = floats.reshape(count, dim)
     _require_finite(vectors, path)

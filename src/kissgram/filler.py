@@ -117,7 +117,10 @@ class DiscreteSet:
 
     def nearest(self, x: np.ndarray) -> np.ndarray:
         """Index of the value nearest each entry of ``x``, the lower one on a
-        tie: a search on the midpoints, as the values ascend."""
+        tie: a search on the midpoints, as the values ascend.  Tails are
+        finite by construction; NaN, which ``searchsorted`` puts last, is the
+        one input on which this search and counting the midpoints below x
+        differ."""
         return np.searchsorted(self.snap_points[1], x, side="left")
 
     def numerators_over(self, scale: int) -> list[int]:

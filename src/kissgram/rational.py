@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import MixedModeEntries, ParseError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$", re.ASCII)
 
 
 def parse_numerators(texts: Sequence[str]) -> tuple[list[int], int]:

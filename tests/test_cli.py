@@ -472,6 +472,65 @@ def test_verify_bad_header_dim_or_count_exits_2(tmp_path, capsys, text):
     assert "needs dim >= 1 and count >= 0" in err and "Traceback" not in err
 
 
+HEADER_CLAIMS = [  # (file text, the row-width error it must raise)
+    ("kiss-vectors v1 dim=99999999999999999999 count=1 mode=float\n1 0\n",
+     "row 1 has 2 entries, expected 99999999999999999999"),
+    ("kiss-vectors v1 dim=3000000000 count=1 mode=float\n1 0\n",
+     "row 1 has 2 entries, expected 3000000000"),
+    ("kiss-gram v1 dim=1 count=100000 mode=float\n" + "1\n" * 100000,
+     "row 1 has 1 entries, expected 100000"),
+]
+
+
+@pytest.mark.parametrize("text, message", HEADER_CLAIMS,
+                         ids=["dim-1e20", "dim-3e9", "gram-1e5"])
+def test_header_claims_never_size_an_allocation(tmp_path, capsys, text, message):
+    path = tmp_path / "claim.txt"
+    path.write_text(text)
+    assert run_cli("verify", "--in", str(path)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_file_seed_header_claims_never_size_an_allocation(tmp_path, capsys):
+    (tmp_path / "s.vec").write_text(HEADER_CLAIMS[1][0])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ndim = 2\nepisodes = 1\nrounds = 1\nout-dir = out\n"
+                   "[seed]\nsource = file:s.vec\n")
+    assert run_cli("search", "--config", str(cfg)) == 2
+    assert HEADER_CLAIMS[1][1] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["gram", "vectors"])
+def test_verify_repeated_header_key_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "twice.txt"
+    path.write_text(f"kiss-{kind} v1 dim=2 count=1 mode=float dim=3\n" +
+                    ("1\n" if kind == "gram" else "1 0 0\n"))
+    assert run_cli("verify", "--in", str(path)) == 2
+    assert "repeated header key 'dim'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "kiss-vectors v1 dim=2 count=1 mode=rational\n0 \u0661\n",
+    "kiss-gram v1 dim=1 count=2 mode=rational\n\u0661 0\n1\n",
+])
+def test_verify_non_ascii_rational_digit_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "arabic.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli("verify", "--in", str(path)) == 2
+    assert "not a rational literal: '\u0661'" in capsys.readouterr().err
+
+
+def test_search_non_ascii_rational_cosine_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ndim = 2\nepisodes = 1\nrounds = 1\nout-dir = out\n"
+                   "[action]\nc1 = -1, -\u0661/2, 0, 1/2\n", encoding="utf-8")
+    assert run_cli("search", "--config", str(cfg)) == 3
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("token", ["1/0", "1" + "0" * 400])
 @pytest.mark.parametrize("text", [
     "kiss-vectors v1 dim=2 count=2 mode=rational\n1 0\n{} 1\n",

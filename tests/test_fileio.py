@@ -14,6 +14,7 @@ from kissgram.checkpoint import load_checkpoint, save_checkpoint
 from kissgram.corrector import CorrectorPolicy
 from kissgram.errors import CheckpointError, ConfigError, ParseError
 from kissgram.fileio import (
+    VECTOR_MAGIC,
     format_float,
     gram_text,
     parse_gram_text,
@@ -142,6 +143,155 @@ def test_vector_file_comments_and_errors(tmp_path):
         read_vector_file(path)
     with pytest.raises(ParseError):
         read_vector_file(tmp_path / "missing.vec")
+
+
+def _reference_vectors(dim: int, count: int, body: str):
+    """A float vector file's rows by the documented grammar, one ``float()``
+    per token: the array, or the ParseError message (after the path) that
+    ``read_vector_file`` must raise."""
+    rows = [line for line in (raw.split("#", 1)[0].strip() for raw in body.split("\n")) if line]
+    if len(rows) != count:
+        return f"header claims {count} rows, found {len(rows)}"
+    values = []
+    for i, row in enumerate(rows, 1):
+        tokens = row.split()
+        if len(tokens) != dim:
+            return f"row {i} has {len(tokens)} entries, expected {dim}"
+        for token in tokens:
+            try:
+                if "_" in token or not token.isascii():
+                    raise ValueError
+                values.append(float(token))
+            except ValueError:
+                return f"row {i}: could not convert string to float: {token!r}"
+    vectors = np.array(values, dtype=float).reshape(count, dim)
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    return f"row {bad[0] + 1} has a non-finite entry" if bad.size else vectors
+
+
+VECTOR_CORPUS = [  # (dim, count, body)
+    (2, 2, "1 0\n0 1\n"),
+    (2, 2, "# lead\n\n1 0   # trailing\n   \n# mid\n0 1\n# end"),
+    (2, 2, "1 0\r\n0 1\r\n"),
+    (2, 2, "1 0\n0 1"),
+    (3, 1, "\t+1.5\t-2.25\t+0\t\n"),
+    (2, 1, "0.0 -0.0\n"),
+    (2, 1, "-0 +0.000\n"),
+    (3, 1, "0.10000000000000001 0.30000000000000004 -0.70710678118654757\n"),
+    (2, 1, "0.1234567890123456789012345678901234567890 "
+           "-9007199254740993.000000000000000000000001\n"),
+    (2, 1, "2.2250738585072011e-308 2.2250738585072012e-308\n"),
+    (3, 1, "4.9406564584124654e-324 -1e-320 2.4703282292062328e-324\n"),
+    (3, 1, "1e-400 1E5 .5\n"),
+    (2, 1, "1e400 0\n"),
+    (2, 2, "1 0\nnan 0\n"),
+    (2, 2, "1 0\n0 -inf\n"),
+    (2, 1, "Infinity 0\n"),
+    (2, 1, "1 0\n0 1\n"),
+    (2, 3, "1 0\n0 1\n"),
+    (2, 3, ""),
+    (2, 0, ""),
+    (2, 0, "# only a comment\n\n"),
+    (2, 0, "1 0\n"),
+    (2, 2, "1 0\n0\n"),
+    (2, 2, "1 0\n0 1 0\n"),
+    (2, 1, "1 0 0\n"),
+    (2, 1, "1 0x1\n"),
+    (2, 1, "1 1d0\n"),
+    (2, 1, "1 1,5\n"),
+    (2, 1, "1 --1\n"),
+    (2, 1, "1_0 1\n"),
+    (2, 1, "1 0_5\n"),
+    (2, 1, "\u0661 0\n"),
+    (2, 1, "1 \uff10\n"),
+    (2, 2, "1\x0c0\n0\x0b1\n"),
+    (2, 2, "1 0\x0c\n\x0c\n0 1\n"),
+    (2, 1, "1\x850\n"),
+    (2, 1, "1\u20280\n"),
+    (2, 2, "1\u20290\n0\x1c1\n"),
+    (2, 1, "1\xa00\u3000\n"),
+    (2, 1, "1\r0\n"),
+    (2, 2, "1 0\r0 1\n"),
+    (2, 1, "1 0\x00\n"),
+]
+
+
+def _write_vectors(path, dim: int, count: int, body: str) -> None:
+    path.write_bytes(f"{VECTOR_MAGIC} dim={dim} count={count} mode=float\n{body}".encode())
+
+
+def _assert_reads_as_reference(path, dim: int, count: int, body: str):
+    expected = _reference_vectors(dim, count, body)
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as info:
+            read_vector_file(path)
+        assert str(info.value) == f"{path}: {expected}"
+        return
+    doc = read_vector_file(path)
+    assert doc.mode == "float" and doc.dim == dim and doc.count == count
+    assert doc.vectors.shape == (count, dim) and doc.vectors.dtype == np.float64
+    assert doc.vectors.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim, count, body", VECTOR_CORPUS)
+def test_float_vector_file_reads_as_the_per_token_reference(tmp_path, dim, count, body):
+    path = tmp_path / "v.vec"
+    _write_vectors(path, dim, count, body)
+    _assert_reads_as_reference(path, dim, count, body)
+
+
+def test_float_vector_files_with_mixed_separators_read_as_the_reference(tmp_path):
+    # Random literals in every form the writer or a user may give, joined by
+    # every in-row separator and line ending of the grammar.
+    rng = np.random.default_rng(29)
+    separators = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u2028", "\u3000",
+                  "\r"]
+    forms = [repr, format_float, "{:.40g}".format, "{:.3e}".format, "{:+.0f}".format]
+    path = tmp_path / "v.vec"
+    for _ in range(60):
+        count, dim = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        scale = 10.0 ** rng.integers(-320, 300, size=(count, dim))
+        values = rng.standard_normal((count, dim)) * scale
+        lines = []
+        for row in values:
+            tokens = [forms[rng.integers(len(forms))](float(x)) for x in row]
+            line = "".join(separators[rng.integers(len(separators))] + t for t in tokens)
+            lines.append(line + ("\r\n" if rng.integers(2) else "\n"))
+        body = "".join(lines)
+        _write_vectors(path, dim, count, body)
+        _assert_reads_as_reference(path, dim, count, body)
+
+
+def test_read_vector_file_parses_each_float_token_in_c(tmp_path, monkeypatch):
+    # A well-formed float file never reaches the per-row reader.
+    import kissgram.fileio as fileio
+
+    def refused(*args):
+        raise AssertionError("per-row reader used")
+
+    monkeypatch.setattr(fileio, "_table_rows", refused)
+    path = tmp_path / "v.vec"
+    vectors = np.random.default_rng(3).standard_normal((50, 7))
+    write_vector_file(path, vectors)
+    assert read_vector_file(path).vectors.tobytes() == vectors.tobytes()
+
+
+def test_unreadable_vector_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "v.vec"
+    path.write_bytes(f"{VECTOR_MAGIC} dim=2 count=1 mode=float\n1 \xff\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="can't decode"):
+        read_vector_file(path)
+    with pytest.raises(ParseError):
+        read_vector_file(tmp_path)
+
+
+def test_repeated_header_key_is_a_parse_error(tmp_path):
+    path = tmp_path / "v.vec"
+    path.write_text(f"{VECTOR_MAGIC} dim=2 count=1 mode=float dim=3\n1 0 0\n")
+    with pytest.raises(ParseError, match="repeated header key 'dim'"):
+        read_vector_file(path)
+    with pytest.raises(ParseError, match="repeated header key 'mode'"):
+        parse_gram_text("kiss-gram v1 dim=1 count=1 mode=float mode=float\n1\n", "g")
 
 
 def test_gram_file_round_trip_float_and_rational(tmp_path):

@@ -372,6 +372,27 @@ def test_discrete_set_holds_integer_numerators():
         DiscreteSet((0.5, 0.0), (0, 1), 3)  # 1/3 does not round to 0.5
 
 
+@pytest.mark.parametrize("cosines", [DiscreteSet((-1.0, -0.8, -0.7, 0.2, 0.3, 0.45)),
+                                     DiscreteSet.from_exact([-4, -2, -1, 0, 1, 2], 4)],
+                         ids=["float", "rational"])
+def test_nearest_is_the_argmin_with_ties_to_the_lower_value(cosines):
+    values, midpoints = cosines.snap_points
+    exact = [Fraction(v) for v in cosines.values]
+    # Every float midpoint is the exact one, so the exact argmin is the rule.
+    assert [Fraction(m) for m in midpoints] == [(a + b) / 2 for a, b in zip(exact, exact[1:])]
+    x = np.concatenate([midpoints, np.nextafter(midpoints, -np.inf),
+                        np.nextafter(midpoints, np.inf), [-np.inf, np.inf]])
+
+    def oracle(t):  # the first, so the lower, of the nearest values
+        if math.isinf(t):
+            return 0 if t < 0 else len(exact) - 1
+        distance = [abs(Fraction(t) - v) for v in exact]
+        return distance.index(min(distance))
+
+    assert cosines.nearest(x).tolist() == [oracle(t) for t in x.tolist()]
+    assert cosines.nearest(midpoints).tolist() == list(range(len(midpoints)))
+
+
 def test_enumeration_determinism():
     spec = ActionSpec(c1=DiscreteSet(C1))
     built = generate("D4Roots").gram.as_float()

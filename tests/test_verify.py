@@ -587,6 +587,23 @@ def _lambda16_rows() -> list[list[int]]:
     return rows
 
 
+def test_lambda16_float_file_reads_below_twice_its_array(tmp_path):
+    # numpy's C reader holds no whole-file text, line list or per-token floats.
+    from kissgram.fileio import read_vector_file, write_vector_file
+
+    vectors = np.array(_lambda16_rows()) / math.sqrt(8)
+    path = tmp_path / "l16.vec"
+    write_vector_file(path, vectors)
+    tracemalloc.start()
+    try:
+        doc = read_vector_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert doc.vectors.tobytes() == vectors.tobytes()
+    assert peak < 2 * vectors.nbytes
+
+
 def _rotations(count: int) -> list[list[Fraction]]:
     """(cos kt, sin kt) for k < count, with cos t = 3/5 and sin t = 4/5: the
     last row has denominator 5^(count - 1)."""
