@@ -1,9 +1,10 @@
 """Command-line surface: simulate-cosines, search, verify, generate.
 
 Exit codes: 0 success (verify: Pass), 1 verification failure, 2 I/O error,
-3 invalid configuration or arguments, 4 corrupted checkpoint.  The only
-environment variable honored is KISSGRAM_THREADS; every other knob lives in
-the config file.
+3 invalid configuration or arguments (argparse's usage errors included),
+4 corrupted checkpoint.  Numbers in arguments and the environment follow the
+literal rules of ``rational``, as in files.  The only environment variable
+honored is KISSGRAM_THREADS; every other knob lives in the config file.
 """
 
 from __future__ import annotations
@@ -26,14 +27,16 @@ from .errors import (
     ParseError,
 )
 from .fileio import (
+    VectorDoc,
     certificate_text,
-    read_gram_file,
+    read_table_file,
     read_vector_file,
     write_certificate,
     write_cosine_report,
     write_gram_file,
     write_vector_file,
 )
+from .rational import float_literal, integer_literal
 from .refconfigs import GENERATORS, config_from_vectors
 from .verify import verify_gram, verify_vectors
 
@@ -48,7 +51,7 @@ def thread_count() -> int:
     """Worker count from the environment; execution is currently sequential."""
     raw = os.environ.get("KISSGRAM_THREADS", "1")
     try:
-        value = int(raw)
+        value = integer_literal(raw)
     except ValueError as exc:
         raise ConfigError(f"KISSGRAM_THREADS must be an integer, got {raw!r}") from exc
     if value < 1:
@@ -149,18 +152,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        with open(args.path, "rb") as fh:
-            head = fh.readline()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if head.startswith(b"kiss-gram"):
-        kind, doc = "gram", read_gram_file(args.path)
-    elif head.startswith(b"kiss-vectors"):
-        kind, doc = "vector", read_vector_file(args.path)
-    else:
-        raise ParseError(f"{args.path}: not a kiss-vectors or kiss-gram file")
+    doc = read_table_file(args.path)
+    kind = "vector" if isinstance(doc, VectorDoc) else "gram"
     # A Gram state and a vector document both carry their mode and exact entries.
     mode = args.mode or doc.mode
     if mode == "rational" and doc.exact is None:
@@ -191,8 +184,15 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 3, an invalid argument, not 2."""
+
+    def exit(self, status=0, message=None):
+        super().exit(status and EXIT_CONFIG, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kissgram",
         description="Search engine and exact verifier for kissing-number configurations.",
     )
@@ -201,13 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate-cosines",
                          help="discover the discrete cosine set of a dimension")
-    sim.add_argument("--dim", type=int, required=True)
+    sim.add_argument("--dim", type=integer_literal, required=True)
     sim.add_argument("--seed-file", default=None,
                      help="vector file with the initial centers (default: a single axis)")
-    sim.add_argument("--budget", type=int, required=True, help="number of rollouts")
+    sim.add_argument("--budget", type=integer_literal, required=True, help="number of rollouts")
     sim.add_argument("--out", required=True, help="cosine report output path")
-    sim.add_argument("--rng-seed", type=int, default=0)
-    sim.add_argument("--ucb-c", type=float, default=float(np.sqrt(2.0)))
+    sim.add_argument("--rng-seed", type=integer_literal, default=0)
+    sim.add_argument("--ucb-c", type=float_literal, default=float(np.sqrt(2.0)))
     sim.set_defaults(func=_cmd_simulate)
 
     search = sub.add_parser("search", help="run the fill/correct game from a config file")

@@ -8,8 +8,10 @@ p/q literals.
 Vector and Gram files share one grammar.  Rows are the lines between LF
 characters: ``#`` starts a comment, blank lines are skipped, and any other
 whitespace (CR, tab, form feed, NEL, U+2028, ...) separates entries within a
-row.  A float literal is an ASCII token without ``_`` that ``float()``
-accepts; a rational literal is an ASCII ``p/q`` or integer.  A float vector
+row.  The first row is the header; it alone tells a Gram file from a vector
+file.  Every number read follows a literal rule of ``rational``: a float is
+an ASCII token without ``_`` that ``float()`` accepts, an integer ASCII
+``[+-]?[0-9]+`` and a rational an ASCII ``p/q`` or integer.  A float vector
 file is read by numpy's C reader (``np.loadtxt``), which converts as
 ``float()`` does; a file it refuses, or reads to another shape than the
 header's, is read again row by row, and that reader, the only one for Gram
@@ -29,7 +31,7 @@ import numpy as np
 from .cosines import CosineSet, CosineSimResult, CosineValue, snap_value
 from .errors import ParseError
 from .gram import GramState
-from .rational import format_rational, parse_numerators
+from .rational import float_literal, format_rational, integer_literal, parse_numerators
 from .verify import Certificate
 
 VECTOR_MAGIC = "kiss-vectors v1"
@@ -76,7 +78,7 @@ def _header_int(fields: dict[str, str], key: str, path) -> int:
     if key not in fields:
         raise ParseError(f"{path}: header is missing {key}=")
     try:
-        return int(fields[key])
+        return integer_literal(fields[key])
     except ValueError as exc:
         raise ParseError(f"{path}: bad {key}= value {fields[key]!r}") from exc
 
@@ -123,14 +125,6 @@ def _table_rows(text: str, magic: str, path) -> tuple[int, int, str, list[str]]:
     return dim, count, mode, lines[1:]
 
 
-def _float_literal(text: str) -> float:
-    """``float(text)`` for the literals numpy's C reader converts too: ASCII,
-    without ``_``."""
-    if "_" in text or not text.isascii():
-        raise ValueError(f"could not convert string to float: {text!r}")
-    return float(text)
-
-
 def _table_entries(rows: list[str], widths, mode: str, path
                    ) -> tuple[np.ndarray, np.ndarray | None, int | None]:
     """The entries of ``rows``, row i holding ``widths[i]``, row-major: floats
@@ -143,7 +137,7 @@ def _table_entries(rows: list[str], widths, mode: str, path
         if len(parts) != width:
             raise ParseError(f"{path}: row {i + 1} has {len(parts)} entries, expected {width}")
         try:
-            values += parts if mode == "rational" else map(_float_literal, parts)
+            values += parts if mode == "rational" else map(float_literal, parts)
         except ValueError as exc:
             raise ParseError(f"{path}: row {i + 1}: {exc}") from exc
     if mode == "float":
@@ -194,9 +188,7 @@ def _load_float_rows(fh, path) -> np.ndarray | None:
     them, or None when the file is not one it reads as ``count`` x ``dim``
     float rows: rational, empty, unreadable or malformed."""
     try:
-        header = next(filter(None, map(_data_line, fh)), None)
-        if header is None:
-            return None
+        header = next(filter(None, map(_data_line, fh)), "")
         dim, count, mode = _table_header(header, VECTOR_MAGIC, path)
         if mode != "float" or count == 0:
             return None
@@ -218,7 +210,10 @@ def read_vector_file(path) -> VectorDoc:
         text = fh.read()
     dim, count, mode, rows = _table_rows(text, VECTOR_MAGIC, path)
     floats, exact, scale = _table_entries(rows, [dim] * count, mode, path)
-    vectors = floats.reshape(count, dim)
+    try:  # with no rows, a dim too large for any array shape is only found here
+        vectors = floats.reshape(count, dim)
+    except ValueError as exc:
+        raise ParseError(f"{path}: dim={dim} exceeds numpy's array limits") from exc
     _require_finite(vectors, path)
     if exact is not None:
         exact = exact.reshape(count, dim)
@@ -268,6 +263,14 @@ def read_gram_file(path) -> GramState:
     return parse_gram_text(_read_text(path), path)
 
 
+def read_table_file(path) -> VectorDoc | GramState:
+    """A Gram file when its header line, found as the readers find it, is a
+    Gram header; else a vector file, whose reader words a header error."""
+    with _text_file(path) as fh:
+        gram = next(filter(None, map(_data_line, fh)), "").startswith(GRAM_MAGIC)
+    return read_gram_file(path) if gram else read_vector_file(path)
+
+
 def _cosine_value_fields(entry: CosineValue) -> str:
     exact = entry.label if entry.label else "-"
     return f"{format_float(entry.value)} exact={exact}"
@@ -306,7 +309,7 @@ def read_cosine_report(path) -> CosineReport:
         if len(parts) != 4:
             raise ParseError(f"{path}: malformed cosine line {line!r}")
         try:  # snap_value's Fraction(value) rejects nan and inf
-            value = float(parts[0])
+            value = float_literal(parts[0])
             snapped = snap_value(value)
         except (ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: bad cosine value {parts[0]!r}") from exc
@@ -346,11 +349,8 @@ def _rle(values) -> str:
 def _un_rle(text: str) -> tuple[int, ...]:
     out: list[int] = []
     for token in text.split():
-        if "x" in token:
-            value, count = token.split("x", 1)
-            out.extend([int(value)] * int(count))
-        else:
-            out.append(int(token))
+        value, x, count = token.partition("x")
+        out += [integer_literal(value)] * integer_literal(count if x else "1")
     return tuple(out)
 
 
@@ -399,7 +399,7 @@ def read_certificate(path) -> dict:
                 raise ParseError(f"{path}: malformed certificate line {line!r}")
             if in_spectrum and line.startswith("  "):
                 label, mult = line.strip().rsplit(":", 1)
-                out["spectrum"][label.strip()] = int(mult)
+                out["spectrum"][label.strip()] = integer_literal(mult.strip())
                 continue
             in_spectrum = False
             key, value = line.split(":", 1)

@@ -1,5 +1,8 @@
 """Exact rational arithmetic: literal parsing and exact PSD/rank certification.
 
+Every number read from a file, config, argument or the environment follows a
+literal rule kept here: ``integer_literal``, ``float_literal`` or ``parse_numerators``.
+
 Exact data has one form: Python-int numerators N over one positive common
 denominator D.  An exact matrix is an object array of numerators, so entry
 (i, j) is N[i, j] / D.  D need not be the least denominator; a search fixes D
@@ -31,6 +34,22 @@ import numpy as np
 from .errors import MixedModeEntries, ParseError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$", re.ASCII)
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def integer_literal(text: str) -> int:
+    """The value of an ASCII literal ``[+-]?[0-9]+``; ValueError else."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"invalid integer literal: {text!r}")
+    return int(text)
+
+
+def float_literal(text: str) -> float:
+    """``float(text)`` for the literals numpy's C reader converts too: ASCII,
+    without ``_``; ValueError else."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 def parse_numerators(texts: Sequence[str]) -> tuple[list[int], int]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CosineCapViolation, NonUnitVector, ParseError
 from .gram import COSINE_CAP, DEFAULT_TOLS, GramState, Tolerances, gram_from_vectors
-from .rational import exact_cosines
+from .rational import exact_cosines, integer_literal
 
 _GENERATOR_RE = re.compile(r"^([A-Za-z0-9]+)(?:\(([^)]*)\))?$")
 
@@ -41,9 +41,13 @@ class GeneratorId:
             if arg is not None:
                 raise ParseError(f"{name} takes no argument")
             return GeneratorId(name=name)
-        if arg is None or not arg.strip().isdigit() or int(arg) < 1:
+        try:
+            n = integer_literal((arg or "").strip())
+        except ValueError:
+            n = 0
+        if n < 1:
             raise ParseError(f"{name} needs a positive integer argument")
-        return GeneratorId(name=name, n=int(arg))
+        return GeneratorId(name=name, n=n)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from .fileio import read_vector_file
 from .filler import ActionSpec, CapOnly, DiscreteSet, MembershipList
 from .game import CorrectorConfig, GameConfig, SeedSpec
 from .gram import Tolerances
-from .rational import format_rational, parse_numerators, parse_rational
+from .rational import float_literal, format_rational, integer_literal
+from .rational import parse_numerators, parse_rational
 from .refconfigs import GeneratorId, unit_rows
 
 _SCHEMA: dict[str, dict[str, str]] = {
@@ -71,14 +72,14 @@ def _parse_sections(text: str, path) -> dict[str, dict[str, str]]:
 
 def _as_int(value: str, what: str) -> int:
     try:
-        return int(value)
+        return integer_literal(value)
     except ValueError as exc:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
 
 
 def _as_float(value: str, what: str) -> float:
     try:
-        number = float(value)
+        number = float_literal(value)
     except ValueError as exc:
         raise ConfigError(f"{what} must be a number, got {value!r}") from exc
     if not math.isfinite(number):
@@ -242,7 +243,7 @@ def load_run_config(path) -> RunConfig:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     sections = _parse_sections(text, path)
     return _build(sections, p.parent)

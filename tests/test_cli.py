@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, reproducibility."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -9,19 +10,26 @@ import struct
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from kissgram.checkpoint import MAGIC
-from kissgram.cli import main
+from kissgram.cli import build_parser, main
+from kissgram.errors import ConfigError, KissError, ParseError
 from kissgram.fileio import (
+    CERT_MAGIC,
     read_certificate,
     read_cosine_report,
+    read_gram_file,
     read_vector_file,
+    write_gram_file,
     write_vector_file,
 )
-from kissgram.refconfigs import _pair_roots
+from kissgram.refconfigs import _pair_roots, generate
+from kissgram.runconfig import load_run_config
 
 
 def run_cli(*argv) -> int:
@@ -500,6 +508,140 @@ def test_file_seed_header_claims_never_size_an_allocation(tmp_path, capsys):
     assert run_cli("search", "--config", str(cfg)) == 2
     assert HEADER_CLAIMS[1][1] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dim", ["99999999999999999999", "9223372036854775807"])
+def test_verify_empty_file_with_unshapeable_dim_exits_2(tmp_path, capsys, dim):
+    path = tmp_path / "empty.vec"
+    path.write_text(f"kiss-vectors v1 dim={dim} count=0\n")
+    assert run_cli("verify", "--in", str(path)) == 2
+    err = capsys.readouterr().err
+    assert f"dim={dim} exceeds numpy's array limits" in err and "Traceback" not in err
+
+
+def _write_input(tmp_path, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _verifies(header):
+    """A site run by ``verify`` on a file with the literal in its header."""
+    return lambda tmp_path, literal, twin: run_cli(
+        "verify", "--in", str(_write_input(tmp_path, header(literal, int(twin)))))
+
+
+def _reads(read, text):
+    """A site run by ``read`` on a file with the literal in ``text``."""
+    def site(tmp_path, literal, twin):
+        read(_write_input(tmp_path, text.format(literal)))
+        return 0
+    return site
+
+
+def _threads(tmp_path, literal, twin):
+    with mock.patch.dict(os.environ, {"KISSGRAM_THREADS": literal}):
+        return run_cli("generate", "--name", "Hexagon", "--out", str(tmp_path / "h.vec"))
+
+
+def _argument(option):
+    def site(tmp_path, literal, twin):
+        argv = {"--dim": "2", "--budget": "1", "--rng-seed": "0", "--ucb-c": "1", option: literal}
+        build_parser().parse_args(["simulate-cosines", "--out", "r.rep",
+                                   *itertools.chain(*argv.items())])
+        return 0
+    return site
+
+
+_REPORT_HEADER = "kiss-cosines v1 dim=2 budget={} samples=1 best=1 converged=1\n"
+# Each site that reads a number from a file, config, argument or the
+# environment: how to run it on a literal, and what a malformed literal ends in.
+LITERAL_SITES = {
+    "vector-header": (_verifies(lambda v, n: f"kiss-vectors v1 dim={v} count=1\n"
+                                             f"1{' 0' * (n - 1)}\n"), 2),
+    "gram-header": (_verifies(lambda v, n: f"kiss-gram v1 dim={v} count=1\n1\n"), 2),
+    "report-header": (_reads(read_cosine_report, _REPORT_HEADER), ParseError),
+    "gram-row": (_reads(read_gram_file, "kiss-gram v1 dim=1 count=1\n{}\n"), ParseError),
+    "report-value": (_reads(read_cosine_report, _REPORT_HEADER.format(1) +
+                            "{} exact=- freq=1.000000 stable=1\n"), ParseError),
+    "run-length": (_reads(read_certificate, f"{CERT_MAGIC}\ncontact-degrees: 2x{{}}\n"),
+                   ParseError),
+    "multiplicity": (_reads(read_certificate, f"{CERT_MAGIC}\nspectrum:\n  1/2: {{}}\n"),
+                     ParseError),
+    "config-int": (_reads(load_run_config, "[run]\nrng-seed = {}\n"), ConfigError),
+    "config-float": (_reads(load_run_config, "[run]\nexploration = {}\n"), ConfigError),
+    "generator": (lambda tmp_path, literal, twin: run_cli(
+        "generate", "--name", f"Simplex({literal})", "--out", str(tmp_path / "s.vec")), 3),
+    "threads": (_threads, 3),
+    **{option: (_argument(option), 3)
+       for option in ("--dim", "--budget", "--rng-seed", "--ucb-c")},
+}
+
+
+def _outcome(site, *args):
+    try:
+        return site(*args)
+    except SystemExit as exc:
+        return exc.code
+    except KissError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("literal, twin", [("1_0", "10"), ("\u0662", "2"), ("\u00b2", "2"),
+                                           ("\uff15", "5")], ids=["underscore", "arabic-indic",
+                                                                   "superscript", "fullwidth"])
+@pytest.mark.parametrize("name", LITERAL_SITES)
+def test_every_number_site_takes_ascii_literals_only(tmp_path, capsys, name, literal, twin):
+    site, failure = LITERAL_SITES[name]
+    assert _outcome(site, tmp_path, twin, twin) == 0
+    assert _outcome(site, tmp_path, literal, twin) == failure
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _table_files(tmp_path):
+    """A float and a rational vector file and Gram file of the 3-dim cross polytope."""
+    built = generate("CrossPolytope(3)")
+    exact_rows = [[Fraction(int(x)) for x in row] for row in built.vectors]
+    write_vector_file(tmp_path / "float.vec", built.vectors)
+    write_vector_file(tmp_path / "rational.vec", built.vectors, "rational", exact_rows)
+    write_gram_file(tmp_path / "float.gram", built.gram, "float")
+    write_gram_file(tmp_path / "rational.gram", built.gram, "rational")
+    return [tmp_path / name for name in ("float.vec", "rational.vec", "float.gram",
+                                         "rational.gram")]
+
+
+def test_verify_finds_the_header_after_comments_and_blank_lines(tmp_path, capsys):
+    for path in _table_files(tmp_path):
+        assert run_cli("verify", "--in", str(path)) == 0
+        certificate = capsys.readouterr().out
+        commented = tmp_path / f"commented-{path.name}"
+        commented.write_text("# published configuration\n\n" + path.read_text())
+        assert run_cli("verify", "--in", str(commented)) == 0
+        assert capsys.readouterr().out == certificate
+
+
+def test_non_utf8_run_config_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"[run]\ndim = 2\xff\n")
+    assert run_cli("search", "--config", str(cfg)) == 3
+    err = capsys.readouterr().err
+    assert "can't decode byte 0xff" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["simulate-cosines", "--dim", "x", "--budget", "1",
+                                   "--out", "r.rep"], ["verify"], ["no-such-command"]])
+def test_usage_errors_exit_3(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv)
+    assert info.value.code == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv)
+    assert info.value.code == 0
 
 
 @pytest.mark.parametrize("kind", ["gram", "vectors"])

@@ -4,8 +4,10 @@ documented exit code, never in a traceback.
 ``verify`` on a corrupted rational Gram or vector file may pass (0), fail (1)
 or reject the file (2); a corrupted checkpoint makes ``search --resume``
 exit 4; reading a corrupted cosine report or certificate returns a value or
-raises ParseError.  Every mutant differs from the original: a flip XORs a
-non-zero byte in, and a truncation drops at least the last byte.
+raises ParseError, and loading a corrupted run config and its seed returns
+or raises one of the errors with a documented exit code.  Every mutant
+differs from the original: a flip XORs a non-zero byte in, and a truncation
+drops at least the last byte.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import pytest
 
 from kissgram.cli import main
 from kissgram.cosines import simulate_cosine_set
-from kissgram.errors import ParseError
+from kissgram.errors import ConfigError, CosineCapViolation, NonUnitVector, ParseError
 from kissgram.fileio import (
     read_certificate,
     read_cosine_report,
@@ -25,7 +27,9 @@ from kissgram.fileio import (
     write_gram_file,
     write_vector_file,
 )
+from kissgram.game import load_seed
 from kissgram.refconfigs import generate
+from kissgram.runconfig import load_run_config
 from kissgram.verify import verify_gram
 
 
@@ -115,3 +119,24 @@ def test_corrupted_checkpoint_resume_exits_4(tmp_path, capsys):
         ckpt.write_bytes(blob)
         assert main(["search", "--config", str(cfg), "--resume", str(ckpt)]) == 4
         assert "Traceback" not in capsys.readouterr().err
+
+
+SEEDED_CONFIG = ("[run]\ndim = 8\nmode = rational\nrng-seed = 3\nout-dir = out\n"
+                 "[seed]\nsource = generator:E8Roots\nrows = 120\n"
+                 "[action]\nc1 = -1, -1/2, 0, 1/2\nc2 = -1/2, 0, 1/2\n"
+                 "[tolerances]\npsd = 1e-9\nrank = 1e-7\ncosine = 1e-9\nsnap = 1e-7\n")
+
+
+def test_corrupted_run_config_loads_or_raises_a_documented_error(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(SEEDED_CONFIG)
+    load_seed(load_run_config(path).game)
+    outcomes = set()
+    for blob in mutants(SEEDED_CONFIG.encode(), 9, flips=300, cuts=60):
+        path.write_bytes(blob)
+        try:
+            load_seed(load_run_config(path).game)
+            outcomes.add("value")
+        except (ConfigError, ParseError, NonUnitVector, CosineCapViolation):
+            outcomes.add("error")
+    assert outcomes == {"value", "error"}
